@@ -17,17 +17,17 @@ from .coding import (
     CharMismatchError,
     CodeParams,
     NetworkCode,
-    SelectorSpec,
+    Slice,
     TerminalDecoder,
     UnsupportedLambdaError,
+    block_source_extractor,
     build_code,
     build_code_char_divides,
     build_code_char_not_divides,
     code_from_json,
     code_to_json,
     partial_sum_row,
-    reconstruct_block_source,
-    selector_matrix,
+    slice_layout,
 )
 from .designs import (
     Design,
@@ -35,13 +35,10 @@ from .designs import (
     ParseError,
     UnsupportedOrderError,
     ValidationReport,
-    block_at_rank,
-    color_incidence,
     design_load,
     design_save,
     design_verify,
     fano,
-    incidence_matrix,
     sts_bose,
 )
 from .field import (
@@ -51,7 +48,6 @@ from .field import (
     FieldMismatchError,
     NotPrimeError,
     PrimeField,
-    mat_rank,
     row_space_contains,
 )
 from .network import (

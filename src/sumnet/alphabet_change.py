@@ -226,39 +226,3 @@ def unicast_control_holds(gamma: int) -> bool:
             if decode_unicast(x1, params, two_maps_to) != x1:
                 return False
     return True
-
-
-def binary_block_to_ternary(bits: tuple[int, ...], params: ExtensionParams) -> tuple[int, ...]:
-    """Mixed-radix re-encoding of an nprime-bit block as t ternary digits.
-
-    2^nprime <= 3^t always holds here, so this direction is injective and
-    ``ternary_block_to_binary`` undoes it exactly.  The failure demonstration
-    never routes through these block converters; they complete the pipeline
-    for carrying whole binary words over ternary symbols.
-    """
-    if len(bits) != params.nprime or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"expected {params.nprime} bits, got {bits!r}")
-    value = 0
-    for b in reversed(bits):
-        value = value * 2 + b
-    digits = []
-    for _ in range(params.t):
-        digits.append(value % 3)
-        value //= 3
-    return tuple(digits)
-
-
-def ternary_block_to_binary(symbols: tuple[int, ...], params: ExtensionParams) -> tuple[int, ...]:
-    """Left inverse of ``binary_block_to_ternary``; values outside its image
-    are reduced mod 2^nprime, which is where the rate loss hides."""
-    if len(symbols) != params.t or any(s not in (0, 1, 2) for s in symbols):
-        raise ValueError(f"expected {params.t} ternary symbols, got {symbols!r}")
-    value = 0
-    for s in reversed(symbols):
-        value = value * 3 + s
-    value %= 2**params.nprime
-    bits = []
-    for _ in range(params.nprime):
-        bits.append(value % 2)
-        value //= 2
-    return tuple(bits)

@@ -8,10 +8,11 @@ characteristic divides k-1:
   what it sees;
 * characteristic does not divide k-1: a fractional (m,n) code with
   m = v - (v mod k).  Each bottleneck carries its partial sum plus one
-  width-(m/k) slice of every block source in its neighborhood, placed by a
-  coloring of the incidence matrix so that the k bottlenecks of a block
-  jointly expose the whole block source.  Block terminals use those slices
-  to cancel the k-fold overcount of their own block.
+  width-(m/k) slice of every block source in its neighborhood.  The c-th
+  point of a block carries the block's c-th slice (``slice_layout``), so
+  the k bottlenecks of a block jointly expose the whole block source.
+  Block terminals use those slices to cancel the k-fold overcount of their
+  own block.
 
 Codes are materialized as global maps: ``encoders[i]`` sends the stacked
 source vector to the n symbols on bottleneck i, and each terminal decoder
@@ -23,16 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .designs import (
-    Design,
-    ParseError,
-    color_incidence,
-    incidence_matrix,
-)
-from .field import FieldMatrix, PrimeField, vstack
+from .designs import Design, ParseError
+from .field import FieldMatrix, PrimeField
 from .network import (
     EDGE_HEAD_TO_TERMINAL,
     SOURCE_BLOCK,
@@ -74,22 +71,6 @@ class CodeParams:
 
 
 @dataclass(frozen=True)
-class SelectorSpec:
-    """Which slice of which block source a bottleneck carries.
-
-    ``point`` owns the bottleneck, ``rank`` is the 1-based position of the
-    block among the point's blocks in increasing block order, ``block`` is
-    the resolved block index, and ``color`` (1-based) picks the slice of the
-    block source: coordinates (color-1)*w+1 .. color*w of width w = m/k.
-    """
-
-    point: int
-    rank: int
-    block: int
-    color: int
-
-
-@dataclass(frozen=True)
 class TerminalDecoder:
     """A terminal's in-edges in canonical order and its decoding matrix.
 
@@ -125,12 +106,33 @@ def source_column(d: Design, source: NodeId, m: int) -> int:
     raise ValueError(f"{source.label()} is not a source")
 
 
+def source_columns(d: Design, source: NodeId, m: int) -> slice:
+    """The m columns of a source's block in the stacked layout."""
+    lo = source_column(d, source, m)
+    return slice(lo, lo + m)
+
+
+def column_source(d: Design, col: int, m: int) -> tuple[NodeId, int]:
+    """Inverse of ``source_column``: the source whose block holds stacked
+    column ``col``, and the column's offset inside that block."""
+    src, offset = divmod(col, m)
+    if src < d.v:
+        return NodeId(SOURCE_POINT, src), offset
+    return NodeId(SOURCE_BLOCK, src - d.v), offset
+
+
+def sources_sum_map(d: Design, sources: Iterable[NodeId], m: int, f: PrimeField) -> FieldMatrix:
+    """The m x (v+b)m map adding up the listed sources: an identity block
+    at each one's columns of the stacked vector."""
+    mat = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
+    for source in sources:
+        mat[:, source_columns(d, source, m)] = np.eye(m, dtype=np.int64)
+    return FieldMatrix(f, mat)
+
+
 def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map extracting one source from the stacked vector."""
-    proj = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    lo = source_column(d, source, m)
-    proj[:, lo : lo + m] = np.eye(m, dtype=np.int64)
-    return FieldMatrix(f, proj)
+    return sources_sum_map(d, (source,), m, f)
 
 
 def sum_map(d: Design, m: int, f: PrimeField) -> FieldMatrix:
@@ -141,53 +143,37 @@ def sum_map(d: Design, m: int, f: PrimeField) -> FieldMatrix:
 def partial_sum_row(d: Design, point: int, m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map computing a point's partial sum: the point's own
     source plus every block source whose block contains the point."""
-    width = stacked_width(d, m)
-    mat = np.zeros((m, width), dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    lo = source_column(d, NodeId(SOURCE_POINT, point), m)
-    mat[:, lo : lo + m] = eye
-    for j in d.blocks_through(point):
-        lo = source_column(d, NodeId(SOURCE_BLOCK, j), m)
-        mat[:, lo : lo + m] = eye
-    return FieldMatrix(f, mat)
+    blocks = (NodeId(SOURCE_BLOCK, j) for j in d.blocks_through(point))
+    return sources_sum_map(d, (NodeId(SOURCE_POINT, point), *blocks), m, f)
 
 
-def point_selector_specs(a: np.ndarray, ac: np.ndarray, point: int) -> tuple[SelectorSpec, ...]:
-    """The r selector specs of a point, rank 1..r in increasing block order."""
-    specs = []
-    rank = 0
-    for j in range(a.shape[1]):
-        if a[point, j]:
-            rank += 1
-            specs.append(SelectorSpec(point=point, rank=rank, block=j, color=int(ac[point, j])))
-    return tuple(specs)
+class Slice(NamedTuple):
+    """One incidence of the slice layout of the fractional code.
+
+    Bottleneck ``point`` carries slice ``color`` of block ``block``'s
+    source, i.e. its coordinates (color-1)*w .. color*w-1 for w = m/k, in
+    selector position ``rank``.  Both numbers count from 1.
+    """
+
+    point: int
+    block: int
+    rank: int
+    color: int
 
 
-def block_selector_specs(a: np.ndarray, ac: np.ndarray, j: int) -> tuple[SelectorSpec, ...]:
-    """For each color 1..k, the spec of the bottleneck carrying that slice
-    of block j's source.  Stacking the slices in color order reassembles
-    the whole block source."""
-    specs = []
-    for color in range(1, int(a[:, j].sum()) + 1):
-        rows = np.nonzero(ac[:, j] == color)[0]
-        assert len(rows) == 1
-        point = int(rows[0])
-        rank = int(a[point, : j + 1].sum())
-        specs.append(SelectorSpec(point=point, rank=rank, block=j, color=color))
-    return tuple(specs)
+def slice_layout(d: Design) -> tuple[Slice, ...]:
+    """Every incidence's slice, ordered by point and then by rank.
 
-
-def selector_matrix(d: Design, spec: SelectorSpec, m: int, f: PrimeField) -> FieldMatrix:
-    """The (m/k) x (v+b)m map extracting the spec's slice of its block source."""
-    if m % d.k:
-        raise DegenerateLengthError(f"message length {m} not divisible by k={d.k}")
-    w = m // d.k
-    if not 1 <= spec.color <= d.k:
-        raise ValueError(f"color {spec.color} outside 1..{d.k}")
-    mat = np.zeros((w, stacked_width(d, m)), dtype=np.int64)
-    lo = source_column(d, NodeId(SOURCE_BLOCK, spec.block), m) + (spec.color - 1) * w
-    mat[:, lo : lo + w] = np.eye(w, dtype=np.int64)
-    return FieldMatrix(f, mat)
+    Blocks are stored sorted, so a point's color in block j is its
+    position in ``d.blocks[j]`` and block j's rank at a point is its
+    position in ``d.blocks_through(point)``.  The k points of a block thus
+    carry the block's k slices, one each.
+    """
+    return tuple(
+        Slice(point, j, rank, d.blocks[j].index(point) + 1)
+        for point in range(d.v)
+        for rank, j in enumerate(d.blocks_through(point), start=1)
+    )
 
 
 def code_params_for(d: Design, f: PrimeField) -> CodeParams:
@@ -221,11 +207,9 @@ def build_code_char_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
     right.
     """
     d = net.design
-    if d.lambda_ != 1:
-        raise UnsupportedLambdaError(f"code synthesis needs lambda=1, got {d.lambda_}")
-    if (d.k - 1) % f.p != 0:
+    params = code_params_for(d, f)
+    if params.regime != REGIME_DIVIDES:
         raise CharMismatchError(f"characteristic {f.p} does not divide k-1 = {d.k - 1}")
-    params = CodeParams(m=1, n=1, regime=REGIME_DIVIDES)
     encoders = tuple(partial_sum_row(d, i, 1, f) for i in range(d.v))
     return NetworkCode(
         design=d,
@@ -236,23 +220,24 @@ def build_code_char_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
     )
 
 
-def _identity_part(m: int, n: int) -> np.ndarray:
-    """[I_m | 0] of shape m x n: reads the partial sum off a head edge."""
-    part = np.zeros((m, n), dtype=np.int64)
-    part[:, :m] = np.eye(m, dtype=np.int64)
-    return part
-
-
-def _slice_reader(m: int, n: int, k: int, color: int, rank: int) -> np.ndarray:
-    """The m x n map reading one selector slice off a head edge into the
-    slice's home rows.  Row block ``color``, column block ``rank`` of the
-    selector region, both 1-based, each of width m/k."""
-    w = m // k
-    part = np.zeros((m, n), dtype=np.int64)
-    rows = slice((color - 1) * w, color * w)
-    cols = slice(m + (rank - 1) * w, m + rank * w)
-    part[rows, cols] = np.eye(w, dtype=np.int64)
-    return part
+def _block_reader(
+    d: Design, params: CodeParams, layout: tuple[Slice, ...], in_edges: tuple[Edge, ...], j: int
+) -> np.ndarray:
+    """The map reading block j's k slices off the head edges among
+    ``in_edges`` into the slices' home rows; direct edges read nothing."""
+    m, n = params.m, params.n
+    w = m // d.k
+    at = {s.point: s for s in layout if s.block == j}
+    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in in_edges]
+    reader = np.zeros((m, sum(widths)), dtype=np.int64)
+    col = 0
+    for e, width in zip(in_edges, widths):
+        if e.kind == EDGE_HEAD_TO_TERMINAL:
+            s = at[e.tail.index]
+            lo = col + m + (s.rank - 1) * w
+            reader[(s.color - 1) * w : s.color * w, lo : lo + w] = np.eye(w, dtype=np.int64)
+        col += width
+    return reader
 
 
 def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldMatrix:
@@ -263,31 +248,8 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
     plain projection of the block source.
     """
     d = code.design
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
     in_edges = net.terminal_in_edges(NodeId(TERMINAL_BLOCK, j))
-    return _extractor(d, a, ac, code.params, code.field, in_edges, j)
-
-
-def _extractor(
-    d: Design,
-    a: np.ndarray,
-    ac: np.ndarray,
-    params: CodeParams,
-    f: PrimeField,
-    in_edges: tuple[Edge, ...],
-    j: int,
-) -> FieldMatrix:
-    m, n = params.m, params.n
-    by_point = {spec.point: spec for spec in block_selector_specs(a, ac, j)}
-    blocks = []
-    for e in in_edges:
-        if e.kind == EDGE_HEAD_TO_TERMINAL:
-            spec = by_point[e.tail.index]
-            blocks.append(_slice_reader(m, n, d.k, spec.color, spec.rank))
-        else:
-            blocks.append(np.zeros((m, m), dtype=np.int64))
-    return FieldMatrix(f, np.hstack(blocks))
+    return FieldMatrix(code.field, _block_reader(d, code.params, slice_layout(d), in_edges, j))
 
 
 def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
@@ -300,60 +262,46 @@ def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
     it k-1 times, cancelling the overcount in the sum of partial sums.
     """
     d = net.design
-    if d.lambda_ != 1:
-        raise UnsupportedLambdaError(f"code synthesis needs lambda=1, got {d.lambda_}")
-    if (d.k - 1) % f.p == 0:
-        raise CharMismatchError(f"characteristic {f.p} divides k-1 = {d.k - 1}")
     params = code_params_for(d, f)
+    if params.regime != REGIME_NOT_DIVIDES:
+        raise CharMismatchError(f"characteristic {f.p} divides k-1 = {d.k - 1}")
     m, n = params.m, params.n
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
+    w = m // d.k
+    layout = slice_layout(d)
 
-    encoders = []
-    for i in range(d.v):
-        parts = [partial_sum_row(d, i, m, f)]
-        parts += [selector_matrix(d, spec, m, f) for spec in point_selector_specs(a, ac, i)]
-        encoders.append(vstack(parts))
+    encoders = [np.zeros((n, stacked_width(d, m)), dtype=np.int64) for _ in range(d.v)]
+    for i, enc in enumerate(encoders):
+        enc[:m] = partial_sum_row(d, i, m, f).array
+    for s in layout:
+        lo = source_column(d, NodeId(SOURCE_BLOCK, s.block), m) + (s.color - 1) * w
+        rows = slice(m + (s.rank - 1) * w, m + s.rank * w)
+        encoders[s.point][rows, lo : lo + w] = np.eye(w, dtype=np.int64)
 
-    read_partial = _identity_part(m, n)
     decoders: dict[NodeId, TerminalDecoder] = {}
     for t in net.terminals():
         in_edges = net.terminal_in_edges(t)
-        blocks = []
-        for e in in_edges:
-            if e.kind == EDGE_HEAD_TO_TERMINAL:
-                blocks.append(read_partial)
-            else:
-                blocks.append(np.eye(m, dtype=np.int64))
-        matrix = FieldMatrix(f, np.hstack(blocks))
+        # [I_m | 0] reads the partial sum off a head edge; direct edges pass through
+        matrix = np.hstack(
+            [np.eye(m, n if e.kind == EDGE_HEAD_TO_TERMINAL else m, dtype=np.int64) for e in in_edges]
+        )
         if t.kind == TERMINAL_BLOCK:
-            correction = _extractor(d, a, ac, params, f, in_edges, t.index)
-            matrix = matrix - (d.k - 1) * correction
-        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=matrix)
+            matrix = matrix - (d.k - 1) * _block_reader(d, params, layout, in_edges, t.index)
+        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=FieldMatrix(f, matrix))
 
     return NetworkCode(
-        design=d, field=f, params=params, encoders=tuple(encoders), decoders=decoders
+        design=d,
+        field=f,
+        params=params,
+        encoders=tuple(FieldMatrix(f, enc) for enc in encoders),
+        decoders=decoders,
     )
 
 
 def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     """Synthesize the code family matching the field characteristic."""
-    if (net.design.k - 1) % f.p == 0:
+    if code_params_for(net.design, f).regime == REGIME_DIVIDES:
         return build_code_char_divides(net, f)
     return build_code_char_not_divides(net, f)
-
-
-def reconstruct_block_source(code: NetworkCode, j: int) -> FieldMatrix:
-    """Stack block j's selector slices in color order as a global map.
-
-    For a correctly colored code this equals the plain projection of the
-    block source out of the stacked source vector.
-    """
-    d = code.design
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
-    specs = block_selector_specs(a, ac, j)
-    return vstack([selector_matrix(d, spec, code.params.m, code.field) for spec in specs])
 
 
 def code_to_json(code: NetworkCode) -> str:
@@ -386,6 +334,7 @@ def code_from_json(text: str) -> NetworkCode:
         d = Design.from_dict(data["design"])
         raw_params = data["params"]
         params = CodeParams(m=raw_params["m"], n=raw_params["n"], regime=raw_params["regime"])
+        expected = code_params_for(d, f)
         encoders = tuple(FieldMatrix(f, rows) for rows in data["encoders"])
         decoders = {}
         for label, entry in data["decoders"].items():
@@ -397,4 +346,9 @@ def code_from_json(text: str) -> NetworkCode:
             decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=FieldMatrix(f, entry["matrix"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed code document: {exc}") from exc
+    if params != expected:
+        raise ParseError(
+            f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
+            f"m={expected.m} n={expected.n} regime={expected.regime!r} for this design over {f}"
+        )
     return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)

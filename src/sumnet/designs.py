@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
-
 
 class UnsupportedOrderError(ValueError):
     """No generator is available for the requested number of points."""
@@ -29,10 +27,6 @@ class InvalidDesignError(ValueError):
     def __init__(self, report: "ValidationReport"):
         super().__init__("; ".join(report.problems))
         self.report = report
-
-
-class OutOfRangeError(ValueError):
-    """A rank or slice position falls outside its valid range."""
 
 
 @dataclass
@@ -233,52 +227,3 @@ def design_load(path) -> Design:
     if not report.ok:
         raise InvalidDesignError(report)
     return d
-
-
-def incidence_matrix(d: Design) -> np.ndarray:
-    """The v x b 0/1 matrix with a 1 where a point lies in a block."""
-    a = np.zeros((d.v, d.b), dtype=np.int64)
-    for j, blk in enumerate(d.blocks):
-        for point in blk:
-            a[point, j] = 1
-    return a
-
-
-def color_incidence(a: np.ndarray) -> np.ndarray:
-    """Number the ones of each column 1..k from top to bottom.
-
-    The result has the same zero pattern as the input; the nonzero entries
-    of a column, read in increasing row order, are exactly 1, 2, ..., k.
-    """
-    if not np.isin(a, (0, 1)).all():
-        raise ValueError("incidence matrix entries must be 0 or 1")
-    colored = np.zeros_like(a)
-    for j in range(a.shape[1]):
-        count = 0
-        for i in range(a.shape[0]):
-            if a[i, j]:
-                count += 1
-                colored[i, j] = count
-    return colored
-
-
-def blocks_through_point(a: np.ndarray, point: int) -> list[int]:
-    """Column indices of the blocks containing ``point``, increasing."""
-    return [j for j in range(a.shape[1]) if a[point, j]]
-
-
-def block_at_rank(a: np.ndarray, point: int, rank: int) -> int:
-    """The column of the rank-th block containing ``point``.
-
-    ``rank`` counts from 1; the result is the smallest column index at which
-    the running sum of the point's incidence row reaches ``rank``.
-    """
-    row = a[point]
-    if rank < 1 or rank > int(row.sum()):
-        raise OutOfRangeError(f"rank {rank} outside 1..{int(row.sum())} for point {point}")
-    total = 0
-    for j in range(a.shape[1]):
-        total += int(row[j])
-        if total == rank:
-            return j
-    raise OutOfRangeError(f"rank {rank} not reached")  # unreachable after the guard

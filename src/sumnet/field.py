@@ -255,15 +255,6 @@ class FieldMatrix:
         return f"FieldMatrix({self.field}, {self._a.tolist()})"
 
 
-def hstack(mats: list[FieldMatrix]) -> FieldMatrix:
-    if not mats:
-        raise DimensionMismatchError("hstack of nothing")
-    field = mats[0].field
-    for m in mats[1:]:
-        mats[0]._check_field(m)
-    return FieldMatrix(field, np.hstack([m.array for m in mats]))
-
-
 def vstack(mats: list[FieldMatrix]) -> FieldMatrix:
     if not mats:
         raise DimensionMismatchError("vstack of nothing")
@@ -296,11 +287,6 @@ def _reduced_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, int]:
         if rank == rows:
             break
     return a, rank
-
-
-def mat_rank(a: FieldMatrix) -> int:
-    """Rank of a matrix over its prime field."""
-    return a.rank()
 
 
 def row_space_contains(basis: FieldMatrix, target_row: FieldMatrix) -> bool:

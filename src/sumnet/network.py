@@ -12,7 +12,7 @@ import json
 from collections import defaultdict, deque
 from typing import Iterable, NamedTuple
 
-from .designs import Design, ParseError, ValidationReport
+from .designs import Design, InvalidDesignError, ParseError, ValidationReport
 
 SOURCE_POINT = "source-point"
 SOURCE_BLOCK = "source-block"
@@ -176,7 +176,8 @@ def build_sum_network(d: Design) -> SumNetwork:
                 edges.append(Edge(sB(l), tB(j), EDGE_DIRECT))
 
     # unit-capacity simple edges: the construction must never repeat one
-    assert len({(e.tail, e.head) for e in edges}) == len(edges)
+    if len({(e.tail, e.head) for e in edges}) != len(edges):
+        raise InvalidDesignError(ValidationReport(["network construction repeats an edge"]))
     return SumNetwork(d, nodes, edges)
 
 

@@ -15,14 +15,19 @@ from fractions import Fraction
 import numpy as np
 
 from .coding import (
+    REGIME_DIVIDES,
     NetworkCode,
     UnsupportedLambdaError,
+    code_params_for,
+    column_source,
     partial_sum_row,
-    source_column,
+    source_columns,
     source_projection,
+    sources_sum_map,
+    stacked_width,
     sum_map,
 )
-from .designs import Design
+from .designs import Design, InvalidDesignError, ValidationReport
 from .field import FieldMatrix, PrimeField, row_space_contains, vstack
 from .network import (
     BOTTLENECK_HEAD,
@@ -61,7 +66,7 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
             f"{len(code.encoders)} encoders for {net.design.v} bottlenecks"
         )
     d, m, n = net.design, code.params.m, code.params.n
-    width = (d.v + d.b) * m
+    width = stacked_width(d, m)
     for i, enc in enumerate(code.encoders):
         if enc.shape != (n, width):
             raise ShapeMismatchError(f"encoder {i + 1} has shape {enc.shape}, expected {(n, width)}")
@@ -97,15 +102,12 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
         if got != want:
             diff = (got.array - want.array) % code.field.p
             row, col = map(int, np.argwhere(diff)[0])
-            src = col // m
-            source = (
-                NodeId(SOURCE_POINT, src) if src < d.v else NodeId(SOURCE_BLOCK, src - d.v)
-            )
+            source, offset = column_source(d, col, m)
             failures.append(
                 Failure(
                     at=t,
                     detail=(
-                        f"unit input at {source.label()}[{col % m}] decodes to "
+                        f"unit input at {source.label()}[{offset}] decodes to "
                         f"{int(got.array[row, col])}, expected {int(want.array[row, col])} "
                         f"(output row {row})"
                     ),
@@ -136,8 +138,7 @@ def _simulate_batch(
             enc = code.encoders[i].array
             total = None
             for e in net.tail_in_edges(i):
-                lo = source_column(d, e.tail, m)
-                contrib = enc[:, lo : lo + m] @ emitted[e.tail]
+                contrib = enc[:, source_columns(d, e.tail, m)] @ emitted[e.tail]
                 total = contrib if total is None else total + contrib
             emitted[node] = np.mod(total, p)
         elif node.kind == BOTTLENECK_HEAD:
@@ -244,17 +245,11 @@ def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     in its neighborhood must be recoverable from its points' bottlenecks."""
     _check_compatible(net, code)
     d, m, f = net.design, code.params.m, code.field
-    width = (d.v + d.b) * m
     failures = []
     for j in range(d.b):
-        target = np.zeros((m, width), dtype=np.int64)
-        eye = np.eye(m, dtype=np.int64)
-        for point in d.blocks[j]:
-            target[:, point * m : (point + 1) * m] = eye
-        for l in d.block_neighborhood(j):
-            lo = (d.v + l) * m
-            target[:, lo : lo + m] = eye
-        target_mat = FieldMatrix(f, target)
+        sources = [NodeId(SOURCE_POINT, point) for point in d.blocks[j]]
+        sources += [NodeId(SOURCE_BLOCK, l) for l in d.block_neighborhood(j)]
+        target_mat = sources_sum_map(d, sources, m, f)
         stacked = vstack([code.encoders[point] for point in d.blocks[j]])
         if not row_space_contains(stacked, target_mat):
             row = next(
@@ -287,7 +282,9 @@ def cutset_bound(d: Design) -> Fraction:
         raise UnsupportedLambdaError(f"bound stated for lambda=1 designs, got {d.lambda_}")
     bound = Fraction(d.v, d.v + d.b)
     closed_form = Fraction(d.k * (d.k - 1), d.k * (d.k - 1) + d.v - 1)
-    assert bound == closed_form, f"{bound} != {closed_form}: b is off its lambda=1 value"
+    if bound != closed_form:
+        problem = f"cut-set bound {bound} != {closed_form}: b={d.b} is off its lambda=1 value"
+        raise InvalidDesignError(ValidationReport([problem]))
     return bound
 
 
@@ -301,13 +298,12 @@ def capacity_report(d: Design, f: PrimeField) -> CapacityReport:
     """
     if d.lambda_ != 1:
         raise UnsupportedLambdaError(f"capacity stated for lambda=1 designs, got {d.lambda_}")
-    if (d.k - 1) % f.p == 0:
+    params = code_params_for(d, f)
+    if params.regime == REGIME_DIVIDES:
         one = Fraction(1)
-        return CapacityReport(regime="char-divides", achieved=one, upper=one, matches=True)
-    m = d.v - d.v % d.k
-    n = m + d.r * (m // d.k)
-    achieved = Fraction(m, n)
+        return CapacityReport(regime=params.regime, achieved=one, upper=one, matches=True)
+    achieved = Fraction(params.m, params.n)
     upper = cutset_bound(d)
     return CapacityReport(
-        regime="char-not-divides", achieved=achieved, upper=upper, matches=achieved == upper
+        regime=params.regime, achieved=achieved, upper=upper, matches=achieved == upper
     )

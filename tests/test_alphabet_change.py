@@ -6,13 +6,11 @@ import pytest
 from sumnet.alphabet_change import (
     InvalidGammaError,
     TooLargeError,
-    binary_block_to_ternary,
     decode_sum,
     decode_unicast,
     exhaustive_failure_search,
     extension_params,
     run_counterexample,
-    ternary_block_to_binary,
     true_sum,
     unicast_control_holds,
 )
@@ -138,23 +136,8 @@ def test_unicast_decode_never_sees_a_two():
 
 
 # ---------------------------------------------------------------------------
-# block converters and report serialization
+# report serialization
 # ---------------------------------------------------------------------------
-
-def test_block_converters_round_trip():
-    for gamma in (2, 3):
-        params = extension_params(gamma)
-        for bits in product((0, 1), repeat=params.nprime):
-            assert ternary_block_to_binary(binary_block_to_ternary(bits, params), params) == bits
-
-
-def test_block_converters_validate_input():
-    params = extension_params(2)
-    with pytest.raises(ValueError):
-        binary_block_to_ternary((0, 1), params)  # too short
-    with pytest.raises(ValueError):
-        ternary_block_to_binary((3, 0, 0, 0), params)  # not ternary
-
 
 def test_report_dict_shape():
     data = run_counterexample(2).to_dict()

@@ -182,6 +182,26 @@ def test_simulate_corrupted_code_exits_two(tmp_path, capsys):
     assert "decoded" in capsys.readouterr().out
 
 
+def test_simulate_rejects_bogus_regime(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["params"]["regime"] = "bogus"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
+    assert "regime='bogus'" in capsys.readouterr().err
+
+
+def test_simulate_rejects_wrong_message_length(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["params"]["m"] = 3
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
+    assert "m=3" in capsys.readouterr().err
+
+
 def test_simulate_code_field_mismatch(tmp_path, capsys):
     path = tmp_path / "code.json"
     assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0

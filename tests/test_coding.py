@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,25 +7,22 @@ from sumnet.coding import (
     CharMismatchError,
     REGIME_DIVIDES,
     REGIME_NOT_DIVIDES,
-    SelectorSpec,
     UnsupportedLambdaError,
-    block_selector_specs,
     block_source_extractor,
     build_code,
     build_code_char_divides,
     build_code_char_not_divides,
     code_from_json,
     code_to_json,
+    column_source,
     partial_sum_row,
-    point_selector_specs,
-    reconstruct_block_source,
-    selector_matrix,
+    slice_layout,
     source_column,
     source_projection,
     stacked_width,
     sum_map,
 )
-from sumnet.designs import Design, color_incidence, fano, incidence_matrix, sts_bose
+from sumnet.designs import Design, fano, sts_bose
 from sumnet.field import PrimeField, vstack
 from sumnet.network import (
     EDGE_HEAD_TO_TERMINAL,
@@ -52,6 +51,27 @@ def fano_setup(p):
     d = fano()
     net = build_sum_network(d)
     return d, net, PrimeField(p)
+
+
+def point_slices(d, point):
+    """The slices a bottleneck carries, in rank order."""
+    return [s for s in slice_layout(d) if s.point == point]
+
+
+def block_slices(d, j):
+    """The k slices of block j's source, in color order."""
+    return sorted((s for s in slice_layout(d) if s.block == j), key=lambda s: s.color)
+
+
+def composed_extractor(code, net, j):
+    """Block j's source extractor composed with its in-edges' global maps."""
+    maps = []
+    for e in code.decoders[NodeId(TERMINAL_BLOCK, j)].in_edges:
+        if e.kind == EDGE_HEAD_TO_TERMINAL:
+            maps.append(code.encoders[e.tail.index])
+        else:
+            maps.append(source_projection(code.design, e.tail, code.params.m, code.field))
+    return block_source_extractor(code, net, j) @ vstack(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -134,50 +154,55 @@ def test_dispatch_picks_family_by_characteristic():
 
 
 # ---------------------------------------------------------------------------
-# selector machinery
+# slice layout
 # ---------------------------------------------------------------------------
 
 def test_selector_specs_match_expected_layout():
     d, _, _ = fano_setup(3)
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
     for point, expected in FANO_SELECTOR_LAYOUT.items():
-        specs = point_selector_specs(a, ac, point)
-        got = [(BLOCK_LETTERS[s.block], s.color) for s in specs]
+        slices = point_slices(d, point)
+        got = [(BLOCK_LETTERS[s.block], s.color) for s in slices]
         assert got == expected, f"point {point + 1}"
-        assert [s.rank for s in specs] == [1, 2, 3]
+        assert [s.rank for s in slices] == [1, 2, 3]
 
 
 def test_selector_matrix_slices():
-    d, _, f = fano_setup(3)
-    m = 6
+    # encoder rows m + (rank-1)w .. m + rank*w - 1 carry the slice; w = 2
+    _, net, f = fano_setup(3)
+    code = build_code_char_not_divides(net, f)
+
+    def slice_rows(point, rank):
+        return code.encoders[point].array[6 + (rank - 1) * 2 : 6 + rank * 2]
+
     # slice color 1 of block A = coordinates 1:2 of source 8 (s_A)
-    spec = SelectorSpec(point=0, rank=1, block=0, color=1)
-    mat = selector_matrix(d, spec, m, f)
-    assert mat.shape == (2, 84)
-    assert mat.array[0, 7 * 6] == 1 and mat.array[1, 7 * 6 + 1] == 1
-    assert mat.array.sum() == 2
+    rows = slice_rows(0, 1)
+    assert rows.shape == (2, 84)
+    assert rows[0, 7 * 6] == 1 and rows[1, 7 * 6 + 1] == 1
+    assert rows.sum() == 2
     # slice color 2 of block C = coordinates 3:4 of source 10 (s_C)
-    spec = SelectorSpec(point=4, rank=2, block=2, color=2)
-    mat = selector_matrix(d, spec, m, f)
-    assert mat.array[0, 9 * 6 + 2] == 1 and mat.array[1, 9 * 6 + 3] == 1
+    rows = slice_rows(4, 2)
+    assert rows[0, 9 * 6 + 2] == 1 and rows[1, 9 * 6 + 3] == 1
+    assert rows.sum() == 2
     # slice color 3 of block C = coordinates 5:6
-    spec = SelectorSpec(point=5, rank=1, block=2, color=3)
-    mat = selector_matrix(d, spec, m, f)
-    assert mat.array[0, 9 * 6 + 4] == 1 and mat.array[1, 9 * 6 + 5] == 1
+    rows = slice_rows(5, 1)
+    assert rows[0, 9 * 6 + 4] == 1 and rows[1, 9 * 6 + 5] == 1
+    assert rows.sum() == 2
 
 
 def test_fano_fractional_encoder_layout():
+    # hand-assembled from FANO_SELECTOR_LAYOUT: partial sum on top, then one
+    # width-2 identity per selector slice
     d, net, f = fano_setup(3)
     code = build_code_char_not_divides(net, f)
     assert (code.params.m, code.params.n) == (6, 12)
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
-    m = 6
+    m, w = 6, 2
     for i in range(7):
-        parts = [partial_sum_row(d, i, m, f)]
-        parts += [selector_matrix(d, s, m, f) for s in point_selector_specs(a, ac, i)]
-        assert code.encoders[i] == vstack(parts)
+        expected = np.zeros((12, 84), dtype=np.int64)
+        expected[:m] = partial_sum_row(d, i, m, f).array
+        for rank, (letter, color) in enumerate(FANO_SELECTOR_LAYOUT[i]):
+            lo = (7 + BLOCK_LETTERS.index(letter)) * m + (color - 1) * w
+            expected[m + rank * w : m + (rank + 1) * w, lo : lo + w] = np.eye(w, dtype=np.int64)
+        assert code.encoders[i].tolist() == expected.tolist(), f"encoder {i + 1}"
 
 
 def test_encoder_locality():
@@ -211,27 +236,21 @@ def test_encoder_row_count_formula():
 
 def test_block_specs_for_fano_block_c():
     d, _, _ = fano_setup(3)
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
-    specs = block_selector_specs(a, ac, 2)
-    assert [(s.point, s.rank, s.color) for s in specs] == [(0, 2, 1), (4, 2, 2), (5, 1, 3)]
+    slices = block_slices(d, 2)
+    assert [(s.point, s.rank, s.color) for s in slices] == [(0, 2, 1), (4, 2, 2), (5, 1, 3)]
 
 
 def test_reconstruct_block_c_is_projection():
     d, net, f = fano_setup(3)
     code = build_code_char_not_divides(net, f)
-    got = reconstruct_block_source(code, 2)
-    assert got == source_projection(d, NodeId(SOURCE_BLOCK, 2), 6, f)
+    assert composed_extractor(code, net, 2) == source_projection(d, NodeId(SOURCE_BLOCK, 2), 6, f)
 
 
 def test_reconstruct_block_a_stacks_three_slices():
     d, net, f = fano_setup(3)
     code = build_code_char_not_divides(net, f)
-    a = incidence_matrix(d)
-    ac = color_incidence(a)
-    specs = block_selector_specs(a, ac, 0)
-    assert [(s.point, s.rank) for s in specs] == [(0, 1), (1, 1), (2, 1)]
-    assert reconstruct_block_source(code, 0) == source_projection(
+    assert [(s.point, s.rank) for s in block_slices(d, 0)] == [(0, 1), (1, 1), (2, 1)]
+    assert composed_extractor(code, net, 0) == source_projection(
         d, NodeId(SOURCE_BLOCK, 0), 6, f
     )
 
@@ -242,7 +261,7 @@ def test_reconstruct_every_block_of_sts9():
     f = PrimeField(5)
     code = build_code_char_not_divides(net, f)
     for j in range(d.b):
-        assert reconstruct_block_source(code, j) == source_projection(
+        assert composed_extractor(code, net, j) == source_projection(
             d, NodeId(SOURCE_BLOCK, j), code.params.m, f
         )
 
@@ -252,15 +271,7 @@ def test_extractor_composes_to_projection():
     d, net, f = fano_setup(3)
     code = build_code_char_not_divides(net, f)
     for j in range(d.b):
-        t = NodeId(TERMINAL_BLOCK, j)
-        extractor = block_source_extractor(code, net, j)
-        maps = []
-        for e in code.decoders[t].in_edges:
-            if e.kind == EDGE_HEAD_TO_TERMINAL:
-                maps.append(code.encoders[e.tail.index])
-            else:
-                maps.append(source_projection(d, e.tail, code.params.m, f))
-        composed = extractor @ vstack(maps)
+        composed = composed_extractor(code, net, j)
         assert composed == source_projection(d, NodeId(SOURCE_BLOCK, j), code.params.m, f)
 
 
@@ -320,3 +331,38 @@ def test_sum_map_shape():
     total = sum_map(d, 6, f)
     assert total.shape == (6, 84)
     assert source_column(d, NodeId(SOURCE_BLOCK, 6), 6) == 13 * 6
+
+
+def test_column_source_inverts_source_column():
+    d = fano()
+    for m in (1, 6):
+        for col in range(stacked_width(d, m)):
+            source, offset = column_source(d, col, m)
+            assert source_column(d, source, m) + offset == col and 0 <= offset < m
+    assert column_source(d, 13 * 6 + 5, 6) == (NodeId(SOURCE_BLOCK, 6), 5)
+    assert column_source(d, 6 * 6, 6) == (NodeId(SOURCE_POINT, 6), 0)
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the code documents are pinned byte for byte
+# ---------------------------------------------------------------------------
+
+CODE_DOCUMENT_SHA256 = {
+    ("fano", 2): "6e792db484d42f4af593dfcdd6dece1725c040f4d7cca1b41e2bbbe9ddc06da7",
+    ("fano", 3): "4d5dcb60fac6cc7878db66a4205ec9166a550b698249205bae050ea4a7020f21",
+    ("fano", 5): "f49571bb4c981199317acbf22e55c021d2207034b0a1bf2332cf5f90d681e141",
+    ("sts9", 2): "6353ef4e82e243e04f88c84e41911a8b96a9c1270cee98dcccdc221fba276bdf",
+    ("sts9", 3): "71f560e7638a9a4bff6413d42846b5773f1c3800f09ed7ba2a2ff66539b08ec6",
+    ("sts9", 5): "92ba550f985bae0e7db40c6f462cd3ea505dc0de658b46fec37a0c1904755f5c",
+    ("sts15", 2): "73aed4ab2d806f69ae7019038c70393ae889db2fd08c12fccac36d698b01a82b",
+    ("sts15", 3): "3a96e0ba6cb8bc15eaa8e019cb4628da6f355c3958a23959c6c8be96c45aa333",
+    ("sts15", 5): "14f1abc47ed0fa806cdfdc681dc9cbe347a6beb92008935decb94a85890f97a0",
+}
+GOLDEN_DESIGNS = {"fano": fano, "sts9": lambda: sts_bose(9), "sts15": lambda: sts_bose(15)}
+
+
+@pytest.mark.parametrize("name,p", sorted(CODE_DOCUMENT_SHA256))
+def test_code_document_golden_digest(name, p):
+    net = build_sum_network(GOLDEN_DESIGNS[name]())
+    text = code_to_json(build_code(net, PrimeField(p)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CODE_DOCUMENT_SHA256[name, p]

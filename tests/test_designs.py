@@ -4,20 +4,16 @@ import json
 import numpy as np
 import pytest
 
+from sumnet.coding import slice_layout
 from sumnet.designs import (
     Design,
     InvalidDesignError,
-    OutOfRangeError,
     ParseError,
     UnsupportedOrderError,
-    block_at_rank,
-    blocks_through_point,
-    color_incidence,
     design_load,
     design_save,
     design_verify,
     fano,
-    incidence_matrix,
     sts_bose,
 )
 
@@ -51,6 +47,19 @@ def oracle_pair_counts(d: Design) -> dict:
     return counts
 
 
+def incidence(d: Design) -> list[list[int]]:
+    """The v x b 0/1 incidence matrix, read off ``blocks_through``."""
+    return [[int(j in d.blocks_through(point)) for j in range(d.b)] for point in range(d.v)]
+
+
+def colored_incidence(d: Design) -> list[list[int]]:
+    """The incidence matrix with each one replaced by its slice color."""
+    colored = [[0] * d.b for _ in range(d.v)]
+    for s in slice_layout(d):
+        colored[s.point][s.block] = s.color
+    return colored
+
+
 def oracle_is_valid(d: Design) -> bool:
     if any(len(set(blk)) != d.k for blk in d.blocks):
         return False
@@ -77,7 +86,7 @@ def test_fano_is_valid():
 
 
 def test_fano_incidence_matrix():
-    assert incidence_matrix(fano()).tolist() == FANO_INCIDENCE
+    assert incidence(fano()) == FANO_INCIDENCE
 
 
 def test_mutated_fano_reports_uncovered_pair():
@@ -96,7 +105,7 @@ def test_single_block_design_is_valid():
     report = design_verify(d)
     assert report.ok
     assert d.r == 1 and d.b == 1
-    assert incidence_matrix(d).tolist() == [[1], [1], [1]]
+    assert incidence(d) == [[1], [1], [1]]
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +118,7 @@ def test_bose_orders(v, b, r):
     assert design_verify(d).ok
     assert d.b == b and d.r == r
     assert d.b == v * (v - 1) // 6
-    row_sums = incidence_matrix(d).sum(axis=1)
-    assert (row_sums == r).all()
+    assert all(sum(row) == r for row in incidence(d))
 
 
 @pytest.mark.parametrize("v", [7, 8, 13, 6, 0, -3])
@@ -191,58 +199,51 @@ def test_handwritten_sts7_file_equals_fano(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# coloring
+# coloring: the colors of the slice layout number each block's points 1..k
 # ---------------------------------------------------------------------------
 
 def test_fano_coloring_exact():
-    assert color_incidence(np.array(FANO_INCIDENCE)).tolist() == FANO_COLORED
+    assert colored_incidence(fano()) == FANO_COLORED
 
 
 def test_coloring_single_column():
-    col = np.array([[1], [0], [1], [1]])
-    assert color_incidence(col).tolist() == [[1], [0], [2], [3]]
+    # a lone block on points 1, 3, 4 of four, listed out of order
+    d = Design(v=4, k=3, lambda_=1, blocks=((3, 0, 2),))
+    assert colored_incidence(d) == [[1], [0], [2], [3]]
 
 
 def test_coloring_preserves_zero_pattern_and_uses_each_color_once():
     for d in (fano(), sts_bose(9), sts_bose(15)):
-        a = incidence_matrix(d)
-        ac = color_incidence(a)
-        assert ((ac != 0) == (a != 0)).all()
-        for j in range(a.shape[1]):
-            nonzero = sorted(int(x) for x in ac[:, j] if x)
+        a = incidence(d)
+        ac = colored_incidence(d)
+        for point in range(d.v):
+            assert [bool(x) for x in ac[point]] == [bool(x) for x in a[point]]
+        for j in range(d.b):
+            nonzero = sorted(ac[point][j] for point in range(d.v) if ac[point][j])
             assert nonzero == list(range(1, d.k + 1))
 
 
-def test_coloring_rejects_non_binary_input():
-    with pytest.raises(ValueError):
-        color_incidence(np.array([[2, 0], [1, 1]]))
-
-
 # ---------------------------------------------------------------------------
-# rank-to-block resolution
+# rank-to-block resolution: the ranks of the slice layout
 # ---------------------------------------------------------------------------
+
+def block_at_rank(d: Design, point: int, rank: int) -> int:
+    (s,) = [s for s in slice_layout(d) if s.point == point and s.rank == rank]
+    return s.block
+
 
 def test_block_at_rank_fano():
-    a = np.array(FANO_INCIDENCE)
-    assert block_at_rank(a, 0, 1) == 0  # point 1, first block: A
-    assert block_at_rank(a, 0, 2) == 2  # point 1, second block: C
-    assert block_at_rank(a, 6, 3) == 5  # point 7, third block: F
-
-
-def test_block_at_rank_out_of_range():
-    a = np.array(FANO_INCIDENCE)
-    with pytest.raises(OutOfRangeError):
-        block_at_rank(a, 0, 4)
-    with pytest.raises(OutOfRangeError):
-        block_at_rank(a, 0, 0)
+    d = fano()
+    assert block_at_rank(d, 0, 1) == 0  # point 1, first block: A
+    assert block_at_rank(d, 0, 2) == 2  # point 1, second block: C
+    assert block_at_rank(d, 6, 3) == 5  # point 7, third block: F
 
 
 def test_block_at_rank_enumerates_blocks_through_point():
     for d in (fano(), sts_bose(9)):
-        a = incidence_matrix(d)
         for point in range(d.v):
-            resolved = [block_at_rank(a, point, rank) for rank in range(1, d.r + 1)]
-            assert resolved == blocks_through_point(a, point)
+            resolved = [block_at_rank(d, point, rank) for rank in range(1, d.r + 1)]
+            assert resolved == list(d.blocks_through(point))
             assert resolved == sorted(set(resolved))
 
 

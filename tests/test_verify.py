@@ -11,7 +11,7 @@ from sumnet.coding import (
     build_code,
     build_code_char_divides,
 )
-from sumnet.designs import Design, fano, sts_bose
+from sumnet.designs import Design, InvalidDesignError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
     SOURCE_BLOCK,
@@ -257,6 +257,15 @@ def test_cutset_bound_values():
     assert cutset_bound(sts_bose(9)) == Fraction(3, 7)
     assert cutset_bound(sts_bose(15)) == Fraction(3, 10)
     assert cutset_bound(sts_bose(15)) == Fraction(6, 5 + 15)
+
+
+def test_cutset_bound_rejects_design_missing_a_block():
+    # Fano without block G: lambda is still declared 1 but b = 6, so v/(v+b)
+    # = 7/13 is not the lambda=1 bound
+    d = fano()
+    short = Design(v=d.v, k=d.k, lambda_=1, blocks=d.blocks[:6])
+    with pytest.raises(InvalidDesignError, match="b=6"):
+        cutset_bound(short)
 
 
 def test_capacity_requires_lambda_one():
