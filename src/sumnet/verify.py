@@ -2,9 +2,11 @@
 
 ``transfer_check`` is the authority: it composes each terminal's decoder
 with the global maps of its in-edges and demands the all-identity sum map.
-By linearity that settles correctness for every input.  ``simulate``
-re-derives the same answers by pushing concrete values through the graph
-edge by edge, giving an independent evaluation path for cross-checks.
+By linearity that settles correctness for every input.  The composition
+goes block by block: a direct edge carries its source unchanged, so only
+head edges need a product.  ``simulate`` re-derives the same answers by
+pushing concrete values through the graph edge by edge, giving an
+independent evaluation path for cross-checks.
 """
 
 from __future__ import annotations
@@ -21,14 +23,21 @@ from .coding import (
     code_params_for,
     column_source,
     partial_sum_row,
+    source_column,
     source_columns,
-    source_projection,
     sources_sum_map,
     stacked_width,
     sum_map,
 )
 from .designs import Design, InvalidDesignError, ValidationReport
-from .field import FieldMatrix, PrimeField, row_space_contains, vstack
+from .field import (
+    FieldMatrix,
+    PrimeField,
+    _matmul_mod,
+    _rows_outside_row_space,
+    row_space_contains,
+    vstack,
+)
 from .network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -83,32 +92,51 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
             )
 
 
-def _edge_global_map(net: SumNetwork, code: NetworkCode, e) -> FieldMatrix:
-    if e.kind == EDGE_HEAD_TO_TERMINAL:
-        return code.encoders[e.tail.index]
-    return source_projection(net.design, e.tail, code.params.m, code.field)
+def _terminal_map(code: NetworkCode, t: NodeId) -> np.ndarray:
+    """The residues of terminal t's end-to-end map from the stacked sources.
+
+    A direct edge's decoder block lands at its source's columns; a head
+    edge contributes its decoder block times the bottleneck's encoder.
+    """
+    d, m, n, f = code.design, code.params.m, code.params.n, code.field
+    dec = code.decoders[t]
+    blocks = dec.matrix.array
+    got = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
+    direct_at, direct_src = [], []
+    col = 0
+    for e in dec.in_edges:
+        if e.kind == EDGE_HEAD_TO_TERMINAL:
+            got += (FieldMatrix(f, blocks[:, col : col + n]) @ code.encoders[e.tail.index]).array
+            col += n
+        else:
+            direct_at.append(col)
+            direct_src.append(source_column(d, e.tail, m))
+            col += m
+    if direct_at:
+        offsets = np.arange(m)
+        at = (np.array(direct_at)[:, None] + offsets).ravel()
+        src = (np.array(direct_src)[:, None] + offsets).ravel()
+        np.add.at(got, (slice(None), src), blocks[:, at])
+    return got % f.p
 
 
 def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """Verify that every terminal's end-to-end map is the sum of sources."""
     _check_compatible(net, code)
     d, m = net.design, code.params.m
-    want = sum_map(d, m, code.field)
+    want = sum_map(d, m, code.field).array
     failures = []
     for t in net.terminals():
-        dec = code.decoders[t]
-        stacked = vstack([_edge_global_map(net, code, e) for e in dec.in_edges])
-        got = dec.matrix @ stacked
-        if got != want:
-            diff = (got.array - want.array) % code.field.p
-            row, col = map(int, np.argwhere(diff)[0])
+        got = _terminal_map(code, t)
+        if not np.array_equal(got, want):
+            row, col = map(int, np.argwhere(got != want)[0])
             source, offset = column_source(d, col, m)
             failures.append(
                 Failure(
                     at=t,
                     detail=(
                         f"unit input at {source.label()}[{offset}] decodes to "
-                        f"{int(got.array[row, col])}, expected {int(want.array[row, col])} "
+                        f"{int(got[row, col])}, expected {int(want[row, col])} "
                         f"(output row {row})"
                     ),
                 )
@@ -134,21 +162,19 @@ def _simulate_batch(
         elif node.kind == BOTTLENECK_TAIL:
             # local encoding: only the column blocks of sources actually
             # wired into this tail participate
-            i = node.index
-            enc = code.encoders[i].array
-            total = None
-            for e in net.tail_in_edges(i):
-                contrib = enc[:, source_columns(d, e.tail, m)] @ emitted[e.tail]
-                total = contrib if total is None else total + contrib
-            emitted[node] = np.mod(total, p)
+            in_edges = net.tail_in_edges(node.index)
+            enc = code.encoders[node.index].array
+            local = np.concatenate([enc[:, source_columns(d, e.tail, m)] for e in in_edges], axis=1)
+            received = np.concatenate([emitted[e.tail] for e in in_edges])
+            emitted[node] = _matmul_mod(local, received, p)
         elif node.kind == BOTTLENECK_HEAD:
             (e,) = net.in_edges(node)
             emitted[node] = emitted[e.tail]
     outputs = {}
     for t in net.terminals():
         dec = code.decoders[t]
-        concatenated = np.vstack([emitted[e.tail] for e in dec.in_edges])
-        outputs[t] = np.mod(dec.matrix.array @ concatenated, p)
+        received = np.concatenate([emitted[e.tail] for e in dec.in_edges])
+        outputs[t] = _matmul_mod(dec.matrix.array, received, p)
     return outputs
 
 
@@ -216,6 +242,10 @@ def simulate_trials(
     )
 
 
+def _first_row_outside(basis: FieldMatrix, target: FieldMatrix) -> int:
+    return int(_rows_outside_row_space(basis.array, target.array, basis.field.p)[0])
+
+
 def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """Every bottleneck's partial-sum map must lie in its encoder's row space.
 
@@ -228,9 +258,7 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     for i in range(d.v):
         target = partial_sum_row(d, i, m, f)
         if not row_space_contains(code.encoders[i], target):
-            row = next(
-                r for r in range(m) if not row_space_contains(code.encoders[i], target.row(r))
-            )
+            row = _first_row_outside(code.encoders[i], target)
             failures.append(
                 Failure(
                     at=NodeId(BOTTLENECK_TAIL, i),
@@ -252,9 +280,7 @@ def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
         target_mat = sources_sum_map(d, sources, m, f)
         stacked = vstack([code.encoders[point] for point in d.blocks[j]])
         if not row_space_contains(stacked, target_mat):
-            row = next(
-                r for r in range(m) if not row_space_contains(stacked, target_mat.row(r))
-            )
+            row = _first_row_outside(stacked, target_mat)
             failures.append(
                 Failure(
                     at=NodeId(TERMINAL_BLOCK, j),

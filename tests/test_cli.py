@@ -1,7 +1,7 @@
 import json
 
 from sumnet.cli import build_parser, main
-from sumnet.coding import code_from_json
+from sumnet.coding import code_from_json, code_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,16 @@ def test_simulate_rejects_wrong_message_length(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
     assert "m=3" in capsys.readouterr().err
+
+
+def test_simulate_saved_code_with_dense_large_coefficients(tmp_path, capsys, rebased_fano_bigprime):
+    _, code = rebased_fano_bigprime
+    path = tmp_path / "code.json"
+    path.write_text(code_to_json(code))
+    rc = main(["simulate", "--fano", "--field", "2147483647", "--trials", "50", "--seed", "0",
+               "--code", str(path)])
+    assert rc == 0
+    assert "50/50" in capsys.readouterr().out
 
 
 def test_simulate_code_field_mismatch(tmp_path, capsys):

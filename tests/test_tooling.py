@@ -15,3 +15,54 @@ def test_library_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert on lines {lines}"
+
+
+def _is_object(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "object"
+
+
+def _uses_object_dtype(call: ast.Call) -> bool:
+    astype = isinstance(call.func, ast.Attribute) and call.func.attr == "astype"
+    if astype and call.args and _is_object(call.args[0]):
+        return True
+    return any(kw.arg == "dtype" and _is_object(kw.value) for kw in call.keywords)
+
+
+def _is_raw_product(node: ast.AST) -> bool:
+    """An @ or @= whose left operand is not a freshly built FieldMatrix."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.MatMult)
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return False
+    left = node.left
+    builds_field_matrix = (
+        isinstance(left, ast.Call) and isinstance(left.func, ast.Name) and left.func.id == "FieldMatrix"
+    )
+    return not builds_field_matrix
+
+
+@pytest.mark.parametrize("path", SOURCE_FILES, ids=lambda p: p.name)
+def test_modular_products_go_through_the_kernel(path):
+    # every product of residues must run in field._matmul_mod, whose bound
+    # keeps it exact: a raw int64 product can wrap and an object-dtype one
+    # is slow.  Outside the kernel, @ is allowed only with a freshly built
+    # FieldMatrix on the left, which dispatches to FieldMatrix.__matmul__
+    # and hence to the kernel (with anything but a FieldMatrix on the
+    # right it raises).
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kernel = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_matmul_mod"
+        for node in ast.walk(fn)
+    }
+    object_dtype = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _uses_object_dtype(node)
+    ]
+    raw_products = [
+        node.lineno for node in ast.walk(tree) if _is_raw_product(node) and id(node) not in kernel
+    ]
+    assert not object_dtype, f"{path.name} uses object dtype on lines {object_dtype}"
+    assert not raw_products, f"{path.name} has @ outside _matmul_mod on lines {raw_products}"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -50,11 +51,12 @@ def zero_encoder(code: NetworkCode, i: int) -> NetworkCode:
     )
 
 
-def drop_block_correction(net, code: NetworkCode) -> NetworkCode:
-    """Undo the overcount cancellation at every block terminal."""
+def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
+    """Undo the overcount cancellation at the given block terminals (all of
+    them by default)."""
     k = code.design.k
     decoders = dict(code.decoders)
-    for j in range(code.design.b):
+    for j in range(code.design.b) if blocks is None else blocks:
         t = NodeId(TERMINAL_BLOCK, j)
         dec = decoders[t]
         extractor = block_source_extractor(code, net, j)
@@ -136,6 +138,15 @@ def test_simulation_matches_plain_sums():
     summary = simulate_trials(net, code, 1000, seed=42)
     assert summary.ok
     assert summary.trials == 1000 and summary.mismatched_trials == 0
+
+
+def test_simulation_exact_with_dense_large_coefficients(rebased_fano_bigprime):
+    # every decoder row mixes many residues near 2^31, so a raw int64
+    # product of decoder and symbols would wrap
+    net, code = rebased_fano_bigprime
+    assert transfer_check(net, code).ok
+    summary = simulate_trials(net, code, 50, 0)
+    assert summary.ok and summary.mismatched_trials == 0
 
 
 def test_simulation_catches_missing_correction():
@@ -291,3 +302,88 @@ def test_transfer_and_simulation_agree_on_fano_grid():
         assert transfer_check(net, code).ok
         summary = simulate_trials(net, code, 300, seed=p)
         assert summary.ok
+
+
+# ---------------------------------------------------------------------------
+# golden failure reports: verdicts and failure texts are pinned byte for byte
+# ---------------------------------------------------------------------------
+
+def zero_encoder_row(code: NetworkCode, i: int, row: int) -> NetworkCode:
+    encoders = list(code.encoders)
+    a = encoders[i].array.copy()
+    a[row] = 0
+    encoders[i] = FieldMatrix(code.field, a)
+    return NetworkCode(code.design, code.field, code.params, tuple(encoders), code.decoders)
+
+
+def bump_decoder_entry(code: NetworkCode) -> NetworkCode:
+    """Add 1 to entry (0, 0) of the first terminal's decoder."""
+    t = min(code.decoders, key=lambda x: x.sort_key)
+    dec = code.decoders[t]
+    a = dec.matrix.array.copy()
+    a[0, 0] += 1
+    decoders = dict(code.decoders)
+    decoders[t] = TerminalDecoder(in_edges=dec.in_edges, matrix=FieldMatrix(code.field, a))
+    return NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
+
+
+CORRUPTIONS = {
+    # the last partial-sum row, so failures name a row other than the first
+    "encoder-row": lambda net, code: zero_encoder_row(code, 0, code.params.m - 1),
+    "decoder-entry": lambda net, code: bump_decoder_entry(code),
+    "one-correction": lambda net, code: drop_block_correction(net, code, blocks=[0]),
+    "encoder": lambda net, code: zero_encoder(code, 0),
+}
+
+
+def failure_report(net, code) -> str:
+    lines = []
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        result = check(net, code)
+        lines.append(f"{check.__name__} ok={result.ok}")
+        lines += [f"  {x.at.label() if x.at else None}: {x.detail}" for x in result.failures]
+    return "\n".join(lines) + "\n"
+
+
+FAILURE_REPORT_SHA256 = {
+    ('fano', 2, 'decoder-entry'): "5067e67535a707156755d2a8c9f1855011138f0d1f2472d9b1d42296c65d6d13",
+    ('fano', 2, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
+    ('fano', 2, 'encoder-row'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
+    ('fano', 2, 'one-correction'): "bb7a64886da181c934a3bc439b1e1c72e1cbbbcb94f38a4e0fdde81b6a859686",
+    ('fano', 3, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
+    ('fano', 3, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
+    ('fano', 3, 'encoder-row'): "95e2231cfdf7a08f6bce391739c764684c729018b01f7b1d0910ab4bdb803480",
+    ('fano', 3, 'one-correction'): "fd3a9663af2adfed3ab4ec2a0bf4c42d97e063fceca7413e100a00e64a5ab971",
+    ('fano', 5, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
+    ('fano', 5, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
+    ('fano', 5, 'encoder-row'): "95e2231cfdf7a08f6bce391739c764684c729018b01f7b1d0910ab4bdb803480",
+    ('fano', 5, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('fano', 2147483647, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
+    ('fano', 2147483647, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
+    ('fano', 2147483647, 'encoder-row'): "95e2231cfdf7a08f6bce391739c764684c729018b01f7b1d0910ab4bdb803480",
+    ('fano', 2147483647, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('sts9', 2, 'decoder-entry'): "5067e67535a707156755d2a8c9f1855011138f0d1f2472d9b1d42296c65d6d13",
+    ('sts9', 2, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
+    ('sts9', 2, 'encoder-row'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
+    ('sts9', 2, 'one-correction'): "bb7a64886da181c934a3bc439b1e1c72e1cbbbcb94f38a4e0fdde81b6a859686",
+    ('sts9', 3, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
+    ('sts9', 3, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
+    ('sts9', 3, 'encoder-row'): "290a2ee533a07f9174f2746e937974f8a67893b8d47e7898cccba23157dc63d5",
+    ('sts9', 3, 'one-correction'): "fd3a9663af2adfed3ab4ec2a0bf4c42d97e063fceca7413e100a00e64a5ab971",
+    ('sts9', 5, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
+    ('sts9', 5, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
+    ('sts9', 5, 'encoder-row'): "290a2ee533a07f9174f2746e937974f8a67893b8d47e7898cccba23157dc63d5",
+    ('sts9', 5, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('sts9', 2147483647, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
+    ('sts9', 2147483647, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
+    ('sts9', 2147483647, 'encoder-row'): "290a2ee533a07f9174f2746e937974f8a67893b8d47e7898cccba23157dc63d5",
+    ('sts9', 2147483647, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+}
+
+
+@pytest.mark.parametrize("name,p,corruption", sorted(FAILURE_REPORT_SHA256))
+def test_failure_report_golden_digest(name, p, corruption):
+    net = build_sum_network(fano() if name == "fano" else sts_bose(9))
+    broken = CORRUPTIONS[corruption](net, build_code(net, PrimeField(p)))
+    text = failure_report(net, broken)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAILURE_REPORT_SHA256[name, p, corruption]
