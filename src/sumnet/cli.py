@@ -8,12 +8,12 @@ for identical invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from ._jsonwriter import dumps
 from .alphabet_change import (
     InvalidGammaError,
     TooLargeError,
@@ -147,7 +147,7 @@ def _fraction_dict(x: Fraction) -> dict:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(dumps(payload))
 
 
 def _design_summary(d: Design) -> str:
@@ -192,6 +192,7 @@ def cmd_build(args) -> int:
         Path(args.dot).write_text(network_export_dot(net, terminals))
     if args.json:
         Path(args.json).write_text(network_export_json(net))
+    bottlenecks = len(net.bottlenecks())
     if args.format == "json":
         _emit_json(
             {
@@ -199,14 +200,14 @@ def cmd_build(args) -> int:
                 "design": d.to_dict(),
                 "nodes": len(net.nodes),
                 "edges": len(net.edges),
-                "bottlenecks": len(net.bottlenecks()),
+                "bottlenecks": bottlenecks,
                 "valid": report.ok,
                 "problems": report.problems,
             }
         )
     else:
         print(_design_summary(d))
-        print(f"nodes: {len(net.nodes)}  edges: {len(net.edges)}  bottlenecks: {len(net.bottlenecks())}")
+        print(f"nodes: {len(net.nodes)}  edges: {len(net.edges)}  bottlenecks: {bottlenecks}")
         print(f"valid: {'yes' if report.ok else 'no'}")
         for problem in report.problems:
             print(f"  - {problem}")

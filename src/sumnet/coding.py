@@ -28,6 +28,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ._jsonwriter import dumps
 from .designs import Design, ParseError
 from .field import FieldMatrix, PrimeField
 from .network import (
@@ -125,8 +126,9 @@ def sources_sum_map(d: Design, sources: Iterable[NodeId], m: int, f: PrimeField)
     """The m x (v+b)m map adding up the listed sources: an identity block
     at each one's columns of the stacked vector."""
     mat = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    for source in sources:
-        mat[:, source_columns(d, source, m)] = np.eye(m, dtype=np.int64)
+    starts = np.array([source_column(d, source, m) for source in sources], dtype=np.int64)
+    offsets = np.arange(m)
+    mat[np.tile(offsets, len(starts)), (starts[:, None] + offsets).ravel()] = 1
     return FieldMatrix(f, mat)
 
 
@@ -319,7 +321,7 @@ def code_to_json(code: NetworkCode) -> str:
             for t, dec in sorted(code.decoders.items(), key=lambda kv: kv[0].sort_key)
         },
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return dumps(data) + "\n"
 
 
 def code_from_json(text: str) -> NetworkCode:

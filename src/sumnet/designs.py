@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
+
+from ._jsonwriter import dumps
 
 
 class UnsupportedOrderError(ValueError):
@@ -74,15 +77,25 @@ class Design:
             raise ValueError(f"replication number is not integral for {self}")
         return num // (self.k - 1)
 
+    @cached_property
+    def _incidence(self) -> dict[int, tuple[int, ...]]:
+        """point -> indices of the blocks containing it, in increasing order,
+        for every point that lies in some block."""
+        through: dict[int, list[int]] = {}
+        for j, blk in enumerate(self.blocks):
+            for point in set(blk):
+                through.setdefault(point, []).append(j)
+        return {point: tuple(js) for point, js in through.items()}
+
     def blocks_through(self, point: int) -> tuple[int, ...]:
         """Indices of the blocks containing ``point``, in increasing order."""
-        return tuple(j for j, blk in enumerate(self.blocks) if point in blk)
+        return self._incidence.get(point, ())
 
     def block_neighborhood(self, j: int) -> tuple[int, ...]:
         """Indices of all blocks sharing at least one point with block j."""
         hit = set()
         for point in self.blocks[j]:
-            hit.update(self.blocks_through(point))
+            hit.update(self._incidence[point])
         return tuple(sorted(hit))
 
     def to_dict(self) -> dict:
@@ -212,8 +225,7 @@ def sts_bose(v: int) -> Design:
 
 
 def design_save(d: Design, path) -> None:
-    text = json.dumps(d.to_dict(), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text)
+    Path(path).write_text(dumps(d.to_dict()) + "\n")
 
 
 def design_load(path) -> Design:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict, deque
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
+from ._jsonwriter import dumps
 from .designs import Design, InvalidDesignError, ParseError, ValidationReport
 
 SOURCE_POINT = "source-point"
@@ -35,6 +37,11 @@ EDGE_SOURCE_TO_TAIL = "source-to-tail"
 EDGE_HEAD_TO_TERMINAL = "head-to-terminal"
 EDGE_DIRECT = "direct"
 
+_TAIL = attrgetter("tail")
+_TAIL_INDEX = attrgetter("tail.index")
+_TAIL_SORT_KEY = attrgetter("tail.sort_key")
+_SORT_KEY = attrgetter("sort_key")
+
 
 class NodeId(NamedTuple):
     kind: str
@@ -52,7 +59,7 @@ def parse_node_label(label: str) -> NodeId:
     try:
         kind, index = label.rsplit(":", 1)
         node = NodeId(kind, int(index) - 1)
-    except (ValueError, TypeError) as exc:
+    except (AttributeError, ValueError, TypeError) as exc:
         raise ParseError(f"bad node label {label!r}") from exc
     if node.kind not in _KIND_ORDER or node.index < 0:
         raise ParseError(f"bad node label {label!r}")
@@ -72,11 +79,15 @@ class SumNetwork:
         self.design = design
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
-        self._in: dict[NodeId, list[Edge]] = defaultdict(list)
-        self._out: dict[NodeId, list[Edge]] = defaultdict(list)
+        into: dict[NodeId, list[Edge]] = defaultdict(list)
+        out_of: dict[NodeId, list[Edge]] = defaultdict(list)
         for e in self.edges:
-            self._in[e.head].append(e)
-            self._out[e.tail].append(e)
+            into[e.head].append(e)
+            out_of[e.tail].append(e)
+        # keyed by edge endpoints only, so lookups never add a node
+        self._in = dict(into)
+        self._out = dict(out_of)
+        self._terminal_in: dict[NodeId, tuple[Edge, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SumNetwork):
@@ -111,89 +122,85 @@ class SumNetwork:
 
     def terminal_in_edges(self, terminal: NodeId) -> tuple[Edge, ...]:
         """In-edges of a terminal in canonical order: head edges by
-        bottleneck index first, then direct edges by source order."""
-        head = sorted(
-            (e for e in self._in[terminal] if e.kind == EDGE_HEAD_TO_TERMINAL),
-            key=lambda e: e.tail.index,
-        )
-        direct = sorted(
-            (e for e in self._in[terminal] if e.kind == EDGE_DIRECT),
-            key=lambda e: e.tail.sort_key,
-        )
-        return tuple(head) + tuple(direct)
+        bottleneck index first, then direct edges by source order.  The
+        order is computed once per terminal; later calls return the same
+        tuple."""
+        order = self._terminal_in.get(terminal)
+        if order is None:
+            in_edges = self._in.get(terminal, ())
+            head = sorted(
+                (e for e in in_edges if e.kind == EDGE_HEAD_TO_TERMINAL), key=_TAIL_INDEX
+            )
+            direct = sorted((e for e in in_edges if e.kind == EDGE_DIRECT), key=_TAIL_SORT_KEY)
+            order = self._terminal_in[terminal] = (*head, *direct)
+        return order
 
     def tail_in_edges(self, i: int) -> tuple[Edge, ...]:
         """In-edges of bottleneck tail i, point source first then blocks."""
-        return tuple(
-            sorted(self._in[NodeId(BOTTLENECK_TAIL, i)], key=lambda e: e.tail.sort_key)
-        )
+        return tuple(sorted(self._in.get(NodeId(BOTTLENECK_TAIL, i), ()), key=_TAIL_SORT_KEY))
+
+    def _has_parallel_edges(self) -> bool:
+        """Whether two edges join the same tail to the same head."""
+        return any(len(set(map(_TAIL, es))) != len(es) for es in self._in.values())
 
 
 def build_sum_network(d: Design) -> SumNetwork:
-    """Construct the sum-network of a design."""
-    v, b = d.v, d.b
-    sp = lambda i: NodeId(SOURCE_POINT, i)
-    sB = lambda j: NodeId(SOURCE_BLOCK, j)
-    mt = lambda i: NodeId(BOTTLENECK_TAIL, i)
-    mh = lambda i: NodeId(BOTTLENECK_HEAD, i)
-    tp = lambda i: NodeId(TERMINAL_POINT, i)
-    tB = lambda j: NodeId(TERMINAL_BLOCK, j)
+    """Construct the sum-network of a design.
 
-    nodes = (
-        [sp(i) for i in range(v)]
-        + [sB(j) for j in range(b)]
-        + [mt(i) for i in range(v)]
-        + [mh(i) for i in range(v)]
-        + [tp(i) for i in range(v)]
-        + [tB(j) for j in range(b)]
-    )
+    Each node is built once; every edge refers to the node objects listed
+    in ``nodes``.
+    """
+    v, b = d.v, d.b
+    sp = [NodeId(SOURCE_POINT, i) for i in range(v)]
+    sB = [NodeId(SOURCE_BLOCK, j) for j in range(b)]
+    mt = [NodeId(BOTTLENECK_TAIL, i) for i in range(v)]
+    mh = [NodeId(BOTTLENECK_HEAD, i) for i in range(v)]
+    tp = [NodeId(TERMINAL_POINT, i) for i in range(v)]
+    tB = [NodeId(TERMINAL_BLOCK, j) for j in range(b)]
+    nodes = sp + sB + mt + mh + tp + tB
 
     edges: list[Edge] = []
     for i in range(v):
-        edges.append(Edge(sp(i), mt(i), EDGE_SOURCE_TO_TAIL))
-        for j in d.blocks_through(i):
-            edges.append(Edge(sB(j), mt(i), EDGE_SOURCE_TO_TAIL))
-        edges.append(Edge(mt(i), mh(i), EDGE_BOTTLENECK))
-        edges.append(Edge(mh(i), tp(i), EDGE_HEAD_TO_TERMINAL))
-        for j in d.blocks_through(i):
-            edges.append(Edge(mh(i), tB(j), EDGE_HEAD_TO_TERMINAL))
-    for i in range(v):
+        through = d.blocks_through(i)
+        edges.append(Edge(sp[i], mt[i], EDGE_SOURCE_TO_TAIL))
+        edges += [Edge(sB[j], mt[i], EDGE_SOURCE_TO_TAIL) for j in through]
+        edges.append(Edge(mt[i], mh[i], EDGE_BOTTLENECK))
+        edges.append(Edge(mh[i], tp[i], EDGE_HEAD_TO_TERMINAL))
+        edges += [Edge(mh[i], tB[j], EDGE_HEAD_TO_TERMINAL) for j in through]
+    for i, t in enumerate(tp):
         through = set(d.blocks_through(i))
-        for l in range(v):
-            if l != i:
-                edges.append(Edge(sp(l), tp(i), EDGE_DIRECT))
-        for l in range(b):
-            if l not in through:
-                edges.append(Edge(sB(l), tp(i), EDGE_DIRECT))
-    for j in range(b):
+        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sp) if l != i]
+        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sB) if l not in through]
+    for j, t in enumerate(tB):
         members = set(d.blocks[j])
         neighborhood = set(d.block_neighborhood(j))
-        for l in range(v):
-            if l not in members:
-                edges.append(Edge(sp(l), tB(j), EDGE_DIRECT))
-        for l in range(b):
-            if l not in neighborhood:
-                edges.append(Edge(sB(l), tB(j), EDGE_DIRECT))
+        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sp) if l not in members]
+        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sB) if l not in neighborhood]
 
+    net = SumNetwork(d, nodes, edges)
     # unit-capacity simple edges: the construction must never repeat one
-    if len({(e.tail, e.head) for e in edges}) != len(edges):
+    if net._has_parallel_edges():
         raise InvalidDesignError(ValidationReport(["network construction repeats an edge"]))
-    return SumNetwork(d, nodes, edges)
+    return net
 
 
 def topological_order(n: SumNetwork) -> list[NodeId]:
-    """Kahn's algorithm with deterministic tie-breaking; raises on a cycle."""
-    indegree = {node: len(n.in_edges(node)) for node in n.nodes}
-    ready = deque(sorted((x for x, deg in indegree.items() if deg == 0), key=lambda x: x.sort_key))
+    """Kahn's algorithm over the distinct nodes of the graph (the listed
+    nodes and every edge endpoint), ties broken by ``NodeId.sort_key``;
+    raises on a cycle."""
+    ranked = sorted({*n.nodes, *n._in, *n._out}, key=_SORT_KEY)
+    rank = {node: r for r, node in enumerate(ranked)}
+    indegree = {node: len(n._in.get(node, ())) for node in ranked}
+    ready = deque(node for node in ranked if indegree[node] == 0)
     order = []
     while ready:
         node = ready.popleft()
         order.append(node)
-        for e in sorted(n.out_edges(node), key=lambda e: e.head.sort_key):
-            indegree[e.head] -= 1
-            if indegree[e.head] == 0:
-                ready.append(e.head)
-    if len(order) != len(n.nodes):
+        for head in sorted([e.head for e in n._out.get(node, ())], key=rank.__getitem__):
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                ready.append(head)
+    if len(order) != len(ranked):
         raise ValueError("network contains a cycle")
     return order
 
@@ -211,9 +218,12 @@ def network_validate(n: SumNetwork) -> ValidationReport:
 
     if len(n.nodes) != 2 * (v + b) + 2 * v:
         report.add(f"node count {len(n.nodes)}, expected {2 * (v + b) + 2 * v}")
-    if len(set(n.nodes)) != len(n.nodes):
+    listed = set(n.nodes)
+    if len(listed) != len(n.nodes):
         report.add("duplicate nodes")
-    if len({(e.tail, e.head) for e in n.edges}) != len(n.edges):
+    for x in sorted((n._in.keys() | n._out.keys()) - listed, key=_SORT_KEY):
+        report.add(f"edge endpoint {x.label()} is not a listed node")
+    if n._has_parallel_edges():
         report.add("parallel edges present")
 
     bottlenecks = n.bottlenecks()
@@ -281,20 +291,18 @@ def network_validate(n: SumNetwork) -> ValidationReport:
     except ValueError:
         report.add("graph is not acyclic")
 
-    # every terminal must see every source through at least one path
-    reverse: dict[NodeId, list[NodeId]] = defaultdict(list)
-    for e in n.edges:
-        reverse[e.head].append(e.tail)
+    # every terminal must see every source through at least one path: a
+    # backward search that widens by whole levels with set operations and
+    # expands only the nodes that have in-edges
+    tails = {head: set(map(_TAIL, es)) for head, es in n._in.items()}
     all_sources = set(n.sources())
     for t in n.terminals():
         seen = {t}
-        frontier = deque([t])
+        frontier = seen & tails.keys()
         while frontier:
-            node = frontier.popleft()
-            for prev in reverse[node]:
-                if prev not in seen:
-                    seen.add(prev)
-                    frontier.append(prev)
+            frontier = set().union(*(tails[x] for x in frontier)) - seen
+            seen |= frontier
+            frontier &= tails.keys()
         missing = all_sources - seen
         if missing:
             names = ", ".join(sorted(x.label() for x in missing))
@@ -358,13 +366,31 @@ def network_export_dot(n: SumNetwork, terminals: Iterable[NodeId] | None = None)
 
 
 def network_export_json(n: SumNetwork) -> str:
+    # one label string per node, so the writer quotes each label once
+    label = {node: node.label() for node in (*n.nodes, *n._in, *n._out)}
     data = {
         "schema": "sumnet.network/1",
         "design": n.design.to_dict(),
-        "nodes": [node.label() for node in n.nodes],
-        "edges": [[e.tail.label(), e.head.label(), e.kind] for e in n.edges],
+        "nodes": [label[node] for node in n.nodes],
+        "edges": [[label[e.tail], label[e.head], e.kind] for e in n.edges],
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return dumps(data) + "\n"
+
+
+class _ListedNodes(dict):
+    """Edge endpoint label -> the listed node it names; an endpoint that
+    names no listed node is a ``ParseError``."""
+
+    def __init__(self, nodes: list[NodeId]):
+        super().__init__()
+        self._nodes = {node: node for node in nodes}
+
+    def __missing__(self, label: str) -> NodeId:
+        node = self._nodes.get(parse_node_label(label))
+        if node is None:
+            raise ParseError(f"edge endpoint {label!r} is not a listed node")
+        self[label] = node
+        return node
 
 
 def network_from_json(text: str) -> SumNetwork:
@@ -377,12 +403,13 @@ def network_from_json(text: str) -> SumNetwork:
     design = Design.from_dict(data.get("design", {}))
     try:
         nodes = [parse_node_label(s) for s in data["nodes"]]
+        listed = _ListedNodes(nodes)
         edge_kinds = {EDGE_BOTTLENECK, EDGE_SOURCE_TO_TAIL, EDGE_HEAD_TO_TERMINAL, EDGE_DIRECT}
         edges = []
         for tail, head, kind in data["edges"]:
             if kind not in edge_kinds:
                 raise ParseError(f"bad edge kind {kind!r}")
-            edges.append(Edge(parse_node_label(tail), parse_node_label(head), kind))
+            edges.append(Edge(listed[tail], listed[head], kind))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed network document: {exc}") from exc
     return SumNetwork(design, nodes, edges)

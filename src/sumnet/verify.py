@@ -83,20 +83,27 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
         if t not in code.decoders:
             raise ShapeMismatchError(f"no decoder for {t.label()}")
         dec = code.decoders[t]
-        if set(dec.in_edges) != set(net.in_edges(t)):
+        # a decoder built for this network lists all of the terminal's
+        # in-edges in canonical order; only another order needs the sets
+        canonical = net.terminal_in_edges(t)
+        in_edges = net.in_edges(t)
+        in_order = dec.in_edges == canonical and len(canonical) == len(in_edges)
+        if not in_order and set(dec.in_edges) != set(in_edges):
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
-        expect_cols = sum(n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in dec.in_edges)
+        heads = [e.kind for e in dec.in_edges].count(EDGE_HEAD_TO_TERMINAL)
+        expect_cols = heads * n + (len(dec.in_edges) - heads) * m
         if dec.matrix.shape != (m, expect_cols):
             raise ShapeMismatchError(
                 f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {(m, expect_cols)}"
             )
 
 
-def _terminal_map(code: NetworkCode, t: NodeId) -> np.ndarray:
+def _terminal_map(code: NetworkCode, t: NodeId, starts: dict[NodeId, int]) -> np.ndarray:
     """The residues of terminal t's end-to-end map from the stacked sources.
 
     A direct edge's decoder block lands at its source's columns; a head
     edge contributes its decoder block times the bottleneck's encoder.
+    ``starts`` memoizes ``source_column`` across the terminals of a code.
     """
     d, m, n, f = code.design, code.params.m, code.params.n, code.field
     dec = code.decoders[t]
@@ -109,8 +116,11 @@ def _terminal_map(code: NetworkCode, t: NodeId) -> np.ndarray:
             got += (FieldMatrix(f, blocks[:, col : col + n]) @ code.encoders[e.tail.index]).array
             col += n
         else:
+            start = starts.get(e.tail)
+            if start is None:
+                start = starts[e.tail] = source_column(d, e.tail, m)
             direct_at.append(col)
-            direct_src.append(source_column(d, e.tail, m))
+            direct_src.append(start)
             col += m
     if direct_at:
         offsets = np.arange(m)
@@ -125,9 +135,10 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     _check_compatible(net, code)
     d, m = net.design, code.params.m
     want = sum_map(d, m, code.field).array
+    starts: dict[NodeId, int] = {}
     failures = []
     for t in net.terminals():
-        got = _terminal_map(code, t)
+        got = _terminal_map(code, t, starts)
         if not np.array_equal(got, want):
             row, col = map(int, np.argwhere(got != want)[0])
             source, offset = column_source(d, col, m)

@@ -1,10 +1,12 @@
 """Shared fixtures."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from sumnet.coding import NetworkCode, TerminalDecoder, build_code
-from sumnet.designs import fano
+from sumnet.designs import Design, fano
 from sumnet.field import FieldMatrix, PrimeField
 from sumnet.network import EDGE_HEAD_TO_TERMINAL, build_sum_network
 
@@ -47,3 +49,41 @@ def rebased_fano_bigprime():
     """Fano over GF(2^31 - 1) with every bottleneck re-based."""
     net = build_sum_network(fano())
     return net, rebase_bottlenecks(net, build_code(net, PrimeField(2147483647)), seed=5)
+
+
+def projective_plane(q: int) -> Design:
+    """PG(2, q) for prime q, a 2-(q^2+q+1, q+1, 1) design.
+
+    Points and lines are the vectors of GF(q)^3 whose first nonzero
+    coordinate is 1; point x lies on line l when x . l = 0.
+    """
+    vectors = [x for x in product(range(q), repeat=3) if any(x) and next(c for c in x if c) == 1]
+    blocks = (
+        tuple(i for i, x in enumerate(vectors) if sum(a * b for a, b in zip(x, line)) % q == 0)
+        for line in vectors
+    )
+    return Design(v=len(vectors), k=q + 1, lambda_=1, blocks=tuple(sorted(blocks)))
+
+
+def affine_plane(q: int) -> Design:
+    """AG(2, q) for prime q, a 2-(q^2, q, 1) design: point (x, y) is
+    numbered x*q + y, and the lines are y = a*x + c and x = c."""
+    sloped = (
+        tuple(sorted(x * q + (a * x + c) % q for x in range(q))) for a in range(q) for c in range(q)
+    )
+    vertical = (tuple(c * q + y for y in range(q)) for c in range(q))
+    return Design(v=q * q, k=q, lambda_=1, blocks=tuple(sorted((*sloped, *vertical))))
+
+
+PLANES = {
+    "PG(2,3)": lambda: projective_plane(3),
+    "AG(2,3)": lambda: affine_plane(3),
+    "AG(2,5)": lambda: affine_plane(5),
+}
+
+
+@pytest.fixture(params=sorted(PLANES))
+def plane(request) -> Design:
+    """PG(2,3) (k = 4, scalar over GF(3)), AG(2,3) and AG(2,5) (k = 5):
+    regimes the Steiner triple systems never reach."""
+    return PLANES[request.param]()

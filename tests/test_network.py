@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from sumnet.designs import Design, fano, sts_bose
+from sumnet.designs import Design, ParseError, fano, sts_bose
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -125,6 +128,42 @@ def test_deleted_direct_edge_is_reported():
     assert any("direct edges" in problem for problem in report.problems)
 
 
+def _without_node(net: SumNetwork, label: str) -> SumNetwork:
+    """The same edges with one node left out of the node list."""
+    return SumNetwork(net.design, [x for x in net.nodes if x.label() != label], net.edges)
+
+
+@pytest.mark.parametrize("label", ["terminal-block:7", "source-block:7"])
+def test_edge_endpoint_missing_from_nodes_is_reported(label):
+    # an edge into an unlisted node used to raise KeyError, and an edge out
+    # of one was reported as a cycle
+    report = network_validate(_without_node(build_sum_network(fano()), label))
+    assert f"edge endpoint {label} is not a listed node" in report.problems
+    assert "graph is not acyclic" not in report.problems
+
+
+def test_node_listed_twice_is_not_a_cycle():
+    net = build_sum_network(fano())
+    report = network_validate(SumNetwork(net.design, net.nodes + net.nodes[:1], net.edges))
+    assert "duplicate nodes" in report.problems
+    assert "graph is not acyclic" not in report.problems
+
+
+@pytest.mark.parametrize("label", ["terminal-block:7", "source-block:7"])
+def test_network_document_with_unlisted_endpoint_is_rejected(label):
+    doc = json.loads(network_export_json(build_sum_network(fano())))
+    doc["nodes"].remove(label)
+    with pytest.raises(ParseError, match="not a listed node"):
+        network_from_json(json.dumps(doc))
+
+
+def test_edge_endpoints_are_the_listed_node_objects():
+    built = build_sum_network(sts_bose(9))
+    for net in (built, network_from_json(network_export_json(built))):
+        listed = {id(x) for x in net.nodes}
+        assert all(id(e.tail) in listed and id(e.head) in listed for e in net.edges)
+
+
 def test_reverse_reachability_matches_forward_oracle():
     net = build_sum_network(sts_bose(9))
     for t in net.terminals()[:4]:
@@ -184,3 +223,40 @@ def test_json_round_trip():
 def test_node_label_round_trip():
     for node in build_sum_network(fano()).nodes:
         assert parse_node_label(node.label()) == node
+
+
+# digests computed before the JSON writer replaced json.dumps(indent=2)
+NETWORK_DOCUMENT_SHA256 = {
+    "fano": "91925ca3223440ebdfea26732fe960950ea17a09bf7737ab9668cd2f3245e753",
+    "sts9": "024d0bf88bbdb578d47f75cdc0f6450a399baea54b9f5d89dde74e857a39ed54",
+    "sts15": "ff6ded91251f9fecae1370ebbc47d073b3a342b67f541587e6726f0da4d5176a",
+    "sts21": "cf8357f1f862c5f0bd512cdd1495a8c44d4a3ff13983e3dceeb6e91d87db0cd3",
+}
+GOLDEN_DESIGNS = {
+    "fano": fano,
+    "sts9": lambda: sts_bose(9),
+    "sts15": lambda: sts_bose(15),
+    "sts21": lambda: sts_bose(21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_DOCUMENT_SHA256))
+def test_network_document_golden_digest(name):
+    text = network_export_json(build_sum_network(GOLDEN_DESIGNS[name]()))
+    assert hashlib.sha256(text.encode()).hexdigest() == NETWORK_DOCUMENT_SHA256[name]
+
+
+# digests of the space-joined labels, computed before the order was
+# derived from precomputed node ranks
+TOPOLOGICAL_ORDER_SHA256 = {
+    "fano": "e7a4bc67e8e921709db37b727267c3d98792fc945f75dc4bcb8994b11d33286a",
+    "sts9": "f51b03b7dc98db2f31f5a254db3e98f1ba3cc84d63ca2055429c33e636e1ddb2",
+    "sts15": "6990dc3bcf228a1f54d05363c7aca9d0e33c5ca96c9f468a2bb1d281b3d37ab7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGICAL_ORDER_SHA256))
+def test_topological_order_golden_digest(name):
+    order = topological_order(build_sum_network(GOLDEN_DESIGNS[name]()))
+    digest = hashlib.sha256(" ".join(x.label() for x in order).encode()).hexdigest()
+    assert digest == TOPOLOGICAL_ORDER_SHA256[name]

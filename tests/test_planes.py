@@ -1,0 +1,56 @@
+"""Projective and affine planes: k > 3 designs in both code regimes."""
+
+import pytest
+
+from sumnet.coding import REGIME_DIVIDES, build_code, code_params_for
+from sumnet.designs import design_verify
+from sumnet.field import PrimeField
+from sumnet.network import build_sum_network, network_export_json, network_from_json, network_validate
+from sumnet.verify import (
+    block_sum_recoverable,
+    capacity_report,
+    partial_sum_recoverable,
+    simulate_trials,
+    transfer_check,
+)
+
+from conftest import affine_plane, projective_plane
+
+
+def test_plane_parameters():
+    assert [(d.v, d.k, d.b, d.r) for d in (projective_plane(3), affine_plane(3), affine_plane(5))] == [
+        (13, 4, 13, 4),
+        (9, 3, 12, 4),
+        (25, 5, 30, 6),
+    ]
+
+
+def test_plane_design_network_and_round_trip(plane):
+    assert design_verify(plane).ok
+    net = build_sum_network(plane)
+    report = network_validate(net)
+    assert report.ok, report.problems
+    assert network_from_json(network_export_json(net)) == net
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_code_passes_every_check(plane, p):
+    f = PrimeField(p)
+    net = build_sum_network(plane)
+    code = build_code(net, f)
+    assert code.params == code_params_for(plane, f)
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        result = check(net, code)
+        assert result.ok, [x.detail for x in result.failures]
+    summary = simulate_trials(net, code, trials=50, seed=p)
+    assert summary.ok, [x.detail for x in summary.failures]
+    assert capacity_report(plane, f).matches
+
+
+def test_scalar_regime_over_an_odd_prime():
+    # k - 1 = 3 on PG(2,3): GF(3) takes the scalar code, which the triple
+    # systems only ever reach over GF(2)
+    d = projective_plane(3)
+    assert code_params_for(d, PrimeField(3)).regime == REGIME_DIVIDES
+    assert code_params_for(d, PrimeField(2)).rate == (12, 24)
+    assert code_params_for(affine_plane(5), PrimeField(3)).rate == (25, 55)

@@ -66,3 +66,20 @@ def test_modular_products_go_through_the_kernel(path):
     ]
     assert not object_dtype, f"{path.name} uses object dtype on lines {object_dtype}"
     assert not raw_products, f"{path.name} has @ outside _matmul_mod on lines {raw_products}"
+
+
+def _indented_dump(call: ast.Call) -> bool:
+    """A json.dump/json.dumps call (under any alias) with an indent."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("dump", "dumps") and any(kw.arg == "indent" for kw in call.keywords)
+
+
+@pytest.mark.parametrize("path", SOURCE_FILES, ids=lambda p: p.name)
+def test_indented_json_goes_through_the_writer(path):
+    # json.dumps(indent=...) runs the standard library's pure-Python
+    # encoder; every indented document is written by _jsonwriter.dumps,
+    # which emits the same bytes
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _indented_dump(node)]
+    assert not lines, f"{path.name} calls json.dumps(indent=...) on lines {lines}; use _jsonwriter.dumps"
