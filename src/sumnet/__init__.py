@@ -43,7 +43,6 @@ from .designs import (
 )
 from .field import (
     DimensionMismatchError,
-    FieldElement,
     FieldMatrix,
     FieldMismatchError,
     NotPrimeError,
@@ -68,7 +67,7 @@ from .verify import (
     VerifyResult,
     block_sum_recoverable,
     capacity_report,
-    cutset_bound,
+    fractional_upper_bound,
     partial_sum_recoverable,
     simulate,
     simulate_trials,

@@ -13,6 +13,7 @@ survive alphabet changes while sum demands do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,11 +41,23 @@ class ExtensionParams:
     kprime: int
 
 
+# the blocks are tuples of 2^gamma symbols: 65,536 at the cap
+_MAX_GAMMA = 16
+
+
 def extension_params(gamma: int) -> ExtensionParams:
     if not isinstance(gamma, int) or gamma < 2:
         raise InvalidGammaError(f"gamma must be an integer >= 2, got {gamma!r}")
+    if gamma > _MAX_GAMMA:
+        raise TooLargeError(
+            f"gamma={gamma} too large: blocks of 2^gamma symbols stop at gamma={_MAX_GAMMA}"
+        )
     t = 2**gamma
-    nprime = 1
+    # the float estimate of t*log3(2) can be off by one either way; exact
+    # integer comparisons settle the smallest n with 3^n >= 2^t
+    nprime = max(1, math.ceil(t * math.log(2) / math.log(3)))
+    while nprime > 1 and 3 ** (nprime - 1) >= 2**t:
+        nprime -= 1
     while 3**nprime < 2**t:
         nprime += 1
     return ExtensionParams(gamma=gamma, t=t, nprime=nprime, kprime=nprime - 1)

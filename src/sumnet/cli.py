@@ -294,6 +294,14 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    seed = args.seed
+    if seed is None:
+        seed = os.environ.get("SUMNET_SEED", "0")
+        seed = int(seed) if seed.isdecimal() else -1
+    for name, value in (("--trials", args.trials), ("--seed or $SUMNET_SEED", seed)):
+        if value < 0:
+            print(f"sumnet: error: {name} must be a non-negative integer", file=sys.stderr)
+            return USAGE_ERROR
     d = _resolve_design(args)
     f = PrimeField(args.field)
     net = build_sum_network(d)
@@ -303,9 +311,6 @@ def cmd_simulate(args) -> int:
             raise ShapeMismatchError(f"saved code is over GF({code.field.p}), not GF({f.p})")
     else:
         code = build_code(net, f)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SUMNET_SEED", "0"))
     summary = simulate_trials(net, code, args.trials, seed)
     passes = summary.trials - summary.mismatched_trials
     if args.format == "json":

@@ -7,12 +7,15 @@ characteristic divides k-1:
   carries the partial sum of its own neighborhood and every terminal adds
   what it sees;
 * characteristic does not divide k-1: a fractional (m,n) code with
-  m = v - (v mod k).  Each bottleneck carries its partial sum plus one
-  width-(m/k) slice of every block source in its neighborhood.  The c-th
-  point of a block carries the block's c-th slice (``slice_layout``), so
-  the k bottlenecks of a block jointly expose the whole block source.
-  Block terminals use those slices to cancel the k-fold overcount of their
-  own block.
+  m = v - (v mod k), which is w = m/k interleaved copies of one (k, k+r)
+  core code.  In the core, each bottleneck carries its partial sum plus
+  one symbol of every block source in its neighborhood.  The c-th point of
+  a block carries the block's c-th symbol (``slice_layout``), so the k
+  bottlenecks of a block jointly expose the whole block source.  Block
+  terminals use those symbols to cancel the k-fold overcount of their own
+  block.  Every core map M is lifted to the paper's layout as
+  M (x) I_w: core coordinate a of copy u is coordinate a*w + u, so the
+  c-th point carries the width-w slice c of its blocks' sources.
 
 Codes are materialized as global maps: ``encoders[i]`` sends the stacked
 source vector to the n symbols on bottleneck i, and each terminal decoder
@@ -153,8 +156,9 @@ class Slice(NamedTuple):
     """One incidence of the slice layout of the fractional code.
 
     Bottleneck ``point`` carries slice ``color`` of block ``block``'s
-    source, i.e. its coordinates (color-1)*w .. color*w-1 for w = m/k, in
-    selector position ``rank``.  Both numbers count from 1.
+    source in selector position ``rank``; both numbers count from 1.  In
+    the core code, slice c is source coordinate c-1 and selector position
+    q is bottleneck symbol k+q-1; the lift widens both by w.
     """
 
     point: int
@@ -187,7 +191,7 @@ def code_params_for(d: Design, f: PrimeField) -> CodeParams:
     m = d.v - d.v % d.k
     if m == 0:
         raise DegenerateLengthError(f"v={d.v} leaves no full width-{d.k} message block")
-    n = m + d.r * (m // d.k)
+    n = m * (d.k + d.r) // d.k  # the core's k + r symbols per k, scaled to m
     return CodeParams(m=m, n=n, regime=REGIME_NOT_DIVIDES)
 
 
@@ -223,23 +227,29 @@ def build_code_char_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
 
 
 def _block_reader(
-    d: Design, params: CodeParams, layout: tuple[Slice, ...], in_edges: tuple[Edge, ...], j: int
+    d: Design, layout: tuple[Slice, ...], in_edges: tuple[Edge, ...], j: int
 ) -> np.ndarray:
-    """The map reading block j's k slices off the head edges among
-    ``in_edges`` into the slices' home rows; direct edges read nothing."""
-    m, n = params.m, params.n
-    w = m // d.k
+    """The core map reading block j's k selector symbols off the head edges
+    among ``in_edges`` into their colors' rows; direct edges read nothing."""
+    k, n = d.k, d.k + d.r
     at = {s.point: s for s in layout if s.block == j}
-    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in in_edges]
-    reader = np.zeros((m, sum(widths)), dtype=np.int64)
+    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else k for e in in_edges]
+    reader = np.zeros((k, sum(widths)), dtype=np.int64)
     col = 0
     for e, width in zip(in_edges, widths):
         if e.kind == EDGE_HEAD_TO_TERMINAL:
             s = at[e.tail.index]
-            lo = col + m + (s.rank - 1) * w
-            reader[(s.color - 1) * w : s.color * w, lo : lo + w] = np.eye(w, dtype=np.int64)
+            reader[s.color - 1, col + k + s.rank - 1] = 1
         col += width
     return reader
+
+
+def _lift(f: PrimeField, core: np.ndarray, params: CodeParams, k: int) -> FieldMatrix:
+    """The paper's layout of a core map: w = m/k interleaved copies, core
+    entry (a, b) of copy u landing at (a*w + u, b*w + u)."""
+    w = params.m // k
+    reduced = FieldMatrix(f, core).array
+    return FieldMatrix._trusted(f, np.kron(reduced, np.eye(w, dtype=np.int64)))
 
 
 def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldMatrix:
@@ -247,11 +257,14 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
 
     Reads the k selector slices off the k head edges and stacks them in
     color order; composing with the in-edge global maps must reproduce the
-    plain projection of the block source.
+    plain projection of the block source.  The scalar code carries no
+    slices, so there the map is zero, one column per in-edge symbol.
     """
-    d = code.design
+    d, params = code.design, code.params
     in_edges = net.terminal_in_edges(NodeId(TERMINAL_BLOCK, j))
-    return FieldMatrix(code.field, _block_reader(d, code.params, slice_layout(d), in_edges, j))
+    if params.regime == REGIME_DIVIDES:
+        return code.field.zeros(params.m, len(in_edges))
+    return _lift(code.field, _block_reader(d, slice_layout(d), in_edges, j), params, d.k)
 
 
 def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
@@ -262,39 +275,39 @@ def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
     head edge and add their direct edges.  Block terminals additionally
     reassemble their own block source from the selector slices and subtract
     it k-1 times, cancelling the overcount in the sum of partial sums.
+
+    Every map is built once for the (k, k+r) core and lifted to (m, n).
     """
     d = net.design
     params = code_params_for(d, f)
     if params.regime != REGIME_NOT_DIVIDES:
         raise CharMismatchError(f"characteristic {f.p} divides k-1 = {d.k - 1}")
-    m, n = params.m, params.n
-    w = m // d.k
+    k, n = d.k, d.k + d.r
     layout = slice_layout(d)
 
-    encoders = [np.zeros((n, stacked_width(d, m)), dtype=np.int64) for _ in range(d.v)]
+    encoders = [np.zeros((n, stacked_width(d, k)), dtype=np.int64) for _ in range(d.v)]
     for i, enc in enumerate(encoders):
-        enc[:m] = partial_sum_row(d, i, m, f).array
+        enc[:k] = partial_sum_row(d, i, k, f).array
     for s in layout:
-        lo = source_column(d, NodeId(SOURCE_BLOCK, s.block), m) + (s.color - 1) * w
-        rows = slice(m + (s.rank - 1) * w, m + s.rank * w)
-        encoders[s.point][rows, lo : lo + w] = np.eye(w, dtype=np.int64)
+        col = source_column(d, NodeId(SOURCE_BLOCK, s.block), k) + s.color - 1
+        encoders[s.point][k + s.rank - 1, col] = 1
 
     decoders: dict[NodeId, TerminalDecoder] = {}
     for t in net.terminals():
         in_edges = net.terminal_in_edges(t)
-        # [I_m | 0] reads the partial sum off a head edge; direct edges pass through
+        # [I_k | 0] reads the partial sum off a head edge; direct edges pass through
         matrix = np.hstack(
-            [np.eye(m, n if e.kind == EDGE_HEAD_TO_TERMINAL else m, dtype=np.int64) for e in in_edges]
+            [np.eye(k, n if e.kind == EDGE_HEAD_TO_TERMINAL else k, dtype=np.int64) for e in in_edges]
         )
         if t.kind == TERMINAL_BLOCK:
-            matrix = matrix - (d.k - 1) * _block_reader(d, params, layout, in_edges, t.index)
-        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=FieldMatrix(f, matrix))
+            matrix -= (k - 1) * _block_reader(d, layout, in_edges, t.index)
+        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=_lift(f, matrix, params, k))
 
     return NetworkCode(
         design=d,
         field=f,
         params=params,
-        encoders=tuple(FieldMatrix(f, enc) for enc in encoders),
+        encoders=tuple(_lift(f, enc, params, k) for enc in encoders),
         decoders=decoders,
     )
 

@@ -72,9 +72,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
     def matrix(self, entries) -> "FieldMatrix":
         """Build a matrix from a nested sequence of integers (reduced mod p)."""
         return FieldMatrix(self, entries)
@@ -84,85 +81,6 @@ class PrimeField:
 
     def eye(self, n: int) -> "FieldMatrix":
         return FieldMatrix(self, np.eye(n, dtype=np.int64))
-
-
-class FieldElement:
-    """A single residue with its field attached."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(self.field, pow(self.value, -1, self.field.p))
-
-    def __pow__(self, exponent: int):
-        if self.value == 0 and exponent < 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(self.field, pow(self.value, exponent, self.field.p))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
 
 
 class FieldMatrix:
@@ -225,17 +143,6 @@ class FieldMatrix:
         if self.shape != other.shape:
             raise DimensionMismatchError(f"{self.shape} + {other.shape}")
         return FieldMatrix(self.field, self._a + other._a)
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"{self.shape} - {other.shape}")
-        return FieldMatrix(self.field, self._a - other._a)
-
-    def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, -self._a)
 
     def __mul__(self, scalar: int) -> "FieldMatrix":
         if not isinstance(scalar, int):

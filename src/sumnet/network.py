@@ -221,6 +221,12 @@ def network_validate(n: SumNetwork) -> ValidationReport:
     listed = set(n.nodes)
     if len(listed) != len(n.nodes):
         report.add("duplicate nodes")
+    # the checks below order nodes by kind, which only the known kinds have
+    unknown = {x for x in (*listed, *n._in, *n._out) if x.kind not in _KIND_ORDER}
+    for x in sorted(unknown):
+        report.add(f"node {x.label()} has unknown kind {x.kind!r}")
+    if unknown:
+        return report
     for x in sorted((n._in.keys() | n._out.keys()) - listed, key=_SORT_KEY):
         report.add(f"edge endpoint {x.label()} is not a listed node")
     if n._has_parallel_edges():

@@ -309,10 +309,13 @@ class CapacityReport:
     matches: bool
 
 
-def cutset_bound(d: Design) -> Fraction:
-    """The cut-set capacity bound v/(v+b) of a lambda=1 design's network.
+def fractional_upper_bound(d: Design) -> Fraction:
+    """The upper bound v/(v+b) on the rate of a lambda=1 design's network
+    over a field whose characteristic does not divide k-1.
 
-    Equal to k(k-1)/(k(k-1)+v-1) whenever b has its lambda=1 value
+    The bound depends on the alphabet, so it is not a cut-set bound: when
+    the characteristic divides k-1 the scalar code reaches rate 1.  It
+    equals k(k-1)/(k(k-1)+v-1) whenever b has its lambda=1 value
     v(v-1)/(k(k-1)); both forms are computed and compared.
     """
     if d.lambda_ != 1:
@@ -320,7 +323,7 @@ def cutset_bound(d: Design) -> Fraction:
     bound = Fraction(d.v, d.v + d.b)
     closed_form = Fraction(d.k * (d.k - 1), d.k * (d.k - 1) + d.v - 1)
     if bound != closed_form:
-        problem = f"cut-set bound {bound} != {closed_form}: b={d.b} is off its lambda=1 value"
+        problem = f"upper bound {bound} != {closed_form}: b={d.b} is off its lambda=1 value"
         raise InvalidDesignError(ValidationReport([problem]))
     return bound
 
@@ -330,8 +333,8 @@ def capacity_report(d: Design, f: PrimeField) -> CapacityReport:
 
     When the characteristic divides k-1 the scalar code meets the trivial
     bound of 1.  Otherwise the fractional code's rate m/n is reported next
-    to the cut-set bound; the two agree for every lambda=1 design, which
-    ``matches`` records after exact rational comparison.
+    to ``fractional_upper_bound``; the two agree for every lambda=1 design,
+    which ``matches`` records after exact rational comparison.
     """
     if d.lambda_ != 1:
         raise UnsupportedLambdaError(f"capacity stated for lambda=1 designs, got {d.lambda_}")
@@ -340,7 +343,7 @@ def capacity_report(d: Design, f: PrimeField) -> CapacityReport:
         one = Fraction(1)
         return CapacityReport(regime=params.regime, achieved=one, upper=one, matches=True)
     achieved = Fraction(params.m, params.n)
-    upper = cutset_bound(d)
+    upper = fractional_upper_bound(d)
     return CapacityReport(
         regime=params.regime, achieved=achieved, upper=upper, matches=achieved == upper
     )

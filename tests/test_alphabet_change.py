@@ -35,6 +35,20 @@ def test_gamma_below_two_rejected(gamma):
         extension_params(gamma)
 
 
+def test_nprime_is_the_smallest_power_of_three_reaching_two_to_the_t():
+    for gamma in range(2, 13):
+        t, nprime = 2**gamma, 1
+        while 3**nprime < 2**t:
+            nprime += 1
+        assert extension_params(gamma).nprime == nprime, gamma
+
+
+def test_gamma_above_sixteen_rejected():
+    assert extension_params(16).nprime == 41349
+    with pytest.raises(TooLargeError):
+        extension_params(17)
+
+
 # ---------------------------------------------------------------------------
 # the fixed all-ones demonstration
 # ---------------------------------------------------------------------------

@@ -163,6 +163,19 @@ def test_simulate_zero_trials(capsys):
     assert main(["simulate", "--fano", "--field", "3", "--trials", "0", "--seed", "1"]) == 0
 
 
+def test_simulate_negative_counts_are_usage_errors(capsys, monkeypatch):
+    monkeypatch.setenv("SUMNET_SEED", "-3")
+    for argv, name in (
+        (["--trials", "-1"], "--trials"),
+        (["--seed", "-4"], "--seed"),
+        ([], "$SUMNET_SEED"),
+    ):
+        assert main(["simulate", "--fano", "--field", "3", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("sumnet: error:") and name in captured.err
+
+
 def test_simulate_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("SUMNET_SEED", "7")
     assert main(["simulate", "--fano", "--field", "2", "--trials", "10"]) == 0
@@ -230,6 +243,13 @@ def test_counterexample_gamma2(capsys):
 
 def test_counterexample_gamma1_usage_error():
     assert main(["counterexample", "--gamma", "1"]) == 1
+
+
+def test_counterexample_gamma_above_cap_is_usage_error(capsys):
+    # blocks of 2^17 symbols: refused at once, before any block is built
+    assert main(["counterexample", "--gamma", "17"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sumnet: error:") and err.count("\n") == 1 and "gamma=17" in err
 
 
 def test_counterexample_json(capsys):

@@ -33,6 +33,17 @@ from sumnet.network import (
     build_sum_network,
 )
 
+from conftest import affine_plane, projective_plane
+
+DESIGNS = {
+    "fano": fano,
+    "sts9": lambda: sts_bose(9),
+    "sts15": lambda: sts_bose(15),
+    "pg23": lambda: projective_plane(3),
+    "ag23": lambda: affine_plane(3),
+    "ag25": lambda: affine_plane(5),
+}
+
 # expected selector layout of the fractional Fano code over an odd field:
 # per bottleneck, the (block letter, slice color) pairs in rank order
 FANO_SELECTOR_LAYOUT = {
@@ -230,6 +241,22 @@ def test_encoder_row_count_formula():
             assert enc.shape == (code.params.n, stacked_width(d, m))
 
 
+@pytest.mark.parametrize("name,p", [("fano", 3), ("sts9", 3), ("sts15", 5), ("pg23", 2), ("ag25", 3)])
+def test_fractional_maps_are_the_core_lifted_by_identity(name, p):
+    # every map is w interleaved copies of its (k, k+r) core: the core is
+    # every w-th row and column, and kron(core, I_w) restores the whole map
+    d = DESIGNS[name]()
+    net = build_sum_network(d)
+    code = build_code_char_not_divides(net, PrimeField(p))
+    w = code.params.m // d.k
+    assert w > 1 and code.params.n == w * (d.k + d.r)
+    maps = [*code.encoders, *(dec.matrix for dec in code.decoders.values())]
+    maps += [block_source_extractor(code, net, j) for j in range(d.b)]
+    eye = np.eye(w, dtype=np.int64)
+    for a in (x.array for x in maps):
+        assert np.array_equal(a, np.kron(a[::w, ::w], eye))
+
+
 # ---------------------------------------------------------------------------
 # block-source reconstruction
 # ---------------------------------------------------------------------------
@@ -357,12 +384,14 @@ CODE_DOCUMENT_SHA256 = {
     ("sts15", 2): "73aed4ab2d806f69ae7019038c70393ae889db2fd08c12fccac36d698b01a82b",
     ("sts15", 3): "3a96e0ba6cb8bc15eaa8e019cb4628da6f355c3958a23959c6c8be96c45aa333",
     ("sts15", 5): "14f1abc47ed0fa806cdfdc681dc9cbe347a6beb92008935decb94a85890f97a0",
+    ("pg23", 2): "bcceaf0546a220fff2ca5dacd61e8057d1544bf47b280ae06e3764d11d68be7e",
+    ("ag23", 5): "89e43a5a322cfc3c38e943a77207dc669ebf38baaaa56ca8cf2d455d6b714665",
+    ("ag25", 3): "8e87dc965d3cc8bbeb5216ec2b3ee5d9d6c5be60e865cb7932611b9eac33912f",
 }
-GOLDEN_DESIGNS = {"fano": fano, "sts9": lambda: sts_bose(9), "sts15": lambda: sts_bose(15)}
 
 
 @pytest.mark.parametrize("name,p", sorted(CODE_DOCUMENT_SHA256))
 def test_code_document_golden_digest(name, p):
-    net = build_sum_network(GOLDEN_DESIGNS[name]())
+    net = build_sum_network(DESIGNS[name]())
     text = code_to_json(build_code(net, PrimeField(p)))
     assert hashlib.sha256(text.encode()).hexdigest() == CODE_DOCUMENT_SHA256[name, p]

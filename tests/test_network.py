@@ -13,6 +13,7 @@ from sumnet.network import (
     SOURCE_POINT,
     TERMINAL_BLOCK,
     TERMINAL_POINT,
+    Edge,
     NodeId,
     SumNetwork,
     build_sum_network,
@@ -147,6 +148,17 @@ def test_node_listed_twice_is_not_a_cycle():
     report = network_validate(SumNetwork(net.design, net.nodes + net.nodes[:1], net.edges))
     assert "duplicate nodes" in report.problems
     assert "graph is not acyclic" not in report.problems
+
+
+def test_node_of_unknown_kind_is_reported():
+    # NodeId.sort_key used to raise KeyError on the unknown kind
+    net = build_sum_network(fano())
+    bogus = NodeId("bogus", 0)
+    listed = network_validate(SumNetwork(net.design, net.nodes + (bogus,), net.edges))
+    assert "node bogus:1 has unknown kind 'bogus'" in listed.problems
+    edge = (Edge(bogus, NodeId(TERMINAL_POINT, 0), EDGE_DIRECT),)
+    endpoint = network_validate(SumNetwork(net.design, net.nodes, net.edges + edge))
+    assert endpoint.problems == ["node bogus:1 has unknown kind 'bogus'"]
 
 
 @pytest.mark.parametrize("label", ["terminal-block:7", "source-block:7"])

@@ -25,7 +25,7 @@ from sumnet.verify import (
     ShapeMismatchError,
     block_sum_recoverable,
     capacity_report,
-    cutset_bound,
+    fractional_upper_bound,
     partial_sum_recoverable,
     simulate,
     simulate_trials,
@@ -264,10 +264,10 @@ def test_capacity_matches_code_rate():
 
 
 def test_cutset_bound_values():
-    assert cutset_bound(fano()) == Fraction(1, 2)
-    assert cutset_bound(sts_bose(9)) == Fraction(3, 7)
-    assert cutset_bound(sts_bose(15)) == Fraction(3, 10)
-    assert cutset_bound(sts_bose(15)) == Fraction(6, 5 + 15)
+    assert fractional_upper_bound(fano()) == Fraction(1, 2)
+    assert fractional_upper_bound(sts_bose(9)) == Fraction(3, 7)
+    assert fractional_upper_bound(sts_bose(15)) == Fraction(3, 10)
+    assert fractional_upper_bound(sts_bose(15)) == Fraction(6, 5 + 15)
 
 
 def test_cutset_bound_rejects_design_missing_a_block():
@@ -276,7 +276,7 @@ def test_cutset_bound_rejects_design_missing_a_block():
     d = fano()
     short = Design(v=d.v, k=d.k, lambda_=1, blocks=d.blocks[:6])
     with pytest.raises(InvalidDesignError, match="b=6"):
-        cutset_bound(short)
+        fractional_upper_bound(short)
 
 
 def test_capacity_requires_lambda_one():
@@ -284,12 +284,12 @@ def test_capacity_requires_lambda_one():
     with pytest.raises(UnsupportedLambdaError):
         capacity_report(d, PrimeField(5))
     with pytest.raises(UnsupportedLambdaError):
-        cutset_bound(d)
+        fractional_upper_bound(d)
 
 
 def test_bounds_never_exceed_one():
     for v in (3, 9, 15, 21):
-        assert cutset_bound(sts_bose(v)) <= 1
+        assert fractional_upper_bound(sts_bose(v)) <= 1
 
 
 # ---------------------------------------------------------------------------
