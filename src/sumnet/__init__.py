@@ -1,7 +1,7 @@
 """Sum-networks from block designs.
 
-Build the network of a 2-(v,k,lambda) design, synthesize the linear code
-family matching the field characteristic, and verify deterministically that
+Build the network of a 2-(v,k,lambda) design, synthesize its linear code
+for the field characteristic, and verify deterministically that
 every terminal decodes the sum of all sources.
 """
 

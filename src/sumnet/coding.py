@@ -1,21 +1,22 @@
 """Linear network codes for sum-networks built from 2-(v,k,1) designs.
 
-Two code families are synthesized, chosen by whether the field
-characteristic divides k-1:
+One construction covers both regimes.  A core code sends c message
+symbols of every source over c + s symbols per bottleneck: the c symbols
+of the bottleneck's partial sum, then one selector symbol of every block
+source in its neighborhood.  The c-th point of a block carries the
+block's c-th symbol (``slice_layout``), so the k bottlenecks of a block
+jointly expose the whole block source, and block terminals use those
+symbols to cancel the k-fold overcount of their own block.  Every core
+map M is lifted to the paper's layout as M (x) I_w: core coordinate a of
+copy u is coordinate a*w + u.  The regime, whether the field
+characteristic divides k-1, only picks (c, s, w):
 
-* characteristic divides k-1: a scalar (1,1) code where each bottleneck
-  carries the partial sum of its own neighborhood and every terminal adds
-  what it sees;
-* characteristic does not divide k-1: a fractional (m,n) code with
-  m = v - (v mod k), which is w = m/k interleaved copies of one (k, k+r)
-  core code.  In the core, each bottleneck carries its partial sum plus
-  one symbol of every block source in its neighborhood.  The c-th point of
-  a block carries the block's c-th symbol (``slice_layout``), so the k
-  bottlenecks of a block jointly expose the whole block source.  Block
-  terminals use those symbols to cancel the k-fold overcount of their own
-  block.  Every core map M is lifted to the paper's layout as
-  M (x) I_w: core coordinate a of copy u is coordinate a*w + u, so the
-  c-th point carries the width-w slice c of its blocks' sources.
+* characteristic divides k-1: (1, 0, 1).  k = 1 in the field, so the
+  overcount needs no correction and no selectors: the scalar (1,1) code,
+  where every terminal adds what it sees;
+* characteristic does not divide k-1: (k, r, m/k), the fractional (m,n)
+  code with m = v - (v mod k); the c-th point carries the width-w slice c
+  of its blocks' sources.
 
 Codes are materialized as global maps: ``encoders[i]`` sends the stacked
 source vector to the n symbols on bottleneck i, and each terminal decoder
@@ -50,7 +51,7 @@ REGIME_NOT_DIVIDES = "char-not-divides"
 
 
 class CharMismatchError(ValueError):
-    """The field characteristic does not fit the requested code family."""
+    """The field characteristic does not fit the requested regime."""
 
 
 class UnsupportedLambdaError(ValueError):
@@ -153,7 +154,7 @@ def partial_sum_row(d: Design, point: int, m: int, f: PrimeField) -> FieldMatrix
 
 
 class Slice(NamedTuple):
-    """One incidence of the slice layout of the fractional code.
+    """One incidence of the slice layout of the core code.
 
     Bottleneck ``point`` carries slice ``color`` of block ``block``'s
     source in selector position ``rank``; both numbers count from 1.  In
@@ -183,7 +184,7 @@ def slice_layout(d: Design) -> tuple[Slice, ...]:
 
 
 def code_params_for(d: Design, f: PrimeField) -> CodeParams:
-    """Pick the code family and block lengths for a design and field."""
+    """Pick the regime and block lengths for a design and field."""
     if d.lambda_ != 1:
         raise UnsupportedLambdaError(f"code synthesis needs lambda=1, got {d.lambda_}")
     if (d.k - 1) % f.p == 0:
@@ -195,61 +196,39 @@ def code_params_for(d: Design, f: PrimeField) -> CodeParams:
     return CodeParams(m=m, n=n, regime=REGIME_NOT_DIVIDES)
 
 
-def _decoders_char_divides(net: SumNetwork, f: PrimeField) -> dict[NodeId, TerminalDecoder]:
-    decoders = {}
-    for t in net.terminals():
-        in_edges = net.terminal_in_edges(t)
-        ones = np.ones((1, len(in_edges)), dtype=np.int64)
-        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=FieldMatrix(f, ones))
-    return decoders
-
-
-def build_code_char_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
-    """The scalar (1,1) code, valid when the characteristic divides k-1.
-
-    Each bottleneck carries its point's partial sum; every terminal simply
-    adds all of its in-edge symbols.  A block terminal then sees its own
-    block source k times, but k = 1 in the field, so the sum comes out
-    right.
-    """
-    d = net.design
-    params = code_params_for(d, f)
-    if params.regime != REGIME_DIVIDES:
-        raise CharMismatchError(f"characteristic {f.p} does not divide k-1 = {d.k - 1}")
-    encoders = tuple(partial_sum_row(d, i, 1, f) for i in range(d.v))
-    return NetworkCode(
-        design=d,
-        field=f,
-        params=params,
-        encoders=encoders,
-        decoders=_decoders_char_divides(net, f),
-    )
+def _core(d: Design, params: CodeParams) -> tuple[int, int, int]:
+    """The core (c, s, w) of a code: c message and s selector symbols on
+    every bottleneck, in w interleaved copies.  When the characteristic
+    divides k-1 the block correction vanishes, so one symbol and no
+    selectors suffice."""
+    if params.regime == REGIME_DIVIDES:
+        return 1, 0, 1
+    return d.k, d.r, params.m // d.k
 
 
 def _block_reader(
-    d: Design, layout: tuple[Slice, ...], in_edges: tuple[Edge, ...], j: int
+    layout: tuple[Slice, ...], j: int, in_edges: tuple[Edge, ...], c: int, n: int
 ) -> np.ndarray:
-    """The core map reading block j's k selector symbols off the head edges
-    among ``in_edges`` into their colors' rows; direct edges read nothing."""
-    k, n = d.k, d.k + d.r
-    at = {s.point: s for s in layout if s.block == j}
-    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else k for e in in_edges]
-    reader = np.zeros((k, sum(widths)), dtype=np.int64)
-    col = 0
-    for e, width in zip(in_edges, widths):
-        if e.kind == EDGE_HEAD_TO_TERMINAL:
-            s = at[e.tail.index]
-            reader[s.color - 1, col + k + s.rank - 1] = 1
-        col += width
+    """The core map reading block j's selector symbols off the head edges
+    among ``in_edges`` (which lead the canonical order) into their colors'
+    rows; direct edges read nothing."""
+    heads = [e for e in in_edges if e.kind == EDGE_HEAD_TO_TERMINAL]
+    start = {e.tail.index: h * n for h, e in enumerate(heads)}
+    reader = np.zeros((c, len(in_edges) * c + len(start) * (n - c)), dtype=np.int64)
+    for sl in layout:
+        if sl.block == j:
+            reader[sl.color - 1, start[sl.point] + c + sl.rank - 1] = 1
     return reader
 
 
-def _lift(f: PrimeField, core: np.ndarray, params: CodeParams, k: int) -> FieldMatrix:
-    """The paper's layout of a core map: w = m/k interleaved copies, core
-    entry (a, b) of copy u landing at (a*w + u, b*w + u)."""
-    w = params.m // k
+def _lift(f: PrimeField, core: np.ndarray, w: int) -> FieldMatrix:
+    """The paper's layout of a core map, core (x) I_w: w interleaved copies,
+    core entry (a, b) of copy u landing at (a*w + u, b*w + u)."""
     reduced = FieldMatrix(f, core).array
-    return FieldMatrix._trusted(f, np.kron(reduced, np.eye(w, dtype=np.int64)))
+    lifted = np.zeros((reduced.shape[0] * w, reduced.shape[1] * w), dtype=np.int64)
+    for u in range(w):
+        lifted[u::w, u::w] = reduced
+    return FieldMatrix._trusted(f, lifted)
 
 
 def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldMatrix:
@@ -257,66 +236,73 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
 
     Reads the k selector slices off the k head edges and stacks them in
     color order; composing with the in-edge global maps must reproduce the
-    plain projection of the block source.  The scalar code carries no
-    slices, so there the map is zero, one column per in-edge symbol.
+    plain projection of the block source.  A core without selectors reads
+    nothing, so there the map is zero.
     """
-    d, params = code.design, code.params
+    d = code.design
+    c, s, w = _core(d, code.params)
     in_edges = net.terminal_in_edges(NodeId(TERMINAL_BLOCK, j))
-    if params.regime == REGIME_DIVIDES:
-        return code.field.zeros(params.m, len(in_edges))
-    return _lift(code.field, _block_reader(d, slice_layout(d), in_edges, j), params, d.k)
-
-
-def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
-    """The fractional (m, n) code for characteristics not dividing k-1.
-
-    Bottleneck i stacks its partial sum over the r selector slices of the
-    blocks through point i.  Point terminals read the partial sum off their
-    head edge and add their direct edges.  Block terminals additionally
-    reassemble their own block source from the selector slices and subtract
-    it k-1 times, cancelling the overcount in the sum of partial sums.
-
-    Every map is built once for the (k, k+r) core and lifted to (m, n).
-    """
-    d = net.design
-    params = code_params_for(d, f)
-    if params.regime != REGIME_NOT_DIVIDES:
-        raise CharMismatchError(f"characteristic {f.p} divides k-1 = {d.k - 1}")
-    k, n = d.k, d.k + d.r
-    layout = slice_layout(d)
-
-    encoders = [np.zeros((n, stacked_width(d, k)), dtype=np.int64) for _ in range(d.v)]
-    for i, enc in enumerate(encoders):
-        enc[:k] = partial_sum_row(d, i, k, f).array
-    for s in layout:
-        col = source_column(d, NodeId(SOURCE_BLOCK, s.block), k) + s.color - 1
-        encoders[s.point][k + s.rank - 1, col] = 1
-
-    decoders: dict[NodeId, TerminalDecoder] = {}
-    for t in net.terminals():
-        in_edges = net.terminal_in_edges(t)
-        # [I_k | 0] reads the partial sum off a head edge; direct edges pass through
-        matrix = np.hstack(
-            [np.eye(k, n if e.kind == EDGE_HEAD_TO_TERMINAL else k, dtype=np.int64) for e in in_edges]
-        )
-        if t.kind == TERMINAL_BLOCK:
-            matrix -= (k - 1) * _block_reader(d, layout, in_edges, t.index)
-        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=_lift(f, matrix, params, k))
-
-    return NetworkCode(
-        design=d,
-        field=f,
-        params=params,
-        encoders=tuple(_lift(f, enc, params, k) for enc in encoders),
-        decoders=decoders,
-    )
+    layout = slice_layout(d) if s else ()
+    return _lift(code.field, _block_reader(layout, j, in_edges, c, c + s), w)
 
 
 def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
-    """Synthesize the code family matching the field characteristic."""
-    if code_params_for(net.design, f).regime == REGIME_DIVIDES:
-        return build_code_char_divides(net, f)
-    return build_code_char_not_divides(net, f)
+    """The paper's (m, n) code for the network's design over f.
+
+    Bottleneck i stacks its partial sum over the selector slices of the
+    blocks through point i.  Every terminal reads the partial sum off its
+    head edges and adds its direct edges; a block terminal also subtracts
+    its block source, reassembled from the selector slices, k-1 times.
+    Every map is built for the (c, c+s) core of ``_core`` and lifted by I_w.
+    """
+    d = net.design
+    params = code_params_for(d, f)
+    c, s, w = _core(d, params)
+    n = c + s
+    layout = slice_layout(d) if s else ()
+
+    encoders = [np.zeros((n, stacked_width(d, c)), dtype=np.int64) for _ in range(d.v)]
+    for i, enc in enumerate(encoders):
+        enc[:c] = partial_sum_row(d, i, c, f).array
+    for sl in layout:
+        col = source_column(d, NodeId(SOURCE_BLOCK, sl.block), c) + sl.color - 1
+        encoders[sl.point][c + sl.rank - 1, col] = 1
+
+    # [I_c | 0] per head edge, I_c per direct edge: built once per shape
+    head_read, direct_read = np.eye(c, n, dtype=np.int64), np.eye(c, dtype=np.int64)
+    reads: dict[tuple[int, int], np.ndarray] = {}
+    decoders: dict[NodeId, TerminalDecoder] = {}
+    for t in net.terminals():
+        in_edges = net.terminal_in_edges(t)
+        heads = 0  # head edges lead the canonical order
+        while heads < len(in_edges) and in_edges[heads].kind == EDGE_HEAD_TO_TERMINAL:
+            heads += 1
+        shape = (heads, len(in_edges) - heads)
+        if shape not in reads:
+            reads[shape] = np.hstack((np.tile(head_read, heads), np.tile(direct_read, shape[1])))
+        core = reads[shape]
+        if t.kind == TERMINAL_BLOCK and layout:
+            core = core - (d.k - 1) * _block_reader(layout, t.index, in_edges, c, n)
+        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=_lift(f, core, w))
+
+    encoders = tuple(_lift(f, enc, w) for enc in encoders)
+    return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
+
+
+def _build_in_regime(net: SumNetwork, f: PrimeField, regime: str, relation: str) -> NetworkCode:
+    if code_params_for(net.design, f).regime != regime:
+        raise CharMismatchError(f"characteristic {f.p} {relation} k-1 = {net.design.k - 1}")
+    return build_code(net, f)
+
+
+def build_code_char_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
+    """``build_code``, refusing a characteristic that does not divide k-1."""
+    return _build_in_regime(net, f, REGIME_DIVIDES, "does not divide")
+
+
+def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
+    """``build_code``, refusing a characteristic that divides k-1."""
+    return _build_in_regime(net, f, REGIME_NOT_DIVIDES, "divides")
 
 
 def code_to_json(code: NetworkCode) -> str:
@@ -366,4 +352,17 @@ def code_from_json(text: str) -> NetworkCode:
             f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
             f"m={expected.m} n={expected.n} regime={expected.regime!r} for this design over {f}"
         )
+    m, n, width = params.m, params.n, stacked_width(d, params.m)
+    for i, enc in enumerate(encoders):
+        if enc.shape != (n, width):
+            raise ParseError(
+                f"encoder of bottleneck {i + 1} has shape {enc.shape}, expected {(n, width)}"
+            )
+    for t, dec in decoders.items():
+        heads = sum(e.kind == EDGE_HEAD_TO_TERMINAL for e in dec.in_edges)
+        shape = (m, heads * n + (len(dec.in_edges) - heads) * m)
+        if dec.matrix.shape != shape:
+            raise ParseError(
+                f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"
+            )
     return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)

@@ -79,6 +79,15 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
     for i, enc in enumerate(code.encoders):
         if enc.shape != (n, width):
             raise ShapeMismatchError(f"encoder {i + 1} has shape {enc.shape}, expected {(n, width)}")
+        # simulation hands an encoder only its wired sources' values, so a
+        # coefficient anywhere else would make it disagree with transfer_check
+        wired = {source_column(d, e.tail, m) // m for e in net.tail_in_edges(i)}
+        unwired = set((np.flatnonzero(enc.array.any(axis=0)) // m).tolist()) - wired
+        if unwired:
+            source, _ = column_source(d, min(unwired) * m, m)
+            raise ShapeMismatchError(
+                f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
+            )
     for t in net.terminals():
         if t not in code.decoders:
             raise ShapeMismatchError(f"no decoder for {t.label()}")
@@ -260,7 +269,7 @@ def _first_row_outside(basis: FieldMatrix, target: FieldMatrix) -> int:
 def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """Every bottleneck's partial-sum map must lie in its encoder's row space.
 
-    This holds for any correct code, whatever its family: the symbols on
+    This holds for any correct code, in either regime: the symbols on
     bottleneck i must determine the partial sum at point i.
     """
     _check_compatible(net, code)
@@ -329,21 +338,18 @@ def fractional_upper_bound(d: Design) -> Fraction:
 
 
 def capacity_report(d: Design, f: PrimeField) -> CapacityReport:
-    """Achieved rate of the synthesized code family next to the upper bound.
+    """Achieved rate m/n of the synthesized code next to the upper bound.
 
     When the characteristic divides k-1 the scalar code meets the trivial
-    bound of 1.  Otherwise the fractional code's rate m/n is reported next
-    to ``fractional_upper_bound``; the two agree for every lambda=1 design,
-    which ``matches`` records after exact rational comparison.
+    bound of 1.  Otherwise the bound is ``fractional_upper_bound``; the
+    fractional code's rate equals it for every lambda=1 design, which
+    ``matches`` records after exact rational comparison.
     """
     if d.lambda_ != 1:
         raise UnsupportedLambdaError(f"capacity stated for lambda=1 designs, got {d.lambda_}")
     params = code_params_for(d, f)
-    if params.regime == REGIME_DIVIDES:
-        one = Fraction(1)
-        return CapacityReport(regime=params.regime, achieved=one, upper=one, matches=True)
     achieved = Fraction(params.m, params.n)
-    upper = fractional_upper_bound(d)
+    upper = Fraction(1) if params.regime == REGIME_DIVIDES else fractional_upper_bound(d)
     return CapacityReport(
         regime=params.regime, achieved=achieved, upper=upper, matches=achieved == upper
     )

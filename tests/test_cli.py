@@ -215,6 +215,49 @@ def test_simulate_rejects_wrong_message_length(tmp_path, capsys):
     assert "m=3" in capsys.readouterr().err
 
 
+def test_simulate_rejects_encoder_reading_unwired_source(tmp_path, capsys):
+    # block 5 misses point 1: simulation never hands bottleneck 1 its source,
+    # so the coefficient would pass every trial while transfer_check fails
+    path = tmp_path / "code.json"
+    assert main(["code", "--sts", "9", "--field", "3", "--save-code", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    m = data["params"]["m"]
+    assert 0 not in data["design"]["blocks"][4]
+    data["encoders"][0][0][(9 + 4) * m] = 1
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--sts", "9", "--field", "3", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bottleneck 1 reads source-block:5, which is not wired into it" in captured.err
+
+
+def test_simulate_rejects_misshapen_matrices(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    saved = path.read_text()
+
+    def drop_last_column(rows):
+        return [row[:-1] for row in rows]
+
+    cases = (
+        (("encoders", 0), drop_last_column, "encoder of bottleneck 1 has shape (12, 83)"),
+        (("decoders", "terminal-point:2", "matrix"), lambda rows: rows[:-1],
+         "decoder at terminal-point:2 has shape (5, 72), expected (6, 72)"),
+        (("decoders", "terminal-block:3", "matrix"), drop_last_column,
+         "decoder at terminal-block:3 has shape (6, 59), expected (6, 60)"),
+    )
+    for (*outer, key), corrupt, message in cases:
+        data = holder = json.loads(saved)
+        for step in outer:
+            holder = holder[step]
+        holder[key] = corrupt(holder[key])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_simulate_saved_code_with_dense_large_coefficients(tmp_path, capsys, rebased_fano_bigprime):
     _, code = rebased_fano_bigprime
     path = tmp_path / "code.json"

@@ -385,6 +385,8 @@ CODE_DOCUMENT_SHA256 = {
     ("sts15", 3): "3a96e0ba6cb8bc15eaa8e019cb4628da6f355c3958a23959c6c8be96c45aa333",
     ("sts15", 5): "14f1abc47ed0fa806cdfdc681dc9cbe347a6beb92008935decb94a85890f97a0",
     ("pg23", 2): "bcceaf0546a220fff2ca5dacd61e8057d1544bf47b280ae06e3764d11d68be7e",
+    ("pg23", 3): "51028ce8bc3f990e2c2b563231cbab4f8274c4379b884affa9ab23729e6715d5",
+    ("ag25", 2): "8f7838633d472bee80021bd29676f2b79f21e7abedd292b0d12d20af99b0d295",
     ("ag23", 5): "89e43a5a322cfc3c38e943a77207dc669ebf38baaaa56ca8cf2d455d6b714665",
     ("ag25", 3): "8e87dc965d3cc8bbeb5216ec2b3ee5d9d6c5be60e865cb7932611b9eac33912f",
 }

@@ -3,14 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumnet.coding import (
+    REGIME_DIVIDES,
     NetworkCode,
     TerminalDecoder,
     UnsupportedLambdaError,
     block_source_extractor,
     build_code,
     build_code_char_divides,
+    code_from_json,
+    code_to_json,
+    source_column,
 )
 from sumnet.designs import Design, InvalidDesignError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
@@ -32,6 +38,8 @@ from sumnet.verify import (
     transfer_check,
 )
 
+from conftest import rebase_bottlenecks
+
 
 def fano_code(p):
     net = build_sum_network(fano())
@@ -39,16 +47,22 @@ def fano_code(p):
     return net, code
 
 
-def zero_encoder(code: NetworkCode, i: int) -> NetworkCode:
+def replace_encoder(code: NetworkCode, i: int, enc: FieldMatrix) -> NetworkCode:
     encoders = list(code.encoders)
-    encoders[i] = code.field.zeros(*encoders[i].shape)
-    return NetworkCode(
-        design=code.design,
-        field=code.field,
-        params=code.params,
-        encoders=tuple(encoders),
-        decoders=code.decoders,
-    )
+    encoders[i] = enc
+    return NetworkCode(code.design, code.field, code.params, tuple(encoders), code.decoders)
+
+
+def zero_encoder(code: NetworkCode, i: int) -> NetworkCode:
+    return replace_encoder(code, i, code.field.zeros(*code.encoders[i].shape))
+
+
+def shift_entries(mat: FieldMatrix, entries, delta: int) -> FieldMatrix:
+    """The matrix with ``delta`` added at each (row, col) of ``entries``."""
+    a = mat.array.copy()
+    for row, col in entries:
+        a[row, col] += delta
+    return FieldMatrix(mat.field, a)
 
 
 def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
@@ -109,6 +123,22 @@ def test_transfer_check_rejects_mismatched_code():
     code9 = build_code(other, PrimeField(3))
     with pytest.raises(ShapeMismatchError):
         transfer_check(net, code9)
+
+
+def test_encoder_reading_an_unwired_source_is_rejected():
+    # block 5 misses point 1, so bottleneck 1 never receives its source:
+    # simulation would skip the coefficient that transfer_check multiplies by
+    d = sts_bose(9)
+    net = build_sum_network(d)
+    code = build_code(net, PrimeField(3))
+    assert 0 not in d.blocks[4]
+    col = source_column(d, NodeId(SOURCE_BLOCK, 4), code.params.m)
+    broken = replace_encoder(code, 0, shift_entries(code.encoders[0], [(0, col)], 1))
+    message = "bottleneck 1 reads source-block:5, which is not wired into it"
+    with pytest.raises(ShapeMismatchError, match=message):
+        transfer_check(net, broken)
+    with pytest.raises(ShapeMismatchError, match=message):
+        simulate_trials(net, broken, 200, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +293,14 @@ def test_capacity_matches_code_rate():
         assert Fraction(code.params.m, code.params.n) == report.achieved
 
 
-def test_cutset_bound_values():
+def test_fractional_upper_bound_values():
     assert fractional_upper_bound(fano()) == Fraction(1, 2)
     assert fractional_upper_bound(sts_bose(9)) == Fraction(3, 7)
     assert fractional_upper_bound(sts_bose(15)) == Fraction(3, 10)
     assert fractional_upper_bound(sts_bose(15)) == Fraction(6, 5 + 15)
 
 
-def test_cutset_bound_rejects_design_missing_a_block():
+def test_fractional_upper_bound_rejects_design_missing_a_block():
     # Fano without block G: lambda is still declared 1 but b = 6, so v/(v+b)
     # = 7/13 is not the lambda=1 bound
     d = fano()
@@ -304,16 +334,66 @@ def test_transfer_and_simulation_agree_on_fano_grid():
         assert summary.ok
 
 
+def _region_entries(draw, rows: int, col_lo: int, cols: int, w: int, structured: bool):
+    """Entries to corrupt inside rows x [col_lo, col_lo + cols): one anywhere,
+    or one core entry in all w copies, (a*w + u, col_lo + b*w + u)."""
+    if not structured:
+        return [(draw(st.integers(0, rows - 1)), col_lo + draw(st.integers(0, cols - 1)))]
+    a = draw(st.integers(0, rows // w - 1))
+    b = draw(st.integers(0, cols // w - 1))
+    return [(a * w + u, col_lo + b * w + u) for u in range(w)]
+
+
+@st.composite
+def corrupted_codes(draw):
+    """A Fano or STS(9) code over GF(2, 3, 5) with entries shifted inside
+    its wired support: in one encoder's wired source columns or anywhere
+    in one decoder, either a single entry or the same entry of every copy.
+    A zero shift leaves the code correct; re-basing the bottlenecks after
+    the shift keeps its end-to-end maps but makes it dense."""
+    d = draw(st.sampled_from((fano(), sts_bose(9))))
+    f = PrimeField(draw(st.sampled_from((2, 3, 5))))
+    net = build_sum_network(d)
+    code = build_code(net, f)
+    m, n = code.params.m, code.params.n
+    w = 1 if code.params.regime == REGIME_DIVIDES else m // d.k
+    structured = draw(st.booleans())
+    delta = draw(st.integers(0, f.p - 1))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, d.v - 1))
+        source = draw(st.sampled_from([e.tail for e in net.tail_in_edges(i)]))
+        entries = _region_entries(draw, n, source_column(d, source, m), m, w, structured)
+        code = replace_encoder(code, i, shift_entries(code.encoders[i], entries, delta))
+    else:
+        t = draw(st.sampled_from(sorted(code.decoders, key=lambda x: x.sort_key)))
+        dec = code.decoders[t]
+        entries = _region_entries(draw, m, 0, dec.matrix.cols, w, structured)
+        decoders = dict(code.decoders)
+        decoders[t] = TerminalDecoder(dec.in_edges, shift_entries(dec.matrix, entries, delta))
+        code = NetworkCode(d, f, code.params, code.encoders, decoders)
+    if draw(st.booleans()):
+        code = rebase_bottlenecks(net, code, seed=draw(st.integers(0, 2**32 - 1)))
+    return net, code
+
+
+@settings(max_examples=40, deadline=None)
+@given(corrupted_codes(), st.integers(0, 2**32 - 1))
+def test_transfer_and_simulation_agree_on_corrupted_codes(case, seed):
+    # a wrong end-to-end map fools one random trial with probability at
+    # most 1/p, so 64 trials all pass it with probability at most 2^-64
+    net, code = case
+    assert transfer_check(net, code).ok == simulate_trials(net, code, 64, seed).ok
+    assert code_from_json(code_to_json(code)) == code
+
+
 # ---------------------------------------------------------------------------
 # golden failure reports: verdicts and failure texts are pinned byte for byte
 # ---------------------------------------------------------------------------
 
 def zero_encoder_row(code: NetworkCode, i: int, row: int) -> NetworkCode:
-    encoders = list(code.encoders)
-    a = encoders[i].array.copy()
+    a = code.encoders[i].array.copy()
     a[row] = 0
-    encoders[i] = FieldMatrix(code.field, a)
-    return NetworkCode(code.design, code.field, code.params, tuple(encoders), code.decoders)
+    return replace_encoder(code, i, FieldMatrix(code.field, a))
 
 
 def bump_decoder_entry(code: NetworkCode) -> NetworkCode:
