@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,10 +38,13 @@ from ._jsonwriter import dumps
 from .designs import Design, ParseError
 from .field import FieldMatrix, PrimeField
 from .network import (
+    BOTTLENECK_HEAD,
+    EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
+    TERMINAL_POINT,
     Edge,
     NodeId,
     SumNetwork,
@@ -89,11 +94,45 @@ class TerminalDecoder:
 
 @dataclass(frozen=True)
 class NetworkCode:
+    """A code as global maps.  The encoders and decoders are held read-only,
+    so what is derived from them, ``interleaved_core``, is computed once."""
+
     design: Design
     field: PrimeField
     params: CodeParams
     encoders: tuple[FieldMatrix, ...]
-    decoders: dict[NodeId, TerminalDecoder]
+    decoders: Mapping[NodeId, TerminalDecoder]
+
+    def __post_init__(self):
+        object.__setattr__(self, "encoders", tuple(self.encoders))
+        object.__setattr__(self, "decoders", MappingProxyType(dict(self.decoders)))
+
+    @cached_property
+    def interleaved_core(self) -> tuple["NetworkCode", int]:
+        """The code's (c, c+s) core and w when every encoder and decoder is
+        its core map lifted by I_w, as ``build_code`` makes them; otherwise
+        the code itself and w = 1.
+
+        The test is exact and costs O(size): an entry changed in one copy
+        only, or a coefficient between copies, makes the code its own core.
+        """
+        c, s, w = _core(self.design, self.params)
+        if w == 1 or (self.params.m, self.params.n) != (c * w, (c + s) * w):
+            return self, 1
+        encoders = []
+        for enc in self.encoders:
+            core = _unlift(enc, w)
+            if core is None:
+                return self, 1
+            encoders.append(core)
+        decoders = {}
+        for t, dec in self.decoders.items():
+            core = _unlift(dec.matrix, w)
+            if core is None:
+                return self, 1
+            decoders[t] = TerminalDecoder(in_edges=dec.in_edges, matrix=core)
+        params = CodeParams(m=c, n=c + s, regime=self.params.regime)
+        return NetworkCode(self.design, self.field, params, tuple(encoders), decoders), w
 
 
 def stacked_width(d: Design, m: int) -> int:
@@ -109,12 +148,6 @@ def source_column(d: Design, source: NodeId, m: int) -> int:
     if source.kind == SOURCE_BLOCK:
         return (d.v + source.index) * m
     raise ValueError(f"{source.label()} is not a source")
-
-
-def source_columns(d: Design, source: NodeId, m: int) -> slice:
-    """The m columns of a source's block in the stacked layout."""
-    lo = source_column(d, source, m)
-    return slice(lo, lo + m)
 
 
 def column_source(d: Design, col: int, m: int) -> tuple[NodeId, int]:
@@ -231,6 +264,25 @@ def _lift(f: PrimeField, core: np.ndarray, w: int) -> FieldMatrix:
     return FieldMatrix._trusted(f, lifted)
 
 
+def _unlift(mat: FieldMatrix, w: int) -> FieldMatrix | None:
+    """Inverse of ``_lift``: the core map whose lift by I_w is ``mat``, or
+    None when ``mat`` is no such lift.
+
+    Every copy's diagonal block ``mat[u::w, u::w]`` must equal the core
+    ``mat[::w, ::w]``.  The copies then hold w * nnz(core) nonzeros, so a
+    nonzero count of exactly that leaves none between copies.
+    """
+    a = mat.array
+    if a.shape[0] % w or a.shape[1] % w:
+        return None
+    core = a[::w, ::w]
+    if not all(np.array_equal(a[u::w, u::w], core) for u in range(1, w)):
+        return None
+    if np.count_nonzero(a) != w * np.count_nonzero(core):
+        return None
+    return FieldMatrix._trusted(mat.field, core.copy())
+
+
 def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldMatrix:
     """The map reassembling block j's source from terminal t_Bj's in-edges.
 
@@ -323,6 +375,41 @@ def code_to_json(code: NetworkCode) -> str:
     return dumps(data) + "\n"
 
 
+# the tails an in-edge of each kind may start at
+_IN_EDGE_TAILS = {EDGE_HEAD_TO_TERMINAL: (BOTTLENECK_HEAD,), EDGE_DIRECT: (SOURCE_POINT, SOURCE_BLOCK)}
+
+
+def _check_decoder_edges(d: Design, decoders: dict[NodeId, TerminalDecoder]) -> None:
+    """Raise ParseError unless there is one decoder per terminal of the
+    design and every in-edge leads from a node of the design that fits its
+    kind into that decoder's terminal."""
+
+    def in_design(node: NodeId) -> bool:
+        return node.index < (d.b if node.kind in (SOURCE_BLOCK, TERMINAL_BLOCK) else d.v)
+
+    for t, dec in decoders.items():
+        if t.kind not in (TERMINAL_POINT, TERMINAL_BLOCK) or not in_design(t):
+            raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
+        for e in dec.in_edges:
+            tails = _IN_EDGE_TAILS.get(e.kind, ())
+            if e.head == t and e.tail.kind in tails and in_design(e.tail):
+                continue
+            edge = f"decoder at {t.label()} lists in-edge {e.tail.label()} -> {e.head.label()}"
+            if e.head != t:
+                raise ParseError(f"{edge}, which does not end at its terminal")
+            if not tails:
+                raise ParseError(f"{edge} of kind {e.kind!r}, not a terminal in-edge kind")
+            if e.tail.kind not in tails:
+                raise ParseError(f"{edge}: a {e.kind} edge cannot start at a {e.tail.kind}")
+            if not in_design(e.tail):
+                raise ParseError(f"{edge}: {e.tail.label()} is not a node of the design")
+    if len(decoders) < d.v + d.b:
+        every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
+        every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
+        missing = next(t for t in every if t not in decoders)
+        raise ParseError(f"no decoder for {missing.label()}")
+
+
 def code_from_json(text: str) -> NetworkCode:
     try:
         data = json.loads(text)
@@ -352,6 +439,7 @@ def code_from_json(text: str) -> NetworkCode:
             f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
             f"m={expected.m} n={expected.n} regime={expected.regime!r} for this design over {f}"
         )
+    _check_decoder_edges(d, decoders)
     m, n, width = params.m, params.n, stacked_width(d, params.m)
     for i, enc in enumerate(encoders):
         if enc.shape != (n, width):

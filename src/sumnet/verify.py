@@ -4,9 +4,20 @@
 with the global maps of its in-edges and demands the all-identity sum map.
 By linearity that settles correctness for every input.  The composition
 goes block by block: a direct edge carries its source unchanged, so only
-head edges need a product.  ``simulate`` re-derives the same answers by
+head edges need a product, and only with the columns of the sources wired
+into their bottleneck.  ``simulate`` re-derives the same answers by
 pushing concrete values through the graph edge by edge, giving an
 independent evaluation path for cross-checks.
+
+The paper's fractional code is w interleaved copies of a small core code
+(``NetworkCode.interleaved_core``), and each copy acts on its own
+coordinates, so a check of the core decides the check of the code.  Every check is
+written once, for a code and the w it is lifted by, and maps the core's
+rows and columns back to the lifted layout: row a is row a*w, stacked
+column b is column b*w.  That is the first hit the same check finds on
+the lifted code, so every failure text is the same.  A code that is not
+an interleaving (the scalar code, a re-based one, one corrupted in a
+single copy) is checked as it is, by the same function at w = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ from .coding import (
     column_source,
     partial_sum_row,
     source_column,
-    source_columns,
     sources_sum_map,
     stacked_width,
     sum_map,
@@ -107,11 +117,21 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
             )
 
 
-def _terminal_map(code: NetworkCode, t: NodeId, starts: dict[NodeId, int]) -> np.ndarray:
+def _wired_columns(net: SumNetwork, i: int, m: int) -> np.ndarray:
+    """The stacked columns of the sources wired into bottleneck i, in
+    ``tail_in_edges`` order: the only columns its encoder may read."""
+    starts = [source_column(net.design, e.tail, m) for e in net.tail_in_edges(i)]
+    return (np.array(starts)[:, None] + np.arange(m)).ravel()
+
+
+def _terminal_map(
+    code: NetworkCode, t: NodeId, wired: list[np.ndarray], starts: dict[NodeId, int]
+) -> np.ndarray:
     """The residues of terminal t's end-to-end map from the stacked sources.
 
     A direct edge's decoder block lands at its source's columns; a head
-    edge contributes its decoder block times the bottleneck's encoder.
+    edge contributes its decoder block times the bottleneck's encoder,
+    which ``_check_compatible`` has confined to the ``wired`` columns.
     ``starts`` memoizes ``source_column`` across the terminals of a code.
     """
     d, m, n, f = code.design, code.params.m, code.params.n, code.field
@@ -122,7 +142,9 @@ def _terminal_map(code: NetworkCode, t: NodeId, starts: dict[NodeId, int]) -> np
     col = 0
     for e in dec.in_edges:
         if e.kind == EDGE_HEAD_TO_TERMINAL:
-            got += (FieldMatrix(f, blocks[:, col : col + n]) @ code.encoders[e.tail.index]).array
+            cols = wired[e.tail.index]
+            local = FieldMatrix._trusted(f, code.encoders[e.tail.index].array[:, cols])
+            got[:, cols] += (FieldMatrix(f, blocks[:, col : col + n]) @ local).array
             col += n
         else:
             start = starts.get(e.tail)
@@ -142,22 +164,30 @@ def _terminal_map(code: NetworkCode, t: NodeId, starts: dict[NodeId, int]) -> np
 def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """Verify that every terminal's end-to-end map is the sum of sources."""
     _check_compatible(net, code)
+    return _transfer_check(net, *code.interleaved_core)
+
+
+def _transfer_check(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
+    """``transfer_check`` of ``code`` lifted by I_w.  The lift of the end-to-
+    end map is the map of the lift, so its first wrong entry is the core's
+    first one at row*w, col*w."""
     d, m = net.design, code.params.m
     want = sum_map(d, m, code.field).array
+    wired = [_wired_columns(net, i, m) for i in range(d.v)]
     starts: dict[NodeId, int] = {}
     failures = []
     for t in net.terminals():
-        got = _terminal_map(code, t, starts)
+        got = _terminal_map(code, t, wired, starts)
         if not np.array_equal(got, want):
             row, col = map(int, np.argwhere(got != want)[0])
-            source, offset = column_source(d, col, m)
+            source, offset = column_source(d, col * w, m * w)
             failures.append(
                 Failure(
                     at=t,
                     detail=(
                         f"unit input at {source.label()}[{offset}] decodes to "
                         f"{int(got[row, col])}, expected {int(want[row, col])} "
-                        f"(output row {row})"
+                        f"(output row {row * w})"
                     ),
                 )
             )
@@ -174,7 +204,7 @@ def _as_batch(value, m: int, p: int) -> np.ndarray:
 def _simulate_batch(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
 ) -> dict[NodeId, np.ndarray]:
-    d, m, p = net.design, code.params.m, code.field.p
+    m, p = code.params.m, code.field.p
     emitted: dict[NodeId, np.ndarray] = {}
     for node in topological_order(net):
         if node.kind in (SOURCE_POINT, SOURCE_BLOCK):
@@ -182,10 +212,8 @@ def _simulate_batch(
         elif node.kind == BOTTLENECK_TAIL:
             # local encoding: only the column blocks of sources actually
             # wired into this tail participate
-            in_edges = net.tail_in_edges(node.index)
-            enc = code.encoders[node.index].array
-            local = np.concatenate([enc[:, source_columns(d, e.tail, m)] for e in in_edges], axis=1)
-            received = np.concatenate([emitted[e.tail] for e in in_edges])
+            local = code.encoders[node.index].array[:, _wired_columns(net, node.index, m)]
+            received = np.concatenate([emitted[e.tail] for e in net.tail_in_edges(node.index)])
             emitted[node] = _matmul_mod(local, received, p)
         elif node.kind == BOTTLENECK_HEAD:
             (e,) = net.in_edges(node)
@@ -231,13 +259,25 @@ def simulate_trials(
     """Run seeded random assignments and compare every terminal against the
     plain sum of the drawn sources."""
     _check_compatible(net, code)
-    m, p = code.params.m, code.field.p
+    return _simulate_trials(net, *code.interleaved_core, trials, seed)
+
+
+def _simulate_trials(
+    net: SumNetwork, code: NetworkCode, w: int, trials: int, seed: int
+) -> SimulationSummary:
+    """``simulate_trials`` of ``code`` lifted by I_w.  Sources are drawn at
+    the lifted length, and copy u of trial t runs through the core as trial
+    u*trials + t."""
+    c, p = code.params.m, code.field.p
+    m = c * w
     rng = np.random.default_rng(seed)
     sources = {s: rng.integers(0, p, size=(m, trials)) for s in net.sources()}
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
-    outputs = _simulate_batch(net, code, {s: np.mod(x, p) for s, x in sources.items()})
+    # lifted row a*w + u of trial t is core row a of trial u*trials + t
+    batch = {s: np.mod(x, p).reshape(c, w * trials) for s, x in sources.items()}
+    outputs = {t: out.reshape(m, trials) for t, out in _simulate_batch(net, code, batch).items()}
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
     for t in sorted(outputs, key=lambda x: x.sort_key):
@@ -273,12 +313,18 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     bottleneck i must determine the partial sum at point i.
     """
     _check_compatible(net, code)
+    return _partial_sum_recoverable(net, *code.interleaved_core)
+
+
+def _partial_sum_recoverable(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
+    """``partial_sum_recoverable`` of ``code`` lifted by I_w, whose row
+    space is w copies of the core's, so core row a is lifted row a*w."""
     d, m, f = net.design, code.params.m, code.field
     failures = []
     for i in range(d.v):
         target = partial_sum_row(d, i, m, f)
         if not row_space_contains(code.encoders[i], target):
-            row = _first_row_outside(code.encoders[i], target)
+            row = _first_row_outside(code.encoders[i], target) * w
             failures.append(
                 Failure(
                     at=NodeId(BOTTLENECK_TAIL, i),
@@ -292,6 +338,12 @@ def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """For each block, the sum of its points' sources plus all block sources
     in its neighborhood must be recoverable from its points' bottlenecks."""
     _check_compatible(net, code)
+    return _block_sum_recoverable(net, *code.interleaved_core)
+
+
+def _block_sum_recoverable(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
+    """``block_sum_recoverable`` of ``code`` lifted by I_w; rows map back as
+    in ``_partial_sum_recoverable``."""
     d, m, f = net.design, code.params.m, code.field
     failures = []
     for j in range(d.b):
@@ -300,7 +352,7 @@ def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
         target_mat = sources_sum_map(d, sources, m, f)
         stacked = vstack([code.encoders[point] for point in d.blocks[j]])
         if not row_space_contains(stacked, target_mat):
-            row = _first_row_outside(stacked, target_mat)
+            row = _first_row_outside(stacked, target_mat) * w
             failures.append(
                 Failure(
                     at=NodeId(TERMINAL_BLOCK, j),

@@ -5,10 +5,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sumnet.coding import NetworkCode, TerminalDecoder, build_code
+from sumnet.coding import NetworkCode, TerminalDecoder, block_source_extractor, build_code
 from sumnet.designs import Design, fano
 from sumnet.field import FieldMatrix, PrimeField
-from sumnet.network import EDGE_HEAD_TO_TERMINAL, build_sum_network
+from sumnet.network import EDGE_HEAD_TO_TERMINAL, TERMINAL_BLOCK, NodeId, build_sum_network
+from sumnet.verify import (
+    _block_sum_recoverable,
+    _partial_sum_recoverable,
+    _simulate_trials,
+    _transfer_check,
+    block_sum_recoverable,
+    partial_sum_recoverable,
+    simulate_trials,
+    transfer_check,
+)
 
 
 def unitriangular_pair(n: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -42,6 +52,46 @@ def rebase_bottlenecks(net, code: NetworkCode, seed: int) -> NetworkCode:
             col += width
         decoders[t] = TerminalDecoder(in_edges=dec.in_edges, matrix=FieldMatrix(f, np.hstack(blocks)))
     return NetworkCode(code.design, f, code.params, encoders, decoders)
+
+
+def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
+    """Undo the overcount cancellation at the given block terminals (all of
+    them by default)."""
+    k = code.design.k
+    decoders = dict(code.decoders)
+    for j in range(code.design.b) if blocks is None else blocks:
+        t = NodeId(TERMINAL_BLOCK, j)
+        dec = decoders[t]
+        extractor = block_source_extractor(code, net, j)
+        decoders[t] = TerminalDecoder(
+            in_edges=dec.in_edges, matrix=dec.matrix + (k - 1) * extractor
+        )
+    return NetworkCode(
+        design=code.design,
+        field=code.field,
+        params=code.params,
+        encoders=code.encoders,
+        decoders=decoders,
+    )
+
+
+CHECKS = (
+    (transfer_check, _transfer_check),
+    (partial_sum_recoverable, _partial_sum_recoverable),
+    (block_sum_recoverable, _block_sum_recoverable),
+)
+
+
+def assert_core_path_agrees(net, code, seed):
+    """Each entry point, which checks the core of an interleaved code,
+    returns what its w = 1 form returns on the code as given."""
+    for check, as_given in CHECKS:
+        assert check(net, code) == as_given(net, code, 1)
+    summary, as_given = simulate_trials(net, code, 64, seed), _simulate_trials(net, code, 1, 64, seed)
+    assert summary == as_given
+    assert [(x.at.label(), x.detail) for x in summary.failures] == [
+        (x.at.label(), x.detail) for x in as_given.failures
+    ]
 
 
 @pytest.fixture

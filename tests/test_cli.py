@@ -258,6 +258,49 @@ def test_simulate_rejects_misshapen_matrices(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_simulate_rejects_decoder_in_edges_outside_the_design(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    saved = path.read_text()
+
+    def set_edge(index, tail=None, head=None, kind=None):
+        def corrupt(decoders):
+            edge = decoders["terminal-point:2"]["in_edges"][index]
+            edge[:] = [tail or edge[0], head or edge[1], kind or edge[2]]
+        return corrupt
+
+    def rename(old, new):
+        def corrupt(decoders):
+            decoders[new] = decoders.pop(old)
+        return corrupt
+
+    at = "decoder at terminal-point:2 lists in-edge"
+    cases = (
+        (set_edge(1, head="terminal-point:3"),
+         f"{at} source-point:1 -> terminal-point:3, which does not end at its terminal"),
+        (set_edge(1, kind="relay"),
+         f"{at} source-point:1 -> terminal-point:2 of kind 'relay', not a terminal in-edge kind"),
+        (set_edge(0, kind="direct"),
+         f"{at} bottleneck-head:2 -> terminal-point:2: a direct edge cannot start at a bottleneck-head"),
+        (set_edge(1, tail="source-block:8"),
+         f"{at} source-block:8 -> terminal-point:2: source-block:8 is not a node of the design"),
+        (rename("terminal-block:7", "terminal-block:8"),
+         "decoder at terminal-block:8, which is not a terminal of the design"),
+        (rename("terminal-block:7", "source-point:1"),
+         "decoder at source-point:1, which is not a terminal of the design"),
+        (lambda decoders: decoders.pop("terminal-block:7"), "no decoder for terminal-block:7"),
+    )
+    for corrupt, message in cases:
+        data = json.loads(saved)
+        corrupt(data["decoders"])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_simulate_saved_code_with_dense_large_coefficients(tmp_path, capsys, rebased_fano_bigprime):
     _, code = rebased_fano_bigprime
     path = tmp_path / "code.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sumnet.coding import REGIME_DIVIDES, build_code, code_params_for
+from sumnet.coding import REGIME_DIVIDES, _core, build_code, code_params_for
 from sumnet.designs import design_verify
 from sumnet.field import PrimeField
 from sumnet.network import build_sum_network, network_export_json, network_from_json, network_validate
@@ -14,7 +14,7 @@ from sumnet.verify import (
     transfer_check,
 )
 
-from conftest import affine_plane, projective_plane
+from conftest import affine_plane, assert_core_path_agrees, drop_block_correction, projective_plane
 
 
 def test_plane_parameters():
@@ -54,3 +54,20 @@ def test_scalar_regime_over_an_odd_prime():
     assert code_params_for(d, PrimeField(3)).regime == REGIME_DIVIDES
     assert code_params_for(d, PrimeField(2)).rate == (12, 24)
     assert code_params_for(affine_plane(5), PrimeField(3)).rate == (25, 55)
+
+
+@pytest.mark.parametrize(
+    "design,p", [(projective_plane(3), 2), (affine_plane(5), 3)], ids=["PG(2,3)-GF(2)", "AG(2,5)-GF(3)"]
+)
+def test_fractional_core_is_recognised_for_k_above_three(design, p):
+    net = build_sum_network(design)
+    code = build_code(net, PrimeField(p))
+    c, s, w = _core(design, code.params)
+    core, copies = code.interleaved_core
+    assert copies == w == code.params.m // design.k > 1
+    assert core.params.rate == (c, c + s)
+    assert_core_path_agrees(net, code, seed=p)
+    broken = drop_block_correction(net, code)
+    assert broken.interleaved_core[1] == w
+    assert not transfer_check(net, broken).ok
+    assert_core_path_agrees(net, broken, seed=p)

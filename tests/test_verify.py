@@ -11,7 +11,9 @@ from sumnet.coding import (
     NetworkCode,
     TerminalDecoder,
     UnsupportedLambdaError,
-    block_source_extractor,
+    _core,
+    _lift,
+    _unlift,
     build_code,
     build_code_char_divides,
     code_from_json,
@@ -38,7 +40,7 @@ from sumnet.verify import (
     transfer_check,
 )
 
-from conftest import rebase_bottlenecks
+from conftest import assert_core_path_agrees, drop_block_correction, rebase_bottlenecks
 
 
 def fano_code(p):
@@ -63,27 +65,6 @@ def shift_entries(mat: FieldMatrix, entries, delta: int) -> FieldMatrix:
     for row, col in entries:
         a[row, col] += delta
     return FieldMatrix(mat.field, a)
-
-
-def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
-    """Undo the overcount cancellation at the given block terminals (all of
-    them by default)."""
-    k = code.design.k
-    decoders = dict(code.decoders)
-    for j in range(code.design.b) if blocks is None else blocks:
-        t = NodeId(TERMINAL_BLOCK, j)
-        dec = decoders[t]
-        extractor = block_source_extractor(code, net, j)
-        decoders[t] = TerminalDecoder(
-            in_edges=dec.in_edges, matrix=dec.matrix + (k - 1) * extractor
-        )
-    return NetworkCode(
-        design=code.design,
-        field=code.field,
-        params=code.params,
-        encoders=code.encoders,
-        decoders=decoders,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +367,41 @@ def test_transfer_and_simulation_agree_on_corrupted_codes(case, seed):
     assert code_from_json(code_to_json(code)) == code
 
 
+@settings(max_examples=40, deadline=None)
+@given(corrupted_codes(), st.integers(0, 2**32 - 1))
+def test_core_path_agrees_with_the_full_path_on_corrupted_codes(case, seed):
+    assert_core_path_agrees(*case, seed)
+
+
+def test_code_maps_are_read_only_so_the_core_is_found_once():
+    net, code = fano_code(3)
+    with pytest.raises(TypeError):
+        code.decoders[NodeId(TERMINAL_BLOCK, 0)] = code.decoders[NodeId(TERMINAL_BLOCK, 1)]
+    again = NetworkCode(code.design, code.field, code.params, list(code.encoders), code.decoders)
+    assert isinstance(again.encoders, tuple) and again == code
+    core, w = code.interleaved_core
+    assert (w, core.params.rate) == (2, (3, 6))
+    assert code.interleaved_core[0] is core
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unlift_inverts_lift_and_rejects_a_broken_copy(data):
+    f = PrimeField(data.draw(st.sampled_from((2, 3, 5, 2147483647))))
+    rows, cols, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(0, f.p - 1), min_size=cols, max_size=cols)
+    core = FieldMatrix(f, data.draw(st.lists(entries, min_size=rows, max_size=rows)))
+    lifted = _lift(f, core.array, w)
+    assert _unlift(lifted, w) == core
+    if w == 1:
+        return
+    delta = data.draw(st.integers(1, f.p - 1))
+    i, b = data.draw(st.integers(0, rows * w - 1)), data.draw(st.integers(0, cols - 1))
+    off = b * w + (i % w + data.draw(st.integers(1, w - 1))) % w  # another copy's column
+    assert _unlift(shift_entries(lifted, [(i, off)], delta), w) is None
+    assert _unlift(shift_entries(lifted, [(i, b * w + i % w)], delta), w) is None
+
+
 # ---------------------------------------------------------------------------
 # golden failure reports: verdicts and failure texts are pinned byte for byte
 # ---------------------------------------------------------------------------
@@ -407,13 +423,55 @@ def bump_decoder_entry(code: NetworkCode) -> NetworkCode:
     return NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
 
 
+def zero_core_encoder_row(code: NetworkCode, i: int) -> NetworkCode:
+    """Zero the last core partial-sum row, c-1, in every copy of encoder i."""
+    c, _, w = _core(code.design, code.params)
+    a = code.encoders[i].array.copy()
+    a[(c - 1) * w : c * w] = 0
+    return replace_encoder(code, i, FieldMatrix(code.field, a))
+
+
+def bump_core_decoder_entry(code: NetworkCode) -> NetworkCode:
+    """Add 1 at core entry (c-1, 0) in every copy of the first terminal's
+    decoder: entries ((c-1)*w + u, u)."""
+    c, _, w = _core(code.design, code.params)
+    t = min(code.decoders, key=lambda x: x.sort_key)
+    dec = code.decoders[t]
+    a = dec.matrix.array.copy()
+    for u in range(w):
+        a[(c - 1) * w + u, u] += 1
+    decoders = dict(code.decoders)
+    decoders[t] = TerminalDecoder(in_edges=dec.in_edges, matrix=FieldMatrix(code.field, a))
+    return NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
+
+
+# decoder-entry and encoder-row break the interleaving of a fractional code;
+# the other four change every copy alike and keep it
 CORRUPTIONS = {
     # the last partial-sum row, so failures name a row other than the first
     "encoder-row": lambda net, code: zero_encoder_row(code, 0, code.params.m - 1),
     "decoder-entry": lambda net, code: bump_decoder_entry(code),
     "one-correction": lambda net, code: drop_block_correction(net, code, blocks=[0]),
     "encoder": lambda net, code: zero_encoder(code, 0),
+    "structured-encoder-row": lambda net, code: zero_core_encoder_row(code, 0),
+    "structured-decoder-entry": lambda net, code: bump_core_decoder_entry(code),
 }
+
+DESIGNS = {"fano": fano, "sts9": lambda: sts_bose(9), "sts15": lambda: sts_bose(15)}
+
+
+def test_corruptions_keep_or_break_the_interleaving():
+    net = build_sum_network(sts_bose(9))
+    code = build_code(net, PrimeField(5))
+    copies = {name: corrupt(net, code).interleaved_core[1] for name, corrupt in CORRUPTIONS.items()}
+    assert copies == {
+        "encoder-row": 1,
+        "decoder-entry": 1,
+        "one-correction": 3,
+        "encoder": 3,
+        "structured-encoder-row": 3,
+        "structured-decoder-entry": 3,
+    }
 
 
 def failure_report(net, code) -> str:
@@ -434,14 +492,20 @@ FAILURE_REPORT_SHA256 = {
     ('fano', 3, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
     ('fano', 3, 'encoder-row'): "95e2231cfdf7a08f6bce391739c764684c729018b01f7b1d0910ab4bdb803480",
     ('fano', 3, 'one-correction'): "fd3a9663af2adfed3ab4ec2a0bf4c42d97e063fceca7413e100a00e64a5ab971",
+    ('fano', 3, 'structured-decoder-entry'): "500dacce15f594c89e2f20492d32e13eaa8952f93d718a047acb1c100c4c8b41",
+    ('fano', 3, 'structured-encoder-row'): "6503bf32d5de5a14cadc637c58f4b6eca2b88fded8c323f89144616dc9c8fa67",
     ('fano', 5, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
     ('fano', 5, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
     ('fano', 5, 'encoder-row'): "95e2231cfdf7a08f6bce391739c764684c729018b01f7b1d0910ab4bdb803480",
     ('fano', 5, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('fano', 5, 'structured-decoder-entry'): "500dacce15f594c89e2f20492d32e13eaa8952f93d718a047acb1c100c4c8b41",
+    ('fano', 5, 'structured-encoder-row'): "6503bf32d5de5a14cadc637c58f4b6eca2b88fded8c323f89144616dc9c8fa67",
     ('fano', 2147483647, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
     ('fano', 2147483647, 'encoder'): "78ca3f3bd318c8d04fedf674a383a2b6d864f19a3b30d1e7a3fa8ff490951333",
     ('fano', 2147483647, 'encoder-row'): "95e2231cfdf7a08f6bce391739c764684c729018b01f7b1d0910ab4bdb803480",
     ('fano', 2147483647, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('fano', 2147483647, 'structured-decoder-entry'): "500dacce15f594c89e2f20492d32e13eaa8952f93d718a047acb1c100c4c8b41",
+    ('fano', 2147483647, 'structured-encoder-row'): "6503bf32d5de5a14cadc637c58f4b6eca2b88fded8c323f89144616dc9c8fa67",
     ('sts9', 2, 'decoder-entry'): "5067e67535a707156755d2a8c9f1855011138f0d1f2472d9b1d42296c65d6d13",
     ('sts9', 2, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
     ('sts9', 2, 'encoder-row'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
@@ -450,20 +514,105 @@ FAILURE_REPORT_SHA256 = {
     ('sts9', 3, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
     ('sts9', 3, 'encoder-row'): "290a2ee533a07f9174f2746e937974f8a67893b8d47e7898cccba23157dc63d5",
     ('sts9', 3, 'one-correction'): "fd3a9663af2adfed3ab4ec2a0bf4c42d97e063fceca7413e100a00e64a5ab971",
+    ('sts9', 3, 'structured-decoder-entry'): "e6cff2112e8c91f854378e8a4bf1351d2100ecc18033f8e5cd07c9d6aec010ff",
+    ('sts9', 3, 'structured-encoder-row'): "cb098aa8ca75b930798cadfeac1310253f993848016394bb2266e305f750e0b3",
     ('sts9', 5, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
     ('sts9', 5, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
     ('sts9', 5, 'encoder-row'): "290a2ee533a07f9174f2746e937974f8a67893b8d47e7898cccba23157dc63d5",
     ('sts9', 5, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('sts9', 5, 'structured-decoder-entry'): "e6cff2112e8c91f854378e8a4bf1351d2100ecc18033f8e5cd07c9d6aec010ff",
+    ('sts9', 5, 'structured-encoder-row'): "cb098aa8ca75b930798cadfeac1310253f993848016394bb2266e305f750e0b3",
     ('sts9', 2147483647, 'decoder-entry'): "5cd7516e5ed83d9cbe02ff0727d5bbb10322d97bf58a3491b706b1d80826f3c9",
     ('sts9', 2147483647, 'encoder'): "83dfad57aac08003ad157006dc1f6d36ff39438a8fb7ed5af2ed0acc082cc023",
     ('sts9', 2147483647, 'encoder-row'): "290a2ee533a07f9174f2746e937974f8a67893b8d47e7898cccba23157dc63d5",
     ('sts9', 2147483647, 'one-correction'): "0ef3274f9fc04f17b944dd7d33d11a4a26dc87d21eb31a0cd1366b54d8e273b7",
+    ('sts9', 2147483647, 'structured-decoder-entry'): "e6cff2112e8c91f854378e8a4bf1351d2100ecc18033f8e5cd07c9d6aec010ff",
+    ('sts9', 2147483647, 'structured-encoder-row'): "cb098aa8ca75b930798cadfeac1310253f993848016394bb2266e305f750e0b3",
+    ('sts15', 3, 'structured-decoder-entry'): "14d48de5e5fe45028cb8181d9b2be6bbe4d1995cca290e823d6738f44f58346e",
+    ('sts15', 3, 'structured-encoder-row'): "30ac0f19dacc896fb9f164eb55163cc85148eceb2af2c5017f7e2e8bb8fa4368",
+    ('sts15', 5, 'structured-decoder-entry'): "14d48de5e5fe45028cb8181d9b2be6bbe4d1995cca290e823d6738f44f58346e",
+    ('sts15', 5, 'structured-encoder-row'): "30ac0f19dacc896fb9f164eb55163cc85148eceb2af2c5017f7e2e8bb8fa4368",
+    ('sts15', 2147483647, 'structured-decoder-entry'): "14d48de5e5fe45028cb8181d9b2be6bbe4d1995cca290e823d6738f44f58346e",
+    ('sts15', 2147483647, 'structured-encoder-row'): "30ac0f19dacc896fb9f164eb55163cc85148eceb2af2c5017f7e2e8bb8fa4368",
 }
 
 
 @pytest.mark.parametrize("name,p,corruption", sorted(FAILURE_REPORT_SHA256))
 def test_failure_report_golden_digest(name, p, corruption):
-    net = build_sum_network(fano() if name == "fano" else sts_bose(9))
+    net = build_sum_network(DESIGNS[name]())
     broken = CORRUPTIONS[corruption](net, build_code(net, PrimeField(p)))
     text = failure_report(net, broken)
     assert hashlib.sha256(text.encode()).hexdigest() == FAILURE_REPORT_SHA256[name, p, corruption]
+
+
+def simulation_report(net, code) -> str:
+    summary = simulate_trials(net, code, 200, seed=7)
+    lines = [f"ok={summary.ok} mismatched_trials={summary.mismatched_trials}"]
+    lines += [f"  {x.at.label() if x.at else None}: {x.detail}" for x in summary.failures]
+    return "\n".join(lines) + "\n"
+
+
+SIMULATION_REPORT_SHA256 = {
+    ('fano', 3, 'decoder-entry'): "26b680fc1c33e128ad2c8520b95dd18efdffa38068d525cc815db9ce15ff9169",
+    ('fano', 3, 'encoder'): "5330eea77a0457f32a9a3facebb887dcd53462169fb19a530e46751ffad0a9c3",
+    ('fano', 3, 'encoder-row'): "9bf42fb7a6c168b2a88d375dea740f15686645d8f414dde2e5320b8bea72a4fd",
+    ('fano', 3, 'one-correction'): "c52b436e690d032f95d7eb5bbe04a86c8cec9def0e2b25c198dd0d0b35c91555",
+    ('fano', 3, 'structured-decoder-entry'): "955eed2829874d1781804e1f56becb5e315e53e7c5019eb2661e9a795f488ace",
+    ('fano', 3, 'structured-encoder-row'): "0822b8aae8196413363a62cf9de46e1ca99af5d605992b3626357c6e6f0cfd80",
+    ('fano', 5, 'decoder-entry'): "ddec8200a469f8395a85d053d4e161168ca59a53e1c6716c15fd719ac5cf4573",
+    ('fano', 5, 'encoder'): "c0fbf6c0fbbb8bea191807a90f68076b13b28b117c9b785e83da1b6d1ede32a5",
+    ('fano', 5, 'encoder-row'): "8f9f565fe59dcc9090cd29a8aec38325440c4a7889c2cfa18faa95f28905f46b",
+    ('fano', 5, 'one-correction'): "aa728cf4bc5067b15d0732a8c1bc145df9ebe0d09ea4434b432abc8c587d9e3c",
+    ('fano', 5, 'structured-decoder-entry'): "277fa5e81d2bee074671c91fd982f3f7a930316d4c8911f741fad367f98f8730",
+    ('fano', 5, 'structured-encoder-row'): "261e4dc9915ee4c487f799e18a3e53e261efec0829f76138126db0752b565c58",
+    ('fano', 2147483647, 'decoder-entry'): "a6f5f0cea4d3ea695dff30b26763fdf5b945bfe7bd9da2897801fb3157b0cf12",
+    ('fano', 2147483647, 'encoder'): "102bbc32af5ecc40cbfda653cebb36b9231d48e8d55de91407522e8270700d8f",
+    ('fano', 2147483647, 'encoder-row'): "8e6071d08ba68817fd40ee161273bfb37c61a93d53b610722645e15427703604",
+    ('fano', 2147483647, 'one-correction'): "96b47f29dfb60fa1d3ad1f2309e602d4d90bf4cbc8b634f671789501ab2def9a",
+    ('fano', 2147483647, 'structured-decoder-entry'): "a7cf50589eeea370cdc370841baab59cdc09471c8a233b3cb6eb09ff3f872bf1",
+    ('fano', 2147483647, 'structured-encoder-row'): "c02e77a1aee8419a9a4ceb2cb8b14c09dd4948d82dc2d54bfcc5746dda138b19",
+    ('sts15', 3, 'decoder-entry'): "b0837782d675bcfca232b4e928ea572a0f36d7ae7d155115ff0730c07b510803",
+    ('sts15', 3, 'encoder'): "8a1dd692311feaa7a4126f64c4b88a50d4bb5169b2f7e0c7b37cf1ddc3a00215",
+    ('sts15', 3, 'encoder-row'): "d6a415f5b977c720d2504d0a28f5ab9f75273b67d912b769b521a712a5cf42f3",
+    ('sts15', 3, 'one-correction'): "b9f9b71a6859939ea89dd6b4853feb0e92ed54108cef12a119eb4d0dcc9cc6bf",
+    ('sts15', 3, 'structured-decoder-entry'): "2415cba7d2b9722100d8ecb635380ec4de6a8b996acb12dfade312f260078c9c",
+    ('sts15', 3, 'structured-encoder-row'): "70694d45e4c1de9c2812d161aaa47774309953e94024d8c2c2a8962b51f11e1e",
+    ('sts15', 5, 'decoder-entry'): "ca8e9b04fc563b2d0bd69ddbd407f0b71e23dbd16ad68164fc01968214418973",
+    ('sts15', 5, 'encoder'): "df53bfb94bff6ac9b6f451aa7671f69ca59473a5dd88016f9388382f6fd1d771",
+    ('sts15', 5, 'encoder-row'): "c0d3c1781778409ec1dcafedebd6234eac7c7f57a1945da8c237d4086c7e35bf",
+    ('sts15', 5, 'one-correction'): "6b5e3b524ae5e02e6a89d39aa237580318db83a1c62f1e675f9041c825d160ca",
+    ('sts15', 5, 'structured-decoder-entry'): "b07386d59a5b195f1ea41c92a832e6e8dd7fb23117771010238ff2610b0a5408",
+    ('sts15', 5, 'structured-encoder-row'): "ebe59c1af051df243ff972614ff15bf453ffec5832664bb5d6ca3b63717edcdb",
+    ('sts15', 2147483647, 'decoder-entry'): "d8deb58f82fb4a7b753d83ac0bf4048f4957a550e78866c58c5b16d6b8302694",
+    ('sts15', 2147483647, 'encoder'): "2c35d61293fb3c516e3b1ce3f42a1cc830317025d6afdeb38bb47d1f65fa71a1",
+    ('sts15', 2147483647, 'encoder-row'): "498617ea7c7790b3b2722dd7b2de60081420eef1187e9c0fde4cd0d1cf86339c",
+    ('sts15', 2147483647, 'one-correction'): "73079e1b8395310fd25b2637f48f0299de9dccc8c7323aa8f019f9c776264eae",
+    ('sts15', 2147483647, 'structured-decoder-entry'): "6656eeb614c27faf67f5264a5460a6f8e90239b31b19f871ba92a7fb6ef7f8d3",
+    ('sts15', 2147483647, 'structured-encoder-row'): "c06c198efe3cf4e06de923b76ed1e9b6039b5b1486221f80c998028625dc68aa",
+    ('sts9', 3, 'decoder-entry'): "8f6b35796a8a4bff5f0d3434667ad51eb5f260a627c68b0b1cb418e3ddf0ae49",
+    ('sts9', 3, 'encoder'): "96a770726101d4ec2f827479a6b123b720dbe0069f7ca3fb873a3c3b292af65f",
+    ('sts9', 3, 'encoder-row'): "de6e42e053df65389655b1a94b73a398104587e249b5400ed363ae1d21becbb6",
+    ('sts9', 3, 'one-correction'): "12ad7d5390d8b7bef5114fb6548f24346a932ac42c4a506a251d918f595334b8",
+    ('sts9', 3, 'structured-decoder-entry'): "9b354c9875be43d0334a4bd83fe45537bbf56fb4640a98f5a28c6681b7d62586",
+    ('sts9', 3, 'structured-encoder-row'): "797b47b74f8c9e5ab56d5e343b379615077d967b28910059d8bee28fae3aa839",
+    ('sts9', 5, 'decoder-entry'): "5e399f5e3da4f9fe1f84cdf2f3062e08b565caf6461ab8fbd6e0e8796b7c6fd5",
+    ('sts9', 5, 'encoder'): "96cbfce87069a3ef03008bdcd584fed6132b713e206bbcdad7f692c1f3d477bb",
+    ('sts9', 5, 'encoder-row'): "7a76e9a2262a5d10ee6996c8afc384f3d68a2b05a305e3babe5f052897eb492f",
+    ('sts9', 5, 'one-correction'): "b54b5befce50959e633ce82a483ad2b118384b67c2e937ad5501615004aa8b8b",
+    ('sts9', 5, 'structured-decoder-entry'): "082da0eedf19f24f0518f36017da50883b5e78fd578e2beb43a58e2086e3a74a",
+    ('sts9', 5, 'structured-encoder-row'): "8b301b2c4125001efb24057e6f7bbc0422fd4bd7009baf8e78cc7c1c43adf396",
+    ('sts9', 2147483647, 'decoder-entry'): "515306ed14584ddc7e7670e1c879eff31b8f73e6d8960871978dca66e1482378",
+    ('sts9', 2147483647, 'encoder'): "12086eb81625a2a5b10f1938a24ca33b96421a06f1c717f8bedbfc975bced6fb",
+    ('sts9', 2147483647, 'encoder-row'): "19cf0252d31a2bec945314dad96183705ca580740974448b91d45c85e4144fb2",
+    ('sts9', 2147483647, 'one-correction'): "28a325f9e407eff052791e8cb3ace532cf490737b4e115e2f4f621eab4b9eff0",
+    ('sts9', 2147483647, 'structured-decoder-entry'): "40527fbd4961af2f7733c66df4303638bddde99f7d47f92f1f5fc5ffe336815d",
+    ('sts9', 2147483647, 'structured-encoder-row'): "f56ae271f1abf1dd4e5c458776f293e101bbde4a5cf1b5518ace01e2ba2f964a",
+}
+
+
+@pytest.mark.parametrize("name,p,corruption", sorted(SIMULATION_REPORT_SHA256))
+def test_simulation_report_golden_digest(name, p, corruption):
+    net = build_sum_network(DESIGNS[name]())
+    broken = CORRUPTIONS[corruption](net, build_code(net, PrimeField(p)))
+    text = simulation_report(net, broken)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATION_REPORT_SHA256[name, p, corruption]
