@@ -31,14 +31,35 @@ class FieldMismatchError(ValueError):
     """Operands live over different prime fields."""
 
 
+# the first twelve primes; as Miller-Rabin bases they decide primality
+# exactly for every n below 3.3e24 (Sorenson and Webster, Math. Comp. 86,
+# 2017), far past the 2**31 cap on moduli.  Above that bound a composite
+# could pass only as a strong pseudoprime to all twelve, and is then
+# refused as too large instead.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over ``_WITNESSES``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

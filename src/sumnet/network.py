@@ -3,17 +3,32 @@
 Each point and each block of the design contributes one source and one
 terminal; every point additionally contributes a unit-capacity bottleneck
 edge whose tail collects the point's neighborhood and whose head fans it
-back out.  All remaining source/terminal pairs are wired directly.
+back out.  All remaining source/terminal pairs are wired directly, so a
+2-(v,k,1) design gives Θ((v+b)²) edges: 119,595 at STS(45).
+
+Layout.  The nodes are numbered in ``NodeId.sort_key`` order, nodes of an
+unknown kind after the known ones.  The edges are three integer arrays
+(tail id, head id, kind code) in construction order.  A CSR in-index lists
+each node's in-edges by kind code, then tail id, which for a terminal is
+the canonical order: head edges by bottleneck, then direct edges by
+source.  A CSR out-index lists each node's out-edges by head id.  Every
+accessor is a slice of one of them.  ``Edge`` objects are made only when a
+caller asks for them, at most once per edge of a network.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
-from operator import attrgetter
+from collections import deque
+from collections.abc import Sequence
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import or_
 from typing import Iterable, NamedTuple
 
-from ._jsonwriter import dumps
+import numpy as np
+
+from ._jsonwriter import StringTable, dumps
 from .designs import Design, InvalidDesignError, ParseError, ValidationReport
 
 SOURCE_POINT = "source-point"
@@ -37,10 +52,9 @@ EDGE_SOURCE_TO_TAIL = "source-to-tail"
 EDGE_HEAD_TO_TERMINAL = "head-to-terminal"
 EDGE_DIRECT = "direct"
 
-_TAIL = attrgetter("tail")
-_TAIL_INDEX = attrgetter("tail.index")
-_TAIL_SORT_KEY = attrgetter("tail.sort_key")
-_SORT_KEY = attrgetter("sort_key")
+# edge kind codes; a network appends any other kind it is given after these
+_EDGE_KINDS = (EDGE_BOTTLENECK, EDGE_SOURCE_TO_TAIL, EDGE_HEAD_TO_TERMINAL, EDGE_DIRECT)
+_BOTTLENECK, _SOURCE_TO_TAIL, _HEAD_TO_TERMINAL, _DIRECT = range(len(_EDGE_KINDS))
 
 
 class NodeId(NamedTuple):
@@ -53,6 +67,12 @@ class NodeId(NamedTuple):
     @property
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_ORDER[self.kind], self.index)
+
+
+def _node_rank(node: NodeId) -> tuple:
+    """``sort_key`` for the known kinds; nodes of other kinds after them."""
+    order = _KIND_ORDER.get(node.kind)
+    return (0, order, node.index) if order is not None else (1, node.kind, node.index)
 
 
 def parse_node_label(label: str) -> NodeId:
@@ -72,21 +92,110 @@ class Edge(NamedTuple):
     kind: str
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _csr(keys: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, order): the edges sorted by ``keys`` (which sort by ``groups``
+    first), and group x's edges at ``order[ptr[x]:ptr[x + 1]]``."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(groups, minlength=size), out=ptr[1:])
+    return _frozen(ptr), _frozen(np.argsort(keys, kind="stable"))
+
+
+class EdgeList(Sequence):
+    """``SumNetwork.edges``: the edges in construction order, compared and
+    concatenated like a tuple.  Its length is read off the arrays; the
+    ``Edge`` objects are made on first access to an item."""
+
+    __slots__ = ("_net",)
+
+    def __init__(self, net: SumNetwork):
+        self._net = net
+
+    def __len__(self) -> int:
+        return len(self._net._tail)
+
+    def __getitem__(self, i):
+        return self._net._edge_tuple[i]
+
+    def __iter__(self):
+        return iter(self._net._edge_tuple)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeList):
+            other = other._net._edge_tuple
+        return self._net._edge_tuple == other
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return self._net._edge_tuple + (other._net._edge_tuple if isinstance(other, EdgeList) else other)
+
+    def __radd__(self, other):
+        return other + self._net._edge_tuple
+
+    def __repr__(self) -> str:
+        return f"EdgeList({len(self)} edges)"
+
+
 class SumNetwork:
-    """An immutable DAG with typed nodes and classified edges."""
+    """An immutable DAG with typed nodes and classified edges.
+
+    ``SumNetwork(design, nodes, edges)`` accepts any node and edge lists,
+    broken ones included, so that ``network_validate`` can report on them.
+    """
 
     def __init__(self, design: Design, nodes: Iterable[NodeId], edges: Iterable[Edge]):
+        nodes, edges = tuple(nodes), tuple(edges)
+        table = sorted({*nodes, *(x for e in edges for x in (e.tail, e.head))}, key=_node_rank)
+        ids = {node: i for i, node in enumerate(table)}
+        codes = {kind: c for c, kind in enumerate(_EDGE_KINDS)}
+        for e in edges:
+            codes.setdefault(e.kind, len(codes))
+        self._setup(
+            design,
+            nodes,
+            tuple(table),
+            np.fromiter((ids[e.tail] for e in edges), np.int32, len(edges)),
+            np.fromiter((ids[e.head] for e in edges), np.int32, len(edges)),
+            np.fromiter((codes[e.kind] for e in edges), np.int16, len(edges)),
+            tuple(codes),
+        )
+        # the caller's edges are this network's Edge objects
+        self._made[:] = edges
+        self._unmade[:] = False
+
+    @classmethod
+    def _from_ids(
+        cls,
+        design: Design,
+        nodes: tuple[NodeId, ...],
+        table: tuple[NodeId, ...],
+        tail: np.ndarray,
+        head: np.ndarray,
+        kind: np.ndarray,
+    ) -> SumNetwork:
+        """A network from edge arrays over ``table``, which must hold the
+        listed nodes in ``_node_rank`` order, and the standard edge kinds."""
+        net = cls.__new__(cls)
+        net._setup(design, nodes, table, tail, head, kind, _EDGE_KINDS)
+        return net
+
+    def _setup(self, design, nodes, table, tail, head, kind, kinds) -> None:
         self.design = design
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        into: dict[NodeId, list[Edge]] = defaultdict(list)
-        out_of: dict[NodeId, list[Edge]] = defaultdict(list)
-        for e in self.edges:
-            into[e.head].append(e)
-            out_of[e.tail].append(e)
-        # keyed by edge endpoints only, so lookups never add a node
-        self._in = dict(into)
-        self._out = dict(out_of)
+        self.nodes = nodes
+        self._node_table = table
+        self._ids = {node: i for i, node in enumerate(table)}
+        self._tail = _frozen(tail.astype(np.int32, copy=False))
+        self._head = _frozen(head.astype(np.int32, copy=False))
+        self._kind = _frozen(kind.astype(np.min_scalar_type(len(kinds) - 1), copy=False))
+        self._kinds = kinds
+        self._made: list[Edge | None] = [None] * len(tail)
+        self._unmade = np.ones(len(tail), dtype=bool)
+        self._in_edges: dict[NodeId, tuple[Edge, ...]] = {}
         self._terminal_in: dict[NodeId, tuple[Edge, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -95,11 +204,59 @@ class SumNetwork:
         return (
             self.design == other.design
             and self.nodes == other.nodes
-            and self.edges == other.edges
+            and self._node_table == other._node_table
+            and self._kinds == other._kinds
+            and np.array_equal(self._tail, other._tail)
+            and np.array_equal(self._head, other._head)
+            and np.array_equal(self._kind, other._kind)
         )
 
     def __repr__(self) -> str:
-        return f"SumNetwork(v={self.design.v}, b={self.design.b}, edges={len(self.edges)})"
+        return f"SumNetwork(v={self.design.v}, b={self.design.b}, edges={len(self._tail)})"
+
+    @property
+    def edges(self) -> EdgeList:
+        return EdgeList(self)
+
+    def _edges_at(self, ids: np.ndarray) -> tuple[Edge, ...]:
+        """The ``Edge`` objects of distinct edge ids, each made once."""
+        fresh = ids[self._unmade[ids]]
+        if fresh.size:
+            self._unmade[fresh] = False
+            table, kinds, made = self._node_table, self._kinds, self._made
+            tails = map(table.__getitem__, self._tail[fresh].tolist())
+            heads = map(table.__getitem__, self._head[fresh].tolist())
+            kind = map(kinds.__getitem__, self._kind[fresh].tolist())
+            edges = map(tuple.__new__, repeat(Edge), zip(tails, heads, kind))
+            deque(map(made.__setitem__, fresh.tolist(), edges), maxlen=0)
+        return tuple(map(self._made.__getitem__, ids.tolist()))
+
+    @cached_property
+    def _edge_tuple(self) -> tuple[Edge, ...]:
+        return self._edges_at(np.arange(len(self._tail)))
+
+    @cached_property
+    def _in_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR by head; a node's in-edges by kind code, then tail id."""
+        size, kinds = len(self._node_table), len(self._kinds)
+        keys = (self._head.astype(np.int64) * kinds + self._kind) * size + self._tail
+        return _csr(keys, self._head, size)
+
+    @cached_property
+    def _out_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR by tail; a node's out-edges by head id."""
+        size = len(self._node_table)
+        return _csr(self._tail.astype(np.int64) * size + self._head, self._tail, size)
+
+    def _in_ids(self, node: NodeId) -> np.ndarray:
+        x = self._ids.get(node)
+        ptr, order = self._in_index
+        return order[ptr[x] : ptr[x + 1]] if x is not None else order[:0]
+
+    def _out_ids(self, node: NodeId) -> np.ndarray:
+        x = self._ids.get(node)
+        ptr, order = self._out_index
+        return order[ptr[x] : ptr[x + 1]] if x is not None else order[:0]
 
     def sources(self) -> tuple[NodeId, ...]:
         return tuple(n for n in self.nodes if n.kind in (SOURCE_POINT, SOURCE_BLOCK))
@@ -109,100 +266,152 @@ class SumNetwork:
 
     def bottlenecks(self) -> tuple[Edge, ...]:
         """The v bottleneck edges in point order."""
-        found = sorted(
-            (e for e in self.edges if e.kind == EDGE_BOTTLENECK), key=lambda e: e.tail.index
-        )
-        return tuple(found)
+        ids = np.flatnonzero(self._kind == _BOTTLENECK)
+        index = np.array([x.index for x in self._node_table], dtype=np.int64)
+        return self._edges_at(ids[np.argsort(index[self._tail[ids]], kind="stable")])
 
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
-        return tuple(self._in.get(node, ()))
+        """In-edges of a node by kind (bottleneck, source-to-tail,
+        head-to-terminal, direct), then by tail.  Later calls return the
+        same tuple."""
+        edges = self._in_edges.get(node)
+        if edges is None:
+            edges = self._in_edges[node] = self._edges_at(self._in_ids(node))
+        return edges
 
     def out_edges(self, node: NodeId) -> tuple[Edge, ...]:
-        return tuple(self._out.get(node, ()))
+        """Out-edges of a node by head."""
+        return self._edges_at(self._out_ids(node))
 
     def terminal_in_edges(self, terminal: NodeId) -> tuple[Edge, ...]:
         """In-edges of a terminal in canonical order: head edges by
-        bottleneck index first, then direct edges by source order.  The
-        order is computed once per terminal; later calls return the same
-        tuple."""
+        bottleneck index first, then direct edges by source order.  Later
+        calls return the same tuple."""
         order = self._terminal_in.get(terminal)
         if order is None:
-            in_edges = self._in.get(terminal, ())
-            head = sorted(
-                (e for e in in_edges if e.kind == EDGE_HEAD_TO_TERMINAL), key=_TAIL_INDEX
-            )
-            direct = sorted((e for e in in_edges if e.kind == EDGE_DIRECT), key=_TAIL_SORT_KEY)
-            order = self._terminal_in[terminal] = (*head, *direct)
+            ids = self._in_ids(terminal)
+            kind = self._kind[ids]
+            keep = (kind == _HEAD_TO_TERMINAL) | (kind == _DIRECT)
+            order = self.in_edges(terminal) if keep.all() else self._edges_at(ids[keep])
+            self._terminal_in[terminal] = order
         return order
 
     def tail_in_edges(self, i: int) -> tuple[Edge, ...]:
         """In-edges of bottleneck tail i, point source first then blocks."""
-        return tuple(sorted(self._in.get(NodeId(BOTTLENECK_TAIL, i), ()), key=_TAIL_SORT_KEY))
+        return self.in_edges(NodeId(BOTTLENECK_TAIL, i))
 
+    @cached_property
     def _has_parallel_edges(self) -> bool:
         """Whether two edges join the same tail to the same head."""
-        return any(len(set(map(_TAIL, es))) != len(es) for es in self._in.values())
+        _, order = self._out_index
+        tail, head = self._tail[order], self._head[order]
+        return bool(((tail[1:] == tail[:-1]) & (head[1:] == head[:-1])).any())
+
+
+def _unwired(d: Design) -> np.ndarray:
+    """(v+b) × (v+b) booleans over (terminal, source), points before
+    blocks: the pairs that share no point, which no bottleneck joins."""
+    v, b = d.v, d.b
+    unwired = np.ones((v + b, v + b), dtype=bool)
+    for point in sorted({*range(v), *(p for blk in d.blocks for p in blk)}):
+        meet = [point] if 0 <= point < v else []
+        meet += [v + j for j in d.blocks_through(point)]
+        unwired[np.ix_(meet, meet)] = False
+    return unwired
 
 
 def build_sum_network(d: Design) -> SumNetwork:
     """Construct the sum-network of a design.
 
-    Each node is built once; every edge refers to the node objects listed
-    in ``nodes``.
+    For each point in turn: the point's and its blocks' sources into the
+    bottleneck tail, the bottleneck, and the head out to the point's and
+    its blocks' terminals.  Then, terminal by terminal, the direct edges
+    from every source that shares no point with it, in source order.
     """
     v, b = d.v, d.b
-    sp = [NodeId(SOURCE_POINT, i) for i in range(v)]
-    sB = [NodeId(SOURCE_BLOCK, j) for j in range(b)]
-    mt = [NodeId(BOTTLENECK_TAIL, i) for i in range(v)]
-    mh = [NodeId(BOTTLENECK_HEAD, i) for i in range(v)]
-    tp = [NodeId(TERMINAL_POINT, i) for i in range(v)]
-    tB = [NodeId(TERMINAL_BLOCK, j) for j in range(b)]
-    nodes = sp + sB + mt + mh + tp + tB
+    sizes = (
+        (SOURCE_POINT, v),
+        (SOURCE_BLOCK, b),
+        (BOTTLENECK_TAIL, v),
+        (BOTTLENECK_HEAD, v),
+        (TERMINAL_POINT, v),
+        (TERMINAL_BLOCK, b),
+    )
+    nodes = tuple(NodeId(kind, i) for kind, size in sizes for i in range(size))
+    tail_at, head_at, terminal_at = v + b, 2 * v + b, 3 * v + b
 
-    edges: list[Edge] = []
+    # sources and terminals share a numbering: point i is i, block j is v + j
+    tail, head, kind = [], [], []
     for i in range(v):
-        through = d.blocks_through(i)
-        edges.append(Edge(sp[i], mt[i], EDGE_SOURCE_TO_TAIL))
-        edges += [Edge(sB[j], mt[i], EDGE_SOURCE_TO_TAIL) for j in through]
-        edges.append(Edge(mt[i], mh[i], EDGE_BOTTLENECK))
-        edges.append(Edge(mh[i], tp[i], EDGE_HEAD_TO_TERMINAL))
-        edges += [Edge(mh[i], tB[j], EDGE_HEAD_TO_TERMINAL) for j in through]
-    for i, t in enumerate(tp):
-        through = set(d.blocks_through(i))
-        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sp) if l != i]
-        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sB) if l not in through]
-    for j, t in enumerate(tB):
-        members = set(d.blocks[j])
-        neighborhood = set(d.block_neighborhood(j))
-        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sp) if l not in members]
-        edges += [Edge(s, t, EDGE_DIRECT) for l, s in enumerate(sB) if l not in neighborhood]
-
-    net = SumNetwork(d, nodes, edges)
+        near = [i, *(v + j for j in d.blocks_through(i))]
+        tail += [*near, tail_at + i, *[head_at + i] * len(near)]
+        head += [*[tail_at + i] * len(near), head_at + i, *(terminal_at + x for x in near)]
+        kind += [_SOURCE_TO_TAIL] * len(near) + [_BOTTLENECK] + [_HEAD_TO_TERMINAL] * len(near)
+    terminal, source = np.nonzero(_unwired(d))
+    net = SumNetwork._from_ids(
+        d,
+        nodes,
+        nodes,
+        np.concatenate((np.array(tail, dtype=np.int32), source)),
+        np.concatenate((np.array(head, dtype=np.int32), terminal + terminal_at)),
+        np.concatenate((np.array(kind, dtype=np.int8), np.full(len(source), _DIRECT, np.int8))),
+    )
     # unit-capacity simple edges: the construction must never repeat one
-    if net._has_parallel_edges():
+    if net._has_parallel_edges:
         raise InvalidDesignError(ValidationReport(["network construction repeats an edge"]))
     return net
+
+
+def _kahn(n: SumNetwork) -> list[int]:
+    """Kahn's algorithm over node ids with a FIFO queue, a node's heads
+    released in id order; shorter than the node table on a cycle."""
+    indegree = np.bincount(n._head, minlength=len(n._node_table))
+    ptr, order = n._out_index
+    heads = n._head[order]
+    ready = deque(np.flatnonzero(indegree == 0).tolist())
+    found = []
+    while ready:
+        x = ready.popleft()
+        found.append(x)
+        out = heads[ptr[x] : ptr[x + 1]]
+        if out.size:
+            np.subtract.at(indegree, out, 1)
+            out = out[indegree[out] == 0]
+            # a head reached by parallel edges appears once per edge
+            ready.extend(out[np.flatnonzero(np.diff(out, prepend=-1))].tolist())
+    return found
 
 
 def topological_order(n: SumNetwork) -> list[NodeId]:
     """Kahn's algorithm over the distinct nodes of the graph (the listed
     nodes and every edge endpoint), ties broken by ``NodeId.sort_key``;
     raises on a cycle."""
-    ranked = sorted({*n.nodes, *n._in, *n._out}, key=_SORT_KEY)
-    rank = {node: r for r, node in enumerate(ranked)}
-    indegree = {node: len(n._in.get(node, ())) for node in ranked}
-    ready = deque(node for node in ranked if indegree[node] == 0)
-    order = []
-    while ready:
-        node = ready.popleft()
-        order.append(node)
-        for head in sorted([e.head for e in n._out.get(node, ())], key=rank.__getitem__):
-            indegree[head] -= 1
-            if indegree[head] == 0:
-                ready.append(head)
-    if len(order) != len(ranked):
+    found = _kahn(n)
+    if len(found) != len(n._node_table):
         raise ValueError("network contains a cycle")
-    return order
+    return list(map(n._node_table.__getitem__, found))
+
+
+def _reaching(n: SumNetwork, sources: list[int], order: Iterable[int], acyclic: bool) -> list[int]:
+    """Per node id, a bitmask of the ``sources`` (node ids) with a path to
+    it.  One pass in topological ``order`` settles a DAG; otherwise the
+    passes repeat until nothing changes."""
+    ptr, in_order = n._in_index
+    ptr, tails = ptr.tolist(), n._tail[in_order].tolist()
+    reach = [0] * len(n._node_table)
+    for bit, s in enumerate(sources):
+        reach[s] = 1 << bit
+    order = list(order)
+    changed = True
+    while changed:
+        changed = False
+        for x in order:
+            if ptr[x] < ptr[x + 1]:
+                got = reduce(or_, map(reach.__getitem__, tails[ptr[x] : ptr[x + 1]]), reach[x])
+                changed |= got != reach[x]
+                reach[x] = got
+        changed &= not acyclic
+    return reach
 
 
 def network_validate(n: SumNetwork) -> ValidationReport:
@@ -222,14 +431,19 @@ def network_validate(n: SumNetwork) -> ValidationReport:
     if len(listed) != len(n.nodes):
         report.add("duplicate nodes")
     # the checks below order nodes by kind, which only the known kinds have
-    unknown = {x for x in (*listed, *n._in, *n._out) if x.kind not in _KIND_ORDER}
+    table, ids = n._node_table, n._ids
+    unknown = [x for x in table if x.kind not in _KIND_ORDER]
     for x in sorted(unknown):
         report.add(f"node {x.label()} has unknown kind {x.kind!r}")
     if unknown:
         return report
-    for x in sorted((n._in.keys() | n._out.keys()) - listed, key=_SORT_KEY):
-        report.add(f"edge endpoint {x.label()} is not a listed node")
-    if n._has_parallel_edges():
+    size = len(table)
+    in_degree = np.bincount(n._head, minlength=size)
+    out_degree = np.bincount(n._tail, minlength=size)
+    for x in np.flatnonzero(in_degree + out_degree).tolist():
+        if table[x] not in listed:
+            report.add(f"edge endpoint {table[x].label()} is not a listed node")
+    if n._has_parallel_edges:
         report.add("parallel edges present")
 
     bottlenecks = n.bottlenecks()
@@ -245,77 +459,72 @@ def network_validate(n: SumNetwork) -> ValidationReport:
         expect = {NodeId(SOURCE_POINT, i)} | {
             NodeId(SOURCE_BLOCK, j) for j in d.blocks_through(i)
         }
-        tails = {e.tail for e in n.in_edges(NodeId(BOTTLENECK_TAIL, i))}
+        into = n._in_ids(NodeId(BOTTLENECK_TAIL, i))
+        tails = {table[x] for x in n._tail[into].tolist()}
         if tails != expect:
             report.add(f"bottleneck tail {i + 1} fed by {sorted(x.label() for x in tails)}")
-        if len(n.in_edges(NodeId(BOTTLENECK_TAIL, i))) != r + 1:
+        if len(into) != r + 1:
             report.add(f"bottleneck tail {i + 1} in-degree != r+1")
-        heads = {
-            e.head
-            for e in n.out_edges(NodeId(BOTTLENECK_HEAD, i))
-            if e.kind == EDGE_HEAD_TO_TERMINAL
-        }
+        out = n._out_ids(NodeId(BOTTLENECK_HEAD, i))
+        heads = {table[x] for x in n._head[out[n._kind[out] == _HEAD_TO_TERMINAL]].tolist()}
         expect_out = {NodeId(TERMINAL_POINT, i)} | {
             NodeId(TERMINAL_BLOCK, j) for j in d.blocks_through(i)
         }
         if heads != expect_out:
             report.add(f"bottleneck head {i + 1} feeds {sorted(x.label() for x in heads)}")
-        if len(n.out_edges(NodeId(BOTTLENECK_HEAD, i))) != r + 1:
+        if len(out) != r + 1:
             report.add(f"bottleneck head {i + 1} out-degree != r+1")
 
-    m_edges = [e for e in n.edges if e.kind != EDGE_DIRECT]
-    if len(m_edges) != v + 2 * v * (r + 1):
-        report.add(f"|M| = {len(m_edges)}, expected {v + 2 * v * (r + 1)}")
+    m_edges = int(np.count_nonzero(n._kind != _DIRECT))
+    if m_edges != v + 2 * v * (r + 1):
+        report.add(f"|M| = {m_edges}, expected {v + 2 * v * (r + 1)}")
 
     for s in n.sources():
-        if n.in_edges(s):
+        if in_degree[ids[s]]:
             report.add(f"source {s.label()} has incoming edges")
     for t in n.terminals():
-        if n.out_edges(t):
+        if out_degree[ids[t]]:
             report.add(f"terminal {t.label()} has outgoing edges")
+
+    def head_and_direct(t: NodeId) -> tuple[list[NodeId], int]:
+        """The tails of t's head edges and the number of its direct edges."""
+        into = n._in_ids(t)
+        kind = n._kind[into]
+        heads = [table[x] for x in n._tail[into[kind == _HEAD_TO_TERMINAL]].tolist()]
+        return heads, int(np.count_nonzero(kind == _DIRECT))
 
     for i in range(v):
         t = NodeId(TERMINAL_POINT, i)
-        head = [e for e in n.in_edges(t) if e.kind == EDGE_HEAD_TO_TERMINAL]
-        direct = [e for e in n.in_edges(t) if e.kind == EDGE_DIRECT]
-        if len(head) != 1 or (head and head[0].tail != NodeId(BOTTLENECK_HEAD, i)):
+        head, direct = head_and_direct(t)
+        if len(head) != 1 or (head and head[0] != NodeId(BOTTLENECK_HEAD, i)):
             report.add(f"{t.label()} head edges wrong")
-        if len(direct) != (v - 1) + (b - r):
-            report.add(f"{t.label()} has {len(direct)} direct edges, expected {(v - 1) + (b - r)}")
+        if direct != (v - 1) + (b - r):
+            report.add(f"{t.label()} has {direct} direct edges, expected {(v - 1) + (b - r)}")
     for j in range(b):
         t = NodeId(TERMINAL_BLOCK, j)
-        head = [e for e in n.in_edges(t) if e.kind == EDGE_HEAD_TO_TERMINAL]
-        direct = [e for e in n.in_edges(t) if e.kind == EDGE_DIRECT]
+        head, direct = head_and_direct(t)
         expect_direct = (v - d.k) + (b - len(d.block_neighborhood(j)))
         if len(head) != d.k:
             report.add(f"{t.label()} has {len(head)} head edges, expected {d.k}")
-        if len(direct) != expect_direct:
-            report.add(f"{t.label()} has {len(direct)} direct edges, expected {expect_direct}")
+        if direct != expect_direct:
+            report.add(f"{t.label()} has {direct} direct edges, expected {expect_direct}")
 
-    try:
-        topological_order(n)
-    except ValueError:
+    order = _kahn(n)
+    acyclic = len(order) == size
+    if not acyclic:
         report.add("graph is not acyclic")
 
-    # every terminal must see every source through at least one path: a
-    # backward search that widens by whole levels with set operations and
-    # expands only the nodes that have in-edges
-    tails = {head: set(map(_TAIL, es)) for head, es in n._in.items()}
-    all_sources = set(n.sources())
+    # every terminal must see every source through at least one path
+    sources = sorted({ids[s] for s in n.sources()})
+    reach = _reaching(n, sources, order if acyclic else range(size), acyclic)
+    every = (1 << len(sources)) - 1
     for t in n.terminals():
-        seen = {t}
-        frontier = seen & tails.keys()
-        while frontier:
-            frontier = set().union(*(tails[x] for x in frontier)) - seen
-            seen |= frontier
-            frontier &= tails.keys()
-        missing = all_sources - seen
-        if missing:
+        got = reach[ids[t]]
+        if got != every:
+            missing = (table[s] for bit, s in enumerate(sources) if not got >> bit & 1)
             names = ", ".join(sorted(x.label() for x in missing))
             report.add(f"terminal {t.label()} cannot reach sources: {names}")
     return report
-
-
 _DOT_PREFIX = {
     SOURCE_POINT: "s_p",
     SOURCE_BLOCK: "s_B",
@@ -372,31 +581,32 @@ def network_export_dot(n: SumNetwork, terminals: Iterable[NodeId] | None = None)
 
 
 def network_export_json(n: SumNetwork) -> str:
-    # one label string per node, so the writer quotes each label once
-    label = {node: node.label() for node in (*n.nodes, *n._in, *n._out)}
+    # the edge rows index one list of strings: the node labels, then the kinds
+    labels = [*(x.label() for x in n._node_table), *n._kinds]
+    kind = n._kind.astype(np.int64) + len(n._node_table)
     data = {
         "schema": "sumnet.network/1",
         "design": n.design.to_dict(),
-        "nodes": [label[node] for node in n.nodes],
-        "edges": [[label[e.tail], label[e.head], e.kind] for e in n.edges],
+        "nodes": [labels[n._ids[x]] for x in n.nodes],
+        "edges": StringTable(labels, (n._tail.tolist(), n._head.tolist(), kind.tolist())),
     }
     return dumps(data) + "\n"
 
 
-class _ListedNodes(dict):
-    """Edge endpoint label -> the listed node it names; an endpoint that
-    names no listed node is a ``ParseError``."""
+class _ListedIds(dict):
+    """Edge endpoint label -> the id of the listed node it names; an
+    endpoint that names no listed node is a ``ParseError``."""
 
-    def __init__(self, nodes: list[NodeId]):
+    def __init__(self, ids: dict[NodeId, int]):
         super().__init__()
-        self._nodes = {node: node for node in nodes}
+        self._ids = ids
 
-    def __missing__(self, label: str) -> NodeId:
-        node = self._nodes.get(parse_node_label(label))
-        if node is None:
+    def __missing__(self, label: str) -> int:
+        x = self._ids.get(parse_node_label(label))
+        if x is None:
             raise ParseError(f"edge endpoint {label!r} is not a listed node")
-        self[label] = node
-        return node
+        self[label] = x
+        return x
 
 
 def network_from_json(text: str) -> SumNetwork:
@@ -408,14 +618,20 @@ def network_from_json(text: str) -> SumNetwork:
         raise ParseError("not a sumnet.network/1 document")
     design = Design.from_dict(data.get("design", {}))
     try:
-        nodes = [parse_node_label(s) for s in data["nodes"]]
-        listed = _ListedNodes(nodes)
-        edge_kinds = {EDGE_BOTTLENECK, EDGE_SOURCE_TO_TAIL, EDGE_HEAD_TO_TERMINAL, EDGE_DIRECT}
-        edges = []
-        for tail, head, kind in data["edges"]:
-            if kind not in edge_kinds:
-                raise ParseError(f"bad edge kind {kind!r}")
-            edges.append(Edge(listed[tail], listed[head], kind))
+        nodes = tuple(parse_node_label(s) for s in data["nodes"])
+        table = tuple(sorted(set(nodes), key=_node_rank))
+        listed = _ListedIds({node: i for i, node in enumerate(table)})
+        codes = {kind: c for c, kind in enumerate(_EDGE_KINDS)}
+        tail, head, kind = [], [], []
+        for t, h, k in data["edges"]:
+            code = codes.get(k)
+            if code is None:
+                raise ParseError(f"bad edge kind {k!r}")
+            tail.append(listed[t])
+            head.append(listed[h])
+            kind.append(code)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed network document: {exc}") from exc
-    return SumNetwork(design, nodes, edges)
+    return SumNetwork._from_ids(
+        design, nodes, table, np.array(tail, np.int32), np.array(head, np.int32), np.array(kind, np.int8)
+    )

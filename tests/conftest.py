@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import signal
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
@@ -8,7 +10,18 @@ import pytest
 from sumnet.coding import NetworkCode, TerminalDecoder, block_source_extractor, build_code
 from sumnet.designs import Design, fano
 from sumnet.field import FieldMatrix, PrimeField
-from sumnet.network import EDGE_HEAD_TO_TERMINAL, TERMINAL_BLOCK, NodeId, build_sum_network
+from sumnet.network import (
+    BOTTLENECK_TAIL,
+    EDGE_BOTTLENECK,
+    EDGE_DIRECT,
+    EDGE_HEAD_TO_TERMINAL,
+    SOURCE_BLOCK,
+    SOURCE_POINT,
+    TERMINAL_BLOCK,
+    TERMINAL_POINT,
+    NodeId,
+    build_sum_network,
+)
 from sumnet.verify import (
     _block_sum_recoverable,
     _partial_sum_recoverable,
@@ -19,6 +32,23 @@ from sumnet.verify import (
     simulate_trials,
     transfer_check,
 )
+
+
+@contextmanager
+def within_seconds(seconds: float, what: str):
+    """Fail with ``TimeoutError`` once the block has run ``seconds``, so a
+    test of something that must be fast fails instead of hanging."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def unitriangular_pair(n: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +103,35 @@ def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
         encoders=code.encoders,
         decoders=decoders,
     )
+
+
+def assert_accessors_match_oracle(net) -> None:
+    """Every accessor of ``net`` equals a naive scan of ``net.edges``: the
+    edges into or out of a node in list order, a terminal's head edges by
+    bottleneck then its direct edges by source, a bottleneck tail's feeds
+    point source first, the bottlenecks by point."""
+    edges = list(net.edges)
+    kind_rank = {SOURCE_POINT: 0, SOURCE_BLOCK: 1}
+    for node in net.nodes:
+        into = [e for e in edges if e.head == node]
+        assert net.in_edges(node) == tuple(into), node
+        assert net.out_edges(node) == tuple(e for e in edges if e.tail == node), node
+        if node.kind in (TERMINAL_POINT, TERMINAL_BLOCK):
+            heads = sorted((e for e in into if e.kind == EDGE_HEAD_TO_TERMINAL), key=lambda e: e.tail.index)
+            direct = sorted(
+                (e for e in into if e.kind == EDGE_DIRECT),
+                key=lambda e: (kind_rank[e.tail.kind], e.tail.index),
+            )
+            assert net.terminal_in_edges(node) == (*heads, *direct), node
+        if node.kind == BOTTLENECK_TAIL:
+            feeds = sorted(into, key=lambda e: (kind_rank[e.tail.kind], e.tail.index))
+            assert net.tail_in_edges(node.index) == tuple(feeds), node
+    bottlenecks = sorted((e for e in edges if e.kind == EDGE_BOTTLENECK), key=lambda e: e.tail.index)
+    assert net.bottlenecks() == tuple(bottlenecks)
+    kinds = {SOURCE_POINT, SOURCE_BLOCK}
+    assert net.sources() == tuple(x for x in net.nodes if x.kind in kinds)
+    kinds = {TERMINAL_POINT, TERMINAL_BLOCK}
+    assert net.terminals() == tuple(x for x in net.nodes if x.kind in kinds)
 
 
 CHECKS = (

@@ -1,7 +1,10 @@
 import json
+import time
 
 from sumnet.cli import build_parser, main
 from sumnet.coding import code_from_json, code_to_json
+
+from conftest import within_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,15 @@ def test_code_save(tmp_path, capsys):
 
 def test_code_rejects_composite_field(capsys):
     assert main(["code", "--fano", "--field", "4"]) == 1
+
+
+def test_huge_prime_field_is_refused_within_a_second(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root took minutes
+    start = time.perf_counter()
+    with within_seconds(1.0, "capacity --field 2^61-1"):
+        assert main(["capacity", "--sts", "9", "--field", "2305843009213693951"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "modulus 2305843009213693951 too large" in capsys.readouterr().err
 
 
 def test_capacity_values(capsys):

@@ -14,11 +14,14 @@ from sumnet.field import (
     FieldMismatchError,
     NotPrimeError,
     PrimeField,
+    _is_prime,
     _matmul_mod,
     _rows_outside_row_space,
     row_space_contains,
     vstack,
 )
+
+from conftest import within_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,35 @@ def test_small_primes_accepted():
 def test_composites_rejected(bad):
     with pytest.raises(NotPrimeError):
         PrimeField(bad)
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_2_16():
+    wrong = [n for n in range(1 << 16) if _is_prime(n) != _is_prime_by_trial_division(n)]
+    assert not wrong
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751])
+def test_strong_pseudoprimes_are_composite(n):
+    # each fools Miller-Rabin with the first few prime bases, not all twelve
+    assert not _is_prime_by_trial_division(n)
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2147483647, 2305843009213693951, 2**89 - 1])
+def test_large_primes_are_prime(p):
+    with within_seconds(1.0, f"primality test of {p}"):
+        assert _is_prime(p)
+
+
+def test_large_moduli_keep_their_refusals():
+    with within_seconds(1.0, "PrimeField(2^61 - 1)"), pytest.raises(NotPrimeError, match="too large"):
+        PrimeField(2305843009213693951)
+    with pytest.raises(NotPrimeError, match="must be prime"):
+        PrimeField(2**61 + 1)
 
 
 def test_field_equality_and_hash():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumnet._jsonwriter import dumps
+from sumnet._jsonwriter import StringTable, dumps
 
 TRICKY = ["", '"', "\\", "\n", "\t", "\x00", "\x7f", "é", " ", "😀", "terminal-block:7"]
 text = st.text() | st.sampled_from(TRICKY)
@@ -44,3 +44,33 @@ def test_writer_edge_cases(value):
 def test_writer_rejects_what_sumnet_never_writes(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+def _with_rows(value):
+    """``value`` with every StringTable replaced by its rows."""
+    if isinstance(value, StringTable):
+        return [[value.strings[i] for i in row] for row in zip(*value.columns)]
+    if isinstance(value, dict):
+        return {key: _with_rows(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_with_rows(item) for item in value]
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_string_table_renders_as_its_rows(data):
+    strings = data.draw(st.lists(text, min_size=1, max_size=6))
+    width = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(0, 6))
+    index = st.integers(0, len(strings) - 1)
+    columns = [data.draw(st.lists(index, min_size=rows, max_size=rows)) for _ in range(width)]
+    table = StringTable(strings, columns)
+    for value in (table, {"t": table, "n": 1}, [table, [table]], {"a": {"b": table}}):
+        assert dumps(value) == json.dumps(_with_rows(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("columns", [[], [[0], [0, 0]]])
+def test_string_table_needs_equal_columns(columns):
+    with pytest.raises(ValueError):
+        StringTable(["a"], columns)

@@ -25,6 +25,12 @@ from sumnet.network import (
     topological_order,
 )
 
+from conftest import (
+    affine_plane,
+    assert_accessors_match_oracle,
+    projective_plane,
+)
+
 
 def oracle_reachable_sources(net: SumNetwork, terminal: NodeId) -> set:
     """Forward DFS from every source; independent of the module's reverse BFS."""
@@ -243,12 +249,20 @@ NETWORK_DOCUMENT_SHA256 = {
     "sts9": "024d0bf88bbdb578d47f75cdc0f6450a399baea54b9f5d89dde74e857a39ed54",
     "sts15": "ff6ded91251f9fecae1370ebbc47d073b3a342b67f541587e6726f0da4d5176a",
     "sts21": "cf8357f1f862c5f0bd512cdd1495a8c44d4a3ff13983e3dceeb6e91d87db0cd3",
+    # computed before the network was held as arrays: the scalar-wide
+    # network (119,595 edges, 9,759,889 bytes) and two designs with k > 3
+    "sts45": "48bf6aba895a9757efbe3b1af32683a4439c0321f9a3cfa9b4f2b24ec817ac36",
+    "pg23": "4fc271f655d806660fe823eaae27d38484c70c1f04b5bdd8db1bbcaa891e226c",
+    "ag25": "defcfe3e8cfbc2bc531a6a5fdb12ee26c437c9225f08783e20204bdc35c7fe58",
 }
 GOLDEN_DESIGNS = {
     "fano": fano,
     "sts9": lambda: sts_bose(9),
     "sts15": lambda: sts_bose(15),
     "sts21": lambda: sts_bose(21),
+    "sts45": lambda: sts_bose(45),
+    "pg23": lambda: projective_plane(3),
+    "ag25": lambda: affine_plane(5),
 }
 
 
@@ -256,6 +270,8 @@ GOLDEN_DESIGNS = {
 def test_network_document_golden_digest(name):
     text = network_export_json(build_sum_network(GOLDEN_DESIGNS[name]()))
     assert hashlib.sha256(text.encode()).hexdigest() == NETWORK_DOCUMENT_SHA256[name]
+    if name == "sts45":
+        assert len(text.encode()) == 9_759_889
 
 
 # digests of the space-joined labels, computed before the order was
@@ -264,6 +280,9 @@ TOPOLOGICAL_ORDER_SHA256 = {
     "fano": "e7a4bc67e8e921709db37b727267c3d98792fc945f75dc4bcb8994b11d33286a",
     "sts9": "f51b03b7dc98db2f31f5a254db3e98f1ba3cc84d63ca2055429c33e636e1ddb2",
     "sts15": "6990dc3bcf228a1f54d05363c7aca9d0e33c5ca96c9f468a2bb1d281b3d37ab7",
+    # computed before Kahn's algorithm ran on node ids
+    "sts21": "92c3991ba140bfc8f4c2f359298d233b9ed8666410609d09b04fcd80a5e29abf",
+    "pg23": "88fffd5dc0a44fd06de8a55d1628e5c1b69417406319f3029f4e6ed153935f74",
 }
 
 
@@ -272,3 +291,138 @@ def test_topological_order_golden_digest(name):
     order = topological_order(build_sum_network(GOLDEN_DESIGNS[name]()))
     digest = hashlib.sha256(" ".join(x.label() for x in order).encode()).hexdigest()
     assert digest == TOPOLOGICAL_ORDER_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# the array-backed accessors against a naive reading of the edge list
+# ---------------------------------------------------------------------------
+
+ORACLE_DESIGNS = {
+    "fano": fano,
+    "sts15": lambda: sts_bose(15),
+    "pg23": lambda: projective_plane(3),
+    "ag25": lambda: affine_plane(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DESIGNS))
+def test_accessors_match_the_edge_list_oracle(name):
+    d = ORACLE_DESIGNS[name]()
+    net = build_sum_network(d)
+    assert_accessors_match_oracle(net)
+    rebuilt = SumNetwork(d, net.nodes, net.edges)
+    assert rebuilt == net
+    assert_accessors_match_oracle(rebuilt)
+
+
+def test_edges_are_made_once_and_only_on_request():
+    net = build_sum_network(sts_bose(9))
+    # 9 * (2 * (r+1) + 1) bottleneck-side edges, 9 * 16 + 12 * 8 direct ones
+    assert len(net.edges) == 99 + 144 + 96
+    assert not any(net._made)  # len() made no Edge
+    t = NodeId(TERMINAL_BLOCK, 3)
+    first = net.terminal_in_edges(t)
+    assert all(a is b for a, b in zip(first, net.in_edges(t)))
+    position = {e: i for i, e in enumerate(net.edges)}
+    assert all(net.edges[position[e]] is e for e in first)
+    assert len(set(map(id, net.edges))) == len(net.edges)
+
+
+def test_edge_list_behaves_like_a_tuple():
+    net = build_sum_network(fano())
+    edges = tuple(net.edges)
+    assert net.edges == edges and net.edges == net.edges
+    assert net.edges + (edges[0],) == edges + (edges[0],)
+    assert (edges[0],) + net.edges == (edges[0],) + edges
+    assert net.edges[-1] == edges[-1] and net.edges[2:5] == edges[2:5]
+    assert list(net.edges) == list(edges) and len(net.edges) == len(edges)
+
+
+def test_constructor_keeps_unknown_edge_kinds():
+    net = build_sum_network(fano())
+    odd = Edge(NodeId(SOURCE_POINT, 0), NodeId(TERMINAL_POINT, 0), "odd")
+    changed = SumNetwork(net.design, net.nodes, (*net.edges, odd))
+    assert changed.edges[-1] is odd
+    assert odd in changed.in_edges(NodeId(TERMINAL_POINT, 0))
+    assert odd not in changed.terminal_in_edges(NodeId(TERMINAL_POINT, 0))
+    assert json.loads(network_export_json(changed))["edges"][-1] == [
+        "source-point:1", "terminal-point:1", "odd"
+    ]
+    assert changed != net
+
+
+# problem lists computed before validation ran on arrays
+BROKEN_FANO_PROBLEMS = {
+    "repeated-edge": [
+        "parallel edges present",
+        "terminal-block:7 has 5 direct edges, expected 4",
+    ],
+    "terminal-feeds-source": [
+        "source source-point:1 has incoming edges",
+        "terminal terminal-point:1 has outgoing edges",
+        "graph is not acyclic",
+    ],
+    "tail-unfed": [
+        "bottleneck tail 1 fed by []",
+        "bottleneck tail 1 in-degree != r+1",
+        "|M| = 59, expected 63",
+        "terminal terminal-point:1 cannot reach sources: source-block:1, source-block:3, source-block:4, source-point:1",
+        "terminal terminal-block:1 cannot reach sources: source-block:3, source-block:4, source-point:1",
+        "terminal terminal-block:3 cannot reach sources: source-block:1, source-block:4, source-point:1",
+        "terminal terminal-block:4 cannot reach sources: source-block:1, source-block:3, source-point:1",
+    ],
+    "cycle-and-unfed": [
+        "bottleneck tail 1 fed by []",
+        "bottleneck tail 1 in-degree != r+1",
+        "|M| = 59, expected 63",
+        "source source-point:1 has incoming edges",
+        "source source-block:2 has incoming edges",
+        "terminal terminal-point:1 has outgoing edges",
+        "terminal terminal-block:3 has outgoing edges",
+        "graph is not acyclic",
+        "terminal terminal-point:1 cannot reach sources: source-block:1, source-block:4, source-point:1",
+        "terminal terminal-block:1 cannot reach sources: source-block:4, source-point:1",
+        "terminal terminal-block:3 cannot reach sources: source-block:1, source-block:4, source-point:1",
+        "terminal terminal-block:4 cannot reach sources: source-block:1, source-point:1",
+    ],
+    "bottleneck-reversed": [
+        "bad bottleneck endpoints Edge(tail=NodeId(kind='bottleneck-head', index=0), head=NodeId(kind='bottleneck-tail', index=0), kind='bottleneck')",
+        "bottleneck tail 1 fed by ['bottleneck-head:1', 'source-block:1', 'source-block:3', 'source-block:4', 'source-point:1']",
+        "bottleneck tail 1 in-degree != r+1",
+        "bottleneck head 1 out-degree != r+1",
+        "terminal terminal-point:1 cannot reach sources: source-block:1, source-block:3, source-block:4, source-point:1",
+        "terminal terminal-block:1 cannot reach sources: source-block:3, source-block:4, source-point:1",
+        "terminal terminal-block:3 cannot reach sources: source-block:1, source-block:4, source-point:1",
+        "terminal terminal-block:4 cannot reach sources: source-block:1, source-block:3, source-point:1",
+    ],
+}
+
+
+def broken_fano(case: str) -> SumNetwork:
+    net = build_sum_network(fano())
+    edges = list(net.edges)
+    tp1, sp1 = NodeId(TERMINAL_POINT, 0), NodeId(SOURCE_POINT, 0)
+    mt1 = NodeId(BOTTLENECK_TAIL, 0)
+    unfed = [e for e in edges if e.head != mt1]
+    back = [Edge(tp1, sp1, EDGE_DIRECT), Edge(NodeId(TERMINAL_BLOCK, 2), NodeId(SOURCE_BLOCK, 1), EDGE_DIRECT)]
+    changed = {
+        "repeated-edge": edges + edges[-1:],
+        "terminal-feeds-source": edges + back[:1],
+        "tail-unfed": unfed,
+        "cycle-and-unfed": unfed + back,
+        "bottleneck-reversed": [
+            Edge(e.head, e.tail, e.kind) if e.kind == "bottleneck" and e.tail == mt1 else e for e in edges
+        ],
+    }[case]
+    return SumNetwork(net.design, net.nodes, changed)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FANO_PROBLEMS))
+def test_broken_networks_report_the_same_problems(case):
+    assert network_validate(broken_fano(case)).problems == BROKEN_FANO_PROBLEMS[case]
+
+
+def test_topological_order_counts_parallel_edges():
+    net = broken_fano("repeated-edge")
+    order = topological_order(net)
+    assert order == topological_order(build_sum_network(fano()))

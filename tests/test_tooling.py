@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,34 @@ def test_indented_json_goes_through_the_writer(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _indented_dump(node)]
     assert not lines, f"{path.name} calls json.dumps(indent=...) on lines {lines}; use _jsonwriter.dumps"
+
+
+_COMMANDS_WITHOUT_MASKED_ARRAYS = """
+import contextlib, io, sys
+from sumnet.cli import main
+
+work = sys.argv[1]
+runs = (
+    ["build", "--fano", "--json", work + "/net.json"],
+    ["code", "--fano", "--field", "3", "--save-code", work + "/code.json"],
+    ["simulate", "--fano", "--field", "3", "--code", work + "/code.json", "--trials", "20"],
+)
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    # numpy.ma loads on first use of np.unique and some other helpers, and
+    # costs every command about 1.6 MB of peak RSS
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_WITHOUT_MASKED_ARRAYS, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
