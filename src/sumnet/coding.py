@@ -21,7 +21,11 @@ characteristic divides k-1, only picks (c, s, w):
 Codes are materialized as global maps: ``encoders[i]`` sends the stacked
 source vector to the n symbols on bottleneck i, and each terminal decoder
 maps the concatenation of its in-edge values to the m decoded symbols.
-Relay edges carry their input unchanged and are not stored.
+Relay edges carry their input unchanged and are not stored.  A decoder
+holds its in-edges as integer arrays, the tails' canonical node ids and
+the edge kind codes, filled from the network's in-index or, when a code
+document is read, from a label-to-id table; ``Edge`` objects are made
+only when ``TerminalDecoder.in_edges`` is asked for.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from ._jsonwriter import dumps
 from .designs import Design, ParseError
 from .field import FieldMatrix, PrimeField
 from .network import (
+    _DIRECT,
+    _EDGE_KINDS,
+    _HEAD_TO_TERMINAL,
     BOTTLENECK_HEAD,
     EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
@@ -48,11 +55,17 @@ from .network import (
     Edge,
     NodeId,
     SumNetwork,
+    _canonical_index,
+    _canonical_nodes,
+    _frozen,
     parse_node_label,
 )
 
 REGIME_DIVIDES = "char-divides"
 REGIME_NOT_DIVIDES = "char-not-divides"
+
+# the kind codes a terminal in-edge may have
+_TERMINAL_KINDS = {EDGE_HEAD_TO_TERMINAL: _HEAD_TO_TERMINAL, EDGE_DIRECT: _DIRECT}
 
 
 class CharMismatchError(ValueError):
@@ -80,16 +93,104 @@ class CodeParams:
         return (self.m, self.n)
 
 
-@dataclass(frozen=True)
+class _InEdgeIds(NamedTuple):
+    """A decoder's in-edges into ``terminal`` as arrays in listed order:
+    each tail's id in the canonical numbering of a design with ``sizes``
+    (v, b) points and blocks, and each edge's kind code."""
+
+    terminal: NodeId
+    sizes: tuple[int, int]
+    tail: np.ndarray
+    kind: np.ndarray
+
+
+def _fitting(tail: np.ndarray, kind: np.ndarray, d: Design) -> np.ndarray:
+    """Per in-edge, whether it leads from a node of d that fits its kind: a
+    head edge from a bottleneck head, a direct edge from a source."""
+    first_head = 2 * d.v + d.b
+    from_head = (first_head <= tail) & (tail < first_head + d.v)
+    from_source = (0 <= tail) & (tail < d.v + d.b)
+    return np.where(kind == _HEAD_TO_TERMINAL, from_head, (kind == _DIRECT) & from_source)
+
+
+def _in_edge_ids(terminal: NodeId, d: Design, tail: np.ndarray, kind: np.ndarray) -> _InEdgeIds:
+    return _InEdgeIds(terminal, (d.v, d.b), _frozen(tail.astype(np.int64)), _frozen(kind.astype(np.int8)))
+
+
 class TerminalDecoder:
-    """A terminal's in-edges in canonical order and its decoding matrix.
+    """A terminal's in-edges and its decoding matrix.
 
     The matrix has m rows and one column per incoming symbol: n columns for
-    each head edge, m for each direct edge, in ``in_edges`` order.
+    each head edge, m for each direct edge, in in-edge order.
+
+    ``build_code`` and ``code_from_json`` hold the in-edges as two integer
+    arrays in listed order: each tail's id in the design's canonical
+    numbering (``NodeId.sort_key`` order, as ``build_sum_network`` numbers
+    nodes) and each edge's kind code.  ``in_edges`` makes ``Edge`` objects
+    from them only on request.  ``TerminalDecoder(in_edges, matrix)`` takes
+    any edges, and the checks number them when they run.
     """
 
-    in_edges: tuple[Edge, ...]
-    matrix: FieldMatrix
+    __slots__ = ("_matrix", "_edges", "_ids")
+
+    def __init__(self, in_edges: Iterable[Edge], matrix: FieldMatrix):
+        self._matrix = matrix
+        self._edges = tuple(in_edges)
+        self._ids: _InEdgeIds | None = None
+
+    @classmethod
+    def _from_ids(cls, ids: _InEdgeIds, matrix: FieldMatrix) -> TerminalDecoder:
+        dec = cls.__new__(cls)
+        dec._matrix, dec._edges, dec._ids = matrix, None, ids
+        return dec
+
+    def _with_matrix(self, matrix: FieldMatrix) -> TerminalDecoder:
+        """This decoder's in-edges, held as they are here, with another
+        matrix."""
+        dec = TerminalDecoder.__new__(TerminalDecoder)
+        dec._matrix, dec._edges, dec._ids = matrix, self._edges, self._ids
+        return dec
+
+    @property
+    def matrix(self) -> FieldMatrix:
+        return self._matrix
+
+    @property
+    def in_edges(self) -> tuple[Edge, ...]:
+        if self._ids is None:
+            return self._edges
+        terminal, sizes, tail, kind = self._ids
+        nodes = _canonical_nodes(*sizes)
+        return tuple(
+            Edge(nodes[x], terminal, _EDGE_KINDS[k]) for x, k in zip(tail.tolist(), kind.tolist())
+        )
+
+    def _ids_at(self, terminal: NodeId, d: Design) -> tuple[np.ndarray, np.ndarray] | None:
+        """The in-edges as (canonical tail id, kind code) arrays over d, or
+        None unless every one leads into ``terminal`` from a node of d that
+        fits its kind."""
+        ids = self._ids
+        if ids is not None and ids.sizes == (d.v, d.b):
+            return (ids.tail, ids.kind) if ids.terminal == terminal else None
+        edges = self.in_edges
+        if any(e.head != terminal for e in edges):
+            return None
+        index = _canonical_index(d.v, d.b)
+        tail = np.array([index.get(e.tail, -1) for e in edges], dtype=np.int64)
+        kind = np.array([_TERMINAL_KINDS.get(e.kind, -1) for e in edges], dtype=np.int8)
+        return (tail, kind) if _fitting(tail, kind, d).all() else None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TerminalDecoder):
+            return NotImplemented
+        return self._matrix == other._matrix and self.in_edges == other.in_edges
+
+    def __hash__(self) -> int:
+        return hash(self._matrix)
+
+    def __repr__(self) -> str:
+        edges = len(self._edges) if self._ids is None else len(self._ids.tail)
+        return f"TerminalDecoder({edges} in-edges, matrix {self._matrix.shape})"
 
 
 @dataclass(frozen=True)
@@ -130,7 +231,7 @@ class NetworkCode:
             core = _unlift(dec.matrix, w)
             if core is None:
                 return self, 1
-            decoders[t] = TerminalDecoder(in_edges=dec.in_edges, matrix=core)
+            decoders[t] = dec._with_matrix(core)
         params = CodeParams(m=c, n=c + s, regime=self.params.regime)
         return NetworkCode(self.design, self.field, params, tuple(encoders), decoders), w
 
@@ -240,18 +341,23 @@ def _core(d: Design, params: CodeParams) -> tuple[int, int, int]:
 
 
 def _block_reader(
-    layout: tuple[Slice, ...], j: int, in_edges: tuple[Edge, ...], c: int, n: int
+    layout: tuple[Slice, ...], j: int, points: list[int], width: int, c: int, n: int
 ) -> np.ndarray:
     """The core map reading block j's selector symbols off the head edges
-    among ``in_edges`` (which lead the canonical order) into their colors'
-    rows; direct edges read nothing."""
-    heads = [e for e in in_edges if e.kind == EDGE_HEAD_TO_TERMINAL]
-    start = {e.tail.index: h * n for h, e in enumerate(heads)}
-    reader = np.zeros((c, len(in_edges) * c + len(start) * (n - c)), dtype=np.int64)
+    from bottlenecks ``points``, which lead an in-edge list ``width`` core
+    symbols wide, into their colors' rows; direct edges read nothing."""
+    start = {point: h * n for h, point in enumerate(points)}
+    reader = np.zeros((c, width), dtype=np.int64)
     for sl in layout:
         if sl.block == j:
             reader[sl.color - 1, start[sl.point] + c + sl.rank - 1] = 1
     return reader
+
+
+def _head_points(net: SumNetwork, ids: np.ndarray) -> list[int]:
+    """The bottleneck of each head edge among the edge ids ``ids``."""
+    heads = ids[net._kind[ids] == _HEAD_TO_TERMINAL]
+    return [net._node_table[x].index for x in net._tail[heads].tolist()]
 
 
 def _lift(f: PrimeField, core: np.ndarray, w: int) -> FieldMatrix:
@@ -293,9 +399,11 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
     """
     d = code.design
     c, s, w = _core(d, code.params)
-    in_edges = net.terminal_in_edges(NodeId(TERMINAL_BLOCK, j))
+    ids = net._terminal_in_ids(NodeId(TERMINAL_BLOCK, j))
+    points = _head_points(net, ids)
+    width = len(points) * (c + s) + (len(ids) - len(points)) * c
     layout = slice_layout(d) if s else ()
-    return _lift(code.field, _block_reader(layout, j, in_edges, c, c + s), w)
+    return _lift(code.field, _block_reader(layout, j, points, width, c, c + s), w)
 
 
 def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
@@ -306,6 +414,7 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     head edges and adds its direct edges; a block terminal also subtracts
     its block source, reassembled from the selector slices, k-1 times.
     Every map is built for the (c, c+s) core of ``_core`` and lifted by I_w.
+    Each decoder takes its in-edge ids from the network's in-index.
     """
     d = net.design
     params = code_params_for(d, f)
@@ -324,18 +433,24 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     head_read, direct_read = np.eye(c, n, dtype=np.int64), np.eye(c, dtype=np.int64)
     reads: dict[tuple[int, int], np.ndarray] = {}
     decoders: dict[NodeId, TerminalDecoder] = {}
+    canonical = net._canonical_ids
     for t in net.terminals():
-        in_edges = net.terminal_in_edges(t)
-        heads = 0  # head edges lead the canonical order
-        while heads < len(in_edges) and in_edges[heads].kind == EDGE_HEAD_TO_TERMINAL:
-            heads += 1
-        shape = (heads, len(in_edges) - heads)
+        ids = net._terminal_in_ids(t)
+        kind = net._kind[ids]
+        heads = int(np.count_nonzero(kind == _HEAD_TO_TERMINAL))  # they lead the order
+        shape = (heads, len(ids) - heads)
         if shape not in reads:
             reads[shape] = np.hstack((np.tile(head_read, heads), np.tile(direct_read, shape[1])))
         core = reads[shape]
         if t.kind == TERMINAL_BLOCK and layout:
-            core = core - (d.k - 1) * _block_reader(layout, t.index, in_edges, c, n)
-        decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=_lift(f, core, w))
+            points = _head_points(net, ids)
+            core = core - (d.k - 1) * _block_reader(layout, t.index, points, core.shape[1], c, n)
+        matrix = _lift(f, core, w)
+        tail = canonical[net._tail[ids]]
+        if canonical[net._ids[t]] >= 0 and _fitting(tail, kind, d).all():
+            decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, d, tail, kind), matrix)
+        else:  # a network with nodes or edges outside its design
+            decoders[t] = TerminalDecoder(net.terminal_in_edges(t), matrix)
 
     encoders = tuple(_lift(f, enc, w) for enc in encoders)
     return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
@@ -358,6 +473,16 @@ def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
 
 
 def code_to_json(code: NetworkCode) -> str:
+    d = code.design
+    labels = [x.label() for x in _canonical_nodes(d.v, d.b)]
+
+    def in_edge_rows(dec: TerminalDecoder) -> list[list[str]]:
+        ids = dec._ids
+        if ids is None or ids.sizes != (d.v, d.b):
+            return [[e.tail.label(), e.head.label(), e.kind] for e in dec.in_edges]
+        head = ids.terminal.label()
+        return [[labels[x], head, _EDGE_KINDS[k]] for x, k in zip(ids.tail.tolist(), ids.kind.tolist())]
+
     data = {
         "schema": "sumnet.code/1",
         "p": code.field.p,
@@ -365,10 +490,7 @@ def code_to_json(code: NetworkCode) -> str:
         "design": code.design.to_dict(),
         "encoders": [enc.tolist() for enc in code.encoders],
         "decoders": {
-            t.label(): {
-                "in_edges": [[e.tail.label(), e.head.label(), e.kind] for e in dec.in_edges],
-                "matrix": dec.matrix.tolist(),
-            }
+            t.label(): {"in_edges": in_edge_rows(dec), "matrix": dec.matrix.tolist()}
             for t, dec in sorted(code.decoders.items(), key=lambda kv: kv[0].sort_key)
         },
     }
@@ -379,40 +501,51 @@ def code_to_json(code: NetworkCode) -> str:
 _IN_EDGE_TAILS = {EDGE_HEAD_TO_TERMINAL: (BOTTLENECK_HEAD,), EDGE_DIRECT: (SOURCE_POINT, SOURCE_BLOCK)}
 
 
-def _check_decoder_edges(d: Design, decoders: dict[NodeId, TerminalDecoder]) -> None:
-    """Raise ParseError unless there is one decoder per terminal of the
-    design and every in-edge leads from a node of the design that fits its
-    kind into that decoder's terminal."""
+def _bad_in_edge(t: NodeId, row: list) -> str:
+    """Why the in-edge ``row`` of the decoder at t, which does not lead
+    into t from a node of the design that fits its kind, is refused."""
+    tail, head, kind = parse_node_label(row[0]), parse_node_label(row[1]), row[2]
+    edge = f"decoder at {t.label()} lists in-edge {tail.label()} -> {head.label()}"
+    tails = _IN_EDGE_TAILS.get(kind, ())
+    if head != t:
+        return f"{edge}, which does not end at its terminal"
+    if not tails:
+        return f"{edge} of kind {kind!r}, not a terminal in-edge kind"
+    if tail.kind not in tails:
+        return f"{edge}: a {kind} edge cannot start at a {tail.kind}"
+    return f"{edge}: {tail.label()} is not a node of the design"
 
-    def in_design(node: NodeId) -> bool:
-        return node.index < (d.b if node.kind in (SOURCE_BLOCK, TERMINAL_BLOCK) else d.v)
 
-    for t, dec in decoders.items():
-        if t.kind not in (TERMINAL_POINT, TERMINAL_BLOCK) or not in_design(t):
-            raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
-        for e in dec.in_edges:
-            tails = _IN_EDGE_TAILS.get(e.kind, ())
-            if e.head == t and e.tail.kind in tails and in_design(e.tail):
-                continue
-            edge = f"decoder at {t.label()} lists in-edge {e.tail.label()} -> {e.head.label()}"
-            if e.head != t:
-                raise ParseError(f"{edge}, which does not end at its terminal")
-            if not tails:
-                raise ParseError(f"{edge} of kind {e.kind!r}, not a terminal in-edge kind")
-            if e.tail.kind not in tails:
-                raise ParseError(f"{edge}: a {e.kind} edge cannot start at a {e.tail.kind}")
-            if not in_design(e.tail):
-                raise ParseError(f"{edge}: {e.tail.label()} is not a node of the design")
-    if len(decoders) < d.v + d.b:
-        every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
-        every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
-        missing = next(t for t in every if t not in decoders)
-        raise ParseError(f"no decoder for {missing.label()}")
+class _LabelIds(dict):
+    """Node label -> the node's canonical id in a design, -1 for a node
+    outside it; a bad label is a ``ParseError``."""
+
+    def __init__(self, d: Design):
+        super().__init__()
+        self._index = _canonical_index(d.v, d.b)
+
+    def __missing__(self, label: str) -> int:
+        x = self[label] = self._index.get(parse_node_label(label), -1)
+        return x
+
+
+def _refuse_float(literal: str):
+    raise ParseError(f"malformed code document: {literal} is not an integer")
+
+
+def _coefficients(f: PrimeField, rows) -> FieldMatrix:
+    """``rows`` as a matrix over f.  JSON floats are refused while parsing,
+    so numpy infers an integer dtype unless an entry is a string, a
+    boolean or an integer that does not fit int64."""
+    a = np.asarray(rows)
+    if a.size and a.dtype.kind != "i":
+        raise ValueError("matrix entries must be integers of magnitude below 2**63")
+    return FieldMatrix(f, a)
 
 
 def code_from_json(text: str) -> NetworkCode:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_refuse_float, parse_constant=_refuse_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("schema") != "sumnet.code/1":
@@ -423,15 +556,25 @@ def code_from_json(text: str) -> NetworkCode:
         raw_params = data["params"]
         params = CodeParams(m=raw_params["m"], n=raw_params["n"], regime=raw_params["regime"])
         expected = code_params_for(d, f)
-        encoders = tuple(FieldMatrix(f, rows) for rows in data["encoders"])
-        decoders = {}
+        encoders = tuple(_coefficients(f, rows) for rows in data["encoders"])
+        if not isinstance(data["decoders"], dict):
+            raise ValueError("decoders must be an object keyed by terminal label")
+        labels = _LabelIds(d)
+        parsed = {}
         for label, entry in data["decoders"].items():
             t = parse_node_label(label)
-            in_edges = tuple(
-                Edge(parse_node_label(tail), parse_node_label(head), kind)
-                for tail, head, kind in entry["in_edges"]
-            )
-            decoders[t] = TerminalDecoder(in_edges=in_edges, matrix=FieldMatrix(f, entry["matrix"]))
+            rows = entry["in_edges"]
+            tail, head, kind = [], [], []
+            for x, h, k in rows:
+                try:
+                    tail.append(labels[x])
+                    head.append(labels[h])
+                except TypeError:  # an unhashable label
+                    parse_node_label(x)
+                    parse_node_label(h)
+                    raise
+                kind.append(_TERMINAL_KINDS.get(k, -1))
+            parsed[t] = (rows, tail, head, kind, _coefficients(f, entry["matrix"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed code document: {exc}") from exc
     if params != expected:
@@ -439,7 +582,24 @@ def code_from_json(text: str) -> NetworkCode:
             f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
             f"m={expected.m} n={expected.n} regime={expected.regime!r} for this design over {f}"
         )
-    _check_decoder_edges(d, decoders)
+    # one decoder per terminal of the design, each of whose in-edges leads
+    # into it from a node of the design that fits the edge's kind
+    index = _canonical_index(d.v, d.b)
+    decoders = {}
+    for t, (rows, tail, head, kind, matrix) in parsed.items():
+        at = index.get(t, -1)
+        if at < 3 * d.v + d.b:
+            raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
+        tail, kind = np.array(tail, dtype=np.int64), np.array(kind, dtype=np.int8)
+        fits = (np.array(head, dtype=np.int64) == at) & _fitting(tail, kind, d)
+        if not fits.all():
+            raise ParseError(_bad_in_edge(t, rows[int(np.argmin(fits))]))
+        decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, d, tail, kind), matrix)
+    if len(decoders) < d.v + d.b:
+        every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
+        every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
+        missing = next(t for t in every if t not in decoders)
+        raise ParseError(f"no decoder for {missing.label()}")
     m, n, width = params.m, params.n, stacked_width(d, params.m)
     for i, enc in enumerate(encoders):
         if enc.shape != (n, width):
@@ -447,8 +607,8 @@ def code_from_json(text: str) -> NetworkCode:
                 f"encoder of bottleneck {i + 1} has shape {enc.shape}, expected {(n, width)}"
             )
     for t, dec in decoders.items():
-        heads = sum(e.kind == EDGE_HEAD_TO_TERMINAL for e in dec.in_edges)
-        shape = (m, heads * n + (len(dec.in_edges) - heads) * m)
+        heads = int(np.count_nonzero(dec._ids.kind == _HEAD_TO_TERMINAL))
+        shape = (m, heads * n + (len(dec._ids.kind) - heads) * m)
         if dec.matrix.shape != shape:
             raise ParseError(
                 f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"

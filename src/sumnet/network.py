@@ -7,7 +7,9 @@ back out.  All remaining source/terminal pairs are wired directly, so a
 2-(v,k,1) design gives Θ((v+b)²) edges: 119,595 at STS(45).
 
 Layout.  The nodes are numbered in ``NodeId.sort_key`` order, nodes of an
-unknown kind after the known ones.  The edges are three integer arrays
+unknown kind after the known ones; for a network of exactly the design's
+nodes this is the canonical numbering (``_canonical_nodes``) in which
+code decoders hold their in-edge tails.  The edges are three integer arrays
 (tail id, head id, kind code) in construction order.  A CSR in-index lists
 each node's in-edges by kind code, then tail id, which for a terminal is
 the canonical order: head edges by bottleneck, then direct edges by
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from collections.abc import Sequence
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import or_
 from typing import Iterable, NamedTuple
@@ -73,6 +75,27 @@ def _node_rank(node: NodeId) -> tuple:
     """``sort_key`` for the known kinds; nodes of other kinds after them."""
     order = _KIND_ORDER.get(node.kind)
     return (0, order, node.index) if order is not None else (1, node.kind, node.index)
+
+
+@lru_cache(maxsize=16)
+def _canonical_nodes(v: int, b: int) -> tuple[NodeId, ...]:
+    """The nodes of the network of a design with v points and b blocks in
+    ``NodeId.sort_key`` order: the canonical numbering of its nodes."""
+    sizes = (
+        (SOURCE_POINT, v),
+        (SOURCE_BLOCK, b),
+        (BOTTLENECK_TAIL, v),
+        (BOTTLENECK_HEAD, v),
+        (TERMINAL_POINT, v),
+        (TERMINAL_BLOCK, b),
+    )
+    return tuple(NodeId(kind, i) for kind, size in sizes for i in range(size))
+
+
+@lru_cache(maxsize=16)
+def _canonical_index(v: int, b: int) -> dict[NodeId, int]:
+    """Node -> its id in the canonical numbering of ``_canonical_nodes``."""
+    return {node: i for i, node in enumerate(_canonical_nodes(v, b))}
 
 
 def parse_node_label(label: str) -> NodeId:
@@ -289,16 +312,29 @@ class SumNetwork:
         calls return the same tuple."""
         order = self._terminal_in.get(terminal)
         if order is None:
-            ids = self._in_ids(terminal)
-            kind = self._kind[ids]
-            keep = (kind == _HEAD_TO_TERMINAL) | (kind == _DIRECT)
-            order = self.in_edges(terminal) if keep.all() else self._edges_at(ids[keep])
+            ids = self._terminal_in_ids(terminal)
+            same = len(ids) == len(self._in_ids(terminal))
+            order = self.in_edges(terminal) if same else self._edges_at(ids)
             self._terminal_in[terminal] = order
         return order
+
+    def _terminal_in_ids(self, terminal: NodeId) -> np.ndarray:
+        """The edge ids of ``terminal_in_edges``."""
+        ids = self._in_ids(terminal)
+        kind = self._kind[ids]
+        return ids[(kind == _HEAD_TO_TERMINAL) | (kind == _DIRECT)]
 
     def tail_in_edges(self, i: int) -> tuple[Edge, ...]:
         """In-edges of bottleneck tail i, point source first then blocks."""
         return self.in_edges(NodeId(BOTTLENECK_TAIL, i))
+
+    @cached_property
+    def _canonical_ids(self) -> np.ndarray:
+        """Per node id, the node's id in the design's canonical numbering
+        (``_canonical_nodes``); -1 for a node that is not in the design."""
+        index = _canonical_index(self.design.v, self.design.b)
+        table = self._node_table
+        return _frozen(np.fromiter((index.get(x, -1) for x in table), np.int64, len(table)))
 
     @cached_property
     def _has_parallel_edges(self) -> bool:
@@ -329,15 +365,7 @@ def build_sum_network(d: Design) -> SumNetwork:
     from every source that shares no point with it, in source order.
     """
     v, b = d.v, d.b
-    sizes = (
-        (SOURCE_POINT, v),
-        (SOURCE_BLOCK, b),
-        (BOTTLENECK_TAIL, v),
-        (BOTTLENECK_HEAD, v),
-        (TERMINAL_POINT, v),
-        (TERMINAL_BLOCK, b),
-    )
-    nodes = tuple(NodeId(kind, i) for kind, size in sizes for i in range(size))
+    nodes = _canonical_nodes(v, b)
     tail_at, head_at, terminal_at = v + b, 2 * v + b, 3 * v + b
 
     # sources and terminals share a numbering: point i is i, block j is v + j

@@ -6,8 +6,14 @@ By linearity that settles correctness for every input.  The composition
 goes block by block: a direct edge carries its source unchanged, so only
 head edges need a product, and only with the columns of the sources wired
 into their bottleneck.  ``simulate`` re-derives the same answers by
-pushing concrete values through the graph edge by edge, giving an
-independent evaluation path for cross-checks.
+pushing concrete values through the graph, giving an independent
+evaluation path for cross-checks.
+
+Decoders hold their in-edges as canonical tail ids and kind codes
+(``TerminalDecoder``), so no per-terminal step makes ``Edge`` objects:
+``_check_compatible`` compares the ids with the network's in-index, the
+transfer map scatters a direct edge's block to the columns at its tail
+id times m, and simulation gathers each decoder's input by tail id.
 
 The paper's fractional code is w interleaved copies of a small core code
 (``NetworkCode.interleaved_core``), and each copy acts on its own
@@ -49,14 +55,15 @@ from .field import (
     vstack,
 )
 from .network import (
+    _HEAD_TO_TERMINAL,
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
-    EDGE_HEAD_TO_TERMINAL,
     NodeId,
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
     SumNetwork,
+    _canonical_nodes,
     topological_order,
 )
 
@@ -98,23 +105,34 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
             )
+    canonical, kinds = net._canonical_ids, len(net._kinds)
     for t in net.terminals():
         if t not in code.decoders:
             raise ShapeMismatchError(f"no decoder for {t.label()}")
         dec = code.decoders[t]
-        # a decoder built for this network lists all of the terminal's
-        # in-edges in canonical order; only another order needs the sets
-        canonical = net.terminal_in_edges(t)
-        in_edges = net.in_edges(t)
-        in_order = dec.in_edges == canonical and len(canonical) == len(in_edges)
-        if not in_order and set(dec.in_edges) != set(in_edges):
+        ids = dec._ids_at(t, d)
+        into = net._in_ids(t)
+        if ids is None or not _same_in_edges(ids, canonical[net._tail[into]], net._kind[into], kinds):
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
-        heads = [e.kind for e in dec.in_edges].count(EDGE_HEAD_TO_TERMINAL)
-        expect_cols = heads * n + (len(dec.in_edges) - heads) * m
+        _, kind = ids
+        heads = int(np.count_nonzero(kind == _HEAD_TO_TERMINAL))
+        expect_cols = heads * n + (len(kind) - heads) * m
         if dec.matrix.shape != (m, expect_cols):
             raise ShapeMismatchError(
                 f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {(m, expect_cols)}"
             )
+
+
+def _same_in_edges(
+    ids: tuple[np.ndarray, np.ndarray], tail: np.ndarray, kind: np.ndarray, kinds: int
+) -> bool:
+    """Whether a decoder's in-edges, ``ids`` = (tail id, kind code), are a
+    terminal's in-edges (``tail``, ``kind``) in the network's order or, as a
+    set, in any order; kind codes are below ``kinds``."""
+    dec_tail, dec_kind = ids
+    if np.array_equal(dec_tail, tail) and np.array_equal(dec_kind, kind):
+        return True
+    return np.array_equal(np.unique(dec_tail * kinds + dec_kind), np.unique(tail * kinds + kind))
 
 
 def _wired_columns(net: SumNetwork, i: int, m: int) -> np.ndarray:
@@ -124,40 +142,32 @@ def _wired_columns(net: SumNetwork, i: int, m: int) -> np.ndarray:
     return (np.array(starts)[:, None] + np.arange(m)).ravel()
 
 
-def _terminal_map(
-    code: NetworkCode, t: NodeId, wired: list[np.ndarray], starts: dict[NodeId, int]
-) -> np.ndarray:
+def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.ndarray:
     """The residues of terminal t's end-to-end map from the stacked sources.
 
-    A direct edge's decoder block lands at its source's columns; a head
-    edge contributes its decoder block times the bottleneck's encoder,
-    which ``_check_compatible`` has confined to the ``wired`` columns.
-    ``starts`` memoizes ``source_column`` across the terminals of a code.
+    A direct edge's decoder block lands at its source's columns, which
+    start at the source's canonical id times m; a head edge contributes its
+    decoder block times the bottleneck's encoder, which
+    ``_check_compatible`` has confined to the ``wired`` columns.
     """
     d, m, n, f = code.design, code.params.m, code.params.n, code.field
     dec = code.decoders[t]
+    tail, kind = dec._ids_at(t, d)
     blocks = dec.matrix.array
+    head = kind == _HEAD_TO_TERMINAL
+    width = np.where(head, n, m)
+    start = np.cumsum(width) - width  # each in-edge's first decoder column
     got = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    direct_at, direct_src = [], []
-    col = 0
-    for e in dec.in_edges:
-        if e.kind == EDGE_HEAD_TO_TERMINAL:
-            cols = wired[e.tail.index]
-            local = FieldMatrix._trusted(f, code.encoders[e.tail.index].array[:, cols])
-            got[:, cols] += (FieldMatrix(f, blocks[:, col : col + n]) @ local).array
-            col += n
-        else:
-            start = starts.get(e.tail)
-            if start is None:
-                start = starts[e.tail] = source_column(d, e.tail, m)
-            direct_at.append(col)
-            direct_src.append(start)
-            col += m
-    if direct_at:
-        offsets = np.arange(m)
-        at = (np.array(direct_at)[:, None] + offsets).ravel()
-        src = (np.array(direct_src)[:, None] + offsets).ravel()
-        np.add.at(got, (slice(None), src), blocks[:, at])
+    first_head = 2 * d.v + d.b  # the canonical id of bottleneck-head:1
+    for i, col in zip((tail[head] - first_head).tolist(), start[head].tolist()):
+        cols = wired[i]
+        local = FieldMatrix._trusted(f, code.encoders[i].array[:, cols])
+        got[:, cols] += (FieldMatrix(f, blocks[:, col : col + n]) @ local).array
+    # np.add.at, unlike +=, adds every block of a source listed twice
+    offsets = np.arange(m)
+    at = (start[~head, None] + offsets).ravel()
+    src = (tail[~head, None] * m + offsets).ravel()
+    np.add.at(got, (slice(None), src), blocks[:, at])
     return got % f.p
 
 
@@ -174,10 +184,9 @@ def _transfer_check(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
     d, m = net.design, code.params.m
     want = sum_map(d, m, code.field).array
     wired = [_wired_columns(net, i, m) for i in range(d.v)]
-    starts: dict[NodeId, int] = {}
     failures = []
     for t in net.terminals():
-        got = _terminal_map(code, t, wired, starts)
+        got = _terminal_map(code, t, wired)
         if not np.array_equal(got, want):
             row, col = map(int, np.argwhere(got != want)[0])
             source, offset = column_source(d, col * w, m * w)
@@ -204,7 +213,7 @@ def _as_batch(value, m: int, p: int) -> np.ndarray:
 def _simulate_batch(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
 ) -> dict[NodeId, np.ndarray]:
-    m, p = code.params.m, code.field.p
+    d, m, p = net.design, code.params.m, code.field.p
     emitted: dict[NodeId, np.ndarray] = {}
     for node in topological_order(net):
         if node.kind in (SOURCE_POINT, SOURCE_BLOCK):
@@ -218,10 +227,14 @@ def _simulate_batch(
         elif node.kind == BOTTLENECK_HEAD:
             (e,) = net.in_edges(node)
             emitted[node] = emitted[e.tail]
+    # each node's symbols by canonical id; a decoder's in-edges are edges
+    # of the network, so their tails are sources and bottleneck heads in it
+    values = [emitted.get(x) for x in _canonical_nodes(d.v, d.b)]
     outputs = {}
     for t in net.terminals():
         dec = code.decoders[t]
-        received = np.concatenate([emitted[e.tail] for e in dec.in_edges])
+        tail, _ = dec._ids_at(t, d)
+        received = np.concatenate([values[x] for x in tail.tolist()])
         outputs[t] = _matmul_mod(dec.matrix.array, received, p)
     return outputs
 

@@ -1,8 +1,13 @@
 import json
 import time
 
+import pytest
+
 from sumnet.cli import build_parser, main
 from sumnet.coding import code_from_json, code_to_json
+from sumnet.designs import fano
+from sumnet.network import build_sum_network
+from sumnet.verify import ShapeMismatchError, transfer_check
 
 from conftest import within_seconds
 
@@ -311,6 +316,66 @@ def test_simulate_rejects_decoder_in_edges_outside_the_design(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, capsys):
+    # a float was truncated (1.5 read as 1), a string parsed, an integer
+    # past int64 and a list of decoders escaped as tracebacks
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    saved = path.read_text()
+
+    def set_entry(*where, value):
+        def corrupt(data):
+            *outer, last = where
+            holder = data
+            for step in outer:
+                holder = holder[step]
+            holder[last] = value
+        return corrupt
+
+    first_decoder = ("decoders", "terminal-point:1", "matrix", 0, 0)
+    not_integer = "malformed code document: matrix entries must be integers of magnitude below 2**63"
+    cases = (
+        (set_entry(*first_decoder, value=1.5), "malformed code document: 1.5 is not an integer"),
+        (set_entry(*first_decoder, value="1"), not_integer),
+        (set_entry(*first_decoder, value=2**70), not_integer),
+        (set_entry("encoders", 0, 0, 0, value="1"), not_integer),
+        (set_entry("encoders", 0, 0, 0, value=2**63), not_integer),
+        (lambda data: data.update(decoders=list(data["decoders"].values())),
+         "malformed code document: decoders must be an object keyed by terminal label"),
+    )
+    assert json.loads(saved)["decoders"]["terminal-point:1"]["matrix"][0][0] == 1
+    for corrupt, message in cases:
+        data = json.loads(saved)
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["simulate", "--fano", "--field", "3", "--trials", "20", "--code", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sumnet: error: {message}\n"
+
+
+def test_simulate_rejects_a_direct_edge_the_network_lacks(tmp_path, capsys):
+    # source-point:2 shares its point with terminal-point:2, so the network
+    # wires it through the bottleneck only; the document is well formed
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    edge = data["decoders"]["terminal-point:2"]["in_edges"][1]
+    assert edge[2] == "direct" and edge[0] != "source-point:2"
+    edge[0] = "source-point:2"
+    text = json.dumps(data)
+    message = "decoder in-edges disagree with network at terminal-point:2"
+    with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+        transfer_check(build_sum_network(fano()), code_from_json(text))
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sumnet: error: {message}\n"
 
 
 def test_simulate_saved_code_with_dense_large_coefficients(tmp_path, capsys, rebased_fano_bigprime):

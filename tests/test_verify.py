@@ -23,9 +23,11 @@ from sumnet.coding import (
 from sumnet.designs import Design, InvalidDesignError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
+    EDGE_HEAD_TO_TERMINAL,
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
+    TERMINAL_POINT,
     NodeId,
     build_sum_network,
 )
@@ -120,6 +122,90 @@ def test_encoder_reading_an_unwired_source_is_rejected():
         transfer_check(net, broken)
     with pytest.raises(ShapeMismatchError, match=message):
         simulate_trials(net, broken, 200, seed=0)
+
+
+def decoder_blocks(code: NetworkCode, t: NodeId) -> list[np.ndarray]:
+    """The column block of each in-edge of t's decoder, in in-edge order:
+    n columns for a head edge, m for a direct edge."""
+    m, n = code.params.m, code.params.n
+    dec = code.decoders[t]
+    blocks, col = [], 0
+    for e in dec.in_edges:
+        width = n if e.kind == EDGE_HEAD_TO_TERMINAL else m
+        blocks.append(dec.matrix.array[:, col : col + width])
+        col += width
+    return blocks
+
+
+def replace_decoder(code: NetworkCode, t: NodeId, in_edges, blocks) -> NetworkCode:
+    decoders = dict(code.decoders)
+    decoders[t] = TerminalDecoder(in_edges, FieldMatrix(code.field, np.hstack(blocks)))
+    return NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
+
+
+def test_decoder_in_edges_in_another_order_are_accepted():
+    net, code = fano_code(3)
+    t = NodeId(TERMINAL_BLOCK, 2)
+    edges, blocks = code.decoders[t].in_edges, decoder_blocks(code, t)
+    # direct edges first, head edges last, columns permuted to match
+    again = replace_decoder(code, t, edges[::-1], blocks[::-1])
+    loaded = code_from_json(code_to_json(again))
+    assert loaded == again
+    for case in (again, loaded):
+        assert transfer_check(net, case).ok
+        assert simulate_trials(net, case, 50, seed=0).ok
+
+
+def test_decoder_missing_an_in_edge_is_refused():
+    net, code = fano_code(3)
+    t = NodeId(TERMINAL_POINT, 1)
+    edges, blocks = code.decoders[t].in_edges, decoder_blocks(code, t)
+    short = replace_decoder(code, t, edges[:-1], blocks[:-1])
+    message = "^decoder in-edges disagree with network at terminal-point:2$"
+    for case in (short, code_from_json(code_to_json(short))):
+        for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+            with pytest.raises(ShapeMismatchError, match=message):
+                check(net, case)
+        with pytest.raises(ShapeMismatchError, match=message):
+            simulate_trials(net, case, 10, seed=0)
+
+
+def test_a_repeated_direct_in_edge_counts_once_per_listing():
+    # terminal-point:1 lists its direct edge from source-point:2 twice.  The
+    # transfer map must add both blocks, as simulation does: a scatter that
+    # drops a repeated column (``+=`` in place of ``np.add.at``) would pass
+    # the copied block below
+    net, code = fano_code(2)
+    t = NodeId(TERMINAL_POINT, 0)
+    edges, blocks = code.decoders[t].in_edges, decoder_blocks(code, t)
+    again = edges[1]
+    assert (again.tail, again.kind) == (NodeId(SOURCE_POINT, 1), "direct")
+    zero = replace_decoder(code, t, (*edges, again), (*blocks, 0 * blocks[1]))
+    copied = replace_decoder(code, t, (*edges, again), (*blocks, blocks[1]))
+    for case in (zero, code_from_json(code_to_json(zero))):
+        assert transfer_check(net, case).ok
+        assert simulate_trials(net, case, 50, seed=0).ok
+    failure = "unit input at source-point:2[0] decodes to 0, expected 1 (output row 0)"
+    for case in (copied, code_from_json(code_to_json(copied))):
+        result = transfer_check(net, case)
+        assert [(x.at, x.detail) for x in result.failures] == [(t, failure)]
+        assert simulate_trials(net, case, 50, seed=0).mismatched_trials == 29
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_checks_make_no_edge_objects_for_terminal_in_edges(p):
+    # decoders hold their in-edges as ids, so building the code, checking
+    # it and simulating it make only the network's non-direct Edge objects
+    d = sts_bose(15)
+    net = build_sum_network(d)
+    code = build_code(net, PrimeField(p))
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        assert check(net, code).ok
+    assert simulate_trials(net, code, 20, seed=0).ok
+    made = sum(e is not None for e in net._made)
+    assert made <= d.v + 2 * d.v * (d.r + 1)
+    for t in net.terminals():
+        assert code.decoders[t].in_edges == net.terminal_in_edges(t)
 
 
 # ---------------------------------------------------------------------------
