@@ -247,7 +247,7 @@ def cmd_code(args) -> int:
                 "partial_sum_recoverable": psum.ok,
                 "block_sum_recoverable": bsum.ok,
                 "failures": [
-                    {"at": x.at.label() if x.at else None, "detail": x.detail}
+                    {"at": x.at.label(), "detail": x.detail}
                     for result in (transfer, psum, bsum)
                     for x in result.failures
                 ],
@@ -263,7 +263,7 @@ def cmd_code(args) -> int:
         print(f"block-sum recoverability: {'ok' if bsum.ok else 'FAILED'}")
         for result in (transfer, psum, bsum):
             for x in result.failures:
-                print(f"  - {x.at.label() if x.at else '?'}: {x.detail}")
+                print(f"  - {x.at.label()}: {x.detail}")
     return 0 if ok else CHECK_FAILED
 
 
@@ -323,7 +323,7 @@ def cmd_simulate(args) -> int:
                 "seed": summary.seed,
                 "ok": summary.ok,
                 "failures": [
-                    {"at": x.at.label() if x.at else None, "detail": x.detail}
+                    {"at": x.at.label(), "detail": x.detail}
                     for x in summary.failures
                 ],
             }
@@ -331,7 +331,7 @@ def cmd_simulate(args) -> int:
     else:
         print(f"{passes}/{summary.trials} trials match the plain sum (seed {summary.seed})")
         for x in summary.failures:
-            print(f"  - {x.at.label() if x.at else '?'}: {x.detail}")
+            print(f"  - {x.at.label()}: {x.detail}")
     return 0 if summary.ok else CHECK_FAILED
 
 

@@ -22,9 +22,9 @@ Codes are materialized as global maps: ``encoders[i]`` sends the stacked
 source vector to the n symbols on bottleneck i, and each terminal decoder
 maps the concatenation of its in-edge values to the m decoded symbols.
 Relay edges carry their input unchanged and are not stored.  A decoder
-holds its in-edges as integer arrays, the tails' canonical node ids and
-the edge kind codes, filled from the network's in-index or, when a code
-document is read, from a label-to-id table; ``Edge`` objects are made
+holds its in-edges only as integer arrays, the tails' node kind ranks and
+indexes and the edge kind codes, filled alike from ``Edge`` objects, the
+network's in-index or a code document's labels; ``Edge`` objects are made
 only when ``TerminalDecoder.in_edges`` is asked for.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -42,9 +42,11 @@ from ._jsonwriter import dumps
 from .designs import Design, ParseError
 from .field import FieldMatrix, PrimeField
 from .network import (
-    _DIRECT,
+    _EDGE_CODES,
     _EDGE_KINDS,
     _HEAD_TO_TERMINAL,
+    _KIND_ORDER,
+    _NODE_KINDS,
     BOTTLENECK_HEAD,
     EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
@@ -55,17 +57,13 @@ from .network import (
     Edge,
     NodeId,
     SumNetwork,
-    _canonical_index,
-    _canonical_nodes,
     _frozen,
+    _kind_offsets,
     parse_node_label,
 )
 
 REGIME_DIVIDES = "char-divides"
 REGIME_NOT_DIVIDES = "char-not-divides"
-
-# the kind codes a terminal in-edge may have
-_TERMINAL_KINDS = {EDGE_HEAD_TO_TERMINAL: _HEAD_TO_TERMINAL, EDGE_DIRECT: _DIRECT}
 
 
 class CharMismatchError(ValueError):
@@ -94,27 +92,55 @@ class CodeParams:
 
 
 class _InEdgeIds(NamedTuple):
-    """A decoder's in-edges into ``terminal`` as arrays in listed order:
-    each tail's id in the canonical numbering of a design with ``sizes``
-    (v, b) points and blocks, and each edge's kind code."""
+    """A decoder's in-edges into ``terminal`` (None when there are none) as
+    arrays in listed order: each tail's kind rank (``sort_key`` rank) and
+    index, and each edge's kind code."""
 
-    terminal: NodeId
-    sizes: tuple[int, int]
-    tail: np.ndarray
+    terminal: NodeId | None
+    rank: np.ndarray
+    index: np.ndarray
     kind: np.ndarray
 
 
-def _fitting(tail: np.ndarray, kind: np.ndarray, d: Design) -> np.ndarray:
-    """Per in-edge, whether it leads from a node of d that fits its kind: a
-    head edge from a bottleneck head, a direct edge from a source."""
-    first_head = 2 * d.v + d.b
-    from_head = (first_head <= tail) & (tail < first_head + d.v)
-    from_source = (0 <= tail) & (tail < d.v + d.b)
-    return np.where(kind == _HEAD_TO_TERMINAL, from_head, (kind == _DIRECT) & from_source)
+def _in_edge_ids(terminal: NodeId | None, rank, index, kind) -> _InEdgeIds:
+    """The arrays of in-edges into ``terminal``; a node kind rank or an edge
+    kind code of -1, a kind the network does not know, is refused.  Ranks
+    and codes are held as intp, which indexes without a conversion."""
+    rank, kind = np.asarray(rank, np.intp), np.asarray(kind, np.intp)
+    if (rank < 0).any() or (kind < 0).any():
+        raise ValueError(
+            f"decoder in-edges into {terminal.label()} hold a kind the network does not know"
+        )
+    return _InEdgeIds(terminal, _frozen(rank), _frozen(np.asarray(index, np.int64)), _frozen(kind))
 
 
-def _in_edge_ids(terminal: NodeId, d: Design, tail: np.ndarray, kind: np.ndarray) -> _InEdgeIds:
-    return _InEdgeIds(terminal, (d.v, d.b), _frozen(tail.astype(np.int64)), _frozen(kind.astype(np.int8)))
+# the tails an in-edge of each kind may start at
+_IN_EDGE_TAILS = {EDGE_HEAD_TO_TERMINAL: (BOTTLENECK_HEAD,), EDGE_DIRECT: (SOURCE_POINT, SOURCE_BLOCK)}
+
+
+@lru_cache(maxsize=16)
+def _tail_limits(v: int, b: int) -> np.ndarray:
+    """Per edge kind code and tail kind rank, how many nodes of that kind
+    an in-edge of that kind may start at in the network of a design with v
+    points and b blocks: all of a kind in ``_IN_EDGE_TAILS``, else none.  A
+    code or rank of -1, an unknown kind, reads none."""
+    _, size = _kind_offsets(v, b)
+    limit = np.zeros((len(_EDGE_KINDS) + 1, len(size)), dtype=np.int64)
+    for kind, tails in _IN_EDGE_TAILS.items():
+        for tail in map(_KIND_ORDER.get, tails):
+            limit[_EDGE_CODES[kind], tail] = size[tail]
+    return _frozen(limit)
+
+
+def _fitting(
+    rank: np.ndarray, index: np.ndarray, kind: np.ndarray, d: Design
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per in-edge, its tail's canonical id in d and whether it leads from a
+    node of d that fits its kind: a head edge from a bottleneck head, a
+    direct edge from a source.  The ids of in-edges that do not fit are
+    meaningless."""
+    first, _ = _kind_offsets(d.v, d.b)
+    return first[rank] + index, (0 <= index) & (index < _tail_limits(d.v, d.b)[kind, rank])
 
 
 class TerminalDecoder:
@@ -123,32 +149,30 @@ class TerminalDecoder:
     The matrix has m rows and one column per incoming symbol: n columns for
     each head edge, m for each direct edge, in in-edge order.
 
-    ``build_code`` and ``code_from_json`` hold the in-edges as two integer
-    arrays in listed order: each tail's id in the design's canonical
-    numbering (``NodeId.sort_key`` order, as ``build_sum_network`` numbers
-    nodes) and each edge's kind code.  ``in_edges`` makes ``Edge`` objects
-    from them only on request.  ``TerminalDecoder(in_edges, matrix)`` takes
-    any edges, and the checks number them when they run.
+    The in-edges are held only as the arrays of ``_InEdgeIds``, which
+    ``TerminalDecoder(in_edges, matrix)``, ``build_code`` and
+    ``code_from_json`` fill alike; ``in_edges`` makes ``Edge`` objects from
+    them on request.  In-edges into more than one node, or with a node or
+    edge kind the network does not know, are refused with ``ValueError``.
     """
 
-    __slots__ = ("_matrix", "_edges", "_ids")
+    __slots__ = ("_matrix", "_ids")
 
     def __init__(self, in_edges: Iterable[Edge], matrix: FieldMatrix):
+        edges = tuple(in_edges)
+        heads = {e.head for e in edges}
+        if len(heads) > 1:
+            labels = ", ".join(sorted(x.label() for x in heads))
+            raise ValueError(f"decoder in-edges lead into more than one node: {labels}")
+        rank = [_KIND_ORDER.get(e.tail.kind, -1) for e in edges]
+        kind = [_EDGE_CODES.get(e.kind, -1) for e in edges]
         self._matrix = matrix
-        self._edges = tuple(in_edges)
-        self._ids: _InEdgeIds | None = None
+        self._ids = _in_edge_ids(next(iter(heads), None), rank, [e.tail.index for e in edges], kind)
 
     @classmethod
     def _from_ids(cls, ids: _InEdgeIds, matrix: FieldMatrix) -> TerminalDecoder:
         dec = cls.__new__(cls)
-        dec._matrix, dec._edges, dec._ids = matrix, None, ids
-        return dec
-
-    def _with_matrix(self, matrix: FieldMatrix) -> TerminalDecoder:
-        """This decoder's in-edges, held as they are here, with another
-        matrix."""
-        dec = TerminalDecoder.__new__(TerminalDecoder)
-        dec._matrix, dec._edges, dec._ids = matrix, self._edges, self._ids
+        dec._matrix, dec._ids = matrix, ids
         return dec
 
     @property
@@ -157,12 +181,10 @@ class TerminalDecoder:
 
     @property
     def in_edges(self) -> tuple[Edge, ...]:
-        if self._ids is None:
-            return self._edges
-        terminal, sizes, tail, kind = self._ids
-        nodes = _canonical_nodes(*sizes)
+        terminal, rank, index, kind = self._ids
         return tuple(
-            Edge(nodes[x], terminal, _EDGE_KINDS[k]) for x, k in zip(tail.tolist(), kind.tolist())
+            Edge(NodeId(_NODE_KINDS[r], x), terminal, _EDGE_KINDS[k])
+            for r, x, k in zip(rank.tolist(), index.tolist(), kind.tolist())
         )
 
     def _ids_at(self, terminal: NodeId, d: Design) -> tuple[np.ndarray, np.ndarray] | None:
@@ -170,15 +192,10 @@ class TerminalDecoder:
         None unless every one leads into ``terminal`` from a node of d that
         fits its kind."""
         ids = self._ids
-        if ids is not None and ids.sizes == (d.v, d.b):
-            return (ids.tail, ids.kind) if ids.terminal == terminal else None
-        edges = self.in_edges
-        if any(e.head != terminal for e in edges):
+        if ids.terminal not in (terminal, None):
             return None
-        index = _canonical_index(d.v, d.b)
-        tail = np.array([index.get(e.tail, -1) for e in edges], dtype=np.int64)
-        kind = np.array([_TERMINAL_KINDS.get(e.kind, -1) for e in edges], dtype=np.int8)
-        return (tail, kind) if _fitting(tail, kind, d).all() else None
+        tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
+        return (tail, ids.kind) if fits.all() else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TerminalDecoder):
@@ -189,8 +206,7 @@ class TerminalDecoder:
         return hash(self._matrix)
 
     def __repr__(self) -> str:
-        edges = len(self._edges) if self._ids is None else len(self._ids.tail)
-        return f"TerminalDecoder({edges} in-edges, matrix {self._matrix.shape})"
+        return f"TerminalDecoder({len(self._ids.kind)} in-edges, matrix {self._matrix.shape})"
 
 
 @dataclass(frozen=True)
@@ -231,7 +247,7 @@ class NetworkCode:
             core = _unlift(dec.matrix, w)
             if core is None:
                 return self, 1
-            decoders[t] = dec._with_matrix(core)
+            decoders[t] = TerminalDecoder._from_ids(dec._ids, core)
         params = CodeParams(m=c, n=c + s, regime=self.params.regime)
         return NetworkCode(self.design, self.field, params, tuple(encoders), decoders), w
 
@@ -414,7 +430,7 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     head edges and adds its direct edges; a block terminal also subtracts
     its block source, reassembled from the selector slices, k-1 times.
     Every map is built for the (c, c+s) core of ``_core`` and lifted by I_w.
-    Each decoder takes its in-edge ids from the network's in-index.
+    Each decoder takes its in-edge arrays from the network's in-index.
     """
     d = net.design
     params = code_params_for(d, f)
@@ -433,7 +449,7 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     head_read, direct_read = np.eye(c, n, dtype=np.int64), np.eye(c, dtype=np.int64)
     reads: dict[tuple[int, int], np.ndarray] = {}
     decoders: dict[NodeId, TerminalDecoder] = {}
-    canonical = net._canonical_ids
+    rank, index = net._node_kinds
     for t in net.terminals():
         ids = net._terminal_in_ids(t)
         kind = net._kind[ids]
@@ -445,12 +461,9 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
         if t.kind == TERMINAL_BLOCK and layout:
             points = _head_points(net, ids)
             core = core - (d.k - 1) * _block_reader(layout, t.index, points, core.shape[1], c, n)
-        matrix = _lift(f, core, w)
-        tail = canonical[net._tail[ids]]
-        if canonical[net._ids[t]] >= 0 and _fitting(tail, kind, d).all():
-            decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, d, tail, kind), matrix)
-        else:  # a network with nodes or edges outside its design
-            decoders[t] = TerminalDecoder(net.terminal_in_edges(t), matrix)
+        tail = net._tail[ids]
+        in_edges = _in_edge_ids(t, rank[tail], index[tail], kind)
+        decoders[t] = TerminalDecoder._from_ids(in_edges, _lift(f, core, w))
 
     encoders = tuple(_lift(f, enc, w) for enc in encoders)
     return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
@@ -473,15 +486,13 @@ def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
 
 
 def code_to_json(code: NetworkCode) -> str:
-    d = code.design
-    labels = [x.label() for x in _canonical_nodes(d.v, d.b)]
-
     def in_edge_rows(dec: TerminalDecoder) -> list[list[str]]:
-        ids = dec._ids
-        if ids is None or ids.sizes != (d.v, d.b):
-            return [[e.tail.label(), e.head.label(), e.kind] for e in dec.in_edges]
-        head = ids.terminal.label()
-        return [[labels[x], head, _EDGE_KINDS[k]] for x, k in zip(ids.tail.tolist(), ids.kind.tolist())]
+        terminal, rank, index, kind = dec._ids
+        head = terminal.label() if terminal else None
+        return [
+            [f"{_NODE_KINDS[r]}:{x + 1}", head, _EDGE_KINDS[k]]
+            for r, x, k in zip(rank.tolist(), index.tolist(), kind.tolist())
+        ]
 
     data = {
         "schema": "sumnet.code/1",
@@ -495,10 +506,6 @@ def code_to_json(code: NetworkCode) -> str:
         },
     }
     return dumps(data) + "\n"
-
-
-# the tails an in-edge of each kind may start at
-_IN_EDGE_TAILS = {EDGE_HEAD_TO_TERMINAL: (BOTTLENECK_HEAD,), EDGE_DIRECT: (SOURCE_POINT, SOURCE_BLOCK)}
 
 
 def _bad_in_edge(t: NodeId, row: list) -> str:
@@ -516,16 +523,13 @@ def _bad_in_edge(t: NodeId, row: list) -> str:
     return f"{edge}: {tail.label()} is not a node of the design"
 
 
-class _LabelIds(dict):
-    """Node label -> the node's canonical id in a design, -1 for a node
-    outside it; a bad label is a ``ParseError``."""
+class _LabelKinds(dict):
+    """Node label -> the node's (kind rank, index); a bad label is a
+    ``ParseError``."""
 
-    def __init__(self, d: Design):
-        super().__init__()
-        self._index = _canonical_index(d.v, d.b)
-
-    def __missing__(self, label: str) -> int:
-        x = self[label] = self._index.get(parse_node_label(label), -1)
+    def __missing__(self, label: str) -> tuple[int, int]:
+        node = parse_node_label(label)
+        x = self[label] = (_KIND_ORDER[node.kind], node.index)
         return x
 
 
@@ -533,12 +537,15 @@ def _refuse_float(literal: str):
     raise ParseError(f"malformed code document: {literal} is not an integer")
 
 
-def _coefficients(f: PrimeField, rows) -> FieldMatrix:
+def _coefficients(f: PrimeField, rows, booleans: bool) -> FieldMatrix:
     """``rows`` as a matrix over f.  JSON floats are refused while parsing,
-    so numpy infers an integer dtype unless an entry is a string, a
-    boolean or an integer that does not fit int64."""
+    so numpy infers an integer dtype unless an entry is a string, an
+    integer that does not fit int64 or, with only booleans beside it, a
+    boolean.  A boolean among integers reads as 0 or 1, so when the
+    document spells one (``booleans``) the entries' types are read."""
     a = np.asarray(rows)
-    if a.size and a.dtype.kind != "i":
+    spelled = booleans and bool in set(map(type, np.asarray(rows, object).flat))
+    if a.size and (a.dtype.kind != "i" or spelled):
         raise ValueError("matrix entries must be integers of magnitude below 2**63")
     return FieldMatrix(f, a)
 
@@ -556,10 +563,11 @@ def code_from_json(text: str) -> NetworkCode:
         raw_params = data["params"]
         params = CodeParams(m=raw_params["m"], n=raw_params["n"], regime=raw_params["regime"])
         expected = code_params_for(d, f)
-        encoders = tuple(_coefficients(f, rows) for rows in data["encoders"])
+        booleans = "true" in text or "false" in text
+        encoders = tuple(_coefficients(f, rows, booleans) for rows in data["encoders"])
         if not isinstance(data["decoders"], dict):
             raise ValueError("decoders must be an object keyed by terminal label")
-        labels = _LabelIds(d)
+        labels = _LabelKinds()
         parsed = {}
         for label, entry in data["decoders"].items():
             t = parse_node_label(label)
@@ -573,8 +581,8 @@ def code_from_json(text: str) -> NetworkCode:
                     parse_node_label(x)
                     parse_node_label(h)
                     raise
-                kind.append(_TERMINAL_KINDS.get(k, -1))
-            parsed[t] = (rows, tail, head, kind, _coefficients(f, entry["matrix"]))
+                kind.append(_EDGE_CODES.get(k, -1))
+            parsed[t] = (rows, tail, head, kind, _coefficients(f, entry["matrix"], booleans))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed code document: {exc}") from exc
     if params != expected:
@@ -584,20 +592,22 @@ def code_from_json(text: str) -> NetworkCode:
         )
     # one decoder per terminal of the design, each of whose in-edges leads
     # into it from a node of the design that fits the edge's kind
-    index = _canonical_index(d.v, d.b)
+    every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
+    every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
+    terminals = set(every)
     decoders = {}
     for t, (rows, tail, head, kind, matrix) in parsed.items():
-        at = index.get(t, -1)
-        if at < 3 * d.v + d.b:
+        if t not in terminals:
             raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
-        tail, kind = np.array(tail, dtype=np.int64), np.array(kind, dtype=np.int8)
-        fits = (np.array(head, dtype=np.int64) == at) & _fitting(tail, kind, d)
+        rank, index = np.array(tail, dtype=np.int64).reshape(-1, 2).T
+        kind = np.array(kind, dtype=np.intp)
+        _, fits = _fitting(rank, index, kind, d)
+        head = np.array(head, dtype=np.int64).reshape(-1, 2)
+        fits &= (head == (_KIND_ORDER[t.kind], t.index)).all(axis=1)
         if not fits.all():
             raise ParseError(_bad_in_edge(t, rows[int(np.argmin(fits))]))
-        decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, d, tail, kind), matrix)
+        decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, rank, index, kind), matrix)
     if len(decoders) < d.v + d.b:
-        every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
-        every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
         missing = next(t for t in every if t not in decoders)
         raise ParseError(f"no decoder for {missing.label()}")
     m, n, width = params.m, params.n, stacked_width(d, params.m)

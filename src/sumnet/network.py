@@ -9,13 +9,13 @@ back out.  All remaining source/terminal pairs are wired directly, so a
 Layout.  The nodes are numbered in ``NodeId.sort_key`` order, nodes of an
 unknown kind after the known ones; for a network of exactly the design's
 nodes this is the canonical numbering (``_canonical_nodes``) in which
-code decoders hold their in-edge tails.  The edges are three integer arrays
+the checks number decoders' in-edge tails.  The edges are three integer arrays
 (tail id, head id, kind code) in construction order.  A CSR in-index lists
 each node's in-edges by kind code, then tail id, which for a terminal is
 the canonical order: head edges by bottleneck, then direct edges by
 source.  A CSR out-index lists each node's out-edges by head id.  Every
-accessor is a slice of one of them.  ``Edge`` objects are made only when a
-caller asks for them, at most once per edge of a network.
+accessor is a slice of one of them.  ``Edge`` objects are made afresh
+each time a caller asks for them; the network keeps none.
 """
 
 from __future__ import annotations
@@ -40,14 +40,11 @@ BOTTLENECK_HEAD = "bottleneck-head"
 TERMINAL_POINT = "terminal-point"
 TERMINAL_BLOCK = "terminal-block"
 
-_KIND_ORDER = {
-    SOURCE_POINT: 0,
-    SOURCE_BLOCK: 1,
-    BOTTLENECK_TAIL: 2,
-    BOTTLENECK_HEAD: 3,
-    TERMINAL_POINT: 4,
-    TERMINAL_BLOCK: 5,
-}
+# node kinds in ``NodeId.sort_key`` order
+_NODE_KINDS = (
+    SOURCE_POINT, SOURCE_BLOCK, BOTTLENECK_TAIL, BOTTLENECK_HEAD, TERMINAL_POINT, TERMINAL_BLOCK
+)
+_KIND_ORDER = {kind: rank for rank, kind in enumerate(_NODE_KINDS)}
 
 EDGE_BOTTLENECK = "bottleneck"
 EDGE_SOURCE_TO_TAIL = "source-to-tail"
@@ -56,6 +53,7 @@ EDGE_DIRECT = "direct"
 
 # edge kind codes; a network appends any other kind it is given after these
 _EDGE_KINDS = (EDGE_BOTTLENECK, EDGE_SOURCE_TO_TAIL, EDGE_HEAD_TO_TERMINAL, EDGE_DIRECT)
+_EDGE_CODES = {kind: code for code, kind in enumerate(_EDGE_KINDS)}
 _BOTTLENECK, _SOURCE_TO_TAIL, _HEAD_TO_TERMINAL, _DIRECT = range(len(_EDGE_KINDS))
 
 
@@ -78,24 +76,20 @@ def _node_rank(node: NodeId) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _canonical_nodes(v: int, b: int) -> tuple[NodeId, ...]:
-    """The nodes of the network of a design with v points and b blocks in
-    ``NodeId.sort_key`` order: the canonical numbering of its nodes."""
-    sizes = (
-        (SOURCE_POINT, v),
-        (SOURCE_BLOCK, b),
-        (BOTTLENECK_TAIL, v),
-        (BOTTLENECK_HEAD, v),
-        (TERMINAL_POINT, v),
-        (TERMINAL_BLOCK, b),
-    )
-    return tuple(NodeId(kind, i) for kind, size in sizes for i in range(size))
+def _kind_offsets(v: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per node kind rank, the canonical id of the kind's first node and
+    the kind's node count in the network of a design with v points and b
+    blocks; rank -1, an unknown kind, counts no node."""
+    size = np.array((v, b, v, v, v, b, 0))
+    return _frozen(np.cumsum(size) - size), _frozen(size)
 
 
 @lru_cache(maxsize=16)
-def _canonical_index(v: int, b: int) -> dict[NodeId, int]:
-    """Node -> its id in the canonical numbering of ``_canonical_nodes``."""
-    return {node: i for i, node in enumerate(_canonical_nodes(v, b))}
+def _canonical_nodes(v: int, b: int) -> tuple[NodeId, ...]:
+    """The nodes of the network of a design with v points and b blocks in
+    ``NodeId.sort_key`` order: the canonical numbering of its nodes."""
+    sizes = zip(_NODE_KINDS, _kind_offsets(v, b)[1].tolist())
+    return tuple(NodeId(kind, i) for kind, size in sizes for i in range(size))
 
 
 def parse_node_label(label: str) -> NodeId:
@@ -131,7 +125,7 @@ def _csr(keys: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, n
 class EdgeList(Sequence):
     """``SumNetwork.edges``: the edges in construction order, compared and
     concatenated like a tuple.  Its length is read off the arrays; the
-    ``Edge`` objects are made on first access to an item."""
+    ``Edge`` objects are made on each access to an item."""
 
     __slots__ = ("_net",)
 
@@ -142,23 +136,29 @@ class EdgeList(Sequence):
         return len(self._net._tail)
 
     def __getitem__(self, i):
-        return self._net._edge_tuple[i]
+        ids = range(len(self))[i]
+        if isinstance(ids, range):
+            return self._net._edges_at(np.arange(ids.start, ids.stop, ids.step))
+        return self._net._edges_at(np.array([ids]))[0]
+
+    def _all(self) -> tuple[Edge, ...]:
+        return self._net._edges_at(np.arange(len(self)))
 
     def __iter__(self):
-        return iter(self._net._edge_tuple)
+        return iter(self._all())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EdgeList):
-            other = other._net._edge_tuple
-        return self._net._edge_tuple == other
+            other = other._all()
+        return self._all() == other
 
     __hash__ = None
 
     def __add__(self, other):
-        return self._net._edge_tuple + (other._net._edge_tuple if isinstance(other, EdgeList) else other)
+        return self._all() + (other._all() if isinstance(other, EdgeList) else other)
 
     def __radd__(self, other):
-        return other + self._net._edge_tuple
+        return other + self._all()
 
     def __repr__(self) -> str:
         return f"EdgeList({len(self)} edges)"
@@ -175,7 +175,7 @@ class SumNetwork:
         nodes, edges = tuple(nodes), tuple(edges)
         table = sorted({*nodes, *(x for e in edges for x in (e.tail, e.head))}, key=_node_rank)
         ids = {node: i for i, node in enumerate(table)}
-        codes = {kind: c for c, kind in enumerate(_EDGE_KINDS)}
+        codes = dict(_EDGE_CODES)
         for e in edges:
             codes.setdefault(e.kind, len(codes))
         self._setup(
@@ -187,9 +187,6 @@ class SumNetwork:
             np.fromiter((codes[e.kind] for e in edges), np.int16, len(edges)),
             tuple(codes),
         )
-        # the caller's edges are this network's Edge objects
-        self._made[:] = edges
-        self._unmade[:] = False
 
     @classmethod
     def _from_ids(
@@ -216,10 +213,6 @@ class SumNetwork:
         self._head = _frozen(head.astype(np.int32, copy=False))
         self._kind = _frozen(kind.astype(np.min_scalar_type(len(kinds) - 1), copy=False))
         self._kinds = kinds
-        self._made: list[Edge | None] = [None] * len(tail)
-        self._unmade = np.ones(len(tail), dtype=bool)
-        self._in_edges: dict[NodeId, tuple[Edge, ...]] = {}
-        self._terminal_in: dict[NodeId, tuple[Edge, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SumNetwork):
@@ -242,21 +235,12 @@ class SumNetwork:
         return EdgeList(self)
 
     def _edges_at(self, ids: np.ndarray) -> tuple[Edge, ...]:
-        """The ``Edge`` objects of distinct edge ids, each made once."""
-        fresh = ids[self._unmade[ids]]
-        if fresh.size:
-            self._unmade[fresh] = False
-            table, kinds, made = self._node_table, self._kinds, self._made
-            tails = map(table.__getitem__, self._tail[fresh].tolist())
-            heads = map(table.__getitem__, self._head[fresh].tolist())
-            kind = map(kinds.__getitem__, self._kind[fresh].tolist())
-            edges = map(tuple.__new__, repeat(Edge), zip(tails, heads, kind))
-            deque(map(made.__setitem__, fresh.tolist(), edges), maxlen=0)
-        return tuple(map(self._made.__getitem__, ids.tolist()))
-
-    @cached_property
-    def _edge_tuple(self) -> tuple[Edge, ...]:
-        return self._edges_at(np.arange(len(self._tail)))
+        """New ``Edge`` objects of the edge ids ``ids``."""
+        table, kinds = self._node_table, self._kinds
+        tails = map(table.__getitem__, self._tail[ids].tolist())
+        heads = map(table.__getitem__, self._head[ids].tolist())
+        kind = map(kinds.__getitem__, self._kind[ids].tolist())
+        return tuple(map(tuple.__new__, repeat(Edge), zip(tails, heads, kind)))
 
     @cached_property
     def _in_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -290,17 +274,13 @@ class SumNetwork:
     def bottlenecks(self) -> tuple[Edge, ...]:
         """The v bottleneck edges in point order."""
         ids = np.flatnonzero(self._kind == _BOTTLENECK)
-        index = np.array([x.index for x in self._node_table], dtype=np.int64)
+        _, index = self._node_kinds
         return self._edges_at(ids[np.argsort(index[self._tail[ids]], kind="stable")])
 
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """In-edges of a node by kind (bottleneck, source-to-tail,
-        head-to-terminal, direct), then by tail.  Later calls return the
-        same tuple."""
-        edges = self._in_edges.get(node)
-        if edges is None:
-            edges = self._in_edges[node] = self._edges_at(self._in_ids(node))
-        return edges
+        head-to-terminal, direct), then by tail."""
+        return self._edges_at(self._in_ids(node))
 
     def out_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """Out-edges of a node by head."""
@@ -308,15 +288,8 @@ class SumNetwork:
 
     def terminal_in_edges(self, terminal: NodeId) -> tuple[Edge, ...]:
         """In-edges of a terminal in canonical order: head edges by
-        bottleneck index first, then direct edges by source order.  Later
-        calls return the same tuple."""
-        order = self._terminal_in.get(terminal)
-        if order is None:
-            ids = self._terminal_in_ids(terminal)
-            same = len(ids) == len(self._in_ids(terminal))
-            order = self.in_edges(terminal) if same else self._edges_at(ids)
-            self._terminal_in[terminal] = order
-        return order
+        bottleneck index first, then direct edges by source order."""
+        return self._edges_at(self._terminal_in_ids(terminal))
 
     def _terminal_in_ids(self, terminal: NodeId) -> np.ndarray:
         """The edge ids of ``terminal_in_edges``."""
@@ -329,12 +302,21 @@ class SumNetwork:
         return self.in_edges(NodeId(BOTTLENECK_TAIL, i))
 
     @cached_property
+    def _node_kinds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per node id, the node's kind rank (``sort_key`` rank, -1 for an
+        unknown kind) and its index."""
+        table = self._node_table
+        rank = np.fromiter((_KIND_ORDER.get(x.kind, -1) for x in table), np.int8, len(table))
+        index = np.fromiter((x.index for x in table), np.int64, len(table))
+        return _frozen(rank), _frozen(index)
+
+    @cached_property
     def _canonical_ids(self) -> np.ndarray:
         """Per node id, the node's id in the design's canonical numbering
         (``_canonical_nodes``); -1 for a node that is not in the design."""
-        index = _canonical_index(self.design.v, self.design.b)
-        table = self._node_table
-        return _frozen(np.fromiter((index.get(x, -1) for x in table), np.int64, len(table)))
+        rank, index = self._node_kinds
+        first, size = _kind_offsets(self.design.v, self.design.b)
+        return _frozen(np.where((0 <= index) & (index < size[rank]), first[rank] + index, -1))
 
     @cached_property
     def _has_parallel_edges(self) -> bool:
@@ -649,10 +631,9 @@ def network_from_json(text: str) -> SumNetwork:
         nodes = tuple(parse_node_label(s) for s in data["nodes"])
         table = tuple(sorted(set(nodes), key=_node_rank))
         listed = _ListedIds({node: i for i, node in enumerate(table)})
-        codes = {kind: c for c, kind in enumerate(_EDGE_KINDS)}
         tail, head, kind = [], [], []
         for t, h, k in data["edges"]:
-            code = codes.get(k)
+            code = _EDGE_CODES.get(k)
             if code is None:
                 raise ParseError(f"bad edge kind {k!r}")
             tail.append(listed[t])

@@ -9,9 +9,10 @@ into their bottleneck.  ``simulate`` re-derives the same answers by
 pushing concrete values through the graph, giving an independent
 evaluation path for cross-checks.
 
-Decoders hold their in-edges as canonical tail ids and kind codes
-(``TerminalDecoder``), so no per-terminal step makes ``Edge`` objects:
-``_check_compatible`` compares the ids with the network's in-index, the
+Decoders hold their in-edges only as integer arrays (``TerminalDecoder``),
+and ``TerminalDecoder._ids_at`` numbers their tails canonically over the
+design, so no per-terminal step makes ``Edge`` objects:
+``_check_compatible`` compares those ids with the network's in-index, the
 transfer map scatters a direct edge's block to the columns at its tail
 id times m, and simulation gathers each decoder's input by tail id.
 
@@ -74,7 +75,7 @@ class ShapeMismatchError(ValueError):
 
 @dataclass
 class Failure:
-    at: NodeId | None
+    at: NodeId
     detail: str
 
 

@@ -263,6 +263,8 @@ def test_simulate_rejects_misshapen_matrices(tmp_path, capsys):
          "decoder at terminal-point:2 has shape (5, 72), expected (6, 72)"),
         (("decoders", "terminal-block:3", "matrix"), drop_last_column,
          "decoder at terminal-block:3 has shape (6, 59), expected (6, 60)"),
+        (("decoders", "terminal-point:1", "in_edges"), lambda rows: [],
+         "decoder at terminal-point:1 has shape (6, 72), expected (6, 0)"),
     )
     for (*outer, key), corrupt, message in cases:
         data = holder = json.loads(saved)
@@ -319,8 +321,9 @@ def test_simulate_rejects_decoder_in_edges_outside_the_design(tmp_path, capsys):
 
 
 def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, capsys):
-    # a float was truncated (1.5 read as 1), a string parsed, an integer
-    # past int64 and a list of decoders escaped as tracebacks
+    # a float was truncated (1.5 read as 1), a string parsed, a boolean
+    # among integers read as 1, an integer past int64 and a list of
+    # decoders escaped as tracebacks
     path = tmp_path / "code.json"
     assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
     saved = path.read_text()
@@ -339,6 +342,7 @@ def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, caps
     cases = (
         (set_entry(*first_decoder, value=1.5), "malformed code document: 1.5 is not an integer"),
         (set_entry(*first_decoder, value="1"), not_integer),
+        (set_entry(*first_decoder, value=True), not_integer),
         (set_entry(*first_decoder, value=2**70), not_integer),
         (set_entry("encoders", 0, 0, 0, value="1"), not_integer),
         (set_entry("encoders", 0, 0, 0, value=2**63), not_integer),

@@ -7,6 +7,7 @@ from sumnet.coding import (
     CharMismatchError,
     REGIME_DIVIDES,
     REGIME_NOT_DIVIDES,
+    TerminalDecoder,
     UnsupportedLambdaError,
     block_source_extractor,
     build_code,
@@ -29,6 +30,7 @@ from sumnet.network import (
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
+    TERMINAL_POINT,
     NodeId,
     build_sum_network,
 )
@@ -346,6 +348,30 @@ def test_code_json_round_trip():
         code = build_code(net, PrimeField(p))
         again = code_from_json(code_to_json(code))
         assert again == code
+
+
+def test_decoder_refuses_in_edges_its_arrays_cannot_hold():
+    # the arrays hold one terminal, and node and edge kinds as codes the
+    # network knows; anything else is refused, everything else held as given
+    _, net, f = fano_setup(3)
+    code = build_code(net, f)
+    t = NodeId(TERMINAL_POINT, 0)
+    dec = code.decoders[t]
+    edges = dec.in_edges
+    last = edges[-1]
+    cases = (
+        ((*edges, code.decoders[NodeId(TERMINAL_POINT, 1)].in_edges[0]), "more than one node"),
+        ((*edges[:-1], last._replace(tail=NodeId("bogus", 0))), "does not know"),
+        ((*edges[:-1], last._replace(kind="odd")), "does not know"),
+    )
+    for in_edges, message in cases:
+        with pytest.raises(ValueError, match=message):
+            TerminalDecoder(in_edges, dec.matrix)
+    held = (*edges[:-1], last._replace(tail=NodeId(TERMINAL_BLOCK, 99), kind="bottleneck"))
+    assert TerminalDecoder(held, dec.matrix).in_edges == held
+    again = TerminalDecoder(edges, dec.matrix)
+    assert again == dec and again.in_edges == edges
+    assert TerminalDecoder((), f.zeros(1, 0)).in_edges == ()
 
 
 def test_code_json_is_deterministic():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -20,15 +21,18 @@ from sumnet.coding import (
     code_to_json,
     source_column,
 )
-from sumnet.designs import Design, InvalidDesignError, fano, sts_bose
+from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
+    EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
     TERMINAL_POINT,
+    Edge,
     NodeId,
+    SumNetwork,
     build_sum_network,
 )
 from sumnet.verify import (
@@ -193,17 +197,51 @@ def test_a_repeated_direct_in_edge_counts_once_per_listing():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_checks_make_no_edge_objects_for_terminal_in_edges(p):
-    # decoders hold their in-edges as ids, so building the code, checking
-    # it and simulating it make only the network's non-direct Edge objects
+def test_a_code_for_a_terminal_fed_from_outside_the_design_is_refused(p):
+    # source-point:8 is no node of Fano, so the decoder build_code makes for
+    # terminal-point:1 reads an in-edge that no check and no document accepts
+    d = fano()
+    net = build_sum_network(d)
+    extra, t = NodeId(SOURCE_POINT, 7), NodeId(TERMINAL_POINT, 0)
+    wider = SumNetwork(d, (*net.nodes, extra), (*net.edges, Edge(extra, t, EDGE_DIRECT)))
+    code = build_code(wider, PrimeField(p))
+    assert code.decoders[t].in_edges == wider.terminal_in_edges(t)
+    message = "^decoder in-edges disagree with network at terminal-point:1$"
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        with pytest.raises(ShapeMismatchError, match=message):
+            check(wider, code)
+    with pytest.raises(ShapeMismatchError, match=message):
+        simulate_trials(wider, code, 10, seed=0)
+    text = code_to_json(code)
+    assert ["source-point:8", "terminal-point:1", "direct"] in json.loads(text)["decoders"][
+        "terminal-point:1"
+    ]["in_edges"]
+    refused = (
+        "decoder at terminal-point:1 lists in-edge source-point:8 -> terminal-point:1: "
+        "source-point:8 is not a node of the design"
+    )
+    with pytest.raises(ParseError, match=f"^{refused}$"):
+        code_from_json(text)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_checks_make_no_edge_objects_for_terminal_in_edges(p, monkeypatch):
+    # decoders hold their in-edges as arrays, so building the code, checking
+    # it and simulating it make Edge objects only of the network's
+    # non-direct edges, and none of a terminal's in-edges
     d = sts_bose(15)
     net = build_sum_network(d)
+    made = []
+    edges_at = SumNetwork._edges_at
+    monkeypatch.setattr(SumNetwork, "_edges_at", lambda self, ids: made.append(ids) or edges_at(self, ids))
     code = build_code(net, PrimeField(p))
     for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
         assert check(net, code).ok
     assert simulate_trials(net, code, 20, seed=0).ok
-    made = sum(e is not None for e in net._made)
-    assert made <= d.v + 2 * d.v * (d.r + 1)
+    monkeypatch.undo()
+    made = np.concatenate(made)
+    assert len(np.unique(made)) <= d.v + 2 * d.v * (d.r + 1)
+    assert not np.isin(net._head[made], [net._ids[t] for t in net.terminals()]).any()
     for t in net.terminals():
         assert code.decoders[t].in_edges == net.terminal_in_edges(t)
 
