@@ -279,11 +279,17 @@ def column_source(d: Design, col: int, m: int) -> tuple[NodeId, int]:
 def sources_sum_map(d: Design, sources: Iterable[NodeId], m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map adding up the listed sources: an identity block
     at each one's columns of the stacked vector."""
+    ids = np.array([source_column(d, source, m) // m for source in sources], dtype=np.int64)
+    return FieldMatrix._trusted(f, _sources_sum_array(d, ids, m))
+
+
+def _sources_sum_array(d: Design, ids: np.ndarray, m: int) -> np.ndarray:
+    """The residues of ``sources_sum_map`` for sources given by their
+    index in the stacked layout: a point's own, v plus a block's."""
     mat = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    starts = np.array([source_column(d, source, m) for source in sources], dtype=np.int64)
     offsets = np.arange(m)
-    mat[np.tile(offsets, len(starts)), (starts[:, None] + offsets).ravel()] = 1
-    return FieldMatrix(f, mat)
+    mat[np.tile(offsets, len(ids)), (ids[:, None] * m + offsets).ravel()] = 1
+    return mat
 
 
 def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:

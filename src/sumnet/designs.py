@@ -46,6 +46,12 @@ class ValidationReport:
         self.problems.append(problem)
 
 
+def _is_integer(x) -> bool:
+    """Whether a parsed JSON value is an integer; JSON ``true`` and
+    ``false`` parse to bool, which subclasses int, and are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Design:
     """A block design: v points and an ordered list of k-subsets of them.
@@ -115,13 +121,13 @@ class Design:
             raw_blocks = data["blocks"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"missing design field: {exc}") from exc
-        if not all(isinstance(x, int) for x in (v, k, lambda_)):
+        if not all(map(_is_integer, (v, k, lambda_))):
             raise ParseError("v, k and lambda must be integers")
         if not isinstance(raw_blocks, list):
             raise ParseError("blocks must be a list of lists")
         blocks = []
         for blk in raw_blocks:
-            if not isinstance(blk, list) or not all(isinstance(x, int) for x in blk):
+            if not isinstance(blk, list) or not all(map(_is_integer, blk)):
                 raise ParseError(f"bad block {blk!r}")
             blocks.append(tuple(x - 1 for x in blk))
         return cls(v=v, k=k, lambda_=lambda_, blocks=tuple(blocks))

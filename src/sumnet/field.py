@@ -3,11 +3,13 @@
 Matrices hold canonical residues in [0, p) as int64, and elimination is
 integer arithmetic with no pivot tolerance.  Products go through one
 kernel, ``_matmul_mod``, which uses float64 BLAS only as an integer
-accumulator: every term of a product of nonnegative integers is
-nonnegative, so every partial sum is at most inner * max(a) * max(b), and
-the kernel splits an operand into narrow limbs (or the inner dimension
-into chunks) until that bound is below 2**53, where float64 represents
-every integer exactly.  The technique is the one of FFLAS-FFPACK (Dumas,
+accumulator: every partial sum of a product is at most inner * max|a| *
+max|b| in magnitude, and the kernel keeps that bound below 2**53, where
+float64 represents every integer exactly.  Canonical residues give the
+bound inner * max(a) * max(b); when that is too large, balanced residues
+(an entry above p//2 taken as entry - p) often shrink one operand enough,
+and otherwise the kernel splits an operand into narrow limbs (or the inner
+dimension into chunks).  The technique is the one of FFLAS-FFPACK (Dumas,
 Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
@@ -212,10 +214,15 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     Entries of ``a`` and ``b`` must be nonnegative integers below 2**31, as
     canonical residues are.  Every partial sum of the product is then at
     most inner * max(a) * max(b); below 2**53 one float64 BLAS product is
-    exact.  Above it, the smaller operand is split into s-bit limbs, the
-    widest that keep inner * (2**s - 1) * max(other) below 2**53, with one
-    product per limb recombined by Horner's rule in int64.  When even
-    1-bit limbs overflow, the inner dimension is cut into chunks.
+    exact.  Above it, the smaller operand is rewritten in balanced
+    residues, entries above p//2 becoming entry - p: a partial sum is then
+    at most inner * max|balanced| * max(other) in magnitude, and when that
+    is below 2**53 one product reduced by ``np.mod`` is exact.  A decoder's
+    -(k-1), held as p - (k-1), is small in this form.  Otherwise the
+    smaller operand is split into s-bit limbs, the widest that keep
+    inner * (2**s - 1) * max(other) below 2**53, with one product per limb
+    recombined by Horner's rule in int64.  When even 1-bit limbs overflow,
+    the inner dimension is cut into chunks.
     """
     rows, inner = a.shape
     cols = b.shape[1]
@@ -225,9 +232,16 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if amax == 0 or bmax == 0:
         return out
     if inner * amax * bmax < _EXACT:
-        return np.fmod(a.astype(np.float64) @ b.astype(np.float64), p).astype(np.int64)
+        product = a.astype(np.float64) @ b.astype(np.float64)
+        return np.fmod(product, p, out=product).astype(np.int64)
     split_a = a.size <= b.size
     small, small_max, other_max = (a, amax, bmax) if split_a else (b, bmax, amax)
+    # min(x, p - x) is the magnitude of x's balanced residue
+    if inner * int(np.minimum(small, p - small).max()) * other_max < _EXACT:
+        balanced = np.where(small > p // 2, small - p, small).astype(np.float64)
+        other = (b if split_a else a).astype(np.float64)
+        product = balanced @ other if split_a else other @ balanced
+        return np.mod(product, p, out=product).astype(np.int64)
     s = ((_EXACT - 1) // (inner * other_max) + 1).bit_length() - 1
     if s == 0:
         step = (_EXACT - 1) // other_max  # every chunk fits 1-bit limbs

@@ -7,14 +7,21 @@ goes block by block: a direct edge carries its source unchanged, so only
 head edges need a product, and only with the columns of the sources wired
 into their bottleneck.  ``simulate`` re-derives the same answers by
 pushing concrete values through the graph, giving an independent
-evaluation path for cross-checks.
+evaluation path for cross-checks.  It writes source and bottleneck-head
+values into one array with rows by canonical node id, computes each
+bottleneck's rows with one product of its encoder and the rows of its
+wired sources, and decodes every terminal with one product of a matrix
+that holds all decoders, scattered by tail id.  The trial columns go
+through in chunks of about ``_CHUNK_CELLS`` cells, so the value array
+stays small however many trials run.
 
 Decoders hold their in-edges only as integer arrays (``TerminalDecoder``),
 and ``TerminalDecoder._ids_at`` numbers their tails canonically over the
 design, so no per-terminal step makes ``Edge`` objects:
 ``_check_compatible`` compares those ids with the network's in-index, the
 transfer map scatters a direct edge's block to the columns at its tail
-id times m, and simulation gathers each decoder's input by tail id.
+id times m, and simulation scatters each decoder to the value rows of its
+tails.
 
 The paper's fractional code is w interleaved copies of a small core code
 (``NetworkCode.interleaved_core``), and each copy acts on its own
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -38,16 +46,17 @@ from .coding import (
     REGIME_DIVIDES,
     NetworkCode,
     UnsupportedLambdaError,
+    _sources_sum_array,
     code_params_for,
     column_source,
     partial_sum_row,
     source_column,
-    sources_sum_map,
     stacked_width,
     sum_map,
 )
 from .designs import Design, InvalidDesignError, ValidationReport
 from .field import (
+    _EXACT,
     FieldMatrix,
     PrimeField,
     _matmul_mod,
@@ -60,8 +69,6 @@ from .network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
     NodeId,
-    SOURCE_BLOCK,
-    SOURCE_POINT,
     TERMINAL_BLOCK,
     SumNetwork,
     _canonical_nodes,
@@ -211,33 +218,86 @@ def _as_batch(value, m: int, p: int) -> np.ndarray:
     return np.mod(arr.reshape(m, 1), p)
 
 
+# simulation pushes its W columns through in chunks whose value array and
+# decoded block hold about this many cells together (1 MiB as int64)
+_CHUNK_CELLS = 1 << 17
+
+
 def _simulate_batch(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
 ) -> dict[NodeId, np.ndarray]:
-    d, m, p = net.design, code.params.m, code.field.p
-    emitted: dict[NodeId, np.ndarray] = {}
+    """Each terminal's decoded m x W block, given every source's m x W
+    block of values.
+
+    Values live in one array with rows by canonical node id: m per source,
+    so that they stack to the source vector, then n per bottleneck head.
+    Each bottleneck's rows are one product of its encoder with the rows of
+    its wired sources, relayed to its head along the head's in-edge.  Each
+    decoder is scattered once into one (terminals * m) x (value rows)
+    matrix at its tails' rows, so one product per chunk of the W columns
+    decodes every terminal.
+    """
+    d, m, n, p = net.design, code.params.m, code.params.n, code.field.p
+    canonical, first_head = net._canonical_ids, 2 * d.v + d.b
+    # canonical id -> first value row, -1 for a node that holds none
+    row = np.full(len(_canonical_nodes(d.v, d.b)), -1, dtype=np.int64)
+    row[: d.v + d.b] = np.arange(d.v + d.b) * m
+    row[first_head : first_head + d.v] = (d.v + d.b) * m + np.arange(d.v) * n
+    height = (d.v + d.b) * m + d.v * n
+
+    def rows(node: NodeId) -> slice | None:
+        x = int(canonical[net._ids[node]])
+        first = int(row[x]) if x >= 0 else -1
+        return slice(first, first + (m if x < d.v + d.b else n)) if first >= 0 else None
+
+    # in topological order, (tail, local encoder, rows it reads) per
+    # bottleneck tail and (head, what its in-edge carries, its rows) per head
+    steps = []
     for node in topological_order(net):
-        if node.kind in (SOURCE_POINT, SOURCE_BLOCK):
-            emitted[node] = sources[node]
-        elif node.kind == BOTTLENECK_TAIL:
+        if node.kind == BOTTLENECK_TAIL:
             # local encoding: only the column blocks of sources actually
-            # wired into this tail participate
-            local = code.encoders[node.index].array[:, _wired_columns(net, node.index, m)]
-            received = np.concatenate([emitted[e.tail] for e in net.tail_in_edges(node.index)])
-            emitted[node] = _matmul_mod(local, received, p)
+            # wired into this tail participate, and they are its value rows
+            wired = _wired_columns(net, node.index, m)
+            steps.append((node, code.encoders[node.index].array[:, wired], wired))
         elif node.kind == BOTTLENECK_HEAD:
             (e,) = net.in_edges(node)
-            emitted[node] = emitted[e.tail]
-    # each node's symbols by canonical id; a decoder's in-edges are edges
-    # of the network, so their tails are sources and bottleneck heads in it
-    values = [emitted.get(x) for x in _canonical_nodes(d.v, d.b)]
-    outputs = {}
-    for t in net.terminals():
+            relayed = e.tail.kind in (BOTTLENECK_TAIL, BOTTLENECK_HEAD)
+            steps.append((node, e.tail if relayed else rows(e.tail), rows(node)))
+    terminals = net.terminals()
+    decode = np.zeros((len(terminals) * m, height), dtype=np.int64)
+    for x, t in enumerate(terminals):
         dec = code.decoders[t]
-        tail, _ = dec._ids_at(t, d)
-        received = np.concatenate([values[x] for x in tail.tolist()])
-        outputs[t] = _matmul_mod(dec.matrix.array, received, p)
-    return outputs
+        tail, kind = dec._ids_at(t, d)
+        width = np.where(kind == _HEAD_TO_TERMINAL, n, m)
+        start = np.cumsum(width) - width  # each in-edge's first decoder column
+        at = np.repeat(row[tail] - start, width) + np.arange(dec.matrix.cols)
+        # np.add.at, unlike =, adds every block of a tail listed twice
+        np.add.at(decode[x * m : (x + 1) * m], (slice(None), at), dec.matrix.array)
+    given = [(at, x) for at, x in ((rows(s), x) for s, x in sources.items()) if at is not None]
+    cols = given[0][1].shape[1] if given else 0
+    decoded = np.empty((len(terminals) * m, cols), dtype=np.int64)
+    # chunks of about _CHUNK_CELLS cells, evenly wide
+    wide = max(_CHUNK_CELLS // (height + len(decoded)), 1)
+    if height * int(decode.max(initial=0)) * (p - 1) >= _EXACT:
+        # past the plain bound the kernel rewrites its smaller operand in
+        # balanced residues, which are small for decoder coefficients and
+        # not for random values: keep the values the larger operand
+        wide = max(wide, len(decoded))
+    step = -(-cols // max(cols // wide, 1)) or 1
+    for lo in range(0, cols, step):
+        values = np.zeros((height, min(step, cols - lo)), dtype=np.int64)
+        for at, x in given:
+            values[at] = x[:, lo : lo + step]
+        emitted = {}
+        for node, a, b in steps:
+            if node.kind == BOTTLENECK_TAIL:
+                emitted[node] = _matmul_mod(a, values[b], p)
+            else:
+                emitted[node] = emitted[a] if isinstance(a, NodeId) else values[a]
+                if b is not None:
+                    values[b] = emitted[node]
+        decoded[:, lo : lo + step] = _matmul_mod(decode, values, p)
+    return {t: decoded[x * m : (x + 1) * m] for x, t in enumerate(terminals)}
 
 
 def simulate(
@@ -290,7 +350,7 @@ def _simulate_trials(
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
     # lifted row a*w + u of trial t is core row a of trial u*trials + t
-    batch = {s: np.mod(x, p).reshape(c, w * trials) for s, x in sources.items()}
+    batch = {s: x.reshape(c, w * trials) for s, x in sources.items()}
     outputs = {t: out.reshape(m, trials) for t, out in _simulate_batch(net, code, batch).items()}
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
@@ -359,11 +419,16 @@ def _block_sum_recoverable(net: SumNetwork, code: NetworkCode, w: int) -> Verify
     """``block_sum_recoverable`` of ``code`` lifted by I_w; rows map back as
     in ``_partial_sum_recoverable``."""
     d, m, f = net.design, code.params.m, code.field
+    # block x point incidence: the blocks sharing a point with block j are
+    # the rows hit in its points' columns
+    incidence = np.zeros((d.b, d.v), dtype=bool)
+    incidence[np.repeat(np.arange(d.b), list(map(len, d.blocks))), list(chain(*d.blocks))] = True
     failures = []
     for j in range(d.b):
-        sources = [NodeId(SOURCE_POINT, point) for point in d.blocks[j]]
-        sources += [NodeId(SOURCE_BLOCK, l) for l in d.block_neighborhood(j)]
-        target_mat = sources_sum_map(d, sources, m, f)
+        points = np.array(d.blocks[j], dtype=np.int64)
+        neighbors = np.flatnonzero(incidence[:, points].any(axis=1))
+        target = _sources_sum_array(d, np.concatenate([points, d.v + neighbors]), m)
+        target_mat = FieldMatrix._trusted(f, target)
         stacked = vstack([code.encoders[point] for point in d.blocks[j]])
         if not row_space_contains(stacked, target_mat):
             row = _first_row_outside(stacked, target_mat) * w

@@ -9,8 +9,9 @@ import pytest
 
 from sumnet.coding import NetworkCode, TerminalDecoder, block_source_extractor, build_code
 from sumnet.designs import Design, fano
-from sumnet.field import FieldMatrix, PrimeField
+from sumnet.field import FieldMatrix, PrimeField, _matmul_mod
 from sumnet.network import (
+    BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
     EDGE_BOTTLENECK,
     EDGE_DIRECT,
@@ -20,13 +21,16 @@ from sumnet.network import (
     TERMINAL_BLOCK,
     TERMINAL_POINT,
     NodeId,
+    _canonical_nodes,
     build_sum_network,
+    topological_order,
 )
 from sumnet.verify import (
     _block_sum_recoverable,
     _partial_sum_recoverable,
     _simulate_trials,
     _transfer_check,
+    _wired_columns,
     block_sum_recoverable,
     partial_sum_recoverable,
     simulate_trials,
@@ -132,6 +136,32 @@ def assert_accessors_match_oracle(net) -> None:
     assert net.sources() == tuple(x for x in net.nodes if x.kind in kinds)
     kinds = {TERMINAL_POINT, TERMINAL_BLOCK}
     assert net.terminals() == tuple(x for x in net.nodes if x.kind in kinds)
+
+
+def oracle_simulate_batch(net, code, sources: dict) -> dict:
+    """``verify._simulate_batch`` one terminal at a time: every node's
+    values in topological order, then per terminal one product of its
+    decoder with the concatenation of its in-edges' values."""
+    d, m, p = net.design, code.params.m, code.field.p
+    emitted = {}
+    for node in topological_order(net):
+        if node.kind in (SOURCE_POINT, SOURCE_BLOCK):
+            emitted[node] = sources[node]
+        elif node.kind == BOTTLENECK_TAIL:
+            local = code.encoders[node.index].array[:, _wired_columns(net, node.index, m)]
+            received = np.concatenate([emitted[e.tail] for e in net.tail_in_edges(node.index)])
+            emitted[node] = _matmul_mod(local, received, p)
+        elif node.kind == BOTTLENECK_HEAD:
+            (e,) = net.in_edges(node)
+            emitted[node] = emitted[e.tail]
+    values = [emitted.get(x) for x in _canonical_nodes(d.v, d.b)]
+    outputs = {}
+    for t in net.terminals():
+        dec = code.decoders[t]
+        tail, _ = dec._ids_at(t, d)
+        received = np.concatenate([values[x] for x in tail.tolist()])
+        outputs[t] = _matmul_mod(dec.matrix.array, received, p)
+    return outputs
 
 
 CHECKS = (

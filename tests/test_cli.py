@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -76,6 +77,27 @@ def test_design_invalid_file_exits_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"v": 3, "k": 3, "lambda": 1, "blocks": [[1, 2]]}))
     assert main(["design", "--load", str(path)]) == 2
+
+
+def with_a_json_boolean(design: dict, where: str) -> str:
+    """The message ``Design.from_dict`` refuses ``design`` with after a
+    JSON ``true`` replaces lambda or a point of the last block."""
+    if where == "lambda":
+        design["lambda"] = True
+        return "v, k and lambda must be integers"
+    design["blocks"][-1][1] = True
+    return f"bad block {design['blocks'][-1]!r}"
+
+
+@pytest.mark.parametrize("where", ["lambda", "block"])
+def test_design_load_rejects_json_booleans(tmp_path, capsys, where):
+    data = fano().to_dict()
+    message = with_a_json_boolean(data, where)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["design", "--load", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"sumnet: error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +383,20 @@ def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, caps
         assert captured.err == f"sumnet: error: {message}\n"
 
 
+@pytest.mark.parametrize("where", ["lambda", "block"])
+def test_simulate_rejects_a_design_with_json_booleans(tmp_path, capsys, where):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    message = with_a_json_boolean(data["design"], where)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["simulate", "--fano", "--field", "3", "--trials", "20", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sumnet: error: malformed code document: {message}\n"
+
+
 def test_simulate_rejects_a_direct_edge_the_network_lacks(tmp_path, capsys):
     # source-point:2 shares its point with terminal-point:2, so the network
     # wires it through the bottleneck only; the document is well formed
@@ -380,6 +416,23 @@ def test_simulate_rejects_a_direct_edge_the_network_lacks(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sumnet: error: {message}\n"
+
+
+# sha256 of the stdout below, as the per-terminal simulation printed it
+SIM_FILE_STDOUT_SHA256 = "1d05fa3c3779388c9fcc04c2abc1398c4b9bccece52b6b24f0df81963e781fd2"
+
+
+def test_simulate_saved_sts15_code_over_the_largest_prime(tmp_path, capsys):
+    # the shape of the benchmark's sim-file workload at 200 trials: a code
+    # document read from disk, decoded over GF(2^31 - 1)
+    path = tmp_path / "code.json"
+    assert main(["code", "--sts", "15", "--field", "2147483647", "--save-code", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--sts", "15", "--field", "2147483647", "--code", str(path)]
+    assert main([*argv, "--trials", "200", "--seed", "7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["ok"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == SIM_FILE_STDOUT_SHA256
 
 
 def test_simulate_saved_code_with_dense_large_coefficients(tmp_path, capsys, rebased_fano_bigprime):

@@ -180,6 +180,22 @@ def test_load_rejects_garbage(tmp_path):
         design_load(path)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("v", True), ("k", True), ("lambda", True), ("lambda", False), ("blocks", [[True, 2, 3]])],
+)
+def test_load_rejects_json_booleans(tmp_path, field, value):
+    # bool subclasses int, so true read as 1 would pass an isinstance check
+    data = fano().to_dict()
+    data[field] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        design_load(path)
+    with pytest.raises(ParseError):
+        Design.from_dict(data)
+
+
 def test_handwritten_sts7_file_equals_fano(tmp_path):
     path = tmp_path / "sts7.json"
     path.write_text(

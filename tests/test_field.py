@@ -268,9 +268,12 @@ def object_matmul_mod(a, b, p):
 def kernel_operands(draw):
     p = draw(st.sampled_from(KERNEL_PRIMES))
     rows, inner, cols = (draw(st.integers(0, 12)) for _ in range(3))
-    fill = draw(st.sampled_from(("random", "max", "sparse")))
+    fill = draw(st.sampled_from(("random", "max", "sparse", "near-p")))
     if fill == "max":  # all p-1: the largest bound for this shape
         elements = st.just(p - 1)
+    elif fill == "near-p":  # small in balanced residues, mixed with any
+        near = [x for x in (p - 1, p - 2, p - 3) if x >= 0]
+        elements = st.one_of(st.sampled_from(near), st.integers(0, p - 1))
     elif fill == "sparse":
         elements = st.one_of(st.just(0), st.just(0), st.integers(0, p - 1))
     else:
@@ -299,20 +302,24 @@ def test_matmul_mod_empty_shapes(shape):
 
 @pytest.fixture
 def kernel_counts(monkeypatch):
-    """Counts the float products (one fmod each) and the kernel calls,
-    recursive ones included."""
+    """Counts the float products (one fmod or, over balanced residues, one
+    mod each) and the kernel calls, recursive ones included."""
     counts = {"products": 0, "calls": 0}
-    fmod, kernel = np.fmod, field_module._matmul_mod
+    fmod, mod, kernel = np.fmod, np.mod, field_module._matmul_mod
 
-    def counting_fmod(*args, **kwargs):
-        counts["products"] += 1
-        return fmod(*args, **kwargs)
+    def counting(reduce):
+        def counted(*args, **kwargs):
+            counts["products"] += 1
+            return reduce(*args, **kwargs)
+
+        return counted
 
     def counting_kernel(*args):
         counts["calls"] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(np, "fmod", counting_fmod)
+    monkeypatch.setattr(np, "fmod", counting(fmod))
+    monkeypatch.setattr(np, "mod", counting(mod))
     monkeypatch.setattr(field_module, "_matmul_mod", counting_kernel)
     return counts
 
@@ -328,13 +335,25 @@ def test_matmul_mod_single_pass(kernel_counts):
 
 
 def test_matmul_mod_limb_split(kernel_counts):
-    # 50 * (2**31 - 2)**2 >= 2**53 but 50 * (2**16 - 1) * (2**31 - 2) < 2**53:
-    # the smaller operand splits into two 16-bit limbs
-    a = np.full((5, 50), BIG - 1, dtype=np.int64)
+    # 50 * 2**30 * (2**31 - 2) >= 2**53, and so is the bound of the balanced
+    # form, -(2**30 - 1); but 50 * (2**16 - 1) * (2**31 - 2) < 2**53: the
+    # smaller operand splits into two 16-bit limbs
+    a = np.full((5, 50), 2**30, dtype=np.int64)
     b = np.full((50, 7), BIG - 1, dtype=np.int64)
     got = field_module._matmul_mod(a, b, BIG)
     assert np.array_equal(got, object_matmul_mod(a, b, BIG))
     assert kernel_counts == {"products": 2, "calls": 1}
+
+
+def test_matmul_mod_balanced_single_pass(kernel_counts):
+    # 300 * (2**31 - 2)**2 >= 2**53, but in balanced residues a holds 0, 1
+    # and -2, and 300 * 2 * (2**31 - 2) < 2**53: one product
+    rng = np.random.default_rng(11)
+    a = rng.choice(np.array([0, 1, BIG - 2]), size=(6, 300))
+    b = np.full((300, 40), BIG - 1, dtype=np.int64)
+    got = field_module._matmul_mod(a, b, BIG)
+    assert np.array_equal(got, object_matmul_mod(a, b, BIG))
+    assert kernel_counts == {"products": 1, "calls": 1}
 
 
 def test_matmul_mod_limb_split_of_right_operand(kernel_counts):

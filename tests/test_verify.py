@@ -1,12 +1,14 @@
 import hashlib
 import json
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumnet import verify as verify_module
 from sumnet.coding import (
     REGIME_DIVIDES,
     NetworkCode,
@@ -37,6 +39,7 @@ from sumnet.network import (
 )
 from sumnet.verify import (
     ShapeMismatchError,
+    _simulate_batch,
     block_sum_recoverable,
     capacity_report,
     fractional_upper_bound,
@@ -46,7 +49,14 @@ from sumnet.verify import (
     transfer_check,
 )
 
-from conftest import assert_core_path_agrees, drop_block_correction, rebase_bottlenecks
+from conftest import (
+    assert_core_path_agrees,
+    drop_block_correction,
+    oracle_simulate_batch,
+    rebase_bottlenecks,
+)
+
+BIG = 2147483647
 
 
 def fano_code(p):
@@ -450,14 +460,15 @@ def _region_entries(draw, rows: int, col_lo: int, cols: int, w: int, structured:
 
 
 @st.composite
-def corrupted_codes(draw):
-    """A Fano or STS(9) code over GF(2, 3, 5) with entries shifted inside
-    its wired support: in one encoder's wired source columns or anywhere
-    in one decoder, either a single entry or the same entry of every copy.
-    A zero shift leaves the code correct; re-basing the bottlenecks after
-    the shift keeps its end-to-end maps but makes it dense."""
+def corrupted_codes(draw, primes=(2, 3, 5)):
+    """A Fano or STS(9) code over GF(p), p in ``primes``, with entries
+    shifted inside its wired support: in one encoder's wired source columns
+    or anywhere in one decoder, either a single entry or the same entry of
+    every copy.  A zero shift leaves the code correct; re-basing the
+    bottlenecks after the shift keeps its end-to-end maps but makes it
+    dense."""
     d = draw(st.sampled_from((fano(), sts_bose(9))))
-    f = PrimeField(draw(st.sampled_from((2, 3, 5))))
+    f = PrimeField(draw(st.sampled_from(primes)))
     net = build_sum_network(d)
     code = build_code(net, f)
     m, n = code.params.m, code.params.n
@@ -495,6 +506,100 @@ def test_transfer_and_simulation_agree_on_corrupted_codes(case, seed):
 @given(corrupted_codes(), st.integers(0, 2**32 - 1))
 def test_core_path_agrees_with_the_full_path_on_corrupted_codes(case, seed):
     assert_core_path_agrees(*case, seed)
+
+
+def repeat_a_direct_in_edge(code: NetworkCode, draw) -> NetworkCode:
+    """The code with one terminal listing one of its direct in-edges again,
+    with a random block of decoder columns."""
+    t = draw(st.sampled_from(sorted(code.decoders, key=lambda x: x.sort_key)))
+    edges, blocks = code.decoders[t].in_edges, decoder_blocks(code, t)
+    j = draw(st.sampled_from([j for j, e in enumerate(edges) if e.kind == EDGE_DIRECT]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    block = np.random.default_rng(seed).integers(0, code.field.p, size=blocks[j].shape)
+    return replace_decoder(code, t, (*edges, edges[j]), (*blocks, block))
+
+
+def assert_simulation_matches_the_oracle(net, code, w: int, trials: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    c, p = code.params.m, code.field.p
+    batch = {s: rng.integers(0, p, size=(c, w * trials)) for s in net.sources()}
+    got, want = _simulate_batch(net, code, batch), oracle_simulate_batch(net, code, batch)
+    assert list(got) == list(want)
+    for t in want:
+        assert got[t].dtype == np.int64 and np.array_equal(got[t], want[t]), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corrupted_codes(primes=(2, 3, 5, BIG)),
+    st.integers(1, 40),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_simulation_agrees_with_the_per_terminal_oracle(case, trials, cells, seed, data):
+    # the code as given and its core, w > 1 for an interleaved code; a tiny
+    # cell budget cuts the trial columns into many chunks, most often with
+    # a shorter last one
+    net, code = case
+    if data.draw(st.booleans()):
+        code = repeat_a_direct_in_edge(code, data.draw)
+    with patch.object(verify_module, "_CHUNK_CELLS", cells):
+        for core, w in ((code, 1), code.interleaved_core):
+            assert_simulation_matches_the_oracle(net, core, w, trials, seed)
+
+
+def test_simulation_decodes_in_chunks_with_a_shorter_last_one(monkeypatch):
+    net, code = fano_code(3)
+    core, w = code.interleaved_core
+    d, c, n = net.design, core.params.m, core.params.n
+    assert w == 2
+    # value rows plus decoded rows per column; a budget of 16 columns cuts
+    # the 2 * 25 trial columns into three chunks, evenly wide but for one
+    rows = (d.v + d.b) * c + d.v * n + len(net.terminals()) * c
+    monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 16 * rows)
+    widths, kernel = [], verify_module._matmul_mod
+
+    def spy(a, b, p):
+        if a.shape[0] == len(net.terminals()) * c:
+            widths.append(b.shape[1])
+        return kernel(a, b, p)
+
+    monkeypatch.setattr(verify_module, "_matmul_mod", spy)
+    assert_simulation_matches_the_oracle(net, core, w, 25, seed=4)
+    assert widths == [17, 17, 16]
+
+
+def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch):
+    # random values are large in balanced residues too, so the chunks stay
+    # at least as wide as the decode matrix is tall, however small the
+    # budget: the kernel then rewrites the decoder, whose -(k-1) is small
+    net = build_sum_network(sts_bose(9))
+    core, w = build_code(net, PrimeField(BIG)).interleaved_core
+    c = core.params.m
+    tall = len(net.terminals()) * c
+    monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 1)
+    decodes, kernel, mod = [], verify_module._matmul_mod, np.mod
+
+    def spy(a, b, p):
+        if a.shape[0] != tall:
+            return kernel(a, b, p)
+        reductions = []
+
+        def counting_mod(*args, **kwargs):
+            reductions.append(1)
+            return mod(*args, **kwargs)
+
+        with monkeypatch.context() as patch_mod:
+            patch_mod.setattr(np, "mod", counting_mod)
+            got = kernel(a, b, p)
+        decodes.append((b.shape[1], len(reductions)))
+        return got
+
+    monkeypatch.setattr(verify_module, "_matmul_mod", spy)
+    assert_simulation_matches_the_oracle(net, core, w, 50, seed=2)
+    # two chunks, each decoded by one product over balanced residues
+    assert decodes == [(75, 1), (75, 1)] and 75 >= tall
 
 
 def test_code_maps_are_read_only_so_the_core_is_found_once():
