@@ -18,9 +18,15 @@ characteristic divides k-1, only picks (c, s, w):
   code with m = v - (v mod k); the c-th point carries the width-w slice c
   of its blocks' sources.
 
-Codes are materialized as global maps: ``encoders[i]`` sends the stacked
-source vector to the n symbols on bottleneck i, and each terminal decoder
-maps the concatenation of its in-edge values to the m decoded symbols.
+A code is held as what it is, w interleaved copies of its core:
+``NetworkCode`` stores the (c, c+s) core maps and w, and the decision
+that a code is w copies of a core is made here alone.  ``build_code``
+stores the core it builds; ``NetworkCode(...)`` and ``code_from_json``
+take the paper's (m, n) maps and keep their core when every one is a
+lift.  ``encoders[i]`` (the map from the stacked source vector to the n
+symbols on bottleneck i) and each decoder's ``matrix`` (from the
+concatenation of its in-edge values to the m decoded symbols) are the
+lifted maps, built on request; at w = 1 they are the core itself.
 Relay edges carry their input unchanged and are not stored.  A decoder
 holds its in-edges only as integer arrays, the tails' node kind ranks and
 indexes and the edge kind codes, filled alike from ``Edge`` objects, the
@@ -32,14 +38,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from ._jsonwriter import dumps
-from .designs import Design, ParseError
+from .designs import Design, ParseError, _is_integer
 from .field import FieldMatrix, PrimeField
 from .network import (
     _EDGE_CODES,
@@ -187,16 +193,6 @@ class TerminalDecoder:
             for r, x, k in zip(rank.tolist(), index.tolist(), kind.tolist())
         )
 
-    def _ids_at(self, terminal: NodeId, d: Design) -> tuple[np.ndarray, np.ndarray] | None:
-        """The in-edges as (canonical tail id, kind code) arrays over d, or
-        None unless every one leads into ``terminal`` from a node of d that
-        fits its kind."""
-        ids = self._ids
-        if ids.terminal not in (terminal, None):
-            return None
-        tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
-        return (tail, ids.kind) if fits.all() else None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TerminalDecoder):
             return NotImplemented
@@ -209,47 +205,96 @@ class TerminalDecoder:
         return f"TerminalDecoder({len(self._ids.kind)} in-edges, matrix {self._matrix.shape})"
 
 
-@dataclass(frozen=True)
+def _canonical_in_edges(
+    t: NodeId, ids: _InEdgeIds, d: Design
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A decoder's in-edges as (canonical tail id over d, kind code) arrays,
+    or None unless every one leads into terminal t from a node of d that
+    fits its kind."""
+    if ids.terminal not in (t, None):
+        return None
+    tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
+    return (_frozen(tail), ids.kind) if fits.all() else None
+
+
 class NetworkCode:
-    """A code as global maps.  The encoders and decoders are held read-only,
-    so what is derived from them, ``interleaved_core``, is computed once."""
+    """A code for the network of ``design`` over ``field``, held as its core:
+    the (c, c+s) maps ``core_encoders`` and ``core_decoders``, and the
+    number w of interleaved copies of them that make the (m, n) code.
 
-    design: Design
-    field: PrimeField
-    params: CodeParams
-    encoders: tuple[FieldMatrix, ...]
-    decoders: Mapping[NodeId, TerminalDecoder]
+    ``NetworkCode(design, field, params, encoders, decoders)`` takes the
+    paper's (m, n) maps.  When every one is its core map lifted by I_w, as
+    ``build_code`` makes them, it holds the core; otherwise it holds the
+    maps as given with w = 1.  The test is exact and costs O(size): an
+    entry changed in one copy only, or a coefficient between copies, makes
+    the code its own core.  ``encoders`` and ``decoders`` give the (m, n)
+    maps back, lifted on request.  Each decoder's in-edges are numbered
+    over the design once, here.  The held form is decided by the (m, n)
+    maps alone, so two codes are equal when their (m, n) maps are.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "encoders", tuple(self.encoders))
-        object.__setattr__(self, "decoders", MappingProxyType(dict(self.decoders)))
+    __slots__ = ("design", "field", "params", "w", "core_encoders", "core_decoders", "_in_edges")
 
-    @cached_property
-    def interleaved_core(self) -> tuple["NetworkCode", int]:
-        """The code's (c, c+s) core and w when every encoder and decoder is
-        its core map lifted by I_w, as ``build_code`` makes them; otherwise
-        the code itself and w = 1.
+    def __init__(
+        self,
+        design: Design,
+        field: PrimeField,
+        params: CodeParams,
+        encoders: Iterable[FieldMatrix],
+        decoders: Mapping[NodeId, TerminalDecoder],
+    ):
+        encoders, decoders = tuple(encoders), dict(decoders)
+        c, s, w = _core(design, params)
+        core = None
+        if w > 1 and (params.m, params.n) == (c * w, (c + s) * w):
+            core = _unlift_all(encoders, decoders, w)
+        if core is None:
+            core, w = (encoders, decoders), 1
+        self._hold(design, field, params, *core, w)
 
-        The test is exact and costs O(size): an entry changed in one copy
-        only, or a coefficient between copies, makes the code its own core.
-        """
-        c, s, w = _core(self.design, self.params)
-        if w == 1 or (self.params.m, self.params.n) != (c * w, (c + s) * w):
-            return self, 1
-        encoders = []
-        for enc in self.encoders:
-            core = _unlift(enc, w)
-            if core is None:
-                return self, 1
-            encoders.append(core)
-        decoders = {}
-        for t, dec in self.decoders.items():
-            core = _unlift(dec.matrix, w)
-            if core is None:
-                return self, 1
-            decoders[t] = TerminalDecoder._from_ids(dec._ids, core)
-        params = CodeParams(m=c, n=c + s, regime=self.params.regime)
-        return NetworkCode(self.design, self.field, params, tuple(encoders), decoders), w
+    @classmethod
+    def _from_core(cls, design, field, params, encoders, decoders, w: int) -> NetworkCode:
+        """The (m, n) code ``params`` that is w copies of the given core."""
+        code = cls.__new__(cls)
+        code._hold(design, field, params, encoders, decoders, w)
+        return code
+
+    def _hold(self, design, field, params, encoders, decoders, w) -> None:
+        self.design, self.field, self.params, self.w = design, field, params, w
+        self.core_encoders = tuple(encoders)
+        self.core_decoders = MappingProxyType(dict(decoders))
+        self._in_edges = MappingProxyType(
+            {t: _canonical_in_edges(t, dec._ids, design) for t, dec in self.core_decoders.items()}
+        )
+
+    @property
+    def core_params(self) -> CodeParams:
+        """The block lengths of one copy: (c, c+s), or (m, n) at w = 1."""
+        return CodeParams(self.params.m // self.w, self.params.n // self.w, self.params.regime)
+
+    @property
+    def encoders(self) -> tuple[FieldMatrix, ...]:
+        """The (m, n) encoders, lifted on request."""
+        return tuple(_lift(enc, self.w) for enc in self.core_encoders)
+
+    @property
+    def decoders(self) -> Mapping[NodeId, TerminalDecoder]:
+        """The (m, n) decoders, lifted on request."""
+        if self.w == 1:
+            return self.core_decoders
+        return MappingProxyType(
+            {
+                t: TerminalDecoder._from_ids(dec._ids, _lift(dec.matrix, self.w))
+                for t, dec in self.core_decoders.items()
+            }
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NetworkCode):
+            return NotImplemented
+        mine = (self.design, self.field, self.params, self.w, self.core_encoders, self.core_decoders)
+        theirs = (other.design, other.field, other.params, other.w, other.core_encoders, other.core_decoders)
+        return mine == theirs
 
 
 def stacked_width(d: Design, m: int) -> int:
@@ -290,11 +335,6 @@ def _sources_sum_array(d: Design, ids: np.ndarray, m: int) -> np.ndarray:
     offsets = np.arange(m)
     mat[np.tile(offsets, len(ids)), (ids[:, None] * m + offsets).ravel()] = 1
     return mat
-
-
-def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:
-    """The m x (v+b)m map extracting one source from the stacked vector."""
-    return sources_sum_map(d, (source,), m, f)
 
 
 def sum_map(d: Design, m: int, f: PrimeField) -> FieldMatrix:
@@ -382,14 +422,17 @@ def _head_points(net: SumNetwork, ids: np.ndarray) -> list[int]:
     return [net._node_table[x].index for x in net._tail[heads].tolist()]
 
 
-def _lift(f: PrimeField, core: np.ndarray, w: int) -> FieldMatrix:
+def _lift(core: FieldMatrix, w: int) -> FieldMatrix:
     """The paper's layout of a core map, core (x) I_w: w interleaved copies,
-    core entry (a, b) of copy u landing at (a*w + u, b*w + u)."""
-    reduced = FieldMatrix(f, core).array
-    lifted = np.zeros((reduced.shape[0] * w, reduced.shape[1] * w), dtype=np.int64)
+    core entry (a, b) of copy u landing at (a*w + u, b*w + u).  At w = 1
+    that is the core itself."""
+    if w == 1:
+        return core
+    a = core.array
+    lifted = np.zeros((a.shape[0] * w, a.shape[1] * w), dtype=np.int64)
     for u in range(w):
-        lifted[u::w, u::w] = reduced
-    return FieldMatrix._trusted(f, lifted)
+        lifted[u::w, u::w] = a
+    return FieldMatrix._trusted(core.field, lifted)
 
 
 def _unlift(mat: FieldMatrix, w: int) -> FieldMatrix | None:
@@ -411,6 +454,26 @@ def _unlift(mat: FieldMatrix, w: int) -> FieldMatrix | None:
     return FieldMatrix._trusted(mat.field, core.copy())
 
 
+def _unlift_all(
+    encoders: tuple[FieldMatrix, ...], decoders: dict[NodeId, TerminalDecoder], w: int
+) -> tuple[list[FieldMatrix], dict[NodeId, TerminalDecoder]] | None:
+    """The core maps whose lifts by I_w are the given maps, or None unless
+    every one is such a lift."""
+    core_encoders = []
+    for enc in encoders:
+        core = _unlift(enc, w)
+        if core is None:
+            return None
+        core_encoders.append(core)
+    core_decoders = {}
+    for t, dec in decoders.items():
+        core = _unlift(dec.matrix, w)
+        if core is None:
+            return None
+        core_decoders[t] = TerminalDecoder._from_ids(dec._ids, core)
+    return core_encoders, core_decoders
+
+
 def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldMatrix:
     """The map reassembling block j's source from terminal t_Bj's in-edges.
 
@@ -425,7 +488,8 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
     points = _head_points(net, ids)
     width = len(points) * (c + s) + (len(ids) - len(points)) * c
     layout = slice_layout(d) if s else ()
-    return _lift(code.field, _block_reader(layout, j, points, width, c, c + s), w)
+    reader = _block_reader(layout, j, points, width, c, c + s)
+    return _lift(FieldMatrix._trusted(code.field, reader), w)
 
 
 def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
@@ -435,8 +499,9 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     blocks through point i.  Every terminal reads the partial sum off its
     head edges and adds its direct edges; a block terminal also subtracts
     its block source, reassembled from the selector slices, k-1 times.
-    Every map is built for the (c, c+s) core of ``_core`` and lifted by I_w.
-    Each decoder takes its in-edge arrays from the network's in-index.
+    Every map is built for the (c, c+s) core of ``_core``, and the code is
+    held as that core and w; nothing is lifted.  Each decoder takes its
+    in-edge arrays from the network's in-index.
     """
     d = net.design
     params = code_params_for(d, f)
@@ -469,10 +534,10 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
             core = core - (d.k - 1) * _block_reader(layout, t.index, points, core.shape[1], c, n)
         tail = net._tail[ids]
         in_edges = _in_edge_ids(t, rank[tail], index[tail], kind)
-        decoders[t] = TerminalDecoder._from_ids(in_edges, _lift(f, core, w))
+        decoders[t] = TerminalDecoder._from_ids(in_edges, FieldMatrix(f, core))
 
-    encoders = tuple(_lift(f, enc, w) for enc in encoders)
-    return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
+    encoders = tuple(FieldMatrix._trusted(f, enc) for enc in encoders)
+    return NetworkCode._from_core(d, f, params, encoders, decoders, w)
 
 
 def _build_in_regime(net: SumNetwork, f: PrimeField, regime: str, relation: str) -> NetworkCode:
@@ -568,6 +633,8 @@ def code_from_json(text: str) -> NetworkCode:
         d = Design.from_dict(data["design"])
         raw_params = data["params"]
         params = CodeParams(m=raw_params["m"], n=raw_params["n"], regime=raw_params["regime"])
+        if not (_is_integer(params.m) and _is_integer(params.n)):
+            raise ValueError("params m and n must be integers")
         expected = code_params_for(d, f)
         booleans = "true" in text or "false" in text
         encoders = tuple(_coefficients(f, rows, booleans) for rows in data["encoders"])

@@ -16,22 +16,22 @@ through in chunks of about ``_CHUNK_CELLS`` cells, so the value array
 stays small however many trials run.
 
 Decoders hold their in-edges only as integer arrays (``TerminalDecoder``),
-and ``TerminalDecoder._ids_at`` numbers their tails canonically over the
-design, so no per-terminal step makes ``Edge`` objects:
-``_check_compatible`` compares those ids with the network's in-index, the
-transfer map scatters a direct edge's block to the columns at its tail
-id times m, and simulation scatters each decoder to the value rows of its
-tails.
+numbered canonically over the design once per code, so no per-terminal
+step makes ``Edge`` objects: ``_check_compatible`` compares those ids with
+the network's in-index, the transfer map scatters a direct edge's block to
+the columns at its tail id times m, and simulation scatters each decoder
+to the value rows of its tails.  A bottleneck's wired sources are read off
+the network's in-index too.
 
-The paper's fractional code is w interleaved copies of a small core code
-(``NetworkCode.interleaved_core``), and each copy acts on its own
-coordinates, so a check of the core decides the check of the code.  Every check is
-written once, for a code and the w it is lifted by, and maps the core's
-rows and columns back to the lifted layout: row a is row a*w, stacked
-column b is column b*w.  That is the first hit the same check finds on
-the lifted code, so every failure text is the same.  A code that is not
-an interleaving (the scalar code, a re-based one, one corrupted in a
-single copy) is checked as it is, by the same function at w = 1.
+A code is held as its (c, c+s) core and the number w of interleaved
+copies (``NetworkCode``), and each copy acts on its own coordinates, so a
+check of the core decides the check of the code.  Every check reads only
+the held core and maps its rows and columns back to the lifted layout:
+row a is row a*w, stacked column b is column b*w.  That is the first hit
+the same check finds on the lifted code, so every failure text is the
+same.  A code that is not an interleaving (the scalar code, a re-based
+one, one corrupted in a single copy) is held at w = 1 and checked as it
+is.  No check lifts a map.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .coding import (
     code_params_for,
     column_source,
     partial_sum_row,
-    source_column,
     stacked_width,
     sum_map,
 )
@@ -93,41 +92,54 @@ class VerifyResult:
 
 
 def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
+    """Refuse a code that does not fit the network.  Every comparison reads
+    the held core; a shape is reported in the lifted layout, w times the
+    core's."""
     if code.design != net.design:
         raise ShapeMismatchError("code was built for a different design")
-    if len(code.encoders) != net.design.v:
+    if len(code.core_encoders) != net.design.v:
         raise ShapeMismatchError(
-            f"{len(code.encoders)} encoders for {net.design.v} bottlenecks"
+            f"{len(code.core_encoders)} encoders for {net.design.v} bottlenecks"
         )
-    d, m, n = net.design, code.params.m, code.params.n
+    d, w, (m, n) = net.design, code.w, code.core_params.rate
     width = stacked_width(d, m)
-    for i, enc in enumerate(code.encoders):
+    for i, enc in enumerate(code.core_encoders):
         if enc.shape != (n, width):
-            raise ShapeMismatchError(f"encoder {i + 1} has shape {enc.shape}, expected {(n, width)}")
+            raise ShapeMismatchError(
+                f"encoder {i + 1} has shape {(enc.rows * w, enc.cols * w)}, "
+                f"expected {(n * w, width * w)}"
+            )
+        wired = _wired_sources(net, i)
+        if not ((0 <= wired) & (wired < d.v + d.b)).all():
+            raise ShapeMismatchError(
+                f"bottleneck {i + 1} is fed by a node that is no source of the design"
+            )
         # simulation hands an encoder only its wired sources' values, so a
         # coefficient anywhere else would make it disagree with transfer_check
-        wired = {source_column(d, e.tail, m) // m for e in net.tail_in_edges(i)}
-        unwired = set((np.flatnonzero(enc.array.any(axis=0)) // m).tolist()) - wired
-        if unwired:
-            source, _ = column_source(d, min(unwired) * m, m)
+        unwired = np.zeros(d.v + d.b, dtype=bool)
+        unwired[np.flatnonzero(enc.array.any(axis=0)) // m] = True
+        unwired[wired] = False
+        if unwired.any():
+            source, _ = column_source(d, int(np.argmax(unwired)) * m, m)
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
             )
     canonical, kinds = net._canonical_ids, len(net._kinds)
     for t in net.terminals():
-        if t not in code.decoders:
+        if t not in code.core_decoders:
             raise ShapeMismatchError(f"no decoder for {t.label()}")
-        dec = code.decoders[t]
-        ids = dec._ids_at(t, d)
+        ids = code._in_edges[t]
         into = net._in_ids(t)
         if ids is None or not _same_in_edges(ids, canonical[net._tail[into]], net._kind[into], kinds):
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
         _, kind = ids
         heads = int(np.count_nonzero(kind == _HEAD_TO_TERMINAL))
         expect_cols = heads * n + (len(kind) - heads) * m
-        if dec.matrix.shape != (m, expect_cols):
+        dec = code.core_decoders[t].matrix
+        if dec.shape != (m, expect_cols):
             raise ShapeMismatchError(
-                f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {(m, expect_cols)}"
+                f"decoder at {t.label()} has shape {(dec.rows * w, dec.cols * w)}, "
+                f"expected {(m * w, expect_cols * w)}"
             )
 
 
@@ -143,25 +155,31 @@ def _same_in_edges(
     return np.array_equal(np.unique(dec_tail * kinds + dec_kind), np.unique(tail * kinds + kind))
 
 
+def _wired_sources(net: SumNetwork, i: int) -> np.ndarray:
+    """The canonical ids of the nodes wired into bottleneck tail i, read off
+    the network's in-index: a source's id is its index in the stacked
+    layout, point source first, then blocks."""
+    return net._canonical_ids[net._tail[net._in_ids(NodeId(BOTTLENECK_TAIL, i))]]
+
+
 def _wired_columns(net: SumNetwork, i: int, m: int) -> np.ndarray:
     """The stacked columns of the sources wired into bottleneck i, in
     ``tail_in_edges`` order: the only columns its encoder may read."""
-    starts = [source_column(net.design, e.tail, m) for e in net.tail_in_edges(i)]
-    return (np.array(starts)[:, None] + np.arange(m)).ravel()
+    return (_wired_sources(net, i)[:, None] * m + np.arange(m)).ravel()
 
 
 def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.ndarray:
-    """The residues of terminal t's end-to-end map from the stacked sources.
+    """The residues of terminal t's end-to-end map from the stacked sources,
+    for one copy of the core.
 
     A direct edge's decoder block lands at its source's columns, which
     start at the source's canonical id times m; a head edge contributes its
     decoder block times the bottleneck's encoder, which
     ``_check_compatible`` has confined to the ``wired`` columns.
     """
-    d, m, n, f = code.design, code.params.m, code.params.n, code.field
-    dec = code.decoders[t]
-    tail, kind = dec._ids_at(t, d)
-    blocks = dec.matrix.array
+    d, f, (m, n) = code.design, code.field, code.core_params.rate
+    tail, kind = code._in_edges[t]
+    blocks = code.core_decoders[t].matrix.array
     head = kind == _HEAD_TO_TERMINAL
     width = np.where(head, n, m)
     start = np.cumsum(width) - width  # each in-edge's first decoder column
@@ -169,7 +187,7 @@ def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.n
     first_head = 2 * d.v + d.b  # the canonical id of bottleneck-head:1
     for i, col in zip((tail[head] - first_head).tolist(), start[head].tolist()):
         cols = wired[i]
-        local = FieldMatrix._trusted(f, code.encoders[i].array[:, cols])
+        local = FieldMatrix._trusted(f, code.core_encoders[i].array[:, cols])
         got[:, cols] += (FieldMatrix(f, blocks[:, col : col + n]) @ local).array
     # np.add.at, unlike +=, adds every block of a source listed twice
     offsets = np.arange(m)
@@ -180,16 +198,12 @@ def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.n
 
 
 def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
-    """Verify that every terminal's end-to-end map is the sum of sources."""
+    """Verify that every terminal's end-to-end map is the sum of sources.
+
+    The map is composed for the core; its lift is the lifted code's map,
+    so its first wrong entry is the core's first one at row*w, col*w."""
     _check_compatible(net, code)
-    return _transfer_check(net, *code.interleaved_core)
-
-
-def _transfer_check(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
-    """``transfer_check`` of ``code`` lifted by I_w.  The lift of the end-to-
-    end map is the map of the lift, so its first wrong entry is the core's
-    first one at row*w, col*w."""
-    d, m = net.design, code.params.m
+    d, m, w = net.design, code.core_params.m, code.w
     want = sum_map(d, m, code.field).array
     wired = [_wired_columns(net, i, m) for i in range(d.v)]
     failures = []
@@ -226,8 +240,8 @@ _CHUNK_CELLS = 1 << 17
 def _simulate_batch(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
 ) -> dict[NodeId, np.ndarray]:
-    """Each terminal's decoded m x W block, given every source's m x W
-    block of values.
+    """Each terminal's decoded m x W block through one copy of the core
+    (m = c), given every source's m x W block of values.
 
     Values live in one array with rows by canonical node id: m per source,
     so that they stack to the source vector, then n per bottleneck head.
@@ -237,7 +251,7 @@ def _simulate_batch(
     matrix at its tails' rows, so one product per chunk of the W columns
     decodes every terminal.
     """
-    d, m, n, p = net.design, code.params.m, code.params.n, code.field.p
+    d, p, (m, n) = net.design, code.field.p, code.core_params.rate
     canonical, first_head = net._canonical_ids, 2 * d.v + d.b
     # canonical id -> first value row, -1 for a node that holds none
     row = np.full(len(_canonical_nodes(d.v, d.b)), -1, dtype=np.int64)
@@ -258,7 +272,7 @@ def _simulate_batch(
             # local encoding: only the column blocks of sources actually
             # wired into this tail participate, and they are its value rows
             wired = _wired_columns(net, node.index, m)
-            steps.append((node, code.encoders[node.index].array[:, wired], wired))
+            steps.append((node, code.core_encoders[node.index].array[:, wired], wired))
         elif node.kind == BOTTLENECK_HEAD:
             (e,) = net.in_edges(node)
             relayed = e.tail.kind in (BOTTLENECK_TAIL, BOTTLENECK_HEAD)
@@ -266,13 +280,13 @@ def _simulate_batch(
     terminals = net.terminals()
     decode = np.zeros((len(terminals) * m, height), dtype=np.int64)
     for x, t in enumerate(terminals):
-        dec = code.decoders[t]
-        tail, kind = dec._ids_at(t, d)
+        matrix = code.core_decoders[t].matrix
+        tail, kind = code._in_edges[t]
         width = np.where(kind == _HEAD_TO_TERMINAL, n, m)
         start = np.cumsum(width) - width  # each in-edge's first decoder column
-        at = np.repeat(row[tail] - start, width) + np.arange(dec.matrix.cols)
+        at = np.repeat(row[tail] - start, width) + np.arange(matrix.cols)
         # np.add.at, unlike =, adds every block of a tail listed twice
-        np.add.at(decode[x * m : (x + 1) * m], (slice(None), at), dec.matrix.array)
+        np.add.at(decode[x * m : (x + 1) * m], (slice(None), at), matrix.array)
     given = [(at, x) for at, x in ((rows(s), x) for s, x in sources.items()) if at is not None]
     cols = given[0][1].shape[1] if given else 0
     decoded = np.empty((len(terminals) * m, cols), dtype=np.int64)
@@ -300,6 +314,18 @@ def _simulate_batch(
     return {t: decoded[x * m : (x + 1) * m] for x, t in enumerate(terminals)}
 
 
+def _simulate_lifted(
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
+) -> dict[NodeId, np.ndarray]:
+    """``_simulate_batch`` of the (m, n) code, given every source's m x T
+    block of values: copy u of trial t runs through the core as column
+    u*T + t, so lifted row a*w + u of trial t is core row a of that column."""
+    c, w = code.core_params.m, code.w
+    trials = next(iter(sources.values())).shape[1] if sources else 0
+    batch = {s: x.reshape(c, w * trials) for s, x in sources.items()}
+    return {t: out.reshape(c * w, trials) for t, out in _simulate_batch(net, code, batch).items()}
+
+
 def simulate(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, object]
 ) -> dict[NodeId, np.ndarray]:
@@ -314,7 +340,7 @@ def simulate(
     if missing:
         raise ShapeMismatchError(f"missing source values for {missing[0].label()}")
     batch = {s: _as_batch(sources[s], m, p) for s in net.sources()}
-    outputs = _simulate_batch(net, code, batch)
+    outputs = _simulate_lifted(net, code, batch)
     return {t: out[:, 0] for t, out in outputs.items()}
 
 
@@ -333,25 +359,13 @@ def simulate_trials(
     """Run seeded random assignments and compare every terminal against the
     plain sum of the drawn sources."""
     _check_compatible(net, code)
-    return _simulate_trials(net, *code.interleaved_core, trials, seed)
-
-
-def _simulate_trials(
-    net: SumNetwork, code: NetworkCode, w: int, trials: int, seed: int
-) -> SimulationSummary:
-    """``simulate_trials`` of ``code`` lifted by I_w.  Sources are drawn at
-    the lifted length, and copy u of trial t runs through the core as trial
-    u*trials + t."""
-    c, p = code.params.m, code.field.p
-    m = c * w
+    m, p = code.params.m, code.field.p
     rng = np.random.default_rng(seed)
     sources = {s: rng.integers(0, p, size=(m, trials)) for s in net.sources()}
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
-    # lifted row a*w + u of trial t is core row a of trial u*trials + t
-    batch = {s: x.reshape(c, w * trials) for s, x in sources.items()}
-    outputs = {t: out.reshape(m, trials) for t, out in _simulate_batch(net, code, batch).items()}
+    outputs = _simulate_lifted(net, code, sources)
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
     for t in sorted(outputs, key=lambda x: x.sort_key):
@@ -387,18 +401,14 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     bottleneck i must determine the partial sum at point i.
     """
     _check_compatible(net, code)
-    return _partial_sum_recoverable(net, *code.interleaved_core)
-
-
-def _partial_sum_recoverable(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
-    """``partial_sum_recoverable`` of ``code`` lifted by I_w, whose row
-    space is w copies of the core's, so core row a is lifted row a*w."""
-    d, m, f = net.design, code.params.m, code.field
+    d, m, f, w = net.design, code.core_params.m, code.field, code.w
+    # the lifted row space is w copies of the core's: core row a is row a*w
     failures = []
     for i in range(d.v):
         target = partial_sum_row(d, i, m, f)
-        if not row_space_contains(code.encoders[i], target):
-            row = _first_row_outside(code.encoders[i], target) * w
+        enc = code.core_encoders[i]
+        if not row_space_contains(enc, target):
+            row = _first_row_outside(enc, target) * w
             failures.append(
                 Failure(
                     at=NodeId(BOTTLENECK_TAIL, i),
@@ -412,13 +422,7 @@ def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """For each block, the sum of its points' sources plus all block sources
     in its neighborhood must be recoverable from its points' bottlenecks."""
     _check_compatible(net, code)
-    return _block_sum_recoverable(net, *code.interleaved_core)
-
-
-def _block_sum_recoverable(net: SumNetwork, code: NetworkCode, w: int) -> VerifyResult:
-    """``block_sum_recoverable`` of ``code`` lifted by I_w; rows map back as
-    in ``_partial_sum_recoverable``."""
-    d, m, f = net.design, code.params.m, code.field
+    d, m, f, w = net.design, code.core_params.m, code.field, code.w
     # block x point incidence: the blocks sharing a point with block j are
     # the rows hit in its points' columns
     incidence = np.zeros((d.b, d.v), dtype=bool)
@@ -429,7 +433,7 @@ def _block_sum_recoverable(net: SumNetwork, code: NetworkCode, w: int) -> Verify
         neighbors = np.flatnonzero(incidence[:, points].any(axis=1))
         target = _sources_sum_array(d, np.concatenate([points, d.v + neighbors]), m)
         target_mat = FieldMatrix._trusted(f, target)
-        stacked = vstack([code.encoders[point] for point in d.blocks[j]])
+        stacked = vstack([code.core_encoders[point] for point in d.blocks[j]])
         if not row_space_contains(stacked, target_mat):
             row = _first_row_outside(stacked, target_mat) * w
             failures.append(

@@ -1,13 +1,21 @@
 """Shared fixtures."""
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
 import pytest
 
-from sumnet.coding import NetworkCode, TerminalDecoder, block_source_extractor, build_code
+from sumnet.coding import (
+    NetworkCode,
+    TerminalDecoder,
+    block_source_extractor,
+    build_code,
+    source_column,
+    sources_sum_map,
+)
 from sumnet.designs import Design, fano
 from sumnet.field import FieldMatrix, PrimeField, _matmul_mod
 from sumnet.network import (
@@ -21,16 +29,10 @@ from sumnet.network import (
     TERMINAL_BLOCK,
     TERMINAL_POINT,
     NodeId,
-    _canonical_nodes,
     build_sum_network,
     topological_order,
 )
 from sumnet.verify import (
-    _block_sum_recoverable,
-    _partial_sum_recoverable,
-    _simulate_trials,
-    _transfer_check,
-    _wired_columns,
     block_sum_recoverable,
     partial_sum_recoverable,
     simulate_trials,
@@ -55,6 +57,19 @@ def within_seconds(seconds: float, what: str):
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextmanager
+def peak_allocation_below(limit: int, what: str):
+    """Fail unless the block's peak of traced allocations, numpy buffers
+    included, stays below ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"{what} peaked at {peak / 2**20:.1f} MiB of traced allocations"
+
+
 def unitriangular_pair(n: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """A random lower unitriangular U over GF(p) and its inverse, by forward
     substitution in Python integers."""
@@ -64,6 +79,24 @@ def unitriangular_pair(n: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
         for j in range(i):
             inv[i] = [(a - u[i][j] * b) % p for a, b in zip(inv[i], inv[j])]
     return np.array(u, dtype=np.int64), np.array(inv, dtype=np.int64)
+
+
+def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:
+    """The m x (v+b)m map extracting one source from the stacked vector."""
+    return sources_sum_map(d, (source,), m, f)
+
+
+def as_given(code: NetworkCode) -> NetworkCode:
+    """The code held as its (m, n) maps, at w = 1: what the checks see of a
+    code that is not an interleaving."""
+    return NetworkCode._from_core(code.design, code.field, code.params, code.encoders, code.decoders, 1)
+
+
+def core_code(code: NetworkCode) -> NetworkCode:
+    """One copy of the code's core as a code of its own, at w = 1."""
+    return NetworkCode._from_core(
+        code.design, code.field, code.core_params, code.core_encoders, code.core_decoders, 1
+    )
 
 
 def rebase_bottlenecks(net, code: NetworkCode, seed: int) -> NetworkCode:
@@ -142,44 +175,38 @@ def oracle_simulate_batch(net, code, sources: dict) -> dict:
     """``verify._simulate_batch`` one terminal at a time: every node's
     values in topological order, then per terminal one product of its
     decoder with the concatenation of its in-edges' values."""
-    d, m, p = net.design, code.params.m, code.field.p
+    m, p = code.params.m, code.field.p
     emitted = {}
     for node in topological_order(net):
         if node.kind in (SOURCE_POINT, SOURCE_BLOCK):
             emitted[node] = sources[node]
         elif node.kind == BOTTLENECK_TAIL:
-            local = code.encoders[node.index].array[:, _wired_columns(net, node.index, m)]
-            received = np.concatenate([emitted[e.tail] for e in net.tail_in_edges(node.index)])
+            feeds = net.tail_in_edges(node.index)
+            cols = np.concatenate([source_column(net.design, e.tail, m) + np.arange(m) for e in feeds])
+            local = code.encoders[node.index].array[:, cols]
+            received = np.concatenate([emitted[e.tail] for e in feeds])
             emitted[node] = _matmul_mod(local, received, p)
         elif node.kind == BOTTLENECK_HEAD:
             (e,) = net.in_edges(node)
             emitted[node] = emitted[e.tail]
-    values = [emitted.get(x) for x in _canonical_nodes(d.v, d.b)]
     outputs = {}
     for t in net.terminals():
         dec = code.decoders[t]
-        tail, _ = dec._ids_at(t, d)
-        received = np.concatenate([values[x] for x in tail.tolist()])
+        received = np.concatenate([emitted[e.tail] for e in dec.in_edges])
         outputs[t] = _matmul_mod(dec.matrix.array, received, p)
     return outputs
 
 
-CHECKS = (
-    (transfer_check, _transfer_check),
-    (partial_sum_recoverable, _partial_sum_recoverable),
-    (block_sum_recoverable, _block_sum_recoverable),
-)
-
-
 def assert_core_path_agrees(net, code, seed):
-    """Each entry point, which checks the core of an interleaved code,
-    returns what its w = 1 form returns on the code as given."""
-    for check, as_given in CHECKS:
-        assert check(net, code) == as_given(net, code, 1)
-    summary, as_given = simulate_trials(net, code, 64, seed), _simulate_trials(net, code, 1, 64, seed)
-    assert summary == as_given
+    """Each entry point, which checks the held core of an interleaved code,
+    returns what it returns on the code's (m, n) maps held as given."""
+    flat = as_given(code)
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        assert check(net, code) == check(net, flat)
+    summary, expected = simulate_trials(net, code, 64, seed), simulate_trials(net, flat, 64, seed)
+    assert summary == expected
     assert [(x.at.label(), x.detail) for x in summary.failures] == [
-        (x.at.label(), x.detail) for x in as_given.failures
+        (x.at.label(), x.detail) for x in expected.failures
     ]
 
 

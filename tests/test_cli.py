@@ -10,7 +10,7 @@ from sumnet.designs import fano
 from sumnet.network import build_sum_network
 from sumnet.verify import ShapeMismatchError, transfer_check
 
-from conftest import within_seconds
+from conftest import peak_allocation_below, within_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,16 @@ def test_huge_prime_field_is_refused_within_a_second(capsys):
         assert main(["capacity", "--sts", "9", "--field", "2305843009213693951"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "modulus 2305843009213693951 too large" in capsys.readouterr().err
+
+
+def test_code_sts33_fractional_passes_every_check(capsys):
+    # w = 11: the lifted maps would be 89M cells, about 712 MB
+    what = "code --sts 33 --field 3"
+    with peak_allocation_below(32 * 2**20, what), within_seconds(30.0, what):
+        assert main(["code", "--sts", "33", "--field", "3", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rate"] == {"m": 33, "n": 209} and report["failures"] == []
+    assert report["transfer_check"] and report["partial_sum_recoverable"] and report["block_sum_recoverable"]
 
 
 def test_capacity_values(capsys):
@@ -395,6 +405,19 @@ def test_simulate_rejects_a_design_with_json_booleans(tmp_path, capsys, where):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sumnet: error: malformed code document: {message}\n"
+
+
+def test_simulate_rejects_boolean_code_params(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "2", "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["params"].update(m=True, n=True)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["simulate", "--fano", "--field", "2", "--trials", "20", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sumnet: error: malformed code document: params m and n must be integers\n"
 
 
 def test_simulate_rejects_a_direct_edge_the_network_lacks(tmp_path, capsys):

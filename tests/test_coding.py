@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from sumnet.coding import (
     partial_sum_row,
     slice_layout,
     source_column,
-    source_projection,
     stacked_width,
     sum_map,
 )
-from sumnet.designs import Design, fano, sts_bose
+from sumnet.designs import Design, ParseError, fano, sts_bose
 from sumnet.field import PrimeField, vstack
 from sumnet.network import (
     EDGE_HEAD_TO_TERMINAL,
@@ -35,7 +35,7 @@ from sumnet.network import (
     build_sum_network,
 )
 
-from conftest import affine_plane, projective_plane
+from conftest import affine_plane, projective_plane, source_projection
 
 DESIGNS = {
     "fano": fano,
@@ -348,6 +348,19 @@ def test_code_json_round_trip():
         code = build_code(net, PrimeField(p))
         again = code_from_json(code_to_json(code))
         assert again == code
+
+
+@pytest.mark.parametrize("key", ["m", "n"])
+def test_code_json_refuses_boolean_block_lengths(key):
+    # true == 1, so a scalar code's params would otherwise load and compare
+    # equal to the built code
+    _, net, _ = fano_setup(2)
+    data = json.loads(code_to_json(build_code(net, PrimeField(2))))
+    assert data["params"][key] == 1
+    data["params"][key] = True
+    message = "^malformed code document: params m and n must be integers$"
+    with pytest.raises(ParseError, match=message):
+        code_from_json(json.dumps(data))
 
 
 def test_decoder_refuses_in_edges_its_arrays_cannot_hold():

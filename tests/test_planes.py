@@ -63,11 +63,10 @@ def test_fractional_core_is_recognised_for_k_above_three(design, p):
     net = build_sum_network(design)
     code = build_code(net, PrimeField(p))
     c, s, w = _core(design, code.params)
-    core, copies = code.interleaved_core
-    assert copies == w == code.params.m // design.k > 1
-    assert core.params.rate == (c, c + s)
+    assert code.w == w == code.params.m // design.k > 1
+    assert code.core_params.rate == (c, c + s)
     assert_core_path_agrees(net, code, seed=p)
     broken = drop_block_correction(net, code)
-    assert broken.interleaved_core[1] == w
+    assert broken.w == w
     assert not transfer_check(net, broken).ok
     assert_core_path_agrees(net, broken, seed=p)

@@ -117,3 +117,19 @@ def test_commands_never_import_numpy_ma(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_checks_read_only_the_held_core():
+    # a code holds its core and w; its lifted views (.encoders, .decoders)
+    # are built on request, w^2 times the core's size.  The checks and the
+    # simulators read the core and map rows and columns back, so no line
+    # of verify.py reads a view; the w = 1 oracle of the tests builds the
+    # code as given in tests/conftest.py
+    path = Path(__file__).resolve().parents[1] / "src" / "sumnet" / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("encoders", "decoders")
+    ]
+    assert not lines, f"verify.py reads a lifted view of a code on lines {lines}"

@@ -26,8 +26,10 @@ from sumnet.coding import (
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
+    BOTTLENECK_TAIL,
     EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
+    EDGE_SOURCE_TO_TAIL,
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
@@ -50,10 +52,14 @@ from sumnet.verify import (
 )
 
 from conftest import (
+    as_given,
     assert_core_path_agrees,
+    core_code,
     drop_block_correction,
     oracle_simulate_batch,
+    peak_allocation_below,
     rebase_bottlenecks,
+    within_seconds,
 )
 
 BIG = 2147483647
@@ -112,6 +118,18 @@ def test_transfer_check_reports_missing_correction_at_every_block_terminal():
     assert failed_at == {NodeId(TERMINAL_BLOCK, j) for j in range(7)}
     # a failure record names a witness input
     assert "unit input" in result.failures[0].detail
+
+
+def test_fractional_code_at_sts27_is_built_checked_and_simulated_as_its_core():
+    # w = 9: the lifted maps alone would be 28M cells, about 224 MB
+    what = "STS(27)/GF(3) build, checks and 64 simulated trials"
+    with peak_allocation_below(32 * 2**20, what), within_seconds(30.0, what):
+        net = build_sum_network(sts_bose(27))
+        code = build_code(net, PrimeField(3))
+        for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+            assert check(net, code).ok, check.__name__
+        assert simulate_trials(net, code, 64, seed=0).ok
+    assert code.w == 9 and code.params.rate == (27, 144)
 
 
 def test_transfer_check_rejects_mismatched_code():
@@ -232,6 +250,21 @@ def test_a_code_for_a_terminal_fed_from_outside_the_design_is_refused(p):
     )
     with pytest.raises(ParseError, match=f"^{refused}$"):
         code_from_json(text)
+
+
+def test_a_bottleneck_fed_from_outside_the_design_is_refused():
+    # source-point:8 is no node of Fano; its stacked columns would be those
+    # of source-block:1, so the checks must not read them as its values
+    d = fano()
+    net = build_sum_network(d)
+    extra = NodeId(SOURCE_POINT, 7)
+    fed = Edge(extra, NodeId(BOTTLENECK_TAIL, 0), EDGE_SOURCE_TO_TAIL)
+    wider = SumNetwork(d, (*net.nodes, extra), (*net.edges, fed))
+    code = build_code(net, PrimeField(3))
+    message = "^bottleneck 1 is fed by a node that is no source of the design$"
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        with pytest.raises(ShapeMismatchError, match=message):
+            check(wider, code)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -545,13 +578,13 @@ def test_simulation_agrees_with_the_per_terminal_oracle(case, trials, cells, see
     if data.draw(st.booleans()):
         code = repeat_a_direct_in_edge(code, data.draw)
     with patch.object(verify_module, "_CHUNK_CELLS", cells):
-        for core, w in ((code, 1), code.interleaved_core):
+        for core, w in ((as_given(code), 1), (core_code(code), code.w)):
             assert_simulation_matches_the_oracle(net, core, w, trials, seed)
 
 
 def test_simulation_decodes_in_chunks_with_a_shorter_last_one(monkeypatch):
     net, code = fano_code(3)
-    core, w = code.interleaved_core
+    core, w = core_code(code), code.w
     d, c, n = net.design, core.params.m, core.params.n
     assert w == 2
     # value rows plus decoded rows per column; a budget of 16 columns cuts
@@ -575,7 +608,8 @@ def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch
     # at least as wide as the decode matrix is tall, however small the
     # budget: the kernel then rewrites the decoder, whose -(k-1) is small
     net = build_sum_network(sts_bose(9))
-    core, w = build_code(net, PrimeField(BIG)).interleaved_core
+    code = build_code(net, PrimeField(BIG))
+    core, w = core_code(code), code.w
     c = core.params.m
     tall = len(net.terminals()) * c
     monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 1)
@@ -602,15 +636,25 @@ def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch
     assert decodes == [(75, 1), (75, 1)] and 75 >= tall
 
 
-def test_code_maps_are_read_only_so_the_core_is_found_once():
+def test_a_code_holds_its_core_and_lifts_its_maps_on_request():
     net, code = fano_code(3)
     with pytest.raises(TypeError):
+        code.core_decoders[NodeId(TERMINAL_BLOCK, 0)] = code.core_decoders[NodeId(TERMINAL_BLOCK, 1)]
+    with pytest.raises(TypeError):
         code.decoders[NodeId(TERMINAL_BLOCK, 0)] = code.decoders[NodeId(TERMINAL_BLOCK, 1)]
+    assert (code.w, code.core_params.rate) == (2, (3, 6))
+    assert code.core_encoders[0].shape == (6, 42) and code.encoders[0].shape == (12, 84)
+    # the constructor takes the (m, n) maps and finds the core build_code made
     again = NetworkCode(code.design, code.field, code.params, list(code.encoders), code.decoders)
     assert isinstance(again.encoders, tuple) and again == code
-    core, w = code.interleaved_core
-    assert (w, core.params.rate) == (2, (3, 6))
-    assert code.interleaved_core[0] is core
+    assert (again.w, again.core_encoders, again.core_decoders) == (2, code.core_encoders, code.core_decoders)
+    # the lifted views of the same code held at w = 1 are the same maps
+    flat = as_given(code)
+    assert flat.w == 1 and (flat.encoders, flat.decoders) == (code.encoders, code.decoders)
+    # at w = 1 the lifted views are the held maps themselves
+    scalar = build_code(net, PrimeField(2))
+    assert scalar.w == 1 and scalar.decoders is scalar.core_decoders
+    assert all(a is b for a, b in zip(scalar.encoders, scalar.core_encoders))
 
 
 @settings(max_examples=60, deadline=None)
@@ -620,7 +664,7 @@ def test_unlift_inverts_lift_and_rejects_a_broken_copy(data):
     rows, cols, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     entries = st.lists(st.integers(0, f.p - 1), min_size=cols, max_size=cols)
     core = FieldMatrix(f, data.draw(st.lists(entries, min_size=rows, max_size=rows)))
-    lifted = _lift(f, core.array, w)
+    lifted = _lift(core, w)
     assert _unlift(lifted, w) == core
     if w == 1:
         return
@@ -692,7 +736,7 @@ DESIGNS = {"fano": fano, "sts9": lambda: sts_bose(9), "sts15": lambda: sts_bose(
 def test_corruptions_keep_or_break_the_interleaving():
     net = build_sum_network(sts_bose(9))
     code = build_code(net, PrimeField(5))
-    copies = {name: corrupt(net, code).interleaved_core[1] for name, corrupt in CORRUPTIONS.items()}
+    copies = {name: corrupt(net, code).w for name, corrupt in CORRUPTIONS.items()}
     assert copies == {
         "encoder-row": 1,
         "decoder-entry": 1,
