@@ -7,16 +7,30 @@ pure-Python encoder whenever ``indent`` is set, one generator step per
 value.  This writer instead quotes each distinct string once per document,
 renders a list whose items are all strings or all ints with one
 ``str.join``, and appends every piece of the document to one list that is
-joined once, so no nested value is copied into its parent's text.  A
-``StringTable`` stands for a list of rows of strings given as columns of
-indices into one list of strings; its cells are pre-rendered once per
-string and its rows are never built.
+joined once, so no nested value is copied into its parent's text.  Two
+value types stand for lists whose items are never built:
+
+* a ``StringTable`` is a list of rows of strings given as columns of
+  indices into one list of strings; its cells are pre-rendered once per
+  string;
+* a ``LiftedMatrix`` is the rows of core (x) I_w, w interleaved copies of
+  an integer core.  Lifted row a*w + u holds core row a's nonzeros at
+  columns b*w + u and zeros elsewhere, so each row is rendered from the
+  core's nonzeros: a run of z zeros is one pre-rendered zero cell times z,
+  and the text from a core row's first nonzero to its last is made once
+  for its w copies.
+
+``dump(obj, fp)`` writes the same pieces to a text file, handing them
+over after every row of a ``LiftedMatrix``, so a document of large
+matrices is never held whole.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
+
+import numpy as np
 
 
 class StringTable:
@@ -32,6 +46,34 @@ class StringTable:
         self.columns = columns
 
 
+class LiftedMatrix:
+    """The rows of ``core`` (x) I_w for a 2-D integer array ``core``: core
+    entry (a, b) of copy u at (a*w + u, b*w + u), zeros elsewhere.
+    ``dumps`` renders it exactly as it renders that matrix's list of rows;
+    at w = 1 that is ``core.tolist()``."""
+
+    def __init__(self, core: np.ndarray, w: int):
+        if core.ndim != 2 or core.dtype.kind != "i" or w < 1:
+            raise ValueError("a lifted matrix needs a 2-D integer core and w >= 1")
+        self.core = core
+        self.w = w
+
+
+class _Pieces(list):
+    """The rendered pieces of a document.  With a ``write`` sink, ``spill``
+    hands the pieces gathered so far to it and forgets them; without one
+    they stay, to be joined once."""
+
+    def __init__(self, write: Callable[[str], object] | None = None):
+        super().__init__()
+        self.write = write
+
+    def spill(self) -> None:
+        if self.write is not None:
+            self.write("".join(self))
+            self.clear()
+
+
 class _Quoted(dict):
     """str -> its JSON literal, computed on first use."""
 
@@ -42,11 +84,20 @@ class _Quoted(dict):
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for the types above,
-    with each ``StringTable`` as its rows; anything else raises
-    ``TypeError``."""
-    out: list[str] = []
+    with each ``StringTable`` and ``LiftedMatrix`` as its rows; anything
+    else raises ``TypeError``."""
+    out = _Pieces()
     _encode(obj, "\n", _Quoted(), out)
     return "".join(out)
+
+
+def dump(obj, fp: TextIO) -> None:
+    """Write ``dumps(obj)`` to the text file ``fp``.  The pieces are
+    written after every row of a ``LiftedMatrix``, so no more is held than
+    one such row and what was rendered since the row before it."""
+    out = _Pieces(fp.write)
+    _encode(obj, "\n", _Quoted(), out)
+    out.spill()
 
 
 def _flat_row(obj, newline: str, quoted: _Quoted) -> str | None:
@@ -65,7 +116,7 @@ def _flat_row(obj, newline: str, quoted: _Quoted) -> str | None:
     return None
 
 
-def _table(table: StringTable, newline: str, quoted: _Quoted, out: list[str]) -> None:
+def _table(table: StringTable, newline: str, quoted: _Quoted, out: _Pieces) -> None:
     """A ``StringTable``, one piece per cell: each cell is rendered with the
     text before it, and the last cell of a row also closes the row and
     opens the next one."""
@@ -90,7 +141,71 @@ def _table(table: StringTable, newline: str, quoted: _Quoted, out: list[str]) ->
     out[-1] = f"{out[-1][: -len(inner) - 1]}{newline}]"
 
 
-def _encode(obj, newline: str, quoted: _Quoted, out: list[str]) -> None:
+def _lifted(matrix: LiftedMatrix, newline: str, out: _Pieces) -> None:
+    """A ``LiftedMatrix``, spilled after each lifted row.
+
+    Lifted row a*w + u is core row a's nonzeros, each w - 1 zeros from the
+    next in its run of adjacent core columns, with zeros before, between
+    and after the runs.  The text from the row's first nonzero to its last
+    does not depend on u: it is made once per core row, one ``str.join``
+    per run, and only the zeros before and after it are made per copy.
+    """
+    core, w = matrix.core, matrix.w
+    rows, cols = core.shape
+    if not rows:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    if not cols:
+        empty = f",{inner}".join(["[]"] * (rows * w))
+        out.append(f"[{inner}{empty}{newline}]")
+        return
+    cell = inner + "  "
+    sep = "," + cell
+    zero = sep + "0"  # a zero cell with the separator before it
+    link = zero * (w - 1) + sep  # between the nonzeros of a run
+    close = inner + "]"
+    opening, between = f"[{inner}[{cell}", f",{inner}[{cell}"
+    at, where = np.nonzero(core)
+    literals = list(map(int.__repr__, core[at, where].tolist()))
+    # the runs of nonzeros in adjacent columns of a row, as [start, end)
+    # ranges of the nonzeros, and the zeros between consecutive runs
+    new_run = np.ones(len(at) + 1, dtype=bool)  # and one past the last
+    new_run[1:-1] = (at[1:] != at[:-1]) | (where[1:] != where[:-1] + 1)
+    bounds = np.flatnonzero(new_run)
+    starts, ends = bounds[:-1], bounds[1:]
+    gaps = ((where[starts[1:]] - where[ends[:-1] - 1]) * w - 1).tolist()
+    runs_of_row = np.searchsorted(at[starts], np.arange(rows + 1)).tolist()
+    firsts, lasts = where[starts].tolist(), where[ends - 1].tolist()
+    starts, ends = starts.tolist(), ends.tolist()
+    zero_row = None
+    for a in range(rows):
+        r, q = runs_of_row[a], runs_of_row[a + 1]
+        if r == q:
+            if zero_row is None:
+                zero_row = f"0{zero * (cols * w - 1)}{close}"
+            for _ in range(w):
+                out += (opening, zero_row)
+                opening = between
+                out.spill()
+            continue
+        body = [sep] * (3 * (q - r) - 2)
+        body[::3] = [link.join(literals[s:e]) for s, e in zip(starts[r:q], ends[r:q])]
+        body[1::3] = map(zero.__mul__, gaps[r : q - 1])
+        first, last = firsts[r] * w, (cols - lasts[q - 1]) * w - 1
+        for u in range(w):
+            if first + u:
+                out += (opening, "0", zero * (first + u - 1), sep)
+            else:
+                out.append(opening)
+            out += body
+            out += (zero * (last - u), close)
+            opening = between
+            out.spill()
+    out.append(newline + "]")
+
+
+def _encode(obj, newline: str, quoted: _Quoted, out: _Pieces) -> None:
     # ``newline`` is a line break plus the indentation of the line obj
     # starts on; bool is tested before int, as json.encoder does
     if isinstance(obj, (list, tuple)):
@@ -119,6 +234,8 @@ def _encode(obj, newline: str, quoted: _Quoted, out: list[str]) -> None:
         out.append(quoted[obj])
     elif isinstance(obj, StringTable):
         _table(obj, newline, quoted, out)
+    elif isinstance(obj, LiftedMatrix):
+        _lifted(obj, newline, out)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

@@ -26,7 +26,8 @@ from .coding import (
     UnsupportedLambdaError,
     build_code,
     code_from_json,
-    code_to_json,
+    code_save,
+    code_to_json,  # noqa: F401  (unused here; tools that wrap the CLI's entry points use it)
 )
 from .designs import (
     Design,
@@ -233,7 +234,7 @@ def cmd_code(args) -> int:
     bsum = block_sum_recoverable(net, code)
     ok = transfer.ok and psum.ok and bsum.ok
     if args.save_code:
-        Path(args.save_code).write_text(code_to_json(code))
+        code_save(code, args.save_code)
     m, n = code.params.m, code.params.n
     if args.format == "json":
         _emit_json(

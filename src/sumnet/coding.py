@@ -26,12 +26,15 @@ take the paper's (m, n) maps and keep their core when every one is a
 lift.  ``encoders[i]`` (the map from the stacked source vector to the n
 symbols on bottleneck i) and each decoder's ``matrix`` (from the
 concatenation of its in-edge values to the m decoded symbols) are the
-lifted maps, built on request; at w = 1 they are the core itself.
-Relay edges carry their input unchanged and are not stored.  A decoder
-holds its in-edges only as integer arrays, the tails' node kind ranks and
-indexes and the edge kind codes, filled alike from ``Edge`` objects, the
-network's in-index or a code document's labels; ``Edge`` objects are made
-only when ``TerminalDecoder.in_edges`` is asked for.
+lifted maps, built on request; at w = 1 they are the core itself.  The
+``sumnet.code/1`` document spells out the lifted maps, but
+``code_to_json`` and ``code_save`` render each one from its core, row by
+row, and build none of them.  Relay edges carry their input unchanged
+and are not stored.  A decoder holds its in-edges only as integer arrays,
+the tails' node kind ranks and indexes and the edge kind codes, filled
+alike from ``Edge`` objects, the network's in-index or a code document's
+labels; ``Edge`` objects are made only when ``TerminalDecoder.in_edges``
+is asked for.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._jsonwriter import dumps
+from ._jsonwriter import LiftedMatrix, dump, dumps
 from .designs import Design, ParseError, _is_integer
 from .field import FieldMatrix, PrimeField
 from .network import (
@@ -205,16 +208,49 @@ class TerminalDecoder:
         return f"TerminalDecoder({len(self._ids.kind)} in-edges, matrix {self._matrix.shape})"
 
 
+# about how many in-edges one ``_fitting`` call numbers.  A call per decoder
+# costs more than the numbering itself at STS(45); one call for all of
+# them makes temporaries of megabytes at STS(63), whose fresh pages fault
+# in again for every code
+_NUMBERING_BATCH = 1 << 14
+
+
 def _canonical_in_edges(
-    t: NodeId, ids: _InEdgeIds, d: Design
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """A decoder's in-edges as (canonical tail id over d, kind code) arrays,
-    or None unless every one leads into terminal t from a node of d that
-    fits its kind."""
-    if ids.terminal not in (t, None):
-        return None
-    tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
-    return (_frozen(tail), ids.kind) if fits.all() else None
+    decoders: Mapping[NodeId, TerminalDecoder], d: Design
+) -> dict[NodeId, tuple[np.ndarray, np.ndarray] | None]:
+    """Per terminal t, its decoder's in-edges as (canonical tail id over d,
+    kind code) arrays, or None unless every one leads into t from a node of
+    d that fits its kind.  Consecutive decoders are numbered together,
+    about ``_NUMBERING_BATCH`` in-edges per ``_fitting`` call."""
+    held: dict[NodeId, tuple[np.ndarray, np.ndarray] | None] = {}
+    batch, size = [], 0
+    for t, dec in decoders.items():
+        batch.append((t, dec._ids))
+        size += len(dec._ids.kind)
+        if size >= _NUMBERING_BATCH:
+            _number_batch(batch, d, held)
+            batch, size = [], 0
+    if batch:
+        _number_batch(batch, d, held)
+    return held
+
+
+def _number_batch(batch: list[tuple[NodeId, _InEdgeIds]], d: Design, held: dict) -> None:
+    """``_canonical_in_edges`` of the (terminal, in-edges) pairs ``batch``,
+    into ``held``, with one ``_fitting`` call over their concatenated
+    arrays whose result is split by decoder."""
+    ids = [x for _, x in batch]
+    rank = np.concatenate([x.rank for x in ids])
+    index = np.concatenate([x.index for x in ids])
+    tail, fits = _fitting(rank, index, np.concatenate([x.kind for x in ids]), d)
+    _frozen(tail)
+    bounds = np.cumsum([0] + [len(x.kind) for x in ids])
+    # the decoders, counted from 1, holding an in-edge that does not fit
+    misfit = set(np.searchsorted(bounds, np.flatnonzero(~fits), side="right").tolist())
+    bounds = bounds.tolist()
+    for j, (t, x) in enumerate(batch, start=1):
+        fit = j not in misfit and x.terminal in (t, None)
+        held[t] = (tail[bounds[j - 1] : bounds[j]], x.kind) if fit else None
 
 
 class NetworkCode:
@@ -263,9 +299,7 @@ class NetworkCode:
         self.design, self.field, self.params, self.w = design, field, params, w
         self.core_encoders = tuple(encoders)
         self.core_decoders = MappingProxyType(dict(decoders))
-        self._in_edges = MappingProxyType(
-            {t: _canonical_in_edges(t, dec._ids, design) for t, dec in self.core_decoders.items()}
-        )
+        self._in_edges = MappingProxyType(_canonical_in_edges(self.core_decoders, design))
 
     @property
     def core_params(self) -> CodeParams:
@@ -556,7 +590,10 @@ def build_code_char_not_divides(net: SumNetwork, f: PrimeField) -> NetworkCode:
     return _build_in_regime(net, f, REGIME_NOT_DIVIDES, "divides")
 
 
-def code_to_json(code: NetworkCode) -> str:
+def _code_document(code: NetworkCode) -> dict:
+    """The ``sumnet.code/1`` document of a code: its (m, n) maps in the
+    paper's layout, each written from the held core as its lift by I_w."""
+
     def in_edge_rows(dec: TerminalDecoder) -> list[list[str]]:
         terminal, rank, index, kind = dec._ids
         head = terminal.label() if terminal else None
@@ -565,18 +602,31 @@ def code_to_json(code: NetworkCode) -> str:
             for r, x, k in zip(rank.tolist(), index.tolist(), kind.tolist())
         ]
 
-    data = {
+    w = code.w
+    return {
         "schema": "sumnet.code/1",
         "p": code.field.p,
         "params": {"m": code.params.m, "n": code.params.n, "regime": code.params.regime},
         "design": code.design.to_dict(),
-        "encoders": [enc.tolist() for enc in code.encoders],
+        "encoders": [LiftedMatrix(enc.array, w) for enc in code.core_encoders],
         "decoders": {
-            t.label(): {"in_edges": in_edge_rows(dec), "matrix": dec.matrix.tolist()}
-            for t, dec in sorted(code.decoders.items(), key=lambda kv: kv[0].sort_key)
+            t.label(): {"in_edges": in_edge_rows(dec), "matrix": LiftedMatrix(dec.matrix.array, w)}
+            for t, dec in sorted(code.core_decoders.items(), key=lambda kv: kv[0].sort_key)
         },
     }
-    return dumps(data) + "\n"
+
+
+def code_to_json(code: NetworkCode) -> str:
+    """The code as a ``sumnet.code/1`` document."""
+    return dumps(_code_document(code)) + "\n"
+
+
+def code_save(code: NetworkCode, path) -> None:
+    """Write ``code_to_json(code)`` to ``path`` as it is rendered, so the
+    whole document is never held."""
+    with open(path, "w", encoding="ascii") as fp:
+        dump(_code_document(code), fp)
+        fp.write("\n")
 
 
 def _bad_in_edge(t: NodeId, row: list) -> str:

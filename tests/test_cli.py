@@ -6,7 +6,9 @@ import pytest
 
 from sumnet.cli import build_parser, main
 from sumnet.coding import code_from_json, code_to_json
-from sumnet.designs import fano
+from sumnet.coding import build_code
+from sumnet.designs import fano, sts_bose
+from sumnet.field import PrimeField
 from sumnet.network import build_sum_network
 from sumnet.verify import ShapeMismatchError, transfer_check
 
@@ -161,6 +163,32 @@ def test_code_save(tmp_path, capsys):
     assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
     code = code_from_json(path.read_text())
     assert code.params.m == 6
+
+
+def test_saved_code_is_the_code_document(tmp_path, capsys):
+    # w = 3: every map is written row by row from its core
+    path = tmp_path / "code.json"
+    assert main(["code", "--sts", "9", "--field", "5", "--save-code", str(path)]) == 0
+    code = build_code(build_sum_network(sts_bose(9)), PrimeField(5))
+    assert code.w == 3
+    assert path.read_bytes() == code_to_json(code).encode()
+
+
+def test_save_code_into_a_directory_is_an_error(tmp_path, capsys):
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sumnet: error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_save_code_streams_the_document(tmp_path, capsys):
+    # the 12 MB document is written as it is rendered, never held whole
+    path = tmp_path / "code.json"
+    what = "code --sts 15 --field 3 --save-code"
+    with peak_allocation_below(4 * 2**20, what):
+        assert main(["code", "--sts", "15", "--field", "3", "--save-code", str(path)]) == 0
+    assert path.stat().st_size > 4 * 2**20
 
 
 def test_code_rejects_composite_field(capsys):

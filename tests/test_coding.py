@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from sumnet import coding
 from sumnet.coding import (
     CharMismatchError,
+    NetworkCode,
     REGIME_DIVIDES,
     REGIME_NOT_DIVIDES,
     TerminalDecoder,
@@ -387,6 +389,35 @@ def test_decoder_refuses_in_edges_its_arrays_cannot_hold():
     assert TerminalDecoder((), f.zeros(1, 0)).in_edges == ()
 
 
+@pytest.mark.parametrize("batch", [1, 10, 1 << 14])
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_decoder_is_numbered_over_the_design(p, batch, monkeypatch):
+    # the in-edges of consecutive decoders are numbered together; a decoder
+    # that does not fit its terminal reads None and leaves the others as
+    # they are, in its batch or another
+    monkeypatch.setattr(coding, "_NUMBERING_BATCH", batch)
+    _, net, f = fano_setup(p)
+    code = build_code(net, f)
+    decoders = dict(code.decoders)
+    t0, t1, b0 = NodeId(TERMINAL_POINT, 0), NodeId(TERMINAL_POINT, 1), NodeId(TERMINAL_BLOCK, 0)
+    edges = decoders[b0].in_edges
+    decoders[t0] = TerminalDecoder(decoders[t1].in_edges, decoders[t0].matrix)
+    decoders[b0] = TerminalDecoder(
+        (*edges[:-1], edges[-1]._replace(tail=NodeId(SOURCE_BLOCK, 7))), decoders[b0].matrix
+    )
+    broken = NetworkCode(code.design, f, code.params, code.encoders, decoders)
+    for t in net.terminals():
+        into = net._in_ids(t)
+        numbered = (net._canonical_ids[net._tail[into]].tolist(), net._kind[into].tolist())
+        tail, kind = code._in_edges[t]
+        assert (tail.tolist(), kind.tolist()) == numbered
+        if t in (t0, b0):
+            assert broken._in_edges[t] is None
+        else:
+            tail, kind = broken._in_edges[t]
+            assert (tail.tolist(), kind.tolist()) == numbered
+
+
 def test_code_json_is_deterministic():
     _, net, f = fano_setup(3)
     assert code_to_json(build_code(net, f)) == code_to_json(build_code(net, f))
@@ -423,6 +454,7 @@ CODE_DOCUMENT_SHA256 = {
     ("sts15", 2): "73aed4ab2d806f69ae7019038c70393ae889db2fd08c12fccac36d698b01a82b",
     ("sts15", 3): "3a96e0ba6cb8bc15eaa8e019cb4628da6f355c3958a23959c6c8be96c45aa333",
     ("sts15", 5): "14f1abc47ed0fa806cdfdc681dc9cbe347a6beb92008935decb94a85890f97a0",
+    ("sts15", 2147483647): "ba23d5f98e095749d96e500ad80f97439c2dc0d783e4d9357ff0cddfec046cf5",
     ("pg23", 2): "bcceaf0546a220fff2ca5dacd61e8057d1544bf47b280ae06e3764d11d68be7e",
     ("pg23", 3): "51028ce8bc3f990e2c2b563231cbab4f8274c4379b884affa9ab23729e6715d5",
     ("ag25", 2): "8f7838633d472bee80021bd29676f2b79f21e7abedd292b0d12d20af99b0d295",

@@ -1,12 +1,16 @@
 """The indented-JSON writer against the standard library encoder."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumnet._jsonwriter import StringTable, dumps
+from sumnet._jsonwriter import LiftedMatrix, StringTable, dump, dumps
+from sumnet.coding import _lift
+from sumnet.field import FieldMatrix, PrimeField
 
 TRICKY = ["", '"', "\\", "\n", "\t", "\x00", "\x7f", "é", " ", "😀", "terminal-block:7"]
 text = st.text() | st.sampled_from(TRICKY)
@@ -74,3 +78,57 @@ def test_string_table_renders_as_its_rows(data):
 def test_string_table_needs_equal_columns(columns):
     with pytest.raises(ValueError):
         StringTable(["a"], columns)
+
+
+BIG = PrimeField(2**31 - 1)
+
+
+def _lifted_rows(value):
+    """``value`` with every LiftedMatrix replaced by the rows of its lift."""
+    if isinstance(value, LiftedMatrix):
+        return _lift(FieldMatrix._trusted(BIG, value.core), value.w).tolist()
+    if isinstance(value, dict):
+        return {key: _lifted_rows(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_lifted_rows(item) for item in value]
+    return value
+
+
+@st.composite
+def cores(draw):
+    """Cores with 0 rows or 0 columns among them, sparse or dense, with
+    entries up to 2^31 - 2."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+    nonzero = draw(st.floats(0, 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    high = draw(st.sampled_from([2, 3, 2**31 - 1]))
+    values = rng.integers(1, high, size=(rows, cols), dtype=np.int64)
+    return np.where(rng.random((rows, cols)) < nonzero, values, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cores(), st.integers(1, 4), cores())
+def test_lifted_matrix_renders_as_the_rows_of_its_lift(core, w, other):
+    matrix = LiftedMatrix(core, w)
+    nested = (
+        matrix,
+        [matrix],
+        [1, [matrix, LiftedMatrix(other, w)]],
+        {"m": matrix, "n": 1},
+        {"a": {"b": [matrix], "c": "x"}},
+    )
+    for value in nested:
+        expected = json.dumps(_lifted_rows(value), indent=2, sort_keys=True)
+        assert dumps(value) == expected
+        written = io.StringIO()
+        dump(value, written)
+        assert written.getvalue() == expected
+
+
+@pytest.mark.parametrize(
+    "core,w", [(np.zeros(3, dtype=np.int64), 1), (np.zeros((2, 2)), 1), (np.zeros((2, 2), dtype=np.int64), 0)]
+)
+def test_lifted_matrix_needs_a_2d_integer_core(core, w):
+    with pytest.raises(ValueError):
+        LiftedMatrix(core, w)

@@ -119,6 +119,14 @@ def test_commands_never_import_numpy_ma(tmp_path):
     assert done.stdout.strip() == "False"
 
 
+def _reads_of_lifted_views(tree: ast.AST) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("encoders", "decoders")
+    ]
+
+
 def test_checks_read_only_the_held_core():
     # a code holds its core and w; its lifted views (.encoders, .decoders)
     # are built on request, w^2 times the core's size.  The checks and the
@@ -126,10 +134,17 @@ def test_checks_read_only_the_held_core():
     # of verify.py reads a view; the w = 1 oracle of the tests builds the
     # code as given in tests/conftest.py
     path = Path(__file__).resolve().parents[1] / "src" / "sumnet" / "verify.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("encoders", "decoders")
-    ]
+    lines = _reads_of_lifted_views(ast.parse(path.read_text(), filename=str(path)))
     assert not lines, f"verify.py reads a lifted view of a code on lines {lines}"
+
+
+def test_code_document_is_written_from_the_held_core():
+    # the sumnet.code/1 writer renders each lifted row from the core as it
+    # writes it, so neither it nor the document it renders reads a view
+    path = Path(__file__).resolve().parents[1] / "src" / "sumnet" / "coding.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writers = {"code_to_json", "code_save", "_code_document"}
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in writers]
+    assert {fn.name for fn in found} == writers
+    lines = [line for fn in found for line in _reads_of_lifted_views(fn)]
+    assert not lines, f"the code document reads a lifted view of a code on lines {lines}"
