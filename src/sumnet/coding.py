@@ -208,6 +208,14 @@ class TerminalDecoder:
         return f"TerminalDecoder({len(self._ids.kind)} in-edges, matrix {self._matrix.shape})"
 
 
+def _in_edge_columns(kind: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per in-edge of a decoder, given the edges' kind codes, its width and
+    first column in the decoder's matrix: n columns for a head edge, m for
+    a direct edge, in in-edge order."""
+    width = np.where(kind == _HEAD_TO_TERMINAL, n, m)
+    return width, np.cumsum(width) - width
+
+
 # about how many in-edges one ``_fitting`` call numbers.  A call per decoder
 # costs more than the numbering itself at STS(45); one call for all of
 # them makes temporaries of megabytes at STS(63), whose fresh pages fault
@@ -436,17 +444,16 @@ def _core(d: Design, params: CodeParams) -> tuple[int, int, int]:
     return d.k, d.r, params.m // d.k
 
 
-def _block_reader(
-    layout: tuple[Slice, ...], j: int, points: list[int], width: int, c: int, n: int
-) -> np.ndarray:
+def _block_reader(d: Design, j: int, points: list[int], width: int, c: int, n: int) -> np.ndarray:
     """The core map reading block j's selector symbols off the head edges
     from bottlenecks ``points``, which lead an in-edge list ``width`` core
-    symbols wide, into their colors' rows; direct edges read nothing."""
+    symbols wide, into their colors' rows; direct edges read nothing.  As
+    in ``slice_layout``, the point at position q of block j has color q+1
+    and carries it in selector position ``blocks_through(point).index(j)``."""
     start = {point: h * n for h, point in enumerate(points)}
     reader = np.zeros((c, width), dtype=np.int64)
-    for sl in layout:
-        if sl.block == j:
-            reader[sl.color - 1, start[sl.point] + c + sl.rank - 1] = 1
+    for color, point in enumerate(d.blocks[j]):
+        reader[color, start[point] + c + d.blocks_through(point).index(j)] = 1
     return reader
 
 
@@ -519,10 +526,10 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
     d = code.design
     c, s, w = _core(d, code.params)
     ids = net._terminal_in_ids(NodeId(TERMINAL_BLOCK, j))
-    points = _head_points(net, ids)
-    width = len(points) * (c + s) + (len(ids) - len(points)) * c
-    layout = slice_layout(d) if s else ()
-    reader = _block_reader(layout, j, points, width, c, c + s)
+    width = int(_in_edge_columns(net._kind[ids], c, c + s)[0].sum())
+    reader = np.zeros((c, width), dtype=np.int64)
+    if s:
+        reader = _block_reader(d, j, _head_points(net, ids), width, c, c + s)
     return _lift(FieldMatrix._trusted(code.field, reader), w)
 
 
@@ -563,9 +570,9 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
         if shape not in reads:
             reads[shape] = np.hstack((np.tile(head_read, heads), np.tile(direct_read, shape[1])))
         core = reads[shape]
-        if t.kind == TERMINAL_BLOCK and layout:
+        if t.kind == TERMINAL_BLOCK and s:
             points = _head_points(net, ids)
-            core = core - (d.k - 1) * _block_reader(layout, t.index, points, core.shape[1], c, n)
+            core = core - (d.k - 1) * _block_reader(d, t.index, points, core.shape[1], c, n)
         tail = net._tail[ids]
         in_edges = _in_edge_ids(t, rank[tail], index[tail], kind)
         decoders[t] = TerminalDecoder._from_ids(in_edges, FieldMatrix(f, core))
@@ -695,17 +702,19 @@ def code_from_json(text: str) -> NetworkCode:
         for label, entry in data["decoders"].items():
             t = parse_node_label(label)
             rows = entry["in_edges"]
-            tail, head, kind = [], [], []
+            tail, heads, kind = [], set(), []
             for x, h, k in rows:
                 try:
                     tail.append(labels[x])
-                    head.append(labels[h])
+                    heads.add(labels[h])
                 except TypeError:  # an unhashable label
                     parse_node_label(x)
                     parse_node_label(h)
                     raise
-                kind.append(_EDGE_CODES.get(k, -1))
-            parsed[t] = (rows, tail, head, kind, _coefficients(f, entry["matrix"], booleans))
+                # a kind the network does not know is numbered past the
+                # known ones, where no in-edge fits it (``_tail_limits``)
+                kind.append(_EDGE_CODES.get(k, len(_EDGE_KINDS)))
+            parsed[t] = (rows, tail, heads, kind, _coefficients(f, entry["matrix"], booleans))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed code document: {exc}") from exc
     if params != expected:
@@ -713,23 +722,25 @@ def code_from_json(text: str) -> NetworkCode:
             f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
             f"m={expected.m} n={expected.n} regime={expected.regime!r} for this design over {f}"
         )
+    decoders = {}
+    for t, (_, tail, _, kind, matrix) in parsed.items():
+        rank, index = np.array(tail, dtype=np.int64).reshape(-1, 2).T
+        decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, rank, index, kind), matrix)
+    code = NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
     # one decoder per terminal of the design, each of whose in-edges leads
     # into it from a node of the design that fits the edge's kind
     every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
     every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
     terminals = set(every)
-    decoders = {}
-    for t, (rows, tail, head, kind, matrix) in parsed.items():
+    for t, (rows, _, heads, _, _) in parsed.items():
         if t not in terminals:
             raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
-        rank, index = np.array(tail, dtype=np.int64).reshape(-1, 2).T
-        kind = np.array(kind, dtype=np.intp)
-        _, fits = _fitting(rank, index, kind, d)
-        head = np.array(head, dtype=np.int64).reshape(-1, 2)
-        fits &= (head == (_KIND_ORDER[t.kind], t.index)).all(axis=1)
-        if not fits.all():
+        own = (_KIND_ORDER[t.kind], t.index)
+        if code._in_edges[t] is None or not heads <= {own}:
+            ids = decoders[t]._ids
+            _, fits = _fitting(ids.rank, ids.index, ids.kind, d)
+            fits &= [labels[h] == own for _, h, _ in rows]
             raise ParseError(_bad_in_edge(t, rows[int(np.argmin(fits))]))
-        decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, rank, index, kind), matrix)
     if len(decoders) < d.v + d.b:
         missing = next(t for t in every if t not in decoders)
         raise ParseError(f"no decoder for {missing.label()}")
@@ -740,10 +751,9 @@ def code_from_json(text: str) -> NetworkCode:
                 f"encoder of bottleneck {i + 1} has shape {enc.shape}, expected {(n, width)}"
             )
     for t, dec in decoders.items():
-        heads = int(np.count_nonzero(dec._ids.kind == _HEAD_TO_TERMINAL))
-        shape = (m, heads * n + (len(dec._ids.kind) - heads) * m)
+        shape = (m, int(_in_edge_columns(dec._ids.kind, m, n)[0].sum()))
         if dec.matrix.shape != shape:
             raise ParseError(
                 f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"
             )
-    return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
+    return code

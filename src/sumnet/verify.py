@@ -5,23 +5,25 @@ with the global maps of its in-edges and demands the all-identity sum map.
 By linearity that settles correctness for every input.  The composition
 goes block by block: a direct edge carries its source unchanged, so only
 head edges need a product, and only with the columns of the sources wired
-into their bottleneck.  ``simulate`` re-derives the same answers by
-pushing concrete values through the graph, giving an independent
-evaluation path for cross-checks.  It writes source and bottleneck-head
-values into one array with rows by canonical node id, computes each
-bottleneck's rows with one product of its encoder and the rows of its
-wired sources, and decodes every terminal with one product of a matrix
-that holds all decoders, scattered by tail id.  The trial columns go
-through in chunks of about ``_CHUNK_CELLS`` cells, so the value array
-stays small however many trials run.
+into their bottleneck.  ``simulate`` re-derives the same answers from
+concrete values, giving an independent evaluation path for cross-checks.
+It writes source and bottleneck-head values into one array with rows by
+canonical node id, computes each head's rows with one product of its
+bottleneck's encoder and the rows of its wired sources, and decodes every
+terminal with one product of a matrix that holds all decoders, scattered
+by tail id.  The trial columns go through in chunks of about
+``_CHUNK_CELLS`` cells, so the value array stays small however many
+trials run.
 
-Decoders hold their in-edges only as integer arrays (``TerminalDecoder``),
-numbered canonically over the design once per code, so no per-terminal
-step makes ``Edge`` objects: ``_check_compatible`` compares those ids with
-the network's in-index, the transfer map scatters a direct edge's block to
-the columns at its tail id times m, and simulation scatters each decoder
-to the value rows of its tails.  A bottleneck's wired sources are read off
-the network's in-index too.
+Both paths rest on the wiring that ``_check_compatible`` states and every
+entry point checks first: bottleneck tail i is fed by sources of the
+design alone, bottleneck head i by tail i alone along the bottleneck edge,
+and each decoder lists exactly its terminal's in-edges.  A network wired
+otherwise is refused with ``ShapeMismatchError``, so neither path walks
+the graph.  The check reads the network's in-index, and decoders hold
+their in-edges only as integer arrays (``TerminalDecoder``), numbered
+canonically over the design once per code, so no check and no simulation
+makes an ``Edge``.
 
 A code is held as its (c, c+s) core and the number w of interleaved
 copies (``NetworkCode``), and each copy acts on its own coordinates, so a
@@ -46,6 +48,7 @@ from .coding import (
     REGIME_DIVIDES,
     NetworkCode,
     UnsupportedLambdaError,
+    _in_edge_columns,
     _sources_sum_array,
     code_params_for,
     column_source,
@@ -64,14 +67,15 @@ from .field import (
     vstack,
 )
 from .network import (
+    _BOTTLENECK,
     _HEAD_TO_TERMINAL,
+    _KIND_ORDER,
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
     NodeId,
     TERMINAL_BLOCK,
     SumNetwork,
-    _canonical_nodes,
-    topological_order,
+    _kind_offsets,
 )
 
 
@@ -91,10 +95,15 @@ class VerifyResult:
     failures: list[Failure] = field(default_factory=list)
 
 
-def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
-    """Refuse a code that does not fit the network.  Every comparison reads
-    the held core; a shape is reported in the lifted layout, w times the
-    core's."""
+def _check_compatible(net: SumNetwork, code: NetworkCode) -> list[np.ndarray]:
+    """Refuse a code that does not fit the network, and return per
+    bottleneck the stacked columns of the sources wired into its tail, in
+    its in-edge order: the only columns its encoder may read.
+
+    Past this check tail i is fed by sources of the design alone, head i by
+    tail i alone along the bottleneck edge, and every decoder lists exactly
+    its terminal's in-edges.  Every comparison reads the held core; a shape
+    is reported in the lifted layout, w times the core's."""
     if code.design != net.design:
         raise ShapeMismatchError("code was built for a different design")
     if len(code.core_encoders) != net.design.v:
@@ -103,14 +112,16 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
         )
     d, w, (m, n) = net.design, code.w, code.core_params.rate
     width = stacked_width(d, m)
+    canonical, wired = net._canonical_ids, []
     for i, enc in enumerate(code.core_encoders):
         if enc.shape != (n, width):
             raise ShapeMismatchError(
                 f"encoder {i + 1} has shape {(enc.rows * w, enc.cols * w)}, "
                 f"expected {(n * w, width * w)}"
             )
-        wired = _wired_sources(net, i)
-        if not ((0 <= wired) & (wired < d.v + d.b)).all():
+        # a source's canonical id is its index in the stacked layout
+        sources = canonical[net._tail[net._in_ids(NodeId(BOTTLENECK_TAIL, i))]]
+        if not ((0 <= sources) & (sources < d.v + d.b)).all():
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} is fed by a node that is no source of the design"
             )
@@ -118,13 +129,21 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
         # coefficient anywhere else would make it disagree with transfer_check
         unwired = np.zeros(d.v + d.b, dtype=bool)
         unwired[np.flatnonzero(enc.array.any(axis=0)) // m] = True
-        unwired[wired] = False
+        unwired[sources] = False
         if unwired.any():
             source, _ = column_source(d, int(np.argmax(unwired)) * m, m)
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
             )
-    canonical, kinds = net._canonical_ids, len(net._kinds)
+        wired.append((sources[:, None] * m + np.arange(m)).ravel())
+    first_tail = _first_id(d, BOTTLENECK_TAIL)
+    for i in range(d.v):
+        head, tail = NodeId(BOTTLENECK_HEAD, i), NodeId(BOTTLENECK_TAIL, i)
+        into = net._in_ids(head)
+        fed = len(into) == 1 and net._kind[into[0]] == _BOTTLENECK
+        if not (fed and canonical[net._tail[into[0]]] == first_tail + i):
+            raise ShapeMismatchError(f"{head.label()} is not fed by {tail.label()} alone")
+    kinds = len(net._kinds)
     for t in net.terminals():
         if t not in code.core_decoders:
             raise ShapeMismatchError(f"no decoder for {t.label()}")
@@ -132,15 +151,14 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> None:
         into = net._in_ids(t)
         if ids is None or not _same_in_edges(ids, canonical[net._tail[into]], net._kind[into], kinds):
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
-        _, kind = ids
-        heads = int(np.count_nonzero(kind == _HEAD_TO_TERMINAL))
-        expect_cols = heads * n + (len(kind) - heads) * m
+        expect_cols = int(_in_edge_columns(ids[1], m, n)[0].sum())
         dec = code.core_decoders[t].matrix
         if dec.shape != (m, expect_cols):
             raise ShapeMismatchError(
                 f"decoder at {t.label()} has shape {(dec.rows * w, dec.cols * w)}, "
                 f"expected {(m * w, expect_cols * w)}"
             )
+    return wired
 
 
 def _same_in_edges(
@@ -155,17 +173,9 @@ def _same_in_edges(
     return np.array_equal(np.unique(dec_tail * kinds + dec_kind), np.unique(tail * kinds + kind))
 
 
-def _wired_sources(net: SumNetwork, i: int) -> np.ndarray:
-    """The canonical ids of the nodes wired into bottleneck tail i, read off
-    the network's in-index: a source's id is its index in the stacked
-    layout, point source first, then blocks."""
-    return net._canonical_ids[net._tail[net._in_ids(NodeId(BOTTLENECK_TAIL, i))]]
-
-
-def _wired_columns(net: SumNetwork, i: int, m: int) -> np.ndarray:
-    """The stacked columns of the sources wired into bottleneck i, in
-    ``tail_in_edges`` order: the only columns its encoder may read."""
-    return (_wired_sources(net, i)[:, None] * m + np.arange(m)).ravel()
+def _first_id(d: Design, kind: str) -> int:
+    """The canonical id of the first node of ``kind`` in d's network."""
+    return int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[kind]])
 
 
 def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.ndarray:
@@ -173,19 +183,17 @@ def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.n
     for one copy of the core.
 
     A direct edge's decoder block lands at its source's columns, which
-    start at the source's canonical id times m; a head edge contributes its
-    decoder block times the bottleneck's encoder, which
-    ``_check_compatible`` has confined to the ``wired`` columns.
+    start at the source's canonical id times m; a head edge from bottleneck
+    i contributes its decoder block times encoder i, which
+    ``_check_compatible`` has confined to the ``wired[i]`` columns.
     """
     d, f, (m, n) = code.design, code.field, code.core_params.rate
     tail, kind = code._in_edges[t]
     blocks = code.core_decoders[t].matrix.array
     head = kind == _HEAD_TO_TERMINAL
-    width = np.where(head, n, m)
-    start = np.cumsum(width) - width  # each in-edge's first decoder column
+    _, start = _in_edge_columns(kind, m, n)
     got = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    first_head = 2 * d.v + d.b  # the canonical id of bottleneck-head:1
-    for i, col in zip((tail[head] - first_head).tolist(), start[head].tolist()):
+    for i, col in zip((tail[head] - _first_id(d, BOTTLENECK_HEAD)).tolist(), start[head].tolist()):
         cols = wired[i]
         local = FieldMatrix._trusted(f, code.core_encoders[i].array[:, cols])
         got[:, cols] += (FieldMatrix(f, blocks[:, col : col + n]) @ local).array
@@ -202,10 +210,9 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
 
     The map is composed for the core; its lift is the lifted code's map,
     so its first wrong entry is the core's first one at row*w, col*w."""
-    _check_compatible(net, code)
+    wired = _check_compatible(net, code)
     d, m, w = net.design, code.core_params.m, code.w
     want = sum_map(d, m, code.field).array
-    wired = [_wired_columns(net, i, m) for i in range(d.v)]
     failures = []
     for t in net.terminals():
         got = _terminal_map(code, t, wired)
@@ -238,56 +245,41 @@ _CHUNK_CELLS = 1 << 17
 
 
 def _simulate_batch(
-    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list | None = None
 ) -> dict[NodeId, np.ndarray]:
     """Each terminal's decoded m x W block through one copy of the core
-    (m = c), given every source's m x W block of values.
+    (m = c), given every source's m x W block of values and the wiring
+    ``_check_compatible`` returns, which is checked here when not given.
 
     Values live in one array with rows by canonical node id: m per source,
     so that they stack to the source vector, then n per bottleneck head.
-    Each bottleneck's rows are one product of its encoder with the rows of
-    its wired sources, relayed to its head along the head's in-edge.  Each
-    decoder is scattered once into one (terminals * m) x (value rows)
-    matrix at its tails' rows, so one product per chunk of the W columns
-    decodes every terminal.
+    ``_check_compatible`` guarantees that head i is fed by tail i alone and
+    tail i by the sources at its ``wired[i]`` columns, which are also their
+    value rows, so head i's rows are one product of encoder i's wired
+    columns with those rows.  Each decoder is scattered once into one
+    (terminals * m) x (value rows) matrix at its tails' rows, so one
+    product per chunk of the W columns decodes every terminal.
     """
+    if wired is None:
+        wired = _check_compatible(net, code)
     d, p, (m, n) = net.design, code.field.p, code.core_params.rate
-    canonical, first_head = net._canonical_ids, 2 * d.v + d.b
-    # canonical id -> first value row, -1 for a node that holds none
-    row = np.full(len(_canonical_nodes(d.v, d.b)), -1, dtype=np.int64)
-    row[: d.v + d.b] = np.arange(d.v + d.b) * m
-    row[first_head : first_head + d.v] = (d.v + d.b) * m + np.arange(d.v) * n
-    height = (d.v + d.b) * m + d.v * n
-
-    def rows(node: NodeId) -> slice | None:
-        x = int(canonical[net._ids[node]])
-        first = int(row[x]) if x >= 0 else -1
-        return slice(first, first + (m if x < d.v + d.b else n)) if first >= 0 else None
-
-    # in topological order, (tail, local encoder, rows it reads) per
-    # bottleneck tail and (head, what its in-edge carries, its rows) per head
-    steps = []
-    for node in topological_order(net):
-        if node.kind == BOTTLENECK_TAIL:
-            # local encoding: only the column blocks of sources actually
-            # wired into this tail participate, and they are its value rows
-            wired = _wired_columns(net, node.index, m)
-            steps.append((node, code.core_encoders[node.index].array[:, wired], wired))
-        elif node.kind == BOTTLENECK_HEAD:
-            (e,) = net.in_edges(node)
-            relayed = e.tail.kind in (BOTTLENECK_TAIL, BOTTLENECK_HEAD)
-            steps.append((node, e.tail if relayed else rows(e.tail), rows(node)))
+    head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
+    height = head_rows + d.v * n
+    local = [code.core_encoders[i].array[:, cols] for i, cols in enumerate(wired)]
     terminals = net.terminals()
     decode = np.zeros((len(terminals) * m, height), dtype=np.int64)
     for x, t in enumerate(terminals):
         matrix = code.core_decoders[t].matrix
         tail, kind = code._in_edges[t]
-        width = np.where(kind == _HEAD_TO_TERMINAL, n, m)
-        start = np.cumsum(width) - width  # each in-edge's first decoder column
-        at = np.repeat(row[tail] - start, width) + np.arange(matrix.cols)
+        width, start = _in_edge_columns(kind, m, n)
+        # a tail is a source of the design or a bottleneck head
+        row = np.where(tail < d.v + d.b, tail * m, head_rows + (tail - first_head) * n)
+        at = np.repeat(row - start, width) + np.arange(matrix.cols)
         # np.add.at, unlike =, adds every block of a tail listed twice
         np.add.at(decode[x * m : (x + 1) * m], (slice(None), at), matrix.array)
-    given = [(at, x) for at, x in ((rows(s), x) for s, x in sources.items()) if at is not None]
+    canonical = net._canonical_ids
+    given = [(int(canonical[net._ids[s]]), x) for s, x in sources.items()]
+    given = [(slice(y * m, (y + 1) * m), x) for y, x in given if 0 <= y < d.v + d.b]
     cols = given[0][1].shape[1] if given else 0
     decoded = np.empty((len(terminals) * m, cols), dtype=np.int64)
     # chunks of about _CHUNK_CELLS cells, evenly wide
@@ -302,20 +294,15 @@ def _simulate_batch(
         values = np.zeros((height, min(step, cols - lo)), dtype=np.int64)
         for at, x in given:
             values[at] = x[:, lo : lo + step]
-        emitted = {}
-        for node, a, b in steps:
-            if node.kind == BOTTLENECK_TAIL:
-                emitted[node] = _matmul_mod(a, values[b], p)
-            else:
-                emitted[node] = emitted[a] if isinstance(a, NodeId) else values[a]
-                if b is not None:
-                    values[b] = emitted[node]
+        for i, enc in enumerate(local):
+            rows = slice(head_rows + i * n, head_rows + (i + 1) * n)
+            values[rows] = _matmul_mod(enc, values[wired[i]], p)
         decoded[:, lo : lo + step] = _matmul_mod(decode, values, p)
     return {t: decoded[x * m : (x + 1) * m] for x, t in enumerate(terminals)}
 
 
 def _simulate_lifted(
-    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray]
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list
 ) -> dict[NodeId, np.ndarray]:
     """``_simulate_batch`` of the (m, n) code, given every source's m x T
     block of values: copy u of trial t runs through the core as column
@@ -323,7 +310,8 @@ def _simulate_lifted(
     c, w = code.core_params.m, code.w
     trials = next(iter(sources.values())).shape[1] if sources else 0
     batch = {s: x.reshape(c, w * trials) for s, x in sources.items()}
-    return {t: out.reshape(c * w, trials) for t, out in _simulate_batch(net, code, batch).items()}
+    outputs = _simulate_batch(net, code, batch, wired)
+    return {t: out.reshape(c * w, trials) for t, out in outputs.items()}
 
 
 def simulate(
@@ -334,13 +322,13 @@ def simulate(
     ``sources`` maps every source node to a length-m integer vector; the
     result maps every terminal to its decoded length-m vector.
     """
-    _check_compatible(net, code)
+    wired = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     missing = [s for s in net.sources() if s not in sources]
     if missing:
         raise ShapeMismatchError(f"missing source values for {missing[0].label()}")
     batch = {s: _as_batch(sources[s], m, p) for s in net.sources()}
-    outputs = _simulate_lifted(net, code, batch)
+    outputs = _simulate_lifted(net, code, batch, wired)
     return {t: out[:, 0] for t, out in outputs.items()}
 
 
@@ -358,14 +346,14 @@ def simulate_trials(
 ) -> SimulationSummary:
     """Run seeded random assignments and compare every terminal against the
     plain sum of the drawn sources."""
-    _check_compatible(net, code)
+    wired = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     rng = np.random.default_rng(seed)
     sources = {s: rng.integers(0, p, size=(m, trials)) for s in net.sources()}
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
-    outputs = _simulate_lifted(net, code, sources)
+    outputs = _simulate_lifted(net, code, sources, wired)
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
     for t in sorted(outputs, key=lambda x: x.sort_key):

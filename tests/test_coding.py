@@ -352,6 +352,18 @@ def test_code_json_round_trip():
         assert again == code
 
 
+def test_code_json_numbers_each_in_edge_once(monkeypatch):
+    # the code numbers its decoders' in-edges over the design, and a misfit
+    # is read off that numbering: nothing numbers them a second time
+    net = build_sum_network(sts_bose(15))
+    code = build_code(net, PrimeField(2))
+    text = code_to_json(code)
+    numbered, fitting = [], coding._fitting
+    monkeypatch.setattr(coding, "_fitting", lambda *args: numbered.append(len(args[2])) or fitting(*args))
+    assert code_from_json(text) == code
+    assert sum(numbered) == sum(len(dec.in_edges) for dec in code.decoders.values())
+
+
 @pytest.mark.parametrize("key", ["m", "n"])
 def test_code_json_refuses_boolean_block_lengths(key):
     # true == 1, so a scalar code's params would otherwise load and compare

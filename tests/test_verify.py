@@ -26,7 +26,9 @@ from sumnet.coding import (
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
+    BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
+    EDGE_BOTTLENECK,
     EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
     EDGE_SOURCE_TO_TAIL,
@@ -38,6 +40,7 @@ from sumnet.network import (
     NodeId,
     SumNetwork,
     build_sum_network,
+    network_validate,
 )
 from sumnet.verify import (
     ShapeMismatchError,
@@ -267,11 +270,55 @@ def test_a_bottleneck_fed_from_outside_the_design_is_refused():
             check(wider, code)
 
 
+def assert_every_entry_point_refuses(net, code, message: str) -> None:
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        with pytest.raises(ShapeMismatchError, match=message):
+            check(net, code)
+    with pytest.raises(ShapeMismatchError, match=message):
+        simulate(net, code, {s: [0] * code.params.m for s in net.sources()})
+    with pytest.raises(ShapeMismatchError, match=message):
+        simulate_trials(net, code, 50, seed=0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_swapped_bottleneck_edges_are_refused(p):
+    # bottleneck-tail:1 feeds bottleneck-head:2 and tail 2 feeds head 1.
+    # transfer_check multiplies head edge i by encoder i, so it passed this
+    # network, while simulation delivered the other point's partial sum
+    d = fano()
+    net = build_sum_network(d)
+    head1, head2 = NodeId(BOTTLENECK_HEAD, 0), NodeId(BOTTLENECK_HEAD, 1)
+    swap = {head1: head2, head2: head1}
+    edges = [
+        Edge(e.tail, swap.get(e.head, e.head), e.kind) if e.kind == EDGE_BOTTLENECK else e
+        for e in net.edges
+    ]
+    swapped = SumNetwork(d, net.nodes, edges)
+    assert not network_validate(swapped).ok
+    code = build_code(net, PrimeField(p))
+    message = "^bottleneck-head:1 is not fed by bottleneck-tail:1 alone$"
+    assert_every_entry_point_refuses(swapped, code, message)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", [EDGE_SOURCE_TO_TAIL, EDGE_DIRECT])
+def test_a_bottleneck_head_fed_by_a_second_edge_is_refused(p, kind):
+    # source-point:4 also feeds bottleneck-head:1: the checks never read a
+    # head's in-edges, and simulation failed unpacking them
+    d = fano()
+    net = build_sum_network(d)
+    extra = Edge(NodeId(SOURCE_POINT, 3), NodeId(BOTTLENECK_HEAD, 0), kind)
+    wider = SumNetwork(d, net.nodes, (*net.edges, extra))
+    code = build_code(net, PrimeField(p))
+    message = "^bottleneck-head:1 is not fed by bottleneck-tail:1 alone$"
+    assert_every_entry_point_refuses(wider, code, message)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_checks_make_no_edge_objects_for_terminal_in_edges(p, monkeypatch):
-    # decoders hold their in-edges as arrays, so building the code, checking
-    # it and simulating it make Edge objects only of the network's
-    # non-direct edges, and none of a terminal's in-edges
+    # decoders hold their in-edges as arrays and the checks read the
+    # bottleneck wiring off the network's in-index, so building the code,
+    # checking it and simulating it make no Edge object at all
     d = sts_bose(15)
     net = build_sum_network(d)
     made = []
@@ -282,9 +329,7 @@ def test_checks_make_no_edge_objects_for_terminal_in_edges(p, monkeypatch):
         assert check(net, code).ok
     assert simulate_trials(net, code, 20, seed=0).ok
     monkeypatch.undo()
-    made = np.concatenate(made)
-    assert len(np.unique(made)) <= d.v + 2 * d.v * (d.r + 1)
-    assert not np.isin(net._head[made], [net._ids[t] for t in net.terminals()]).any()
+    assert made == []
     for t in net.terminals():
         assert code.decoders[t].in_edges == net.terminal_in_edges(t)
 
