@@ -59,7 +59,6 @@ from .network import (
     network_export_json,
     network_from_json,
     network_validate,
-    topological_order,
 )
 from .verify import (
     CapacityReport,

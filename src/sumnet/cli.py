@@ -27,7 +27,7 @@ from .coding import (
     build_code,
     code_from_json,
     code_save,
-    code_to_json,  # noqa: F401  (unused here; tools that wrap the CLI's entry points use it)
+    code_to_json,  # noqa: F401  (unused here; perfbench's traced set-up reads it from this module)
 )
 from .designs import (
     Design,

@@ -201,9 +201,6 @@ class TerminalDecoder:
             return NotImplemented
         return self._matrix == other._matrix and self.in_edges == other.in_edges
 
-    def __hash__(self) -> int:
-        return hash(self._matrix)
-
     def __repr__(self) -> str:
         return f"TerminalDecoder({len(self._ids.kind)} in-edges, matrix {self._matrix.shape})"
 

@@ -82,10 +82,6 @@ class PrimeField:
             raise NotPrimeError(f"modulus {p} too large for exact int64 arithmetic")
         self.p = p
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -94,16 +90,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-    def matrix(self, entries) -> "FieldMatrix":
-        """Build a matrix from a nested sequence of integers (reduced mod p)."""
-        return FieldMatrix(self, entries)
-
-    def zeros(self, rows: int, cols: int) -> "FieldMatrix":
-        return FieldMatrix(self, np.zeros((rows, cols), dtype=np.int64))
-
-    def eye(self, n: int) -> "FieldMatrix":
-        return FieldMatrix(self, np.eye(n, dtype=np.int64))
 
 
 class FieldMatrix:
@@ -159,41 +145,10 @@ class FieldMatrix:
             raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
         return FieldMatrix._trusted(self.field, _matmul_mod(self._a, other._a, self.field.p))
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"{self.shape} + {other.shape}")
-        return FieldMatrix(self.field, self._a + other._a)
-
-    def __mul__(self, scalar: int) -> "FieldMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return FieldMatrix(self.field, self._a * (scalar % self.field.p))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldMatrix):
             return NotImplemented
         return self.field == other.field and np.array_equal(self._a, other._a)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self._a.tobytes(), self.shape))
-
-    def row(self, i: int) -> "FieldMatrix":
-        return FieldMatrix._trusted(self.field, self._a[i : i + 1])
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix._trusted(self.field, self._a.T)
-
-    def tolist(self) -> list[list[int]]:
-        return self._a.tolist()
-
-    def rank(self) -> int:
-        _, rank = _reduced_echelon(self._a[:, self._a.any(axis=0)], self.field.p)
-        return rank
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.field}, {self._a.tolist()})"

@@ -282,24 +282,12 @@ class SumNetwork:
         head-to-terminal, direct), then by tail."""
         return self._edges_at(self._in_ids(node))
 
-    def out_edges(self, node: NodeId) -> tuple[Edge, ...]:
-        """Out-edges of a node by head."""
-        return self._edges_at(self._out_ids(node))
-
-    def terminal_in_edges(self, terminal: NodeId) -> tuple[Edge, ...]:
-        """In-edges of a terminal in canonical order: head edges by
-        bottleneck index first, then direct edges by source order."""
-        return self._edges_at(self._terminal_in_ids(terminal))
-
     def _terminal_in_ids(self, terminal: NodeId) -> np.ndarray:
-        """The edge ids of ``terminal_in_edges``."""
+        """The edge ids of a terminal's in-edges in canonical order: head
+        edges by bottleneck index first, then direct edges by source order."""
         ids = self._in_ids(terminal)
         kind = self._kind[ids]
         return ids[(kind == _HEAD_TO_TERMINAL) | (kind == _DIRECT)]
-
-    def tail_in_edges(self, i: int) -> tuple[Edge, ...]:
-        """In-edges of bottleneck tail i, point source first then blocks."""
-        return self.in_edges(NodeId(BOTTLENECK_TAIL, i))
 
     @cached_property
     def _node_kinds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,16 +380,6 @@ def _kahn(n: SumNetwork) -> list[int]:
     return found
 
 
-def topological_order(n: SumNetwork) -> list[NodeId]:
-    """Kahn's algorithm over the distinct nodes of the graph (the listed
-    nodes and every edge endpoint), ties broken by ``NodeId.sort_key``;
-    raises on a cycle."""
-    found = _kahn(n)
-    if len(found) != len(n._node_table):
-        raise ValueError("network contains a cycle")
-    return list(map(n._node_table.__getitem__, found))
-
-
 def _reaching(n: SumNetwork, sources: list[int], order: Iterable[int], acyclic: bool) -> list[int]:
     """Per node id, a bitmask of the ``sources`` (node ids) with a path to
     it.  One pass in topological ``order`` settles a DAG; otherwise the
@@ -484,6 +462,9 @@ def network_validate(n: SumNetwork) -> ValidationReport:
             report.add(f"bottleneck head {i + 1} feeds {sorted(x.label() for x in heads)}")
         if len(out) != r + 1:
             report.add(f"bottleneck head {i + 1} out-degree != r+1")
+        head = ids.get(NodeId(BOTTLENECK_HEAD, i))
+        if head is None or in_degree[head] != 1:
+            report.add(f"bottleneck head {i + 1} in-degree != 1")
 
     m_edges = int(np.count_nonzero(n._kind != _DIRECT))
     if m_edges != v + 2 * v * (r + 1):

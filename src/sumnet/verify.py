@@ -245,11 +245,11 @@ _CHUNK_CELLS = 1 << 17
 
 
 def _simulate_batch(
-    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list | None = None
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list
 ) -> dict[NodeId, np.ndarray]:
     """Each terminal's decoded m x W block through one copy of the core
     (m = c), given every source's m x W block of values and the wiring
-    ``_check_compatible`` returns, which is checked here when not given.
+    ``_check_compatible`` returns for the network and the code.
 
     Values live in one array with rows by canonical node id: m per source,
     so that they stack to the source vector, then n per bottleneck head.
@@ -260,8 +260,6 @@ def _simulate_batch(
     (terminals * m) x (value rows) matrix at its tails' rows, so one
     product per chunk of the W columns decodes every terminal.
     """
-    if wired is None:
-        wired = _check_compatible(net, code)
     d, p, (m, n) = net.design, code.field.p, code.core_params.rate
     head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
     height = head_rows + d.v * n

@@ -17,7 +17,7 @@ from sumnet.coding import (
     sources_sum_map,
 )
 from sumnet.designs import Design, fano
-from sumnet.field import FieldMatrix, PrimeField, _matmul_mod
+from sumnet.field import FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -29,8 +29,8 @@ from sumnet.network import (
     TERMINAL_BLOCK,
     TERMINAL_POINT,
     NodeId,
+    _kahn,
     build_sum_network,
-    topological_order,
 )
 from sumnet.verify import (
     block_sum_recoverable,
@@ -79,6 +79,28 @@ def unitriangular_pair(n: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
         for j in range(i):
             inv[i] = [(a - u[i][j] * b) % p for a, b in zip(inv[i], inv[j])]
     return np.array(u, dtype=np.int64), np.array(inv, dtype=np.int64)
+
+
+def rank(m: FieldMatrix) -> int:
+    """The rank of ``m``, from ``_reduced_echelon`` of its nonzero columns."""
+    _, found = _reduced_echelon(m.array[:, m.array.any(axis=0)], m.field.p)
+    return found
+
+
+def topological_order(net) -> list[NodeId]:
+    """``_kahn`` as nodes: the distinct nodes of the graph (the listed nodes
+    and every edge endpoint), ties broken by ``NodeId.sort_key``; raises on
+    a cycle."""
+    found = _kahn(net)
+    if len(found) != len(net._node_table):
+        raise ValueError("network contains a cycle")
+    return [net._node_table[x] for x in found]
+
+
+def terminal_in_edges(net, terminal: NodeId) -> tuple:
+    """The edges of ``SumNetwork._terminal_in_ids``: a terminal's head edges
+    by bottleneck, then its direct edges by source."""
+    return net._edges_at(net._terminal_in_ids(terminal))
 
 
 def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:
@@ -130,9 +152,8 @@ def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
         t = NodeId(TERMINAL_BLOCK, j)
         dec = decoders[t]
         extractor = block_source_extractor(code, net, j)
-        decoders[t] = TerminalDecoder(
-            in_edges=dec.in_edges, matrix=dec.matrix + (k - 1) * extractor
-        )
+        matrix = FieldMatrix(code.field, dec.matrix.array + (k - 1) * extractor.array)
+        decoders[t] = TerminalDecoder(in_edges=dec.in_edges, matrix=matrix)
     return NetworkCode(
         design=code.design,
         field=code.field,
@@ -152,17 +173,17 @@ def assert_accessors_match_oracle(net) -> None:
     for node in net.nodes:
         into = [e for e in edges if e.head == node]
         assert net.in_edges(node) == tuple(into), node
-        assert net.out_edges(node) == tuple(e for e in edges if e.tail == node), node
+        assert net._edges_at(net._out_ids(node)) == tuple(e for e in edges if e.tail == node), node
         if node.kind in (TERMINAL_POINT, TERMINAL_BLOCK):
             heads = sorted((e for e in into if e.kind == EDGE_HEAD_TO_TERMINAL), key=lambda e: e.tail.index)
             direct = sorted(
                 (e for e in into if e.kind == EDGE_DIRECT),
                 key=lambda e: (kind_rank[e.tail.kind], e.tail.index),
             )
-            assert net.terminal_in_edges(node) == (*heads, *direct), node
+            assert terminal_in_edges(net, node) == (*heads, *direct), node
         if node.kind == BOTTLENECK_TAIL:
             feeds = sorted(into, key=lambda e: (kind_rank[e.tail.kind], e.tail.index))
-            assert net.tail_in_edges(node.index) == tuple(feeds), node
+            assert net.in_edges(node) == tuple(feeds), node
     bottlenecks = sorted((e for e in edges if e.kind == EDGE_BOTTLENECK), key=lambda e: e.tail.index)
     assert net.bottlenecks() == tuple(bottlenecks)
     kinds = {SOURCE_POINT, SOURCE_BLOCK}
@@ -181,7 +202,7 @@ def oracle_simulate_batch(net, code, sources: dict) -> dict:
         if node.kind in (SOURCE_POINT, SOURCE_BLOCK):
             emitted[node] = sources[node]
         elif node.kind == BOTTLENECK_TAIL:
-            feeds = net.tail_in_edges(node.index)
+            feeds = net.in_edges(node)
             cols = np.concatenate([source_column(net.design, e.tail, m) + np.arange(m) for e in feeds])
             local = code.encoders[node.index].array[:, cols]
             received = np.concatenate([emitted[e.tail] for e in feeds])

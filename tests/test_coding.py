@@ -26,8 +26,9 @@ from sumnet.coding import (
     sum_map,
 )
 from sumnet.designs import Design, ParseError, fano, sts_bose
-from sumnet.field import PrimeField, vstack
+from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
+    BOTTLENECK_TAIL,
     EDGE_HEAD_TO_TERMINAL,
     SOURCE_BLOCK,
     SOURCE_POINT,
@@ -111,7 +112,7 @@ def test_partial_sum_row_single_block_design():
     d = Design(v=3, k=3, lambda_=1, blocks=((0, 1, 2),))
     f = PrimeField(5)
     row = partial_sum_row(d, 0, 1, f)
-    assert row.tolist() == [[1, 0, 0, 1]]
+    assert row.array.tolist() == [[1, 0, 0, 1]]
 
 
 def test_partial_sum_row_block_structure():
@@ -217,7 +218,7 @@ def test_fano_fractional_encoder_layout():
         for rank, (letter, color) in enumerate(FANO_SELECTOR_LAYOUT[i]):
             lo = (7 + BLOCK_LETTERS.index(letter)) * m + (color - 1) * w
             expected[m + rank * w : m + (rank + 1) * w, lo : lo + w] = np.eye(w, dtype=np.int64)
-        assert code.encoders[i].tolist() == expected.tolist(), f"encoder {i + 1}"
+        assert code.encoders[i].array.tolist() == expected.tolist(), f"encoder {i + 1}"
 
 
 def test_encoder_locality():
@@ -226,7 +227,7 @@ def test_encoder_locality():
         code = build_code(net, f)
         m = code.params.m
         for i in range(d.v):
-            wired = {e.tail for e in net.tail_in_edges(i)}
+            wired = {e.tail for e in net.in_edges(NodeId(BOTTLENECK_TAIL, i))}
             for j in range(d.v + d.b):
                 source = NodeId(SOURCE_POINT, j) if j < d.v else NodeId(SOURCE_BLOCK, j - d.v)
                 block = code.encoders[i].array[:, j * m : (j + 1) * m]
@@ -319,17 +320,17 @@ def test_sum_of_partial_sums_expansion():
             m = 2
             width = stacked_width(d, m)
             for j in range(d.b):
-                total = f.zeros(m, width)
+                total = np.zeros((m, width), dtype=np.int64)
                 for point in d.blocks[j]:
-                    total = total + partial_sum_row(d, point, m, f)
-                expected = f.zeros(m, width)
+                    total += partial_sum_row(d, point, m, f).array
+                expected = np.zeros((m, width), dtype=np.int64)
                 for point in d.blocks[j]:
-                    expected = expected + source_projection(d, NodeId(SOURCE_POINT, point), m, f)
-                expected = expected + d.k * source_projection(d, NodeId(SOURCE_BLOCK, j), m, f)
+                    expected += source_projection(d, NodeId(SOURCE_POINT, point), m, f).array
+                expected += d.k * source_projection(d, NodeId(SOURCE_BLOCK, j), m, f).array
                 for l in d.block_neighborhood(j):
                     if l != j:
-                        expected = expected + source_projection(d, NodeId(SOURCE_BLOCK, l), m, f)
-                assert total == expected
+                        expected += source_projection(d, NodeId(SOURCE_BLOCK, l), m, f).array
+                assert FieldMatrix(f, total) == FieldMatrix(f, expected)
 
 
 def test_char_divides_collapses_block_multiplicity():
@@ -337,7 +338,7 @@ def test_char_divides_collapses_block_multiplicity():
     d = fano()
     f = PrimeField(2)
     proj = source_projection(d, NodeId(SOURCE_BLOCK, 1), 1, f)
-    assert d.k * proj == proj
+    assert FieldMatrix(f, d.k * proj.array) == proj
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def test_decoder_refuses_in_edges_its_arrays_cannot_hold():
     assert TerminalDecoder(held, dec.matrix).in_edges == held
     again = TerminalDecoder(edges, dec.matrix)
     assert again == dec and again.in_edges == edges
-    assert TerminalDecoder((), f.zeros(1, 0)).in_edges == ()
+    assert TerminalDecoder((), FieldMatrix(f, np.zeros((1, 0), dtype=np.int64))).in_edges == ()
 
 
 @pytest.mark.parametrize("batch", [1, 10, 1 << 14])

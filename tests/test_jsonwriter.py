@@ -86,7 +86,7 @@ BIG = PrimeField(2**31 - 1)
 def _lifted_rows(value):
     """``value`` with every LiftedMatrix replaced by the rows of its lift."""
     if isinstance(value, LiftedMatrix):
-        return _lift(FieldMatrix._trusted(BIG, value.core), value.w).tolist()
+        return _lift(FieldMatrix._trusted(BIG, value.core), value.w).array.tolist()
     if isinstance(value, dict):
         return {key: _lifted_rows(item) for key, item in value.items()}
     if isinstance(value, list):

@@ -22,13 +22,14 @@ from sumnet.network import (
     network_from_json,
     network_validate,
     parse_node_label,
-    topological_order,
 )
 
 from conftest import (
     affine_plane,
     assert_accessors_match_oracle,
     projective_plane,
+    terminal_in_edges,
+    topological_order,
 )
 
 
@@ -147,6 +148,14 @@ def test_edge_endpoint_missing_from_nodes_is_reported(label):
     report = network_validate(_without_node(build_sum_network(fano()), label))
     assert f"edge endpoint {label} is not a listed node" in report.problems
     assert "graph is not acyclic" not in report.problems
+
+
+def test_second_feed_into_a_bottleneck_head_is_reported():
+    # every check refuses this network; validation must report it too
+    net = build_sum_network(fano())
+    extra = Edge(NodeId(SOURCE_POINT, 3), NodeId(BOTTLENECK_HEAD, 0), EDGE_DIRECT)
+    wider = SumNetwork(net.design, net.nodes, (*net.edges, extra))
+    assert network_validate(wider).problems == ["bottleneck head 1 in-degree != 1"]
 
 
 def test_node_listed_twice_is_not_a_cycle():
@@ -324,9 +333,8 @@ def test_edges_are_made_only_on_request(monkeypatch):
     assert len(net.edges) == 99 + 144 + 96
     assert made == []  # len() made no Edge
     t = NodeId(TERMINAL_BLOCK, 3)
-    first = net.terminal_in_edges(t)
+    first = net.in_edges(t)
     assert made == [len(first)]
-    assert first == net.in_edges(t)
     position = {e: i for i, e in enumerate(net.edges)}
     assert all(net.edges[position[e]] == e for e in first)
     assert len(position) == len(net.edges)
@@ -348,7 +356,7 @@ def test_constructor_keeps_unknown_edge_kinds():
     changed = SumNetwork(net.design, net.nodes, (*net.edges, odd))
     assert changed.edges[-1] == odd
     assert odd in changed.in_edges(NodeId(TERMINAL_POINT, 0))
-    assert odd not in changed.terminal_in_edges(NodeId(TERMINAL_POINT, 0))
+    assert odd not in terminal_in_edges(changed, NodeId(TERMINAL_POINT, 0))
     assert json.loads(network_export_json(changed))["edges"][-1] == [
         "source-point:1", "terminal-point:1", "odd"
     ]
@@ -394,6 +402,7 @@ BROKEN_FANO_PROBLEMS = {
         "bottleneck tail 1 fed by ['bottleneck-head:1', 'source-block:1', 'source-block:3', 'source-block:4', 'source-point:1']",
         "bottleneck tail 1 in-degree != r+1",
         "bottleneck head 1 out-degree != r+1",
+        "bottleneck head 1 in-degree != 1",
         "terminal terminal-point:1 cannot reach sources: source-block:1, source-block:3, source-block:4, source-point:1",
         "terminal terminal-block:1 cannot reach sources: source-block:3, source-block:4, source-point:1",
         "terminal terminal-block:3 cannot reach sources: source-block:1, source-block:4, source-point:1",

@@ -148,3 +148,88 @@ def test_code_document_is_written_from_the_held_core():
     assert {fn.name for fn in found} == writers
     lines = [line for fn in found for line in _reads_of_lifted_views(fn)]
     assert not lines, f"the code document reads a lifted view of a code on lines {lines}"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _names_perfbench_reads_from_the_cli() -> set[str]:
+    """The sumnet names the traced benchmark run looks up on ``sumnet.cli``:
+    the second field of each ``CLI_ENTRY_POINTS`` row in traced.py, and the
+    attributes that prepare.py's ``code_document`` reads off its namespace."""
+    traced = ast.parse((PERFBENCH / "traced.py").read_text())
+    rows = next(
+        node.value.elts
+        for node in traced.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_ENTRY_POINTS"]
+    )
+    names = {row.elts[1].value for row in rows}
+    prepare = ast.parse((PERFBENCH / "prepare.py").read_text())
+    fn = next(node for node in prepare.body if isinstance(node, ast.FunctionDef) and node.name == "code_document")
+    namespace = fn.args.args[0].arg
+    names |= {
+        node.attr
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == namespace
+    }
+    return names
+
+
+def test_cli_binds_every_name_perfbench_reads():
+    # the traced run wraps these names where sumnet.cli binds them and
+    # builds its set-up code document through them; a name the CLI stops
+    # binding is silently left unwrapped, and its spans read nothing
+    import sumnet.cli
+
+    names = _names_perfbench_reads_from_the_cli()
+    assert {"fano", "sts_bose", "build_sum_network", "build_code", "PrimeField", "code_to_json"} <= names
+    assert sorted(x for x in names if not hasattr(sumnet.cli, x)) == []
+
+
+# public functions and methods that no module of the library references
+_UNREFERENCED_BY_DESIGN = {
+    "block_source_extractor": "paper-facing API: reassembles a block's source at its terminal",
+    "build_code_char_divides": "paper-facing API: the scalar code, refusing the other regime",
+    "build_code_char_not_divides": "paper-facing API: the fractional code, refusing the other regime",
+    "simulate": "paper-facing API: one assignment of source vectors through the network",
+    "unicast_control_holds": "paper-facing API: the control of the alphabet-change demonstration",
+    "network_from_json": "boundary reader of sumnet.network/1 documents",
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public module-level function and each
+    public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_function_is_used_by_the_library():
+    # a public name that only tests call is surface every later change has
+    # to keep working; test oracles live in tests/conftest.py instead.  A
+    # name counts as used when any module names it, bare, as an attribute
+    # or in a from-import; the package's re-exports do not count
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCE_FILES}
+    used = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
+                used.update(alias.name for alias in node.names)
+    unused = {
+        qualified
+        for tree in trees.values()
+        for qualified, name in _public_definitions(tree)
+        if not name.startswith("_") and name not in used
+    }
+    assert sorted(unused - set(_UNREFERENCED_BY_DESIGN)) == [], "move test-only helpers to tests/conftest.py"
+    assert sorted(set(_UNREFERENCED_BY_DESIGN) - unused) == [], "the library now uses these; drop them here"

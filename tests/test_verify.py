@@ -44,6 +44,7 @@ from sumnet.network import (
 )
 from sumnet.verify import (
     ShapeMismatchError,
+    _check_compatible,
     _simulate_batch,
     block_sum_recoverable,
     capacity_report,
@@ -62,6 +63,7 @@ from conftest import (
     oracle_simulate_batch,
     peak_allocation_below,
     rebase_bottlenecks,
+    terminal_in_edges,
     within_seconds,
 )
 
@@ -81,7 +83,8 @@ def replace_encoder(code: NetworkCode, i: int, enc: FieldMatrix) -> NetworkCode:
 
 
 def zero_encoder(code: NetworkCode, i: int) -> NetworkCode:
-    return replace_encoder(code, i, code.field.zeros(*code.encoders[i].shape))
+    zeros = np.zeros(code.encoders[i].shape, dtype=np.int64)
+    return replace_encoder(code, i, FieldMatrix(code.field, zeros))
 
 
 def shift_entries(mat: FieldMatrix, entries, delta: int) -> FieldMatrix:
@@ -133,6 +136,18 @@ def test_fractional_code_at_sts27_is_built_checked_and_simulated_as_its_core():
             assert check(net, code).ok, check.__name__
         assert simulate_trials(net, code, 64, seed=0).ok
     assert code.w == 9 and code.params.rate == (27, 144)
+
+
+def test_a_thousand_simulated_trials_at_sts27_stay_below_their_memory_bound():
+    # the drawn sources and the decoded block are each held whole: 144
+    # sources and 144 terminals of 27 x 1000 int64 values, about 30 MiB
+    # apiece, and 68 MiB of traced allocations in all.  The bound is for
+    # work on the simulation's size to lower
+    net = build_sum_network(sts_bose(27))
+    code = build_code(net, PrimeField(3))
+    what = "simulate_trials at STS(27)/GF(3), 1000 trials"
+    with peak_allocation_below(80 * 2**20, what), within_seconds(30.0, what):
+        assert simulate_trials(net, code, 1000, seed=0).ok
 
 
 def test_transfer_check_rejects_mismatched_code():
@@ -236,7 +251,7 @@ def test_a_code_for_a_terminal_fed_from_outside_the_design_is_refused(p):
     extra, t = NodeId(SOURCE_POINT, 7), NodeId(TERMINAL_POINT, 0)
     wider = SumNetwork(d, (*net.nodes, extra), (*net.edges, Edge(extra, t, EDGE_DIRECT)))
     code = build_code(wider, PrimeField(p))
-    assert code.decoders[t].in_edges == wider.terminal_in_edges(t)
+    assert code.decoders[t].in_edges == terminal_in_edges(wider, t)
     message = "^decoder in-edges disagree with network at terminal-point:1$"
     for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
         with pytest.raises(ShapeMismatchError, match=message):
@@ -331,7 +346,7 @@ def test_checks_make_no_edge_objects_for_terminal_in_edges(p, monkeypatch):
     monkeypatch.undo()
     assert made == []
     for t in net.terminals():
-        assert code.decoders[t].in_edges == net.terminal_in_edges(t)
+        assert code.decoders[t].in_edges == terminal_in_edges(net, t)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +570,7 @@ def corrupted_codes(draw, primes=(2, 3, 5)):
     delta = draw(st.integers(0, f.p - 1))
     if draw(st.booleans()):
         i = draw(st.integers(0, d.v - 1))
-        source = draw(st.sampled_from([e.tail for e in net.tail_in_edges(i)]))
+        source = draw(st.sampled_from([e.tail for e in net.in_edges(NodeId(BOTTLENECK_TAIL, i))]))
         entries = _region_entries(draw, n, source_column(d, source, m), m, w, structured)
         code = replace_encoder(code, i, shift_entries(code.encoders[i], entries, delta))
     else:
@@ -601,7 +616,8 @@ def assert_simulation_matches_the_oracle(net, code, w: int, trials: int, seed: i
     rng = np.random.default_rng(seed)
     c, p = code.params.m, code.field.p
     batch = {s: rng.integers(0, p, size=(c, w * trials)) for s in net.sources()}
-    got, want = _simulate_batch(net, code, batch), oracle_simulate_batch(net, code, batch)
+    got = _simulate_batch(net, code, batch, _check_compatible(net, code))
+    want = oracle_simulate_batch(net, code, batch)
     assert list(got) == list(want)
     for t in want:
         assert got[t].dtype == np.int64 and np.array_equal(got[t], want[t]), t
