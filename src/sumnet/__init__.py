@@ -58,6 +58,8 @@ from .network import (
     network_export_dot,
     network_export_json,
     network_from_json,
+    network_save,
+    network_save_dot,
     network_validate,
 )
 from .verify import (

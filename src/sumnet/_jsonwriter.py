@@ -10,9 +10,9 @@ renders a list whose items are all strings or all ints with one
 joined once, so no nested value is copied into its parent's text.  Two
 value types stand for lists whose items are never built:
 
-* a ``StringTable`` is a list of rows of strings given as columns of
-  indices into one list of strings; its cells are pre-rendered once per
-  string;
+* a ``StringTable`` is a list of rows of strings given as integer-array
+  columns of indices into one list of strings; its cells are pre-rendered
+  once per string, and its rows are rendered ``_TABLE_ROWS`` at a time;
 * a ``LiftedMatrix`` is the rows of core (x) I_w, w interleaved copies of
   an integer core.  Lifted row a*w + u holds core row a's nonzeros at
   columns b*w + u and zeros elsewhere, so each row is rendered from the
@@ -21,8 +21,9 @@ value types stand for lists whose items are never built:
   for its w copies.
 
 ``dump(obj, fp)`` writes the same pieces to a text file, handing them
-over after every row of a ``LiftedMatrix``, so a document of large
-matrices is never held whole.
+over after every chunk of a ``StringTable`` and every row of a
+``LiftedMatrix``, so a document of large tables and matrices is never held
+whole.
 """
 
 from __future__ import annotations
@@ -33,15 +34,21 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 
+# rows of a StringTable rendered between two spills
+_TABLE_ROWS = 1 << 14
+
+
 class StringTable:
-    """A list of equal-length rows of strings, held as ``columns`` of
-    indices into ``strings``: row i is
+    """A list of equal-length rows of strings, held as ``columns``, 1-D
+    integer arrays of indices into ``strings``: row i is
     ``[strings[c[i]] for c in columns]``.  ``dumps`` renders it exactly as
     it renders that list of lists."""
 
-    def __init__(self, strings: Sequence[str], columns: Sequence[Sequence[int]]):
+    def __init__(self, strings: Sequence[str], columns: Sequence[np.ndarray]):
         if not columns or len({len(c) for c in columns}) != 1:
             raise ValueError("a string table needs one or more columns of equal length")
+        if any(getattr(c, "ndim", 0) != 1 or c.dtype.kind not in "iu" for c in columns):
+            raise ValueError("a string table's columns must be 1-D integer arrays")
         self.strings = strings
         self.columns = columns
 
@@ -117,28 +124,33 @@ def _flat_row(obj, newline: str, quoted: _Quoted) -> str | None:
 
 
 def _table(table: StringTable, newline: str, quoted: _Quoted, out: _Pieces) -> None:
-    """A ``StringTable``, one piece per cell: each cell is rendered with the
-    text before it, and the last cell of a row also closes the row and
-    opens the next one."""
+    """A ``StringTable``, spilled after every ``_TABLE_ROWS`` rows, one
+    piece per cell: each cell is rendered with the text before it, and the
+    last cell of a row also closes the row."""
     columns = table.columns
-    if not len(columns[0]):
+    rows = len(columns[0])
+    if not rows:
         out.append("[]")
         return
     inner = newline + "  "
     cell = inner + "  "
     literals = list(map(quoted.__getitem__, table.strings))
     width = len(columns)
-    start = len(out)
-    out += [""] * (width * len(columns[0]))
-    for c, column in enumerate(columns):
-        before = "[" if c == 0 else ","
-        after = f"{inner}],{inner}" if c == width - 1 else ""
-        rendered = [f"{before}{cell}{q}{after}" for q in literals]
-        out[start + c :: width] = map(rendered.__getitem__, column)
-    # the table's own brackets replace the first row's opening and the
-    # last row's trailing separator
-    out[start] = f"[{inner}{out[start]}"
-    out[-1] = f"{out[-1][: -len(inner) - 1]}{newline}]"
+    rendered = []
+    for c in range(width):
+        before = f",{inner}[{cell}" if c == 0 else f",{cell}"
+        after = f"{inner}]" if c == width - 1 else ""
+        rendered.append([f"{before}{q}{after}" for q in literals])
+    out.append("[")
+    for lo in range(0, rows, _TABLE_ROWS):
+        chunk = [""] * (width * (min(rows, lo + _TABLE_ROWS) - lo))
+        for c, column in enumerate(columns):
+            chunk[c::width] = map(rendered[c].__getitem__, column[lo : lo + _TABLE_ROWS].tolist())
+        if not lo:
+            chunk[0] = chunk[0][1:]  # no separator before the first row
+        out += chunk
+        out.spill()
+    out.append(newline + "]")
 
 
 def _lifted(matrix: LiftedMatrix, newline: str, out: _Pieces) -> None:

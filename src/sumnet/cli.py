@@ -43,8 +43,9 @@ from .designs import (
 from .field import NotPrimeError, PrimeField
 from .network import (
     build_sum_network,
-    network_export_dot,
-    network_export_json,
+    network_export_json,  # noqa: F401  (unused here; perfbench's traced run wraps it in this module)
+    network_save,
+    network_save_dot,
     network_validate,
     parse_node_label,
 )
@@ -190,9 +191,9 @@ def cmd_build(args) -> int:
     if args.filter_terminals:
         terminals = [_parse_terminal(s) for s in args.filter_terminals.split(",")]
     if args.dot:
-        Path(args.dot).write_text(network_export_dot(net, terminals))
+        network_save_dot(net, args.dot, terminals)
     if args.json:
-        Path(args.json).write_text(network_export_json(net))
+        network_save(net, args.json)
     bottlenecks = len(net.bottlenecks())
     if args.format == "json":
         _emit_json(

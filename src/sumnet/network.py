@@ -26,11 +26,11 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._jsonwriter import StringTable, dumps
+from ._jsonwriter import StringTable, dump, dumps
 from .designs import Design, InvalidDesignError, ParseError, ValidationReport
 
 SOURCE_POINT = "source-point"
@@ -123,9 +123,9 @@ def _csr(keys: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, n
 
 
 class EdgeList(Sequence):
-    """``SumNetwork.edges``: the edges in construction order, compared and
-    concatenated like a tuple.  Its length is read off the arrays; the
-    ``Edge`` objects are made on each access to an item."""
+    """``SumNetwork.edges``: the edges in construction order, compared like
+    a tuple.  Its length is read off the arrays; the ``Edge`` objects are
+    made on each access to an item."""
 
     __slots__ = ("_net",)
 
@@ -153,12 +153,6 @@ class EdgeList(Sequence):
         return self._all() == other
 
     __hash__ = None
-
-    def __add__(self, other):
-        return self._all() + (other._all() if isinstance(other, EdgeList) else other)
-
-    def __radd__(self, other):
-        return other + self._all()
 
     def __repr__(self) -> str:
         return f"EdgeList({len(self)} edges)"
@@ -516,6 +510,8 @@ def network_validate(n: SumNetwork) -> ValidationReport:
             names = ", ".join(sorted(x.label() for x in missing))
             report.add(f"terminal {t.label()} cannot reach sources: {names}")
     return report
+
+
 _DOT_PREFIX = {
     SOURCE_POINT: "s_p",
     SOURCE_BLOCK: "s_B",
@@ -530,6 +526,51 @@ def _dot_name(node: NodeId) -> str:
     return f"{_DOT_PREFIX[node.kind]}{node.index + 1}"
 
 
+# edge lines rendered between two writes of a DOT document
+_DOT_ROWS = 1 << 14
+
+
+def _dot_chunks(n: SumNetwork, terminals: Iterable[NodeId] | None) -> Iterator[str]:
+    """The DOT text of ``network_export_dot`` in pieces: the header and
+    node lines, then the edge lines ``_DOT_ROWS`` at a time, then the
+    closing brace.  Each edge line is three strings made once per node or
+    kind: its tail, its head, and a line ending by kind."""
+    table = n._node_table
+    tail, head, kind = n._tail, n._head, n._kind
+    if terminals is None:
+        kept_nodes = list(n.nodes)
+    else:
+        kept_terminals = set(terminals)
+        _, index = n._node_kinds
+        # per edge: whether it leads into a kept terminal
+        fed = np.fromiter((x in kept_terminals for x in table), bool, len(table))[head]
+        kept_bottlenecks = set(index[tail[fed & (kind == _HEAD_TO_TERMINAL)]].tolist())
+        # per node id: whether its index is a kept bottleneck's
+        feeds = np.fromiter((i in kept_bottlenecks for i in index.tolist()), bool, len(table))
+        kept = np.flatnonzero(
+            ((kind == _BOTTLENECK) & feeds[tail])
+            | ((kind == _SOURCE_TO_TAIL) & feeds[head])
+            | (((kind == _HEAD_TO_TERMINAL) | (kind == _DIRECT)) & fed)
+        )
+        tail, head, kind = tail[kept], head[kept], kind[kept]
+        kept_nodes = list(n.sources())
+        kept_nodes += [NodeId(BOTTLENECK_TAIL, i) for i in sorted(kept_bottlenecks)]
+        kept_nodes += [NodeId(BOTTLENECK_HEAD, i) for i in sorted(kept_bottlenecks)]
+        kept_nodes += sorted(kept_terminals, key=lambda x: x.sort_key)
+    names = [f'"{_dot_name(x)}"' for x in table]
+    tails = [f"  {name} -> " for name in names]
+    ends = [" [style=bold];\n" if k == EDGE_BOTTLENECK else ";\n" for k in n._kinds]
+    yield "".join(["digraph sum_network {\n  rankdir=TB;\n", *(f'  "{_dot_name(x)}";\n' for x in kept_nodes)])
+    for lo in range(0, len(tail), _DOT_ROWS):
+        hi = lo + _DOT_ROWS
+        lines = [""] * (3 * len(tail[lo:hi]))
+        lines[0::3] = map(tails.__getitem__, tail[lo:hi].tolist())
+        lines[1::3] = map(names.__getitem__, head[lo:hi].tolist())
+        lines[2::3] = map(ends.__getitem__, kind[lo:hi].tolist())
+        yield "".join(lines)
+    yield "}\n"
+
+
 def network_export_dot(n: SumNetwork, terminals: Iterable[NodeId] | None = None) -> str:
     """Render the network (or the subgraph feeding selected terminals) as DOT.
 
@@ -537,51 +578,40 @@ def network_export_dot(n: SumNetwork, terminals: Iterable[NodeId] | None = None)
     terminal filter, the output keeps all sources, the filtered terminals,
     the bottlenecks feeding them, and only the edges incident to those.
     """
-    if terminals is None:
-        kept_edges = list(n.edges)
-        kept_nodes = list(n.nodes)
-    else:
-        kept_terminals = set(terminals)
-        kept_bottlenecks = {
-            e.tail.index
-            for t in kept_terminals
-            for e in n.in_edges(t)
-            if e.kind == EDGE_HEAD_TO_TERMINAL
-        }
-        kept_edges = []
-        for e in n.edges:
-            if e.kind == EDGE_BOTTLENECK and e.tail.index in kept_bottlenecks:
-                kept_edges.append(e)
-            elif e.kind == EDGE_SOURCE_TO_TAIL and e.head.index in kept_bottlenecks:
-                kept_edges.append(e)
-            elif e.kind in (EDGE_HEAD_TO_TERMINAL, EDGE_DIRECT) and e.head in kept_terminals:
-                kept_edges.append(e)
-        kept_nodes = [x for x in n.sources()]
-        kept_nodes += [NodeId(BOTTLENECK_TAIL, i) for i in sorted(kept_bottlenecks)]
-        kept_nodes += [NodeId(BOTTLENECK_HEAD, i) for i in sorted(kept_bottlenecks)]
-        kept_nodes += sorted(kept_terminals, key=lambda x: x.sort_key)
-
-    lines = ["digraph sum_network {", "  rankdir=TB;"]
-    for node in kept_nodes:
-        lines.append(f'  "{_dot_name(node)}";')
-    for e in kept_edges:
-        attr = " [style=bold]" if e.kind == EDGE_BOTTLENECK else ""
-        lines.append(f'  "{_dot_name(e.tail)}" -> "{_dot_name(e.head)}"{attr};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_chunks(n, terminals))
 
 
-def network_export_json(n: SumNetwork) -> str:
+def network_save_dot(n: SumNetwork, path, terminals: Iterable[NodeId] | None = None) -> None:
+    """Write ``network_export_dot(n, terminals)`` to ``path`` as it is
+    rendered, so the whole document is never held."""
+    with open(path, "w", encoding="ascii") as fp:
+        fp.writelines(_dot_chunks(n, terminals))
+
+
+def _network_document(n: SumNetwork) -> dict:
+    """The ``sumnet.network/1`` document, its edges a ``StringTable`` over
+    the network's edge arrays."""
     # the edge rows index one list of strings: the node labels, then the kinds
     labels = [*(x.label() for x in n._node_table), *n._kinds]
-    kind = n._kind.astype(np.int64) + len(n._node_table)
-    data = {
+    kind = np.add(n._kind, len(n._node_table), dtype=np.int32)
+    return {
         "schema": "sumnet.network/1",
         "design": n.design.to_dict(),
         "nodes": [labels[n._ids[x]] for x in n.nodes],
-        "edges": StringTable(labels, (n._tail.tolist(), n._head.tolist(), kind.tolist())),
+        "edges": StringTable(labels, (n._tail, n._head, kind)),
     }
-    return dumps(data) + "\n"
+
+
+def network_export_json(n: SumNetwork) -> str:
+    return dumps(_network_document(n)) + "\n"
+
+
+def network_save(n: SumNetwork, path) -> None:
+    """Write ``network_export_json(n)`` to ``path`` as it is rendered, so
+    the whole document is never held."""
+    with open(path, "w", encoding="ascii") as fp:
+        dump(_network_document(n), fp)
+        fp.write("\n")
 
 
 class _ListedIds(dict):

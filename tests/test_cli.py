@@ -191,6 +191,18 @@ def test_save_code_streams_the_document(tmp_path, capsys):
     assert path.stat().st_size > 4 * 2**20
 
 
+def test_build_streams_both_network_documents(tmp_path, capsys):
+    # the 9.8 MB JSON and 2.8 MB DOT documents of STS(45)'s 119,595 edges
+    # are written in chunks of rows; building and validating alone peak
+    # at about 5.6 MiB of traced allocations
+    net_path, dot_path = tmp_path / "net.json", tmp_path / "net.dot"
+    what = "build --sts 45 --json --dot"
+    with peak_allocation_below(12 * 2**20, what), within_seconds(30.0, what):
+        assert main(["build", "--sts", "45", "--json", str(net_path), "--dot", str(dot_path)]) == 0
+    assert net_path.stat().st_size == 9_759_889
+    assert dot_path.stat().st_size == 2_772_659
+
+
 def test_code_rejects_composite_field(capsys):
     assert main(["code", "--fano", "--field", "4"]) == 1
 

@@ -2,12 +2,14 @@
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumnet import _jsonwriter
 from sumnet._jsonwriter import LiftedMatrix, StringTable, dump, dumps
 from sumnet.coding import _lift
 from sumnet.field import FieldMatrix, PrimeField
@@ -68,13 +70,54 @@ def test_string_table_renders_as_its_rows(data):
     width = data.draw(st.integers(1, 4))
     rows = data.draw(st.integers(0, 6))
     index = st.integers(0, len(strings) - 1)
-    columns = [data.draw(st.lists(index, min_size=rows, max_size=rows)) for _ in range(width)]
+    columns = [np.array(data.draw(st.lists(index, min_size=rows, max_size=rows)), dtype=np.int64) for _ in range(width)]
     table = StringTable(strings, columns)
     for value in (table, {"t": table, "n": 1}, [table, [table]], {"a": {"b": table}}):
         assert dumps(value) == json.dumps(_with_rows(value), indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("columns", [[], [[0], [0, 0]]])
+class _Writes(io.StringIO):
+    """A text buffer that keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([np.int32, np.int64]), st.integers(1, 3))
+def test_string_table_renders_in_chunks_of_rows(data, dtype, chunk):
+    strings = data.draw(st.lists(text, min_size=1, max_size=4))
+    width = data.draw(st.integers(1, 3))
+    # one row short of, exactly at and one row past 1, 2 or 3 chunks
+    rows = data.draw(st.sampled_from([k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]))
+    index = st.integers(0, len(strings) - 1)
+    columns = [np.array(data.draw(st.lists(index, min_size=rows, max_size=rows)), dtype=dtype) for _ in range(width)]
+    table = StringTable(strings, columns)
+    with mock.patch.object(_jsonwriter, "_TABLE_ROWS", chunk):
+        for value in (table, {"t": table, "n": [table]}):
+            expected = json.dumps(_with_rows(value), indent=2, sort_keys=True)
+            assert dumps(value) == expected
+            written = _Writes()
+            dump(value, written)
+            assert written.getvalue() == expected
+        # at the top level a row opens with "\n  [", which no quoted
+        # string holds: no write holds more than one chunk of rows
+        written = _Writes()
+        dump(table, written)
+    opened = [s.count("\n  [") for s in written.writes]
+    assert sum(opened) == rows and max(opened) <= chunk
+    assert rows <= chunk or len(written.writes) > 1
+
+
+# the last three: a list column, a 2-D column and a float column
+@pytest.mark.parametrize(
+    "columns", [[], [np.array([0]), np.array([0, 0])], [[0], [0]], [np.array([[0]])], [np.array([0.0])]]
+)
 def test_string_table_needs_equal_columns(columns):
     with pytest.raises(ValueError):
         StringTable(["a"], columns)

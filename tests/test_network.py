@@ -2,13 +2,17 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumnet.designs import Design, ParseError, fano, sts_bose
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
+    EDGE_BOTTLENECK,
     EDGE_DIRECT,
     EDGE_HEAD_TO_TERMINAL,
+    EDGE_SOURCE_TO_TAIL,
     SOURCE_BLOCK,
     SOURCE_POINT,
     TERMINAL_BLOCK,
@@ -16,10 +20,13 @@ from sumnet.network import (
     Edge,
     NodeId,
     SumNetwork,
+    _dot_name,
     build_sum_network,
     network_export_dot,
     network_export_json,
     network_from_json,
+    network_save,
+    network_save_dot,
     network_validate,
     parse_node_label,
 )
@@ -172,7 +179,7 @@ def test_node_of_unknown_kind_is_reported():
     listed = network_validate(SumNetwork(net.design, net.nodes + (bogus,), net.edges))
     assert "node bogus:1 has unknown kind 'bogus'" in listed.problems
     edge = (Edge(bogus, NodeId(TERMINAL_POINT, 0), EDGE_DIRECT),)
-    endpoint = network_validate(SumNetwork(net.design, net.nodes, net.edges + edge))
+    endpoint = network_validate(SumNetwork(net.design, net.nodes, tuple(net.edges) + edge))
     assert endpoint.problems == ["node bogus:1 has unknown kind 'bogus'"]
 
 
@@ -241,6 +248,63 @@ def test_dot_terminal_filter_keeps_only_feeding_bottlenecks():
     assert sum('-> "t_p1"' in line for line in edge_lines) == 1 + 10
 
 
+def oracle_dot(net: SumNetwork, terminals=None) -> str:
+    """The DOT text rendered edge by edge from ``Edge`` objects."""
+    if terminals is None:
+        edges, nodes = list(net.edges), list(net.nodes)
+    else:
+        kept = set(terminals)
+        bottlenecks = {e.tail.index for t in kept for e in net.in_edges(t) if e.kind == EDGE_HEAD_TO_TERMINAL}
+        edges = [
+            e
+            for e in net.edges
+            if (e.kind == EDGE_BOTTLENECK and e.tail.index in bottlenecks)
+            or (e.kind == EDGE_SOURCE_TO_TAIL and e.head.index in bottlenecks)
+            or (e.kind in (EDGE_HEAD_TO_TERMINAL, EDGE_DIRECT) and e.head in kept)
+        ]
+        nodes = [*net.sources(), *(NodeId(BOTTLENECK_TAIL, i) for i in sorted(bottlenecks))]
+        nodes += [NodeId(BOTTLENECK_HEAD, i) for i in sorted(bottlenecks)]
+        nodes += sorted(kept, key=lambda x: x.sort_key)
+    lines = ["digraph sum_network {", "  rankdir=TB;", *(f'  "{_dot_name(x)}";' for x in nodes)]
+    for e in edges:
+        bold = " [style=bold]" if e.kind == EDGE_BOTTLENECK else ""
+        lines.append(f'  "{_dot_name(e.tail)}" -> "{_dot_name(e.head)}"{bold};')
+    return "\n".join([*lines, "}"]) + "\n"
+
+
+def crossed_fano() -> SumNetwork:
+    """Fano with bottleneck tails 1 and 2 wired into each other's heads."""
+    net = build_sum_network(fano())
+    swap = {0: 1, 1: 0}
+    edges = [
+        Edge(e.tail, NodeId(BOTTLENECK_HEAD, swap.get(e.head.index, e.head.index)), e.kind)
+        if e.kind == EDGE_BOTTLENECK
+        else e
+        for e in net.edges
+    ]
+    return SumNetwork(net.design, net.nodes, edges)
+
+
+DOT_NETWORKS = {
+    "sts15": lambda: build_sum_network(sts_bose(15)),
+    "pg23": lambda: build_sum_network(projective_plane(3)),
+    # the edges of a broken network keep their construction order
+    "cycle-and-unfed": lambda: broken_fano("cycle-and-unfed"),
+    "bottleneck-reversed": lambda: broken_fano("bottleneck-reversed"),
+    "bottleneck-crossed": crossed_fano,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DOT_NETWORKS)), st.data())
+def test_dot_matches_the_edge_by_edge_oracle(name, data):
+    net = DOT_NETWORKS[name]()
+    # terminals of the network and two it does not have
+    choices = [*net.terminals(), NodeId(TERMINAL_POINT, 40), NodeId(TERMINAL_BLOCK, 99)]
+    terminals = data.draw(st.none() | st.lists(st.sampled_from(choices), max_size=6))
+    assert network_export_dot(net, terminals) == oracle_dot(net, terminals)
+
+
 def test_json_round_trip():
     for d in (fano(), sts_bose(9)):
         net = build_sum_network(d)
@@ -276,11 +340,43 @@ GOLDEN_DESIGNS = {
 
 
 @pytest.mark.parametrize("name", sorted(NETWORK_DOCUMENT_SHA256))
-def test_network_document_golden_digest(name):
-    text = network_export_json(build_sum_network(GOLDEN_DESIGNS[name]()))
+def test_network_document_golden_digest(name, tmp_path):
+    net = build_sum_network(GOLDEN_DESIGNS[name]())
+    text = network_export_json(net)
     assert hashlib.sha256(text.encode()).hexdigest() == NETWORK_DOCUMENT_SHA256[name]
     if name == "sts45":
         assert len(text.encode()) == 9_759_889
+    path = tmp_path / "network.json"
+    network_save(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == NETWORK_DOCUMENT_SHA256[name]
+
+
+# digests computed before the DOT writer rendered from the edge arrays:
+# (design, terminal filter) -> sha256 of the DOT text
+NETWORK_DOT_SHA256 = {
+    ("fano", None): "aa076e727c67bf275838c083c76ace6033738057b9737a253b0012515e6e3f1a",
+    ("sts9", None): "c43530c18411daa7a1d98068f76d8d8db739182090530b1d73bfe09f92f0d707",
+    ("sts15", None): "1abdf1fdd6bec93085f4b5ad2f318466685fe728b9ac25227a87f0860b50a1d3",
+    ("fano", "p1,B1"): "8f5598a0854236e6c599979617aa9a52cce8823cbd0f2200f3d439c1db90a466",
+    ("sts9", "p3,B2,B7"): "11e8cfc37298c2142554ce52fa22e44308444003c9f2fdd6f6e8fefbdc96db59",
+}
+
+
+def _terminals(spec: str) -> list[NodeId]:
+    """``p3,B2`` as terminal nodes, as ``build --filter-terminals`` reads it."""
+    kinds = {"p": TERMINAL_POINT, "B": TERMINAL_BLOCK}
+    return [NodeId(kinds[x[0]], int(x[1:]) - 1) for x in spec.split(",")]
+
+
+@pytest.mark.parametrize("name,spec", sorted(NETWORK_DOT_SHA256, key=str))
+def test_network_dot_golden_digest(name, spec, tmp_path):
+    net = build_sum_network(GOLDEN_DESIGNS[name]())
+    terminals = _terminals(spec) if spec else None
+    text = network_export_dot(net, terminals)
+    assert hashlib.sha256(text.encode()).hexdigest() == NETWORK_DOT_SHA256[name, spec]
+    path = tmp_path / "network.dot"
+    network_save_dot(net, path, terminals)
+    assert path.read_bytes() == text.encode()
 
 
 # digests of the space-joined labels, computed before the order was
@@ -344,8 +440,6 @@ def test_edge_list_behaves_like_a_tuple():
     net = build_sum_network(fano())
     edges = tuple(net.edges)
     assert net.edges == edges and net.edges == net.edges
-    assert net.edges + (edges[0],) == edges + (edges[0],)
-    assert (edges[0],) + net.edges == (edges[0],) + edges
     assert net.edges[-1] == edges[-1] and net.edges[2:5] == edges[2:5]
     assert list(net.edges) == list(edges) and len(net.edges) == len(edges)
 

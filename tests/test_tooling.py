@@ -95,6 +95,7 @@ from sumnet.cli import main
 work = sys.argv[1]
 runs = (
     ["build", "--fano", "--json", work + "/net.json"],
+    ["build", "--fano", "--dot", work + "/net.dot", "--filter-terminals", "p1,B1"],
     ["code", "--fano", "--field", "3", "--save-code", work + "/code.json"],
     ["simulate", "--fano", "--field", "3", "--code", work + "/code.json", "--trials", "20"],
 )
@@ -194,6 +195,7 @@ _UNREFERENCED_BY_DESIGN = {
     "simulate": "paper-facing API: one assignment of source vectors through the network",
     "unicast_control_holds": "paper-facing API: the control of the alphabet-change demonstration",
     "network_from_json": "boundary reader of sumnet.network/1 documents",
+    "network_export_dot": "paper-facing API: the network as DOT text",
     "_Parser.error": "argparse calls it on a usage error",
 }
 
