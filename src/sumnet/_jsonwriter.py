@@ -16,9 +16,9 @@ value types stand for lists whose items are never built:
 * a ``LiftedMatrix`` is the rows of core (x) I_w, w interleaved copies of
   an integer core.  Lifted row a*w + u holds core row a's nonzeros at
   columns b*w + u and zeros elsewhere, so each row is rendered from the
-  core's nonzeros: a run of z zeros is one pre-rendered zero cell times z,
-  and the text from a core row's first nonzero to its last is made once
-  for its w copies.
+  core's nonzeros and the zeros between them: a run of z zeros is one
+  pre-rendered zero cell times z, and the text from a core row's first
+  nonzero to its last is made once for its w copies.
 
 ``dump(obj, fp)`` writes the same pieces to a text file, handing them
 over after every chunk of a ``StringTable`` and every row of a
@@ -34,7 +34,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 
-# rows of a StringTable rendered between two spills
+# rows of a StringTable, or edge lines of a DOT document, between two writes
 _TABLE_ROWS = 1 << 14
 
 
@@ -156,11 +156,11 @@ def _table(table: StringTable, newline: str, quoted: _Quoted, out: _Pieces) -> N
 def _lifted(matrix: LiftedMatrix, newline: str, out: _Pieces) -> None:
     """A ``LiftedMatrix``, spilled after each lifted row.
 
-    Lifted row a*w + u is core row a's nonzeros, each w - 1 zeros from the
-    next in its run of adjacent core columns, with zeros before, between
-    and after the runs.  The text from the row's first nonzero to its last
-    does not depend on u: it is made once per core row, one ``str.join``
-    per run, and only the zeros before and after it are made per copy.
+    Lifted row a*w + u is core row a's nonzeros at columns b*w + u: two
+    consecutive ones, at core columns b < b', are (b' - b)*w - 1 zeros
+    apart in every copy.  So the text from the row's first nonzero to its
+    last does not depend on u: it is made once per core row, and only the
+    zeros before and after it are made per copy.
     """
     core, w = matrix.core, matrix.w
     rows, cols = core.shape
@@ -175,24 +175,17 @@ def _lifted(matrix: LiftedMatrix, newline: str, out: _Pieces) -> None:
     cell = inner + "  "
     sep = "," + cell
     zero = sep + "0"  # a zero cell with the separator before it
-    link = zero * (w - 1) + sep  # between the nonzeros of a run
     close = inner + "]"
     opening, between = f"[{inner}[{cell}", f",{inner}[{cell}"
     at, where = np.nonzero(core)
     literals = list(map(int.__repr__, core[at, where].tolist()))
-    # the runs of nonzeros in adjacent columns of a row, as [start, end)
-    # ranges of the nonzeros, and the zeros between consecutive runs
-    new_run = np.ones(len(at) + 1, dtype=bool)  # and one past the last
-    new_run[1:-1] = (at[1:] != at[:-1]) | (where[1:] != where[:-1] + 1)
-    bounds = np.flatnonzero(new_run)
-    starts, ends = bounds[:-1], bounds[1:]
-    gaps = ((where[starts[1:]] - where[ends[:-1] - 1]) * w - 1).tolist()
-    runs_of_row = np.searchsorted(at[starts], np.arange(rows + 1)).tolist()
-    firsts, lasts = where[starts].tolist(), where[ends - 1].tolist()
-    starts, ends = starts.tolist(), ends.tolist()
+    # the zeros between each nonzero and the next, read within a row only
+    gaps = (np.diff(where) * w - 1).tolist()
+    row_at = np.searchsorted(at, np.arange(rows + 1)).tolist()
+    where = where.tolist()
     zero_row = None
     for a in range(rows):
-        r, q = runs_of_row[a], runs_of_row[a + 1]
+        r, q = row_at[a], row_at[a + 1]
         if r == q:
             if zero_row is None:
                 zero_row = f"0{zero * (cols * w - 1)}{close}"
@@ -202,16 +195,16 @@ def _lifted(matrix: LiftedMatrix, newline: str, out: _Pieces) -> None:
                 out.spill()
             continue
         body = [sep] * (3 * (q - r) - 2)
-        body[::3] = [link.join(literals[s:e]) for s, e in zip(starts[r:q], ends[r:q])]
+        body[::3] = literals[r:q]
         body[1::3] = map(zero.__mul__, gaps[r : q - 1])
-        first, last = firsts[r] * w, (cols - lasts[q - 1]) * w - 1
+        body = "".join(body)
+        first, last = where[r] * w, (cols - where[q - 1]) * w - 1
         for u in range(w):
             if first + u:
                 out += (opening, "0", zero * (first + u - 1), sep)
             else:
                 out.append(opening)
-            out += body
-            out += (zero * (last - u), close)
+            out += (body, zero * (last - u), close)
             opening = between
             out.spill()
     out.append(newline + "]")

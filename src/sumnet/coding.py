@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -127,29 +126,23 @@ def _in_edge_ids(terminal: NodeId | None, rank, index, kind) -> _InEdgeIds:
 _IN_EDGE_TAILS = {EDGE_HEAD_TO_TERMINAL: (BOTTLENECK_HEAD,), EDGE_DIRECT: (SOURCE_POINT, SOURCE_BLOCK)}
 
 
-@lru_cache(maxsize=16)
-def _tail_limits(v: int, b: int) -> np.ndarray:
-    """Per edge kind code and tail kind rank, how many nodes of that kind
-    an in-edge of that kind may start at in the network of a design with v
-    points and b blocks: all of a kind in ``_IN_EDGE_TAILS``, else none.  A
-    code or rank of -1, an unknown kind, reads none."""
-    _, size = _kind_offsets(v, b)
-    limit = np.zeros((len(_EDGE_KINDS) + 1, len(size)), dtype=np.int64)
-    for kind, tails in _IN_EDGE_TAILS.items():
-        for tail in map(_KIND_ORDER.get, tails):
-            limit[_EDGE_CODES[kind], tail] = size[tail]
-    return _frozen(limit)
+# per edge kind code and tail kind rank, whether an in-edge of that kind
+# may start at a node of that kind; the last row and column stand for an
+# unknown kind and fit nothing
+_FITS = _frozen(
+    np.array([[x in _IN_EDGE_TAILS.get(k, ()) for x in (*_NODE_KINDS, None)] for k in (*_EDGE_KINDS, None)])
+)
 
 
 def _fitting(
     rank: np.ndarray, index: np.ndarray, kind: np.ndarray, d: Design
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per in-edge, its tail's canonical id in d and whether it leads from a
-    node of d that fits its kind: a head edge from a bottleneck head, a
-    direct edge from a source.  The ids of in-edges that do not fit are
-    meaningless."""
-    first, _ = _kind_offsets(d.v, d.b)
-    return first[rank] + index, (0 <= index) & (index < _tail_limits(d.v, d.b)[kind, rank])
+    node of d that fits its kind (``_FITS``): a head edge from a bottleneck
+    head, a direct edge from a source.  The ids of in-edges that do not fit
+    are meaningless."""
+    first, size = _kind_offsets(d.v, d.b)
+    return first[rank] + index, _FITS[kind, rank] & (0 <= index) & (index < size[rank])
 
 
 class TerminalDecoder:
@@ -360,16 +353,10 @@ def column_source(d: Design, col: int, m: int) -> tuple[NodeId, int]:
     return NodeId(SOURCE_BLOCK, src - d.v), offset
 
 
-def sources_sum_map(d: Design, sources: Iterable[NodeId], m: int, f: PrimeField) -> FieldMatrix:
-    """The m x (v+b)m map adding up the listed sources: an identity block
-    at each one's columns of the stacked vector."""
-    ids = np.array([source_column(d, source, m) // m for source in sources], dtype=np.int64)
-    return FieldMatrix._trusted(f, _sources_sum_array(d, ids, m))
-
-
 def _sources_sum_array(d: Design, ids: np.ndarray, m: int) -> np.ndarray:
-    """The residues of ``sources_sum_map`` for sources given by their
-    index in the stacked layout: a point's own, v plus a block's."""
+    """The residues of the m x (v+b)m map adding up the sources given by
+    their index in the stacked layout, a point's own or v plus a block's:
+    an identity block at each one's columns of the stacked vector."""
     mat = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
     offsets = np.arange(m)
     mat[np.tile(offsets, len(ids)), (ids[:, None] * m + offsets).ravel()] = 1
@@ -384,8 +371,8 @@ def sum_map(d: Design, m: int, f: PrimeField) -> FieldMatrix:
 def partial_sum_row(d: Design, point: int, m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map computing a point's partial sum: the point's own
     source plus every block source whose block contains the point."""
-    blocks = (NodeId(SOURCE_BLOCK, j) for j in d.blocks_through(point))
-    return sources_sum_map(d, (NodeId(SOURCE_POINT, point), *blocks), m, f)
+    ids = np.array([point, *(d.v + j for j in d.blocks_through(point))], dtype=np.int64)
+    return FieldMatrix._trusted(f, _sources_sum_array(d, ids, m))
 
 
 class Slice(NamedTuple):
@@ -709,7 +696,7 @@ def code_from_json(text: str) -> NetworkCode:
                     parse_node_label(h)
                     raise
                 # a kind the network does not know is numbered past the
-                # known ones, where no in-edge fits it (``_tail_limits``)
+                # known ones, where no in-edge fits it (``_FITS``)
                 kind.append(_EDGE_CODES.get(k, len(_EDGE_KINDS)))
             parsed[t] = (rows, tail, heads, kind, _coefficients(f, entry["matrix"], booleans))
     except (KeyError, TypeError, ValueError) as exc:

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import _jsonwriter
 from ._jsonwriter import StringTable, dump, dumps
 from .designs import Design, InvalidDesignError, ParseError, ValidationReport
 
@@ -526,15 +527,11 @@ def _dot_name(node: NodeId) -> str:
     return f"{_DOT_PREFIX[node.kind]}{node.index + 1}"
 
 
-# edge lines rendered between two writes of a DOT document
-_DOT_ROWS = 1 << 14
-
-
 def _dot_chunks(n: SumNetwork, terminals: Iterable[NodeId] | None) -> Iterator[str]:
     """The DOT text of ``network_export_dot`` in pieces: the header and
-    node lines, then the edge lines ``_DOT_ROWS`` at a time, then the
-    closing brace.  Each edge line is three strings made once per node or
-    kind: its tail, its head, and a line ending by kind."""
+    node lines, then the edge lines ``_jsonwriter._TABLE_ROWS`` at a time,
+    then the closing brace.  Each edge line is three strings made once per
+    node or kind: its tail, its head, and a line ending by kind."""
     table = n._node_table
     tail, head, kind = n._tail, n._head, n._kind
     if terminals is None:
@@ -561,8 +558,9 @@ def _dot_chunks(n: SumNetwork, terminals: Iterable[NodeId] | None) -> Iterator[s
     tails = [f"  {name} -> " for name in names]
     ends = [" [style=bold];\n" if k == EDGE_BOTTLENECK else ";\n" for k in n._kinds]
     yield "".join(["digraph sum_network {\n  rankdir=TB;\n", *(f'  "{_dot_name(x)}";\n' for x in kept_nodes)])
-    for lo in range(0, len(tail), _DOT_ROWS):
-        hi = lo + _DOT_ROWS
+    rows = _jsonwriter._TABLE_ROWS
+    for lo in range(0, len(tail), rows):
+        hi = lo + rows
         lines = [""] * (3 * len(tail[lo:hi]))
         lines[0::3] = map(tails.__getitem__, tail[lo:hi].tolist())
         lines[1::3] = map(names.__getitem__, head[lo:hi].tolist())

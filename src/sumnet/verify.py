@@ -18,9 +18,9 @@ trials run.
 Both paths rest on the wiring that ``_check_compatible`` states and every
 entry point checks first: bottleneck tail i is fed by sources of the
 design alone, bottleneck head i by tail i alone along the bottleneck edge,
-and each decoder lists exactly its terminal's in-edges.  A network wired
-otherwise is refused with ``ShapeMismatchError``, so neither path walks
-the graph.  The check reads the network's in-index, and decoders hold
+each decoder lists exactly its terminal's in-edges, and the network lists
+the design's sources and terminals once each.  A network wired otherwise
+is refused with ``ShapeMismatchError``, so neither path walks the graph.  The check reads the network's in-index, and decoders hold
 their in-edges only as integer arrays (``TerminalDecoder``), numbered
 canonically over the design once per code, so no check and no simulation
 makes an ``Edge``.
@@ -38,6 +38,7 @@ is.  No check lifts a map.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -75,6 +76,7 @@ from .network import (
     NodeId,
     TERMINAL_BLOCK,
     SumNetwork,
+    _canonical_nodes,
     _kind_offsets,
 )
 
@@ -101,9 +103,10 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> list[np.ndarray]:
     its in-edge order: the only columns its encoder may read.
 
     Past this check tail i is fed by sources of the design alone, head i by
-    tail i alone along the bottleneck edge, and every decoder lists exactly
-    its terminal's in-edges.  Every comparison reads the held core; a shape
-    is reported in the lifted layout, w times the core's."""
+    tail i alone along the bottleneck edge, every decoder lists exactly its
+    terminal's in-edges, and the network lists the design's sources and
+    terminals once each.  Every comparison reads the held core; a shape is
+    reported in the lifted layout, w times the core's."""
     if code.design != net.design:
         raise ShapeMismatchError("code was built for a different design")
     if len(code.core_encoders) != net.design.v:
@@ -158,6 +161,13 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> list[np.ndarray]:
                 f"decoder at {t.label()} has shape {(dec.rows * w, dec.cols * w)}, "
                 f"expected {(m * w, expect_cols * w)}"
             )
+    # the network lists each source and terminal of the design once, no other
+    nodes, ends = _canonical_nodes(d.v, d.b), d.v + d.b
+    design, listed = dict.fromkeys(nodes[:ends] + nodes[-ends:]), Counter(net.sources() + net.terminals())
+    for x in chain(design, listed):
+        if listed[x] != (x in design):
+            fault = f" {listed[x]} times, not once" if x in design else ", which is no node of the design"
+            raise ShapeMismatchError(f"the network lists {x.label()}{fault}")
     return wired
 
 
@@ -247,9 +257,11 @@ _CHUNK_CELLS = 1 << 17
 def _simulate_batch(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list
 ) -> dict[NodeId, np.ndarray]:
-    """Each terminal's decoded m x W block through one copy of the core
-    (m = c), given every source's m x W block of values and the wiring
-    ``_check_compatible`` returns for the network and the code.
+    """Each terminal's decoded m x T block of the (m, n) code, given every
+    source's m x T block of values and the wiring ``_check_compatible``
+    returns for the network and the code.  Each block runs through the
+    (c, c+s) core as c x wT, copy u of trial t as column u*T + t, so lifted
+    row a*w + u of trial t is core row a of that column (m = c below).
 
     Values live in one array with rows by canonical node id: m per source,
     so that they stack to the source vector, then n per bottleneck head.
@@ -258,9 +270,9 @@ def _simulate_batch(
     value rows, so head i's rows are one product of encoder i's wired
     columns with those rows.  Each decoder is scattered once into one
     (terminals * m) x (value rows) matrix at its tails' rows, so one
-    product per chunk of the W columns decodes every terminal.
+    product per chunk of the wT columns decodes every terminal.
     """
-    d, p, (m, n) = net.design, code.field.p, code.core_params.rate
+    d, p, w, (m, n) = net.design, code.field.p, code.w, code.core_params.rate
     head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
     height = head_rows + d.v * n
     local = [code.core_encoders[i].array[:, cols] for i, cols in enumerate(wired)]
@@ -275,9 +287,8 @@ def _simulate_batch(
         at = np.repeat(row - start, width) + np.arange(matrix.cols)
         # np.add.at, unlike =, adds every block of a tail listed twice
         np.add.at(decode[x * m : (x + 1) * m], (slice(None), at), matrix.array)
-    canonical = net._canonical_ids
-    given = [(int(canonical[net._ids[s]]), x) for s, x in sources.items()]
-    given = [(slice(y * m, (y + 1) * m), x) for y, x in given if 0 <= y < d.v + d.b]
+    # a source's canonical id is its index in the stacked layout
+    given = [(net._canonical_ids[net._ids[s]] * m, x.reshape(m, -1)) for s, x in sources.items()]
     cols = given[0][1].shape[1] if given else 0
     decoded = np.empty((len(terminals) * m, cols), dtype=np.int64)
     # chunks of about _CHUNK_CELLS cells, evenly wide
@@ -291,25 +302,12 @@ def _simulate_batch(
     for lo in range(0, cols, step):
         values = np.zeros((height, min(step, cols - lo)), dtype=np.int64)
         for at, x in given:
-            values[at] = x[:, lo : lo + step]
+            values[at : at + m] = x[:, lo : lo + step]
         for i, enc in enumerate(local):
             rows = slice(head_rows + i * n, head_rows + (i + 1) * n)
             values[rows] = _matmul_mod(enc, values[wired[i]], p)
         decoded[:, lo : lo + step] = _matmul_mod(decode, values, p)
-    return {t: decoded[x * m : (x + 1) * m] for x, t in enumerate(terminals)}
-
-
-def _simulate_lifted(
-    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list
-) -> dict[NodeId, np.ndarray]:
-    """``_simulate_batch`` of the (m, n) code, given every source's m x T
-    block of values: copy u of trial t runs through the core as column
-    u*T + t, so lifted row a*w + u of trial t is core row a of that column."""
-    c, w = code.core_params.m, code.w
-    trials = next(iter(sources.values())).shape[1] if sources else 0
-    batch = {s: x.reshape(c, w * trials) for s, x in sources.items()}
-    outputs = _simulate_batch(net, code, batch, wired)
-    return {t: out.reshape(c * w, trials) for t, out in outputs.items()}
+    return {t: decoded[x * m : (x + 1) * m].reshape(m * w, -1) for x, t in enumerate(terminals)}
 
 
 def simulate(
@@ -326,7 +324,7 @@ def simulate(
     if missing:
         raise ShapeMismatchError(f"missing source values for {missing[0].label()}")
     batch = {s: _as_batch(sources[s], m, p) for s in net.sources()}
-    outputs = _simulate_lifted(net, code, batch, wired)
+    outputs = _simulate_batch(net, code, batch, wired)
     return {t: out[:, 0] for t, out in outputs.items()}
 
 
@@ -351,7 +349,7 @@ def simulate_trials(
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
-    outputs = _simulate_lifted(net, code, sources, wired)
+    outputs = _simulate_batch(net, code, sources, wired)
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
     for t in sorted(outputs, key=lambda x: x.sort_key):

@@ -11,10 +11,10 @@ import pytest
 from sumnet.coding import (
     NetworkCode,
     TerminalDecoder,
+    _sources_sum_array,
     block_source_extractor,
     build_code,
     source_column,
-    sources_sum_map,
 )
 from sumnet.designs import Design, fano
 from sumnet.field import FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
@@ -105,7 +105,8 @@ def terminal_in_edges(net, terminal: NodeId) -> tuple:
 
 def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map extracting one source from the stacked vector."""
-    return sources_sum_map(d, (source,), m, f)
+    ids = np.array([source_column(d, source, m) // m])
+    return FieldMatrix._trusted(f, _sources_sum_array(d, ids, m))
 
 
 def as_given(code: NetworkCode) -> NetworkCode:

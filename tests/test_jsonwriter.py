@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumnet import _jsonwriter
@@ -150,8 +150,15 @@ def cores(draw):
     return np.where(rng.random((rows, cols)) < nonzero, values, 0)
 
 
+# core rows: a run of adjacent nonzeros ending in the last column, a first
+# nonzero in column 0, all zeros, and a run from column 0
+GAP_RULE_CORE = np.array([[0, 0, 3, 1, 2], [5, 0, 4, 0, 6], [0, 0, 0, 0, 0], [1, 2, 0, 0, 0]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(cores(), st.integers(1, 4), cores())
+@example(GAP_RULE_CORE, 1, GAP_RULE_CORE[::-1, ::-1])
+@example(GAP_RULE_CORE, 3, GAP_RULE_CORE[::-1, ::-1])
 def test_lifted_matrix_renders_as_the_rows_of_its_lift(core, w, other):
     matrix = LiftedMatrix(core, w)
     nested = (

@@ -1,10 +1,13 @@
 import hashlib
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumnet import _jsonwriter
+from sumnet import network as network_module
 from sumnet.designs import Design, ParseError, fano, sts_bose
 from sumnet.network import (
     BOTTLENECK_HEAD,
@@ -377,6 +380,45 @@ def test_network_dot_golden_digest(name, spec, tmp_path):
     path = tmp_path / "network.dot"
     network_save_dot(net, path, terminals)
     assert path.read_bytes() == text.encode()
+
+
+class KeptWrites(io.StringIO):
+    """A text file that keeps every piece written to it, open after the
+    ``with`` block that would close it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("spec", [None, "p1,B1"])
+def test_dot_is_written_in_chunks_of_the_writers_rows(rows, spec, tmp_path, monkeypatch):
+    # the DOT writer takes its edge lines per write from the JSON writer
+    net = build_sum_network(sts_bose(15))
+    terminals = _terminals(spec) if spec else None
+    whole = network_export_dot(net, terminals).encode()
+    monkeypatch.setattr(_jsonwriter, "_TABLE_ROWS", rows)
+    assert network_export_dot(net, terminals).encode() == whole
+    path = tmp_path / "network.dot"
+    network_save_dot(net, path, terminals)
+    assert path.read_bytes() == whole
+    kept = KeptWrites()
+    monkeypatch.setattr(network_module, "open", lambda *args, **kwargs: kept, raising=False)
+    network_save_dot(net, path, terminals)
+    assert "".join(kept.writes).encode() == whole
+    # no write holds more than one chunk of edge lines, so there are more
+    # writes of edge lines than one
+    edges = [x.count(" -> ") for x in kept.writes]
+    assert max(edges) <= rows and sum(edges) == whole.count(b" -> ") > rows
+    assert len([x for x in edges if x]) == -(-sum(edges) // rows) > 1
 
 
 # digests of the space-joined labels, computed before the order was

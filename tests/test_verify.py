@@ -329,6 +329,45 @@ def test_a_bottleneck_head_fed_by_a_second_edge_is_refused(p, kind):
     assert_every_entry_point_refuses(wider, code, message)
 
 
+def relisted(net, drop=(), add=()) -> SumNetwork:
+    """The network with the listed nodes ``drop`` left off its node list
+    and ``add`` appended to it; every edge stays."""
+    return SumNetwork(net.design, (*(x for x in net.nodes if x not in drop), *add), net.edges)
+
+
+SOURCE_4, TERMINAL_B1 = NodeId(SOURCE_POINT, 3), NodeId(TERMINAL_BLOCK, 0)
+MISLISTED = {
+    "extra source": ({"add": [NodeId(SOURCE_POINT, 7)]}, "source-point:8, which is no node of the design"),
+    "missing source": ({"drop": [SOURCE_4]}, "source-point:4 0 times, not once"),
+    "repeated source": ({"add": [SOURCE_4]}, "source-point:4 2 times, not once"),
+    "missing terminal": ({"drop": [TERMINAL_B1]}, "terminal-block:1 0 times, not once"),
+    "repeated terminal": ({"add": [TERMINAL_B1]}, "terminal-block:1 2 times, not once"),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", sorted(MISLISTED))
+def test_a_network_not_listing_the_designs_sources_and_terminals_once_is_refused(p, case):
+    # every edge is in place, so only the node list is wrong: an extra
+    # source was summed in the expected values but fed nothing, so
+    # transfer_check passed while simulation mismatched; a missing one was
+    # neither drawn nor expected, and a missing terminal was never checked
+    net, code = fano_code(p)
+    change, listed = MISLISTED[case]
+    assert_every_entry_point_refuses(relisted(net, **change), code, f"^the network lists {listed}$")
+
+
+def test_a_wrong_block_terminal_left_off_the_node_list_is_refused():
+    # the dropped correction is wrong at terminal-block:1 alone; with that
+    # terminal unlisted, no check and no simulation looked at it
+    net, code = fano_code(3)
+    broken = drop_block_correction(net, code, blocks=[0])
+    assert [x.at for x in transfer_check(net, broken).failures] == [TERMINAL_B1]
+    assert not simulate_trials(net, broken, 50, seed=0).ok
+    listed = "^the network lists terminal-block:1 0 times, not once$"
+    assert_every_entry_point_refuses(relisted(net, drop=[TERMINAL_B1]), broken, listed)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_checks_make_no_edge_objects_for_terminal_in_edges(p, monkeypatch):
     # decoders hold their in-edges as arrays and the checks read the
