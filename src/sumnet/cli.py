@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from ._jsonwriter import dumps
 from .alphabet_change import (
@@ -34,6 +33,7 @@ from .designs import (
     InvalidDesignError,
     ParseError,
     UnsupportedOrderError,
+    _read_text,
     design_load,
     design_save,
     design_verify,
@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
     f = PrimeField(args.field)
     net = build_sum_network(d)
     if args.code:
-        code = code_from_json(Path(args.code).read_text())
+        code = code_from_json(_read_text(args.code))
         if code.field != f:
             raise ShapeMismatchError(f"saved code is over GF({code.field.p}), not GF({f.p})")
     else:

@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from ._jsonwriter import LiftedMatrix, dump, dumps
-from .designs import Design, ParseError, _is_integer
+from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _is_integer
 from .field import FieldMatrix, PrimeField
 from .network import (
     _EDGE_CODES,
@@ -206,51 +206,6 @@ def _in_edge_columns(kind: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.n
     return width, np.cumsum(width) - width
 
 
-# about how many in-edges one ``_fitting`` call numbers.  A call per decoder
-# costs more than the numbering itself at STS(45); one call for all of
-# them makes temporaries of megabytes at STS(63), whose fresh pages fault
-# in again for every code
-_NUMBERING_BATCH = 1 << 14
-
-
-def _canonical_in_edges(
-    decoders: Mapping[NodeId, TerminalDecoder], d: Design
-) -> dict[NodeId, tuple[np.ndarray, np.ndarray] | None]:
-    """Per terminal t, its decoder's in-edges as (canonical tail id over d,
-    kind code) arrays, or None unless every one leads into t from a node of
-    d that fits its kind.  Consecutive decoders are numbered together,
-    about ``_NUMBERING_BATCH`` in-edges per ``_fitting`` call."""
-    held: dict[NodeId, tuple[np.ndarray, np.ndarray] | None] = {}
-    batch, size = [], 0
-    for t, dec in decoders.items():
-        batch.append((t, dec._ids))
-        size += len(dec._ids.kind)
-        if size >= _NUMBERING_BATCH:
-            _number_batch(batch, d, held)
-            batch, size = [], 0
-    if batch:
-        _number_batch(batch, d, held)
-    return held
-
-
-def _number_batch(batch: list[tuple[NodeId, _InEdgeIds]], d: Design, held: dict) -> None:
-    """``_canonical_in_edges`` of the (terminal, in-edges) pairs ``batch``,
-    into ``held``, with one ``_fitting`` call over their concatenated
-    arrays whose result is split by decoder."""
-    ids = [x for _, x in batch]
-    rank = np.concatenate([x.rank for x in ids])
-    index = np.concatenate([x.index for x in ids])
-    tail, fits = _fitting(rank, index, np.concatenate([x.kind for x in ids]), d)
-    _frozen(tail)
-    bounds = np.cumsum([0] + [len(x.kind) for x in ids])
-    # the decoders, counted from 1, holding an in-edge that does not fit
-    misfit = set(np.searchsorted(bounds, np.flatnonzero(~fits), side="right").tolist())
-    bounds = bounds.tolist()
-    for j, (t, x) in enumerate(batch, start=1):
-        fit = j not in misfit and x.terminal in (t, None)
-        held[t] = (tail[bounds[j - 1] : bounds[j]], x.kind) if fit else None
-
-
 class NetworkCode:
     """A code for the network of ``design`` over ``field``, held as its core:
     the (c, c+s) maps ``core_encoders`` and ``core_decoders``, and the
@@ -262,12 +217,13 @@ class NetworkCode:
     maps as given with w = 1.  The test is exact and costs O(size): an
     entry changed in one copy only, or a coefficient between copies, makes
     the code its own core.  ``encoders`` and ``decoders`` give the (m, n)
-    maps back, lifted on request.  Each decoder's in-edges are numbered
-    over the design once, here.  The held form is decided by the (m, n)
-    maps alone, so two codes are equal when their (m, n) maps are.
+    maps back, lifted on request.  The held form is decided by the (m, n)
+    maps alone, so two codes are equal when their (m, n) maps are.  A code
+    holds its maps only: its decoders' in-edges are numbered over the
+    design where a network is checked against it (``verify``).
     """
 
-    __slots__ = ("design", "field", "params", "w", "core_encoders", "core_decoders", "_in_edges")
+    __slots__ = ("design", "field", "params", "w", "core_encoders", "core_decoders")
 
     def __init__(
         self,
@@ -297,7 +253,6 @@ class NetworkCode:
         self.design, self.field, self.params, self.w = design, field, params, w
         self.core_encoders = tuple(encoders)
         self.core_decoders = MappingProxyType(dict(decoders))
-        self._in_edges = MappingProxyType(_canonical_in_edges(self.core_decoders, design))
 
     @property
     def core_params(self) -> CodeParams:
@@ -409,6 +364,8 @@ def code_params_for(d: Design, f: PrimeField) -> CodeParams:
     """Pick the regime and block lengths for a design and field."""
     if d.lambda_ != 1:
         raise UnsupportedLambdaError(f"code synthesis needs lambda=1, got {d.lambda_}")
+    if d.k < 2:
+        raise InvalidDesignError(ValidationReport([f"block size must be at least 2, got k={d.k}"]))
     if (d.k - 1) % f.p == 0:
         return CodeParams(m=1, n=1, regime=REGIME_DIVIDES)
     m = d.v - d.v % d.k
@@ -428,16 +385,15 @@ def _core(d: Design, params: CodeParams) -> tuple[int, int, int]:
     return d.k, d.r, params.m // d.k
 
 
-def _block_reader(d: Design, j: int, points: list[int], width: int, c: int, n: int) -> np.ndarray:
-    """The core map reading block j's selector symbols off the head edges
-    from bottlenecks ``points``, which lead an in-edge list ``width`` core
-    symbols wide, into their colors' rows; direct edges read nothing.  As
-    in ``slice_layout``, the point at position q of block j has color q+1
-    and carries it in selector position ``blocks_through(point).index(j)``."""
+def _block_reader(slices: Iterable[Slice], points: list[int], width: int, c: int, n: int) -> np.ndarray:
+    """The core map reading a block's selector symbols, given its
+    ``slice_layout`` records, off the head edges from bottlenecks
+    ``points``, which lead an in-edge list ``width`` core symbols wide,
+    into their colors' rows; direct edges read nothing."""
     start = {point: h * n for h, point in enumerate(points)}
     reader = np.zeros((c, width), dtype=np.int64)
-    for color, point in enumerate(d.blocks[j]):
-        reader[color, start[point] + c + d.blocks_through(point).index(j)] = 1
+    for sl in slices:
+        reader[sl.color - 1, start[sl.point] + c + sl.rank - 1] = 1
     return reader
 
 
@@ -513,7 +469,8 @@ def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldM
     width = int(_in_edge_columns(net._kind[ids], c, c + s)[0].sum())
     reader = np.zeros((c, width), dtype=np.int64)
     if s:
-        reader = _block_reader(d, j, _head_points(net, ids), width, c, c + s)
+        slices = [sl for sl in slice_layout(d) if sl.block == j]
+        reader = _block_reader(slices, _head_points(net, ids), width, c, c + s)
     return _lift(FieldMatrix._trusted(code.field, reader), w)
 
 
@@ -533,6 +490,9 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     c, s, w = _core(d, params)
     n = c + s
     layout = slice_layout(d) if s else ()
+    by_block: dict[int, list[Slice]] = {}
+    for sl in layout:
+        by_block.setdefault(sl.block, []).append(sl)
 
     encoders = [np.zeros((n, stacked_width(d, c)), dtype=np.int64) for _ in range(d.v)]
     for i, enc in enumerate(encoders):
@@ -556,7 +516,7 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
         core = reads[shape]
         if t.kind == TERMINAL_BLOCK and s:
             points = _head_points(net, ids)
-            core = core - (d.k - 1) * _block_reader(d, t.index, points, core.shape[1], c, n)
+            core = core - (d.k - 1) * _block_reader(by_block[t.index], points, core.shape[1], c, n)
         tail = net._tail[ids]
         in_edges = _in_edge_ids(t, rank[tail], index[tail], kind)
         decoders[t] = TerminalDecoder._from_ids(in_edges, FieldMatrix(f, core))
@@ -706,25 +666,22 @@ def code_from_json(text: str) -> NetworkCode:
             f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
             f"m={expected.m} n={expected.n} regime={expected.regime!r} for this design over {f}"
         )
-    decoders = {}
-    for t, (_, tail, _, kind, matrix) in parsed.items():
-        rank, index = np.array(tail, dtype=np.int64).reshape(-1, 2).T
-        decoders[t] = TerminalDecoder._from_ids(_in_edge_ids(t, rank, index, kind), matrix)
-    code = NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
     # one decoder per terminal of the design, each of whose in-edges leads
     # into it from a node of the design that fits the edge's kind
     every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
     every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
-    terminals = set(every)
-    for t, (rows, _, heads, _, _) in parsed.items():
+    terminals, decoders = set(every), {}
+    for t, (rows, tail, heads, kind, matrix) in parsed.items():
         if t not in terminals:
             raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
+        rank, index = np.array(tail, dtype=np.int64).reshape(-1, 2).T
+        ids = _in_edge_ids(t, rank, index, kind)
+        _, fits = _fitting(ids.rank, ids.index, ids.kind, d)
         own = (_KIND_ORDER[t.kind], t.index)
-        if code._in_edges[t] is None or not heads <= {own}:
-            ids = decoders[t]._ids
-            _, fits = _fitting(ids.rank, ids.index, ids.kind, d)
+        if not (fits.all() and heads <= {own}):
             fits &= [labels[h] == own for _, h, _ in rows]
             raise ParseError(_bad_in_edge(t, rows[int(np.argmin(fits))]))
+        decoders[t] = TerminalDecoder._from_ids(ids, matrix)
     if len(decoders) < d.v + d.b:
         missing = next(t for t in every if t not in decoders)
         raise ParseError(f"no decoder for {missing.label()}")
@@ -740,4 +697,4 @@ def code_from_json(text: str) -> NetworkCode:
             raise ParseError(
                 f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"
             )
-    return code
+    return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)

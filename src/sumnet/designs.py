@@ -234,10 +234,19 @@ def design_save(d: Design, path) -> None:
     Path(path).write_text(dumps(d.to_dict()) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of a JSON file, which must be UTF-8; other bytes are a
+    ``ParseError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+
+
 def design_load(path) -> Design:
     """Load and validate a design file; invalid designs are rejected."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     d = Design.from_dict(data)

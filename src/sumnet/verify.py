@@ -20,10 +20,11 @@ entry point checks first: bottleneck tail i is fed by sources of the
 design alone, bottleneck head i by tail i alone along the bottleneck edge,
 each decoder lists exactly its terminal's in-edges, and the network lists
 the design's sources and terminals once each.  A network wired otherwise
-is refused with ``ShapeMismatchError``, so neither path walks the graph.  The check reads the network's in-index, and decoders hold
-their in-edges only as integer arrays (``TerminalDecoder``), numbered
-canonically over the design once per code, so no check and no simulation
-makes an ``Edge``.
+is refused with ``ShapeMismatchError``, so neither path walks the graph.
+The check reads the network's in-index, and decoders hold their in-edges
+only as integer arrays (``TerminalDecoder``), which the check numbers
+canonically over the design, so no check and no simulation makes an
+``Edge``.
 
 A code is held as its (c, c+s) core and the number w of interleaved
 copies (``NetworkCode``), and each copy acts on its own coordinates, so a
@@ -49,6 +50,7 @@ from .coding import (
     REGIME_DIVIDES,
     NetworkCode,
     UnsupportedLambdaError,
+    _fitting,
     _in_edge_columns,
     _sources_sum_array,
     code_params_for,
@@ -97,10 +99,13 @@ class VerifyResult:
     failures: list[Failure] = field(default_factory=list)
 
 
-def _check_compatible(net: SumNetwork, code: NetworkCode) -> list[np.ndarray]:
-    """Refuse a code that does not fit the network, and return per
-    bottleneck the stacked columns of the sources wired into its tail, in
-    its in-edge order: the only columns its encoder may read.
+def _check_compatible(
+    net: SumNetwork, code: NetworkCode
+) -> tuple[list[np.ndarray], dict[NodeId, tuple[np.ndarray, np.ndarray]]]:
+    """Refuse a code that does not fit the network, and return its wiring:
+    per bottleneck the stacked columns of the sources wired into its tail,
+    in its in-edge order, the only columns its encoder may read; and per
+    terminal its decoder's in-edges as (canonical tail id, kind code).
 
     Past this check tail i is fed by sources of the design alone, head i by
     tail i alone along the bottleneck edge, every decoder lists exactly its
@@ -146,15 +151,21 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> list[np.ndarray]:
         fed = len(into) == 1 and net._kind[into[0]] == _BOTTLENECK
         if not (fed and canonical[net._tail[into[0]]] == first_tail + i):
             raise ShapeMismatchError(f"{head.label()} is not fed by {tail.label()} alone")
-    kinds = len(net._kinds)
+    kinds, numbered = len(net._kinds), {}
     for t in net.terminals():
         if t not in code.core_decoders:
             raise ShapeMismatchError(f"no decoder for {t.label()}")
-        ids = code._in_edges[t]
+        ids = code.core_decoders[t]._ids
+        tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
         into = net._in_ids(t)
-        if ids is None or not _same_in_edges(ids, canonical[net._tail[into]], net._kind[into], kinds):
+        if not (
+            fits.all()
+            and ids.terminal in (t, None)
+            and _same_in_edges(tail, ids.kind, canonical[net._tail[into]], net._kind[into], kinds)
+        ):
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
-        expect_cols = int(_in_edge_columns(ids[1], m, n)[0].sum())
+        numbered[t] = (tail, ids.kind)
+        expect_cols = int(_in_edge_columns(ids.kind, m, n)[0].sum())
         dec = code.core_decoders[t].matrix
         if dec.shape != (m, expect_cols):
             raise ShapeMismatchError(
@@ -168,16 +179,15 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> list[np.ndarray]:
         if listed[x] != (x in design):
             fault = f" {listed[x]} times, not once" if x in design else ", which is no node of the design"
             raise ShapeMismatchError(f"the network lists {x.label()}{fault}")
-    return wired
+    return wired, numbered
 
 
 def _same_in_edges(
-    ids: tuple[np.ndarray, np.ndarray], tail: np.ndarray, kind: np.ndarray, kinds: int
+    dec_tail: np.ndarray, dec_kind: np.ndarray, tail: np.ndarray, kind: np.ndarray, kinds: int
 ) -> bool:
-    """Whether a decoder's in-edges, ``ids`` = (tail id, kind code), are a
-    terminal's in-edges (``tail``, ``kind``) in the network's order or, as a
-    set, in any order; kind codes are below ``kinds``."""
-    dec_tail, dec_kind = ids
+    """Whether a decoder's in-edges (``dec_tail`` id, ``dec_kind`` code) are
+    a terminal's in-edges (``tail``, ``kind``) in the network's order or,
+    as a set, in any order; kind codes are below ``kinds``."""
     if np.array_equal(dec_tail, tail) and np.array_equal(dec_kind, kind):
         return True
     return np.array_equal(np.unique(dec_tail * kinds + dec_kind), np.unique(tail * kinds + kind))
@@ -188,17 +198,19 @@ def _first_id(d: Design, kind: str) -> int:
     return int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[kind]])
 
 
-def _terminal_map(code: NetworkCode, t: NodeId, wired: list[np.ndarray]) -> np.ndarray:
+def _terminal_map(code: NetworkCode, t: NodeId, wiring: tuple) -> np.ndarray:
     """The residues of terminal t's end-to-end map from the stacked sources,
     for one copy of the core.
 
     A direct edge's decoder block lands at its source's columns, which
     start at the source's canonical id times m; a head edge from bottleneck
     i contributes its decoder block times encoder i, which
-    ``_check_compatible`` has confined to the ``wired[i]`` columns.
+    ``_check_compatible`` has confined to the ``wired[i]`` columns of its
+    ``wiring``.
     """
     d, f, (m, n) = code.design, code.field, code.core_params.rate
-    tail, kind = code._in_edges[t]
+    wired, numbered = wiring
+    tail, kind = numbered[t]
     blocks = code.core_decoders[t].matrix.array
     head = kind == _HEAD_TO_TERMINAL
     _, start = _in_edge_columns(kind, m, n)
@@ -220,12 +232,12 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
 
     The map is composed for the core; its lift is the lifted code's map,
     so its first wrong entry is the core's first one at row*w, col*w."""
-    wired = _check_compatible(net, code)
+    wiring = _check_compatible(net, code)
     d, m, w = net.design, code.core_params.m, code.w
     want = sum_map(d, m, code.field).array
     failures = []
     for t in net.terminals():
-        got = _terminal_map(code, t, wired)
+        got = _terminal_map(code, t, wiring)
         if not np.array_equal(got, want):
             row, col = map(int, np.argwhere(got != want)[0])
             source, offset = column_source(d, col * w, m * w)
@@ -255,7 +267,7 @@ _CHUNK_CELLS = 1 << 17
 
 
 def _simulate_batch(
-    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wired: list
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wiring: tuple
 ) -> dict[NodeId, np.ndarray]:
     """Each terminal's decoded m x T block of the (m, n) code, given every
     source's m x T block of values and the wiring ``_check_compatible``
@@ -273,6 +285,7 @@ def _simulate_batch(
     product per chunk of the wT columns decodes every terminal.
     """
     d, p, w, (m, n) = net.design, code.field.p, code.w, code.core_params.rate
+    wired, numbered = wiring
     head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
     height = head_rows + d.v * n
     local = [code.core_encoders[i].array[:, cols] for i, cols in enumerate(wired)]
@@ -280,7 +293,7 @@ def _simulate_batch(
     decode = np.zeros((len(terminals) * m, height), dtype=np.int64)
     for x, t in enumerate(terminals):
         matrix = code.core_decoders[t].matrix
-        tail, kind = code._in_edges[t]
+        tail, kind = numbered[t]
         width, start = _in_edge_columns(kind, m, n)
         # a tail is a source of the design or a bottleneck head
         row = np.where(tail < d.v + d.b, tail * m, head_rows + (tail - first_head) * n)
@@ -318,13 +331,13 @@ def simulate(
     ``sources`` maps every source node to a length-m integer vector; the
     result maps every terminal to its decoded length-m vector.
     """
-    wired = _check_compatible(net, code)
+    wiring = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     missing = [s for s in net.sources() if s not in sources]
     if missing:
         raise ShapeMismatchError(f"missing source values for {missing[0].label()}")
     batch = {s: _as_batch(sources[s], m, p) for s in net.sources()}
-    outputs = _simulate_batch(net, code, batch, wired)
+    outputs = _simulate_batch(net, code, batch, wiring)
     return {t: out[:, 0] for t, out in outputs.items()}
 
 
@@ -342,14 +355,14 @@ def simulate_trials(
 ) -> SimulationSummary:
     """Run seeded random assignments and compare every terminal against the
     plain sum of the drawn sources."""
-    wired = _check_compatible(net, code)
+    wiring = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     rng = np.random.default_rng(seed)
     sources = {s: rng.integers(0, p, size=(m, trials)) for s in net.sources()}
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
-    outputs = _simulate_batch(net, code, sources, wired)
+    outputs = _simulate_batch(net, code, sources, wiring)
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
     for t in sorted(outputs, key=lambda x: x.sort_key):

@@ -102,6 +102,28 @@ def test_design_load_rejects_json_booleans(tmp_path, capsys, where):
     assert captured.out == "" and captured.err == f"sumnet: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--load"],
+        ["code", "--field", "3", "--load"],
+        ["capacity", "--field", "3", "--load"],
+        ["simulate", "--field", "3", "--load"],
+        ["simulate", "--fano", "--field", "3", "--code"],
+    ],
+    ids=["design", "code", "capacity", "simulate", "simulate-code"],
+)
+def test_a_file_that_is_not_utf8_is_refused(tmp_path, capsys, argv):
+    # JSON text is UTF-8: other bytes are a parse error, not a traceback
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("sumnet: error: not UTF-8 text: ")
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -292,6 +314,20 @@ def test_simulate_rejects_bogus_regime(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
     assert "regime='bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_simulate_rejects_a_code_whose_blocks_hold_fewer_than_two_points(tmp_path, capsys, k):
+    path = tmp_path / "code.json"
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    data["design"]["k"] = k
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sumnet: error: malformed code document: block size must be at least 2, got k={k}\n"
 
 
 def test_simulate_rejects_wrong_message_length(tmp_path, capsys):

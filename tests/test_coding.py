@@ -17,6 +17,7 @@ from sumnet.coding import (
     build_code_char_divides,
     build_code_char_not_divides,
     code_from_json,
+    code_params_for,
     code_to_json,
     column_source,
     partial_sum_row,
@@ -25,7 +26,7 @@ from sumnet.coding import (
     stacked_width,
     sum_map,
 )
-from sumnet.designs import Design, ParseError, fano, sts_bose
+from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
 from sumnet.field import FieldMatrix, PrimeField, vstack
 from sumnet.network import (
     BOTTLENECK_TAIL,
@@ -37,6 +38,7 @@ from sumnet.network import (
     NodeId,
     build_sum_network,
 )
+from sumnet.verify import ShapeMismatchError, _check_compatible
 
 from conftest import affine_plane, projective_plane, source_projection
 
@@ -354,8 +356,8 @@ def test_code_json_round_trip():
 
 
 def test_code_json_numbers_each_in_edge_once(monkeypatch):
-    # the code numbers its decoders' in-edges over the design, and a misfit
-    # is read off that numbering: nothing numbers them a second time
+    # the loader numbers each decoder's in-edges once, to test that they
+    # fit the design, and the code it returns holds no numbering
     net = build_sum_network(sts_bose(15))
     code = build_code(net, PrimeField(2))
     text = code_to_json(code)
@@ -363,6 +365,20 @@ def test_code_json_numbers_each_in_edge_once(monkeypatch):
     monkeypatch.setattr(coding, "_fitting", lambda *args: numbered.append(len(args[2])) or fitting(*args))
     assert code_from_json(text) == code
     assert sum(numbered) == sum(len(dec.in_edges) for dec in code.decoders.values())
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_code_json_refuses_blocks_of_fewer_than_two_points(k):
+    # the code's block lengths divide by k; a design whose blocks hold
+    # fewer than two points is refused before, as design_verify words it
+    _, net, f = fano_setup(3)
+    data = json.loads(code_to_json(build_code(net, f)))
+    data["design"]["k"] = k
+    message = f"^malformed code document: block size must be at least 2, got k={k}$"
+    with pytest.raises(ParseError, match=message):
+        code_from_json(json.dumps(data))
+    with pytest.raises(InvalidDesignError, match=f"^block size must be at least 2, got k={k}$"):
+        code_params_for(Design(v=7, k=k, lambda_=1, blocks=()), f)
 
 
 @pytest.mark.parametrize("key", ["m", "n"])
@@ -402,15 +418,19 @@ def test_decoder_refuses_in_edges_its_arrays_cannot_hold():
     assert TerminalDecoder((), FieldMatrix(f, np.zeros((1, 0), dtype=np.int64))).in_edges == ()
 
 
-@pytest.mark.parametrize("batch", [1, 10, 1 << 14])
 @pytest.mark.parametrize("p", [2, 3])
-def test_every_decoder_is_numbered_over_the_design(p, batch, monkeypatch):
-    # the in-edges of consecutive decoders are numbered together; a decoder
-    # that does not fit its terminal reads None and leaves the others as
-    # they are, in its batch or another
-    monkeypatch.setattr(coding, "_NUMBERING_BATCH", batch)
+def test_every_decoder_is_numbered_over_the_design(p):
+    # the compatibility check numbers each decoder's in-edges over the
+    # design and hands that numbering on with the wiring; a decoder that
+    # does not fit its terminal is refused, the first one in terminal order
     _, net, f = fano_setup(p)
     code = build_code(net, f)
+    _, numbered = _check_compatible(net, code)
+    for t in net.terminals():
+        into = net._in_ids(t)
+        tail, kind = numbered[t]
+        assert tail.tolist() == net._canonical_ids[net._tail[into]].tolist()
+        assert kind.tolist() == net._kind[into].tolist()
     decoders = dict(code.decoders)
     t0, t1, b0 = NodeId(TERMINAL_POINT, 0), NodeId(TERMINAL_POINT, 1), NodeId(TERMINAL_BLOCK, 0)
     edges = decoders[b0].in_edges
@@ -418,17 +438,22 @@ def test_every_decoder_is_numbered_over_the_design(p, batch, monkeypatch):
     decoders[b0] = TerminalDecoder(
         (*edges[:-1], edges[-1]._replace(tail=NodeId(SOURCE_BLOCK, 7))), decoders[b0].matrix
     )
-    broken = NetworkCode(code.design, f, code.params, code.encoders, decoders)
-    for t in net.terminals():
-        into = net._in_ids(t)
-        numbered = (net._canonical_ids[net._tail[into]].tolist(), net._kind[into].tolist())
-        tail, kind = code._in_edges[t]
-        assert (tail.tolist(), kind.tolist()) == numbered
-        if t in (t0, b0):
-            assert broken._in_edges[t] is None
-        else:
-            tail, kind = broken._in_edges[t]
-            assert (tail.tolist(), kind.tolist()) == numbered
+    for t in (t0, b0):
+        broken = NetworkCode(code.design, f, code.params, code.encoders, decoders)
+        message = f"^decoder in-edges disagree with network at {t.label()}$"
+        with pytest.raises(ShapeMismatchError, match=message):
+            _check_compatible(net, broken)
+        decoders[t0] = code.decoders[t0]
+
+
+def test_build_code_numbers_no_in_edge(monkeypatch):
+    # a code holds its maps alone; in-edges are numbered where they are
+    # checked, so building a code numbers none
+    numbered = []
+    monkeypatch.setattr(coding, "_fitting", lambda *args: numbered.append(args))
+    for p in (2, 3):
+        build_code(build_sum_network(sts_bose(15)), PrimeField(p))
+    assert numbered == []
 
 
 def test_code_json_is_deterministic():

@@ -220,6 +220,32 @@ def test_decoder_missing_an_in_edge_is_refused():
             simulate_trials(net, case, 10, seed=0)
 
 
+@pytest.mark.parametrize("alias", ["another terminal", "a point past v", "a tail past v"])
+def test_decoder_in_edges_that_alias_the_networks_are_refused(alias):
+    # each decoder below lists the canonical tail ids and edge kinds of the
+    # network's in-edges, so only its labels tell it apart: in-edges into
+    # another terminal, a direct edge from source-point:14 for
+    # source-block:7 (id 13 either way), or a head edge from
+    # bottleneck-tail:8 for bottleneck-head:1 (id 21)
+    net, code = fano_code(3)
+    t = NodeId(TERMINAL_POINT, 0)
+    edges, blocks = code.decoders[t].in_edges, decoder_blocks(code, t)
+    assert (edges[0].tail, edges[-1].tail) == (NodeId(BOTTLENECK_HEAD, 0), NodeId(SOURCE_BLOCK, 6))
+    if alias == "another terminal":
+        edges = tuple(e._replace(head=NodeId(TERMINAL_POINT, 1)) for e in edges)
+    elif alias == "a point past v":
+        edges = (*edges[:-1], edges[-1]._replace(tail=NodeId(SOURCE_POINT, 13)))
+    else:
+        edges = (edges[0]._replace(tail=NodeId(BOTTLENECK_TAIL, 7)), *edges[1:])
+    aliased = replace_decoder(code, t, edges, blocks)
+    message = "^decoder in-edges disagree with network at terminal-point:1$"
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        with pytest.raises(ShapeMismatchError, match=message):
+            check(net, aliased)
+    with pytest.raises(ShapeMismatchError, match=message):
+        simulate_trials(net, aliased, 10, seed=0)
+
+
 def test_a_repeated_direct_in_edge_counts_once_per_listing():
     # terminal-point:1 lists its direct edge from source-point:2 twice.  The
     # transfer map must add both blocks, as simulation does: a scatter that
@@ -562,6 +588,13 @@ def test_capacity_requires_lambda_one():
         capacity_report(d, PrimeField(5))
     with pytest.raises(UnsupportedLambdaError):
         fractional_upper_bound(d)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_capacity_refuses_blocks_of_fewer_than_two_points(k):
+    d = Design(v=7, k=k, lambda_=1, blocks=())
+    with pytest.raises(InvalidDesignError, match=f"^block size must be at least 2, got k={k}$"):
+        capacity_report(d, PrimeField(3))
 
 
 def test_bounds_never_exceed_one():
