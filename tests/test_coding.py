@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sumnet import coding
+from sumnet import coding, verify
 from sumnet.coding import (
     CharMismatchError,
     NetworkCode,
@@ -38,7 +38,7 @@ from sumnet.network import (
     NodeId,
     build_sum_network,
 )
-from sumnet.verify import ShapeMismatchError, _check_compatible
+from sumnet.verify import ShapeMismatchError, _check_compatible, _simulate_batch
 
 from conftest import affine_plane, projective_plane, source_projection
 
@@ -418,19 +418,29 @@ def test_decoder_refuses_in_edges_its_arrays_cannot_hold():
     assert TerminalDecoder((), FieldMatrix(f, np.zeros((1, 0), dtype=np.int64))).in_edges == ()
 
 
+@pytest.mark.parametrize("batch", [1, 10, 1 << 14])
 @pytest.mark.parametrize("p", [2, 3])
-def test_every_decoder_is_numbered_over_the_design(p):
+def test_every_decoder_is_numbered_over_the_design(p, batch, monkeypatch):
     # the compatibility check numbers each decoder's in-edges over the
-    # design and hands that numbering on with the wiring; a decoder that
-    # does not fit its terminal is refused, the first one in terminal order
+    # design and hands that numbering on with the wiring, which decodes the
+    # sum in chunks of any size; a decoder that does not fit its terminal is
+    # refused, the first one in terminal order
+    monkeypatch.setattr(verify, "_CHUNK_CELLS", batch)
     _, net, f = fano_setup(p)
     code = build_code(net, f)
-    _, numbered = _check_compatible(net, code)
+    wiring = _check_compatible(net, code)
+    _, numbered = wiring
     for t in net.terminals():
         into = net._in_ids(t)
         tail, kind = numbered[t]
         assert tail.tolist() == net._canonical_ids[net._tail[into]].tolist()
         assert kind.tolist() == net._kind[into].tolist()
+    rng = np.random.default_rng(p)
+    m = code.params.m
+    sources = {s: rng.integers(0, p, size=(m, 25)) for s in net.sources()}
+    total = np.mod(sum(sources.values()), p)
+    for out in _simulate_batch(net, code, sources, wiring).values():
+        assert np.array_equal(out, total)
     decoders = dict(code.decoders)
     t0, t1, b0 = NodeId(TERMINAL_POINT, 0), NodeId(TERMINAL_POINT, 1), NodeId(TERMINAL_BLOCK, 0)
     edges = decoders[b0].in_edges
