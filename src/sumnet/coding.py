@@ -19,17 +19,17 @@ characteristic divides k-1, only picks (c, s, w):
   of its blocks' sources.
 
 A code is held as what it is, w interleaved copies of its core:
-``NetworkCode`` stores the (c, c+s) core maps and w, and the decision
-that a code is w copies of a core is made here alone.  ``build_code``
-stores the core it builds; ``NetworkCode(...)`` and ``code_from_json``
-take the paper's (m, n) maps and keep their core when every one is a
-lift.  ``encoders[i]`` (the map from the stacked source vector to the n
-symbols on bottleneck i) and each decoder's ``matrix`` (from the
-concatenation of its in-edge values to the m decoded symbols) are the
-lifted maps, built on request; at w = 1 they are the core itself.  The
-``sumnet.code/1`` document spells out the lifted maps, but
-``code_to_json`` and ``code_save`` render each one from its core, row by
-row, and build none of them.  Relay edges carry their input unchanged
+``NetworkCode`` stores each bottleneck's local kernel, the core decoders
+and w, and the decision that a code is w copies of a core is made here
+alone.  ``build_code`` stores the core it builds; ``NetworkCode(...)``
+and ``code_from_json`` take the paper's (m, n) maps, refuse those that do
+not fit the design, and keep their core when every one is a lift.
+``encoders[i]`` (the map from the stacked source vector to the n symbols
+on bottleneck i) and each decoder's ``matrix`` (from the concatenation of
+its in-edge values to the m decoded symbols) are the lifted maps, built
+on request.  The ``sumnet.code/1`` document spells out the lifted maps,
+but ``code_to_json`` and ``code_save`` render each one from its core, row
+by row, and lift none of them.  Relay edges carry their input unchanged
 and are not stored.  A decoder holds its in-edges only as integer arrays,
 the tails' node kind ranks and indexes and the edge kind codes, filled
 alike from ``Edge`` objects, the network's in-index or a code document's
@@ -39,7 +39,6 @@ is asked for.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -47,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from ._jsonwriter import LiftedMatrix, dump, dumps
-from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _is_integer
+from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _is_integer, _load_json
 from .field import FieldMatrix, PrimeField
 from .network import (
     _EDGE_CODES,
@@ -67,6 +66,7 @@ from .network import (
     SumNetwork,
     _frozen,
     _kind_offsets,
+    _parse_document_label,
     parse_node_label,
 )
 
@@ -84,6 +84,10 @@ class UnsupportedLambdaError(ValueError):
 
 class DegenerateLengthError(ValueError):
     """The fractional construction produced an empty message block."""
+
+
+class ShapeMismatchError(ValueError):
+    """A code does not fit its design, or the network it is checked on."""
 
 
 @dataclass(frozen=True)
@@ -208,22 +212,28 @@ def _in_edge_columns(kind: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.n
 
 class NetworkCode:
     """A code for the network of ``design`` over ``field``, held as its core:
-    the (c, c+s) maps ``core_encoders`` and ``core_decoders``, and the
-    number w of interleaved copies of them that make the (m, n) code.
+    per bottleneck i the (c+s) x |N(i)|c local kernel ``core_kernels[i]``
+    over the sources wired into it in the design (``_kernel_columns``), the
+    (c, c+s) maps ``core_decoders``, and the number w of interleaved copies
+    of them that make the (m, n) code.
 
     ``NetworkCode(design, field, params, encoders, decoders)`` takes the
-    paper's (m, n) maps.  When every one is its core map lifted by I_w, as
-    ``build_code`` makes them, it holds the core; otherwise it holds the
-    maps as given with w = 1.  The test is exact and costs O(size): an
-    entry changed in one copy only, or a coefficient between copies, makes
-    the code its own core.  ``encoders`` and ``decoders`` give the (m, n)
-    maps back, lifted on request.  The held form is decided by the (m, n)
-    maps alone, so two codes are equal when their (m, n) maps are.  A code
-    holds its maps only: its decoders' in-edges are numbered over the
-    design where a network is checked against it (``verify``).
+    paper's (m, n) maps and is the one place a code's own invariants are
+    checked: it refuses with ``ShapeMismatchError`` an encoder count other
+    than v, a map whose shape does not fit m, n and its in-edge kinds, and
+    an encoder coefficient on a source not wired into its bottleneck.  When
+    every map is its core map lifted by I_w, as ``build_code`` makes them,
+    it holds the core; otherwise it holds the maps as given with w = 1.
+    The test is exact and costs O(size): an entry changed in one copy only,
+    or a coefficient between copies, makes the code its own core.
+    ``encoders`` and ``decoders`` give the (m, n) maps back, built on
+    request.  The held form is decided by the (m, n) maps alone, so two
+    codes are equal when their (m, n) maps are.  A code holds its maps
+    only: its decoders' in-edges are numbered over the design where a
+    network is checked against it (``verify``).
     """
 
-    __slots__ = ("design", "field", "params", "w", "core_encoders", "core_decoders")
+    __slots__ = ("design", "field", "params", "w", "core_kernels", "core_decoders")
 
     def __init__(
         self,
@@ -234,24 +244,47 @@ class NetworkCode:
         decoders: Mapping[NodeId, TerminalDecoder],
     ):
         encoders, decoders = tuple(encoders), dict(decoders)
+        m, n, width = params.m, params.n, stacked_width(design, params.m)
+        if len(encoders) != design.v:
+            raise ShapeMismatchError(f"{len(encoders)} encoders for {design.v} bottlenecks")
+        for i, enc in enumerate(encoders):
+            if enc.shape != (n, width):
+                raise ShapeMismatchError(
+                    f"encoder of bottleneck {i + 1} has shape {enc.shape}, expected {(n, width)}"
+                )
+            unwired = enc.array.any(axis=0)
+            unwired[_kernel_columns(design, i, m)] = False
+            if unwired.any():
+                source, _ = column_source(design, int(np.argmax(unwired)), m)
+                raise ShapeMismatchError(
+                    f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
+                )
+        for t, dec in decoders.items():
+            shape = (m, int(_in_edge_columns(dec._ids.kind, m, n)[0].sum()))
+            if dec.matrix.shape != shape:
+                raise ShapeMismatchError(
+                    f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"
+                )
         c, s, w = _core(design, params)
         core = None
-        if w > 1 and (params.m, params.n) == (c * w, (c + s) * w):
+        if w > 1 and (m, n) == (c * w, (c + s) * w):
             core = _unlift_all(encoders, decoders, w)
         if core is None:
             core, w = (encoders, decoders), 1
-        self._hold(design, field, params, *core, w)
+        encoders, decoders = core
+        kernels = [enc.array[:, _kernel_columns(design, i, m // w)] for i, enc in enumerate(encoders)]
+        self._hold(design, field, params, [FieldMatrix._trusted(field, k) for k in kernels], decoders, w)
 
     @classmethod
-    def _from_core(cls, design, field, params, encoders, decoders, w: int) -> NetworkCode:
+    def _from_core(cls, design, field, params, kernels, decoders, w: int) -> NetworkCode:
         """The (m, n) code ``params`` that is w copies of the given core."""
         code = cls.__new__(cls)
-        code._hold(design, field, params, encoders, decoders, w)
+        code._hold(design, field, params, kernels, decoders, w)
         return code
 
-    def _hold(self, design, field, params, encoders, decoders, w) -> None:
+    def _hold(self, design, field, params, kernels, decoders, w) -> None:
         self.design, self.field, self.params, self.w = design, field, params, w
-        self.core_encoders = tuple(encoders)
+        self.core_kernels = tuple(kernels)
         self.core_decoders = MappingProxyType(dict(decoders))
 
     @property
@@ -259,10 +292,18 @@ class NetworkCode:
         """The block lengths of one copy: (c, c+s), or (m, n) at w = 1."""
         return CodeParams(self.params.m // self.w, self.params.n // self.w, self.params.regime)
 
+    def _core_encoder(self, i: int) -> FieldMatrix:
+        """Bottleneck i's core map from the whole stacked source vector: its
+        kernel at its columns, zeros elsewhere."""
+        (c, n), d = self.core_params.rate, self.design
+        enc = np.zeros((n, stacked_width(d, c)), dtype=np.int64)
+        enc[:, _kernel_columns(d, i, c)] = self.core_kernels[i].array
+        return FieldMatrix._trusted(self.field, enc)
+
     @property
     def encoders(self) -> tuple[FieldMatrix, ...]:
-        """The (m, n) encoders, lifted on request."""
-        return tuple(_lift(enc, self.w) for enc in self.core_encoders)
+        """The (m, n) encoders, built on request."""
+        return tuple(_lift(self._core_encoder(i), self.w) for i in range(self.design.v))
 
     @property
     def decoders(self) -> Mapping[NodeId, TerminalDecoder]:
@@ -279,8 +320,8 @@ class NetworkCode:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkCode):
             return NotImplemented
-        mine = (self.design, self.field, self.params, self.w, self.core_encoders, self.core_decoders)
-        theirs = (other.design, other.field, other.params, other.w, other.core_encoders, other.core_decoders)
+        mine = (self.design, self.field, self.params, self.w, self.core_kernels, self.core_decoders)
+        theirs = (other.design, other.field, other.params, other.w, other.core_kernels, other.core_decoders)
         return mine == theirs
 
 
@@ -289,33 +330,23 @@ def stacked_width(d: Design, m: int) -> int:
     return (d.v + d.b) * m
 
 
-def source_column(d: Design, source: NodeId, m: int) -> int:
-    """First column of a source's block in the stacked layout (points
-    first, then blocks, each of width m)."""
-    if source.kind == SOURCE_POINT:
-        return source.index * m
-    if source.kind == SOURCE_BLOCK:
-        return (d.v + source.index) * m
-    raise ValueError(f"{source.label()} is not a source")
+def _kernel_columns(d: Design, i: int, m: int) -> np.ndarray:
+    """The stacked columns of bottleneck i's kernel, m per source wired into
+    it in the design: point i's own source, then the source of every block
+    through point i in increasing order.  At m = 1 they are the sources'
+    indexes in the stacked layout."""
+    ids = np.array([i, *(d.v + j for j in d.blocks_through(i))], dtype=np.int64)
+    return (ids[:, None] * m + np.arange(m)).ravel()
 
 
 def column_source(d: Design, col: int, m: int) -> tuple[NodeId, int]:
-    """Inverse of ``source_column``: the source whose block holds stacked
-    column ``col``, and the column's offset inside that block."""
+    """The source whose block holds stacked column ``col`` (points first,
+    then blocks, each of width m), and the column's offset inside that
+    block."""
     src, offset = divmod(col, m)
     if src < d.v:
         return NodeId(SOURCE_POINT, src), offset
     return NodeId(SOURCE_BLOCK, src - d.v), offset
-
-
-def _sources_sum_array(d: Design, ids: np.ndarray, m: int) -> np.ndarray:
-    """The residues of the m x (v+b)m map adding up the sources given by
-    their index in the stacked layout, a point's own or v plus a block's:
-    an identity block at each one's columns of the stacked vector."""
-    mat = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    offsets = np.arange(m)
-    mat[np.tile(offsets, len(ids)), (ids[:, None] * m + offsets).ravel()] = 1
-    return mat
 
 
 def sum_map(d: Design, m: int, f: PrimeField) -> FieldMatrix:
@@ -326,8 +357,10 @@ def sum_map(d: Design, m: int, f: PrimeField) -> FieldMatrix:
 def partial_sum_row(d: Design, point: int, m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map computing a point's partial sum: the point's own
     source plus every block source whose block contains the point."""
-    ids = np.array([point, *(d.v + j for j in d.blocks_through(point))], dtype=np.int64)
-    return FieldMatrix._trusted(f, _sources_sum_array(d, ids, m))
+    columns = _kernel_columns(d, point, m)
+    mat = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
+    mat[columns % m, columns] = 1
+    return FieldMatrix._trusted(f, mat)
 
 
 class Slice(NamedTuple):
@@ -420,13 +453,12 @@ def _unlift(mat: FieldMatrix, w: int) -> FieldMatrix | None:
     """Inverse of ``_lift``: the core map whose lift by I_w is ``mat``, or
     None when ``mat`` is no such lift.
 
-    Every copy's diagonal block ``mat[u::w, u::w]`` must equal the core
-    ``mat[::w, ::w]``.  The copies then hold w * nnz(core) nonzeros, so a
-    nonzero count of exactly that leaves none between copies.
+    Both dimensions of ``mat`` are multiples of w.  Every copy's diagonal
+    block ``mat[u::w, u::w]`` must equal the core ``mat[::w, ::w]``.  The
+    copies then hold w * nnz(core) nonzeros, so a nonzero count of exactly
+    that leaves none between copies.
     """
     a = mat.array
-    if a.shape[0] % w or a.shape[1] % w:
-        return None
     core = a[::w, ::w]
     if not all(np.array_equal(a[u::w, u::w], core) for u in range(1, w)):
         return None
@@ -481,9 +513,10 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     blocks through point i.  Every terminal reads the partial sum off its
     head edges and adds its direct edges; a block terminal also subtracts
     its block source, reassembled from the selector slices, k-1 times.
-    Every map is built for the (c, c+s) core of ``_core``, and the code is
-    held as that core and w; nothing is lifted.  Each decoder takes its
-    in-edge arrays from the network's in-index.
+    Every map is built for the (c, c+s) core of ``_core``, each encoder as
+    its bottleneck's kernel, and the code is held as that core and w;
+    nothing is lifted.  Each decoder takes its in-edge arrays from the
+    network's in-index.
     """
     d = net.design
     params = code_params_for(d, f)
@@ -494,12 +527,11 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     for sl in layout:
         by_block.setdefault(sl.block, []).append(sl)
 
-    encoders = [np.zeros((n, stacked_width(d, c)), dtype=np.int64) for _ in range(d.v)]
-    for i, enc in enumerate(encoders):
-        enc[:c] = partial_sum_row(d, i, c, f).array
+    # bottleneck i's kernel: [I_c ... I_c] over its sources on the top c
+    # rows, the partial sum; block j at rank q is its kernel's source q
+    kernels = [np.tile(np.eye(n, c, dtype=np.int64), 1 + len(d.blocks_through(i))) for i in range(d.v)]
     for sl in layout:
-        col = source_column(d, NodeId(SOURCE_BLOCK, sl.block), c) + sl.color - 1
-        encoders[sl.point][c + sl.rank - 1, col] = 1
+        kernels[sl.point][c + sl.rank - 1, sl.rank * c + sl.color - 1] = 1
 
     # [I_c | 0] per head edge, I_c per direct edge: built once per shape
     head_read, direct_read = np.eye(c, n, dtype=np.int64), np.eye(c, dtype=np.int64)
@@ -521,8 +553,8 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
         in_edges = _in_edge_ids(t, rank[tail], index[tail], kind)
         decoders[t] = TerminalDecoder._from_ids(in_edges, FieldMatrix(f, core))
 
-    encoders = tuple(FieldMatrix._trusted(f, enc) for enc in encoders)
-    return NetworkCode._from_core(d, f, params, encoders, decoders, w)
+    kernels = tuple(FieldMatrix._trusted(f, kernel) for kernel in kernels)
+    return NetworkCode._from_core(d, f, params, kernels, decoders, w)
 
 
 def _build_in_regime(net: SumNetwork, f: PrimeField, regime: str, relation: str) -> NetworkCode:
@@ -559,7 +591,7 @@ def _code_document(code: NetworkCode) -> dict:
         "p": code.field.p,
         "params": {"m": code.params.m, "n": code.params.n, "regime": code.params.regime},
         "design": code.design.to_dict(),
-        "encoders": [LiftedMatrix(enc.array, w) for enc in code.core_encoders],
+        "encoders": [LiftedMatrix(code._core_encoder(i).array, w) for i in range(code.design.v)],
         "decoders": {
             t.label(): {"in_edges": in_edge_rows(dec), "matrix": LiftedMatrix(dec.matrix.array, w)}
             for t, dec in sorted(code.core_decoders.items(), key=lambda kv: kv[0].sort_key)
@@ -600,7 +632,7 @@ class _LabelKinds(dict):
     ``ParseError``."""
 
     def __missing__(self, label: str) -> tuple[int, int]:
-        node = parse_node_label(label)
+        node = _parse_document_label(label)
         x = self[label] = (_KIND_ORDER[node.kind], node.index)
         return x
 
@@ -623,10 +655,7 @@ def _coefficients(f: PrimeField, rows, booleans: bool) -> FieldMatrix:
 
 
 def code_from_json(text: str) -> NetworkCode:
-    try:
-        data = json.loads(text, parse_float=_refuse_float, parse_constant=_refuse_float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    data = _load_json(text, parse_float=_refuse_float, parse_constant=_refuse_float)
     if not isinstance(data, dict) or data.get("schema") != "sumnet.code/1":
         raise ParseError("not a sumnet.code/1 document")
     try:
@@ -644,7 +673,7 @@ def code_from_json(text: str) -> NetworkCode:
         labels = _LabelKinds()
         parsed = {}
         for label, entry in data["decoders"].items():
-            t = parse_node_label(label)
+            t = _parse_document_label(label)
             rows = entry["in_edges"]
             tail, heads, kind = [], set(), []
             for x, h, k in rows:
@@ -685,16 +714,8 @@ def code_from_json(text: str) -> NetworkCode:
     if len(decoders) < d.v + d.b:
         missing = next(t for t in every if t not in decoders)
         raise ParseError(f"no decoder for {missing.label()}")
-    m, n, width = params.m, params.n, stacked_width(d, params.m)
-    for i, enc in enumerate(encoders):
-        if enc.shape != (n, width):
-            raise ParseError(
-                f"encoder of bottleneck {i + 1} has shape {enc.shape}, expected {(n, width)}"
-            )
-    for t, dec in decoders.items():
-        shape = (m, int(_in_edge_columns(dec._ids.kind, m, n)[0].sum()))
-        if dec.matrix.shape != shape:
-            raise ParseError(
-                f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"
-            )
-    return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
+    del data, parsed  # the parsed lists need not outlive the maps read from them
+    try:
+        return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
+    except ShapeMismatchError as exc:
+        raise ParseError(str(exc)) from exc

@@ -8,6 +8,7 @@ generators fix a deterministic ordering.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -243,13 +244,26 @@ def _read_text(path) -> str:
         raise ParseError(f"not UTF-8 text: {exc}") from exc
 
 
-def design_load(path) -> Design:
-    """Load and validate a design file; invalid designs are rejected."""
+def _members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; a key spelled twice is a ``ParseError``."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        raise ParseError(f"duplicate key {Counter(k for k, _ in pairs).most_common(1)[0][0]!r}")
+    return data
+
+
+def _load_json(text: str, **hooks):
+    """The value of a JSON document, the one reader of every document kind;
+    malformed JSON or a duplicate key is a ``ParseError``."""
     try:
-        data = json.loads(_read_text(path))
+        return json.loads(text, object_pairs_hook=_members, **hooks)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    d = Design.from_dict(data)
+
+
+def design_load(path) -> Design:
+    """Load and validate a design file; invalid designs are rejected."""
+    d = Design.from_dict(_load_json(_read_text(path)))
     report = design_verify(d)
     if not report.ok:
         raise InvalidDesignError(report)

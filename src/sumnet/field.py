@@ -154,15 +154,6 @@ class FieldMatrix:
         return f"FieldMatrix({self.field}, {self._a.tolist()})"
 
 
-def vstack(mats: list[FieldMatrix]) -> FieldMatrix:
-    if not mats:
-        raise DimensionMismatchError("vstack of nothing")
-    field = mats[0].field
-    for m in mats[1:]:
-        mats[0]._check_field(m)
-    return FieldMatrix._trusted(field, np.vstack([m.array for m in mats]))
-
-
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The int64 residues of a @ b mod p, computed exactly.
 

@@ -20,7 +20,6 @@ each time a caller asks for them; the network keeps none.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import _jsonwriter
 from ._jsonwriter import StringTable, dump, dumps
-from .designs import Design, InvalidDesignError, ParseError, ValidationReport
+from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _load_json
 
 SOURCE_POINT = "source-point"
 SOURCE_BLOCK = "source-block"
@@ -101,6 +100,14 @@ def parse_node_label(label: str) -> NodeId:
         raise ParseError(f"bad node label {label!r}") from exc
     if node.kind not in _KIND_ORDER or node.index < 0:
         raise ParseError(f"bad node label {label!r}")
+    return node
+
+
+def _parse_document_label(label: str) -> NodeId:
+    """``parse_node_label`` of a document's label, which must be canonical."""
+    node = parse_node_label(label)
+    if node.label() != label:
+        raise ParseError(f"node label {label!r} is not spelled {node.label()!r}")
     return node
 
 
@@ -621,7 +628,7 @@ class _ListedIds(dict):
         self._ids = ids
 
     def __missing__(self, label: str) -> int:
-        x = self._ids.get(parse_node_label(label))
+        x = self._ids.get(_parse_document_label(label))
         if x is None:
             raise ParseError(f"edge endpoint {label!r} is not a listed node")
         self[label] = x
@@ -629,15 +636,12 @@ class _ListedIds(dict):
 
 
 def network_from_json(text: str) -> SumNetwork:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or data.get("schema") != "sumnet.network/1":
         raise ParseError("not a sumnet.network/1 document")
     design = Design.from_dict(data.get("design", {}))
     try:
-        nodes = tuple(parse_node_label(s) for s in data["nodes"])
+        nodes = tuple(_parse_document_label(s) for s in data["nodes"])
         table = tuple(sorted(set(nodes), key=_node_rank))
         listed = _ListedIds({node: i for i, node in enumerate(table)})
         tail, head, kind = [], [], []

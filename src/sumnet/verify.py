@@ -4,37 +4,38 @@
 with the global maps of its in-edges and demands the all-identity sum map.
 By linearity that settles correctness for every input.  The composition
 goes block by block: a direct edge carries its source unchanged, so only
-head edges need a product, and only with the columns of the sources wired
-into their bottleneck.  ``simulate`` re-derives the same answers from
-concrete values, giving an independent evaluation path for cross-checks.
-It writes source and bottleneck-head values into one array with rows by
-canonical node id, computes each head's rows with one product of its
-bottleneck's encoder and the rows of its wired sources, and decodes every
-terminal with one product of a matrix that holds all decoders, scattered
-by tail id.  The trial columns go through in chunks of about
-``_CHUNK_CELLS`` cells, so the value array stays small however many
-trials run.
+head edges need a product, with their bottleneck's local kernel, whose
+columns are the sources wired into the bottleneck in the design.
+``simulate`` re-derives the same answers from concrete values, giving an
+independent evaluation path for cross-checks.  It writes source and
+bottleneck-head values into one array with rows by canonical node id,
+computes each head's rows with one product of its bottleneck's kernel and
+the rows of its kernel's sources, and decodes every terminal with one
+product of a matrix that holds all decoders, scattered by tail id.  The
+trial columns go through in chunks of about ``_CHUNK_CELLS`` cells, so
+the value array stays small however many trials run.
 
-Both paths rest on the wiring that ``_check_compatible`` states and every
-entry point checks first: bottleneck tail i is fed by sources of the
-design alone, bottleneck head i by tail i alone along the bottleneck edge,
-each decoder lists exactly its terminal's in-edges, and the network lists
-the design's sources and terminals once each.  A network wired otherwise
-is refused with ``ShapeMismatchError``, so neither path walks the graph.
-The check reads the network's in-index, and decoders hold their in-edges
-only as integer arrays (``TerminalDecoder``), which the check numbers
-canonically over the design, so no check and no simulation makes an
-``Edge``.
+A code has checked its own shapes where it was made.  Both paths rest on
+the wiring that ``_check_compatible`` states and every entry point checks
+first: bottleneck tail i is fed by sources of the design alone, among
+them every source its kernel reads, bottleneck head i by tail i alone
+along the bottleneck edge, each decoder lists exactly its terminal's
+in-edges, and the network lists the design's sources and terminals once
+each.  A network wired otherwise is refused with ``ShapeMismatchError``,
+so neither path walks the graph.  The check reads the network's in-index,
+and decoders hold their in-edges only as integer arrays
+(``TerminalDecoder``), which the check numbers canonically over the
+design, so no check and no simulation makes an ``Edge``.
 
-A code is held as its (c, c+s) core and the number w of interleaved
-copies (``NetworkCode``), and each copy acts on its own coordinates, so a
-check of the core decides the check of the code.  Every check reads only
-the held core and maps its rows and columns back to the lifted layout:
-row a is row a*w, stacked column b is column b*w.  That is the first hit
-the same check finds on the lifted code, so every failure text is the
-same.  A code that is not an interleaving (the scalar code, a re-based
-one, one corrupted in a single copy) is held at w = 1 and checked as it
-is.  No check lifts a map.
+A code is held as its (c, c+s) core, one kernel per bottleneck, and the
+number w of interleaved copies (``NetworkCode``), and each copy acts on
+its own coordinates, so a check of the core decides the check of the
+code.  Every check reads only the held core and maps its rows and columns
+back to the lifted layout: row a is row a*w, stacked column b is column
+b*w.  That is the first hit the same check finds on the lifted code, so
+every failure text is the same.  A code that is not an interleaving (the
+scalar code, a re-based one, one corrupted in a single copy) is held at
+w = 1 and checked as it is.  No check builds a lifted or full-width map.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ import numpy as np
 from .coding import (
     REGIME_DIVIDES,
     NetworkCode,
+    ShapeMismatchError,
     UnsupportedLambdaError,
     _fitting,
     _in_edge_columns,
-    _sources_sum_array,
+    _kernel_columns,
     code_params_for,
     column_source,
     partial_sum_row,
@@ -67,7 +69,6 @@ from .field import (
     _matmul_mod,
     _rows_outside_row_space,
     row_space_contains,
-    vstack,
 )
 from .network import (
     _BOTTLENECK,
@@ -83,10 +84,6 @@ from .network import (
 )
 
 
-class ShapeMismatchError(ValueError):
-    """The code and network do not describe the same system."""
-
-
 @dataclass
 class Failure:
     at: NodeId
@@ -99,57 +96,38 @@ class VerifyResult:
     failures: list[Failure] = field(default_factory=list)
 
 
-def _check_compatible(
-    net: SumNetwork, code: NetworkCode
-) -> tuple[list[np.ndarray], dict[NodeId, tuple[np.ndarray, np.ndarray]]]:
-    """Refuse a code that does not fit the network, and return its wiring:
-    per bottleneck the stacked columns of the sources wired into its tail,
-    in its in-edge order, the only columns its encoder may read; and per
-    terminal its decoder's in-edges as (canonical tail id, kind code).
+def _check_compatible(net: SumNetwork, code: NetworkCode) -> dict[NodeId, tuple[np.ndarray, np.ndarray]]:
+    """Refuse a code that does not fit the network, and return per terminal
+    its decoder's in-edges as (canonical tail id, kind code).
 
-    Past this check tail i is fed by sources of the design alone, head i by
-    tail i alone along the bottleneck edge, every decoder lists exactly its
-    terminal's in-edges, and the network lists the design's sources and
-    terminals once each.  Every comparison reads the held core; a shape is
-    reported in the lifted layout, w times the core's."""
+    The code has checked its own shapes where it was made; past this check
+    tail i is fed by sources of the design alone, among them every source
+    whose kernel columns are nonzero, head i by tail i alone along the
+    bottleneck edge, every decoder lists exactly its terminal's in-edges,
+    and the network lists the design's sources and terminals once each."""
     if code.design != net.design:
         raise ShapeMismatchError("code was built for a different design")
-    if len(code.core_encoders) != net.design.v:
-        raise ShapeMismatchError(
-            f"{len(code.core_encoders)} encoders for {net.design.v} bottlenecks"
-        )
-    d, w, (m, n) = net.design, code.w, code.core_params.rate
-    width = stacked_width(d, m)
-    canonical, wired = net._canonical_ids, []
-    for i, enc in enumerate(code.core_encoders):
-        if enc.shape != (n, width):
-            raise ShapeMismatchError(
-                f"encoder {i + 1} has shape {(enc.rows * w, enc.cols * w)}, "
-                f"expected {(n * w, width * w)}"
-            )
+    d, m, canonical = net.design, code.core_params.m, net._canonical_ids
+    for i, kernel in enumerate(code.core_kernels):
         # a source's canonical id is its index in the stacked layout
         sources = canonical[net._tail[net._in_ids(NodeId(BOTTLENECK_TAIL, i))]]
         if not ((0 <= sources) & (sources < d.v + d.b)).all():
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} is fed by a node that is no source of the design"
             )
-        # simulation hands an encoder only its wired sources' values, so a
-        # coefficient anywhere else would make it disagree with transfer_check
-        unwired = np.zeros(d.v + d.b, dtype=bool)
-        unwired[np.flatnonzero(enc.array.any(axis=0)) // m] = True
-        unwired[sources] = False
-        if unwired.any():
-            source, _ = column_source(d, int(np.argmax(unwired)) * m, m)
+        # both paths read a kernel's sources directly, so a source its tail is
+        # not fed would pass a code that the network cannot carry
+        reads = _kernel_columns(d, i, 1)[kernel.array.reshape(kernel.rows, -1, m).any(axis=(0, 2))]
+        unwired = set(reads.tolist()) - set(sources.tolist())
+        if unwired:
+            source, _ = column_source(d, min(unwired), 1)
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
             )
-        wired.append((sources[:, None] * m + np.arange(m)).ravel())
-    first_tail = _first_id(d, BOTTLENECK_TAIL)
-    for i in range(d.v):
         head, tail = NodeId(BOTTLENECK_HEAD, i), NodeId(BOTTLENECK_TAIL, i)
         into = net._in_ids(head)
         fed = len(into) == 1 and net._kind[into[0]] == _BOTTLENECK
-        if not (fed and canonical[net._tail[into[0]]] == first_tail + i):
+        if not (fed and canonical[net._tail[into[0]]] == _first_id(d, BOTTLENECK_TAIL) + i):
             raise ShapeMismatchError(f"{head.label()} is not fed by {tail.label()} alone")
     kinds, numbered = len(net._kinds), {}
     for t in net.terminals():
@@ -165,13 +143,6 @@ def _check_compatible(
         ):
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
         numbered[t] = (tail, ids.kind)
-        expect_cols = int(_in_edge_columns(ids.kind, m, n)[0].sum())
-        dec = code.core_decoders[t].matrix
-        if dec.shape != (m, expect_cols):
-            raise ShapeMismatchError(
-                f"decoder at {t.label()} has shape {(dec.rows * w, dec.cols * w)}, "
-                f"expected {(m * w, expect_cols * w)}"
-            )
     # the network lists each source and terminal of the design once, no other
     nodes, ends = _canonical_nodes(d.v, d.b), d.v + d.b
     design, listed = dict.fromkeys(nodes[:ends] + nodes[-ends:]), Counter(net.sources() + net.terminals())
@@ -179,7 +150,7 @@ def _check_compatible(
         if listed[x] != (x in design):
             fault = f" {listed[x]} times, not once" if x in design else ", which is no node of the design"
             raise ShapeMismatchError(f"the network lists {x.label()}{fault}")
-    return wired, numbered
+    return numbered
 
 
 def _same_in_edges(
@@ -198,27 +169,23 @@ def _first_id(d: Design, kind: str) -> int:
     return int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[kind]])
 
 
-def _terminal_map(code: NetworkCode, t: NodeId, wiring: tuple) -> np.ndarray:
+def _terminal_map(code: NetworkCode, t: NodeId, numbered: dict, columns: list[np.ndarray]) -> np.ndarray:
     """The residues of terminal t's end-to-end map from the stacked sources,
-    for one copy of the core.
+    for one copy of the core, given the numbering ``_check_compatible``
+    returns and each kernel's stacked ``columns``.
 
     A direct edge's decoder block lands at its source's columns, which
     start at the source's canonical id times m; a head edge from bottleneck
-    i contributes its decoder block times encoder i, which
-    ``_check_compatible`` has confined to the ``wired[i]`` columns of its
-    ``wiring``.
+    i contributes its decoder block times kernel i at the kernel's columns.
     """
     d, f, (m, n) = code.design, code.field, code.core_params.rate
-    wired, numbered = wiring
     tail, kind = numbered[t]
     blocks = code.core_decoders[t].matrix.array
     head = kind == _HEAD_TO_TERMINAL
     _, start = _in_edge_columns(kind, m, n)
     got = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
     for i, col in zip((tail[head] - _first_id(d, BOTTLENECK_HEAD)).tolist(), start[head].tolist()):
-        cols = wired[i]
-        local = FieldMatrix._trusted(f, code.core_encoders[i].array[:, cols])
-        got[:, cols] += (FieldMatrix(f, blocks[:, col : col + n]) @ local).array
+        got[:, columns[i]] += (FieldMatrix(f, blocks[:, col : col + n]) @ code.core_kernels[i]).array
     # np.add.at, unlike +=, adds every block of a source listed twice
     offsets = np.arange(m)
     at = (start[~head, None] + offsets).ravel()
@@ -232,12 +199,13 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
 
     The map is composed for the core; its lift is the lifted code's map,
     so its first wrong entry is the core's first one at row*w, col*w."""
-    wiring = _check_compatible(net, code)
+    numbered = _check_compatible(net, code)
     d, m, w = net.design, code.core_params.m, code.w
     want = sum_map(d, m, code.field).array
+    columns = [_kernel_columns(d, i, m) for i in range(d.v)]
     failures = []
     for t in net.terminals():
-        got = _terminal_map(code, t, wiring)
+        got = _terminal_map(code, t, numbered, columns)
         if not np.array_equal(got, want):
             row, col = map(int, np.argwhere(got != want)[0])
             source, offset = column_source(d, col * w, m * w)
@@ -267,10 +235,10 @@ _CHUNK_CELLS = 1 << 17
 
 
 def _simulate_batch(
-    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], wiring: tuple
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], numbered: dict
 ) -> dict[NodeId, np.ndarray]:
     """Each terminal's decoded m x T block of the (m, n) code, given every
-    source's m x T block of values and the wiring ``_check_compatible``
+    source's m x T block of values and the numbering ``_check_compatible``
     returns for the network and the code.  Each block runs through the
     (c, c+s) core as c x wT, copy u of trial t as column u*T + t, so lifted
     row a*w + u of trial t is core row a of that column (m = c below).
@@ -278,17 +246,16 @@ def _simulate_batch(
     Values live in one array with rows by canonical node id: m per source,
     so that they stack to the source vector, then n per bottleneck head.
     ``_check_compatible`` guarantees that head i is fed by tail i alone and
-    tail i by the sources at its ``wired[i]`` columns, which are also their
-    value rows, so head i's rows are one product of encoder i's wired
-    columns with those rows.  Each decoder is scattered once into one
+    tail i by every source that kernel i reads, whose stacked columns are
+    also their value rows, so head i's rows are one product of kernel i
+    with those rows.  Each decoder is scattered once into one
     (terminals * m) x (value rows) matrix at its tails' rows, so one
     product per chunk of the wT columns decodes every terminal.
     """
     d, p, w, (m, n) = net.design, code.field.p, code.w, code.core_params.rate
-    wired, numbered = wiring
     head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
     height = head_rows + d.v * n
-    local = [code.core_encoders[i].array[:, cols] for i, cols in enumerate(wired)]
+    columns = [_kernel_columns(d, i, m) for i in range(d.v)]
     terminals = net.terminals()
     decode = np.zeros((len(terminals) * m, height), dtype=np.int64)
     for x, t in enumerate(terminals):
@@ -316,9 +283,9 @@ def _simulate_batch(
         values = np.zeros((height, min(step, cols - lo)), dtype=np.int64)
         for at, x in given:
             values[at : at + m] = x[:, lo : lo + step]
-        for i, enc in enumerate(local):
+        for i, kernel in enumerate(code.core_kernels):
             rows = slice(head_rows + i * n, head_rows + (i + 1) * n)
-            values[rows] = _matmul_mod(enc, values[wired[i]], p)
+            values[rows] = _matmul_mod(kernel.array, values[columns[i]], p)
         decoded[:, lo : lo + step] = _matmul_mod(decode, values, p)
     return {t: decoded[x * m : (x + 1) * m].reshape(m * w, -1) for x, t in enumerate(terminals)}
 
@@ -331,13 +298,13 @@ def simulate(
     ``sources`` maps every source node to a length-m integer vector; the
     result maps every terminal to its decoded length-m vector.
     """
-    wiring = _check_compatible(net, code)
+    numbered = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     missing = [s for s in net.sources() if s not in sources]
     if missing:
         raise ShapeMismatchError(f"missing source values for {missing[0].label()}")
     batch = {s: _as_batch(sources[s], m, p) for s in net.sources()}
-    outputs = _simulate_batch(net, code, batch, wiring)
+    outputs = _simulate_batch(net, code, batch, numbered)
     return {t: out[:, 0] for t, out in outputs.items()}
 
 
@@ -355,14 +322,14 @@ def simulate_trials(
 ) -> SimulationSummary:
     """Run seeded random assignments and compare every terminal against the
     plain sum of the drawn sources."""
-    wiring = _check_compatible(net, code)
+    numbered = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     rng = np.random.default_rng(seed)
     sources = {s: rng.integers(0, p, size=(m, trials)) for s in net.sources()}
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
     expected = np.mod(sum(sources.values()), p)
-    outputs = _simulate_batch(net, code, sources, wiring)
+    outputs = _simulate_batch(net, code, sources, numbered)
     failures = []
     bad_trials = np.zeros(trials, dtype=bool)
     for t in sorted(outputs, key=lambda x: x.sort_key):
@@ -399,13 +366,13 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """
     _check_compatible(net, code)
     d, m, f, w = net.design, code.core_params.m, code.field, code.w
-    # the lifted row space is w copies of the core's: core row a is row a*w
+    # the lifted row space is w copies of the core's: core row a is row a*w.
+    # The partial sum reads exactly the sources of the point's kernel
     failures = []
-    for i in range(d.v):
-        target = partial_sum_row(d, i, m, f)
-        enc = code.core_encoders[i]
-        if not row_space_contains(enc, target):
-            row = _first_row_outside(enc, target) * w
+    for i, kernel in enumerate(code.core_kernels):
+        target = FieldMatrix._trusted(f, partial_sum_row(d, i, m, f).array[:, _kernel_columns(d, i, m)])
+        if not row_space_contains(kernel, target):
+            row = _first_row_outside(kernel, target) * w
             failures.append(
                 Failure(
                     at=NodeId(BOTTLENECK_TAIL, i),
@@ -420,19 +387,22 @@ def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     in its neighborhood must be recoverable from its points' bottlenecks."""
     _check_compatible(net, code)
     d, m, f, w = net.design, code.core_params.m, code.field, code.w
-    # block x point incidence: the blocks sharing a point with block j are
-    # the rows hit in its points' columns
-    incidence = np.zeros((d.b, d.v), dtype=bool)
-    incidence[np.repeat(np.arange(d.b), list(map(len, d.blocks))), list(chain(*d.blocks))] = True
+    # the sources a block's k kernels read are its points and the blocks in
+    # its neighborhood, the target's sources: the k kernels are scattered
+    # into the union of their columns, in stacked order, against [I ... I]
+    n, offsets = code.core_params.n, np.arange(m)
     failures = []
     for j in range(d.b):
-        points = np.array(d.blocks[j], dtype=np.int64)
-        neighbors = np.flatnonzero(incidence[:, points].any(axis=1))
-        target = _sources_sum_array(d, np.concatenate([points, d.v + neighbors]), m)
-        target_mat = FieldMatrix._trusted(f, target)
-        stacked = vstack([code.core_encoders[point] for point in d.blocks[j]])
-        if not row_space_contains(stacked, target_mat):
-            row = _first_row_outside(stacked, target_mat) * w
+        ids = [_kernel_columns(d, point, 1) for point in d.blocks[j]]
+        union = np.flatnonzero(np.bincount(np.concatenate(ids)))
+        rows = np.zeros((len(ids) * n, len(union) * m), dtype=np.int64)
+        for r, (point, x) in enumerate(zip(d.blocks[j], ids)):
+            columns = (np.searchsorted(union, x)[:, None] * m + offsets).ravel()
+            rows[r * n : (r + 1) * n, columns] = code.core_kernels[point].array
+        basis = FieldMatrix._trusted(f, rows)
+        target = FieldMatrix._trusted(f, np.tile(np.eye(m, dtype=np.int64), len(union)))
+        if not row_space_contains(basis, target):
+            row = _first_row_outside(basis, target) * w
             failures.append(
                 Failure(
                     at=NodeId(TERMINAL_BLOCK, j),

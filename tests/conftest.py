@@ -11,13 +11,12 @@ import pytest
 from sumnet.coding import (
     NetworkCode,
     TerminalDecoder,
-    _sources_sum_array,
+    _kernel_columns,
     block_source_extractor,
     build_code,
-    source_column,
 )
 from sumnet.designs import Design, fano
-from sumnet.field import FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
+from sumnet.field import DimensionMismatchError, FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -81,6 +80,26 @@ def unitriangular_pair(n: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.array(u, dtype=np.int64), np.array(inv, dtype=np.int64)
 
 
+def vstack(mats: list[FieldMatrix]) -> FieldMatrix:
+    """The rows of ``mats``, one under another, over their one field."""
+    if not mats:
+        raise DimensionMismatchError("vstack of nothing")
+    field = mats[0].field
+    for m in mats[1:]:
+        mats[0]._check_field(m)
+    return FieldMatrix._trusted(field, np.vstack([m.array for m in mats]))
+
+
+def source_column(d: Design, source: NodeId, m: int) -> int:
+    """First column of a source's block in the stacked layout (points
+    first, then blocks, each of width m)."""
+    if source.kind == SOURCE_POINT:
+        return source.index * m
+    if source.kind == SOURCE_BLOCK:
+        return (d.v + source.index) * m
+    raise ValueError(f"{source.label()} is not a source")
+
+
 def rank(m: FieldMatrix) -> int:
     """The rank of ``m``, from ``_reduced_echelon`` of its nonzero columns."""
     _, found = _reduced_echelon(m.array[:, m.array.any(axis=0)], m.field.p)
@@ -105,20 +124,26 @@ def terminal_in_edges(net, terminal: NodeId) -> tuple:
 
 def source_projection(d: Design, source: NodeId, m: int, f: PrimeField) -> FieldMatrix:
     """The m x (v+b)m map extracting one source from the stacked vector."""
-    ids = np.array([source_column(d, source, m) // m])
-    return FieldMatrix._trusted(f, _sources_sum_array(d, ids, m))
+    mat = np.zeros((m, (d.v + d.b) * m), dtype=np.int64)
+    mat[:, source_column(d, source, m) + np.arange(m)] = np.eye(m, dtype=np.int64)
+    return FieldMatrix._trusted(f, mat)
 
 
 def as_given(code: NetworkCode) -> NetworkCode:
     """The code held as its (m, n) maps, at w = 1: what the checks see of a
-    code that is not an interleaving."""
-    return NetworkCode._from_core(code.design, code.field, code.params, code.encoders, code.decoders, 1)
+    code that is not an interleaving.  Its kernels are the (m, n) encoders
+    at their kernel columns."""
+    d, m = code.design, code.params.m
+    kernels = [
+        FieldMatrix(code.field, enc.array[:, _kernel_columns(d, i, m)]) for i, enc in enumerate(code.encoders)
+    ]
+    return NetworkCode._from_core(d, code.field, code.params, kernels, code.decoders, 1)
 
 
 def core_code(code: NetworkCode) -> NetworkCode:
     """One copy of the code's core as a code of its own, at w = 1."""
     return NetworkCode._from_core(
-        code.design, code.field, code.core_params, code.core_encoders, code.core_decoders, 1
+        code.design, code.field, code.core_params, code.core_kernels, code.core_decoders, 1
     )
 
 

@@ -31,7 +31,7 @@ from sumnet.coding import (
     partial_sum_row,
 )
 from sumnet.designs import Design, design_verify, fano, sts_bose
-from sumnet.field import FieldMatrix, PrimeField, row_space_contains, vstack
+from sumnet.field import FieldMatrix, PrimeField, row_space_contains
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -48,6 +48,8 @@ from sumnet.verify import (
     simulate_trials,
     transfer_check,
 )
+
+from conftest import vstack
 
 GRID_DESIGNS = {7: fano, 9: lambda: sts_bose(9), 15: lambda: sts_bose(15)}
 GRID_PRIMES = (2, 3, 5, 7)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from sumnet.cli import build_parser, main
 from sumnet.coding import code_from_json, code_to_json
 from sumnet.coding import build_code
-from sumnet.designs import fano, sts_bose
+from sumnet.designs import ParseError, fano, sts_bose
 from sumnet.field import PrimeField
-from sumnet.network import build_sum_network
+from sumnet.network import build_sum_network, parse_node_label
 from sumnet.verify import ShapeMismatchError, transfer_check
 
 from conftest import peak_allocation_below, within_seconds
@@ -366,6 +367,7 @@ def test_simulate_rejects_misshapen_matrices(tmp_path, capsys):
         return [row[:-1] for row in rows]
 
     cases = (
+        (("encoders",), lambda encoders: encoders[:-1], "6 encoders for 7 bottlenecks"),
         (("encoders", 0), drop_last_column, "encoder of bottleneck 1 has shape (12, 83)"),
         (("decoders", "terminal-point:2", "matrix"), lambda rows: rows[:-1],
          "decoder at terminal-point:2 has shape (5, 72), expected (6, 72)"),
@@ -383,6 +385,60 @@ def test_simulate_rejects_misshapen_matrices(tmp_path, capsys):
         capsys.readouterr()
         assert main(["simulate", "--fano", "--field", "3", "--code", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def assert_simulate_refuses(path, argv, text: str, message: str, capsys) -> None:
+    """``code_from_json`` refuses ``text`` with ``ParseError`` and
+    ``simulate --code`` exits 2 with one error line, both saying ``message``."""
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        code_from_json(text)
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["simulate", *argv, "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"sumnet: error: {message}\n")
+
+
+@pytest.mark.parametrize("design", [["--fano"], ["--sts", "9"]])
+def test_simulate_refuses_a_code_document_that_spells_a_key_twice(tmp_path, capsys, design):
+    # json.loads keeps the last of two equal keys: a corrupted copy of a
+    # decoder listed before the true one was dropped, and one listed after
+    # it was read
+    path, argv = tmp_path / "code.json", [*design, "--field", "3"]
+    assert main(["code", *argv, "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    text = json.dumps(data)
+    decoder = data["decoders"]["terminal-point:1"]
+    corrupted = {**decoder, "matrix": [[(x + 1) % 3 for x in row] for row in decoder["matrix"]]}
+    entry, schema = f'"terminal-point:1": {json.dumps(corrupted)}', '"schema": "sumnet.code/1"'
+    cases = (
+        (text.replace('"decoders": {', '"decoders": {' + entry + ", ", 1), "terminal-point:1"),
+        (text.replace('}, "design": ', ", " + entry + '}, "design": ', 1), "terminal-point:1"),
+        (text.replace(schema, f"{schema}, {schema}", 1), "schema"),
+    )
+    for changed, key in cases:
+        assert changed != text
+        assert_simulate_refuses(path, argv, changed, f"duplicate key {key!r}", capsys)
+
+
+RESPELLED = ["terminal-point:01", "terminal-point:+1", "terminal-point: 1", "terminal-point:1_0"]
+
+
+@pytest.mark.parametrize("spelling", RESPELLED)
+def test_simulate_refuses_a_code_document_with_a_respelled_label(tmp_path, capsys, spelling):
+    # int() reads each spelling, so it once loaded as a second key for
+    # terminal-point:1 (or, for 1_0, terminal-point:10)
+    path, argv = tmp_path / "code.json", ["--fano", "--field", "3"]
+    assert main(["code", *argv, "--save-code", str(path)]) == 0
+    data = json.loads(path.read_text())
+    as_key = {t if t != "terminal-point:1" else spelling: entry for t, entry in data["decoders"].items()}
+    as_head = json.loads(json.dumps(data["decoders"]))
+    for row in as_head["terminal-point:1"]["in_edges"]:
+        row[1] = spelling
+    message = f"malformed code document: node label {spelling!r} is not spelled "
+    message += repr(parse_node_label(spelling).label())
+    for decoders in (as_key, as_head):
+        assert_simulate_refuses(path, argv, json.dumps({**data, "decoders": decoders}), message, capsys)
 
 
 def test_simulate_rejects_decoder_in_edges_outside_the_design(tmp_path, capsys):

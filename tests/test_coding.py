@@ -22,12 +22,11 @@ from sumnet.coding import (
     column_source,
     partial_sum_row,
     slice_layout,
-    source_column,
     stacked_width,
     sum_map,
 )
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
-from sumnet.field import FieldMatrix, PrimeField, vstack
+from sumnet.field import FieldMatrix, PrimeField
 from sumnet.network import (
     BOTTLENECK_TAIL,
     EDGE_HEAD_TO_TERMINAL,
@@ -40,7 +39,7 @@ from sumnet.network import (
 )
 from sumnet.verify import ShapeMismatchError, _check_compatible, _simulate_batch
 
-from conftest import affine_plane, projective_plane, source_projection
+from conftest import affine_plane, projective_plane, source_column, source_projection, vstack
 
 DESIGNS = {
     "fano": fano,
@@ -348,11 +347,16 @@ def test_char_divides_collapses_block_multiplicity():
 # ---------------------------------------------------------------------------
 
 def test_code_json_round_trip():
-    _, net, _ = fano_setup(3)
-    for p in (2, 3):
-        code = build_code(net, PrimeField(p))
-        again = code_from_json(code_to_json(code))
-        assert again == code
+    # the one JSON reader, which refuses duplicate keys and respelled
+    # labels, loads what the writer writes and the code re-saves to the
+    # same bytes
+    for d in (fano(), sts_bose(9)):
+        net = build_sum_network(d)
+        for p in (2, 3):
+            code = build_code(net, PrimeField(p))
+            text = code_to_json(code)
+            again = code_from_json(text)
+            assert again == code and code_to_json(again) == text
 
 
 def test_code_json_numbers_each_in_edge_once(monkeypatch):
@@ -422,14 +426,13 @@ def test_decoder_refuses_in_edges_its_arrays_cannot_hold():
 @pytest.mark.parametrize("p", [2, 3])
 def test_every_decoder_is_numbered_over_the_design(p, batch, monkeypatch):
     # the compatibility check numbers each decoder's in-edges over the
-    # design and hands that numbering on with the wiring, which decodes the
-    # sum in chunks of any size; a decoder that does not fit its terminal is
-    # refused, the first one in terminal order
+    # design and hands that numbering on, which decodes the sum in chunks
+    # of any size; a decoder that does not fit its terminal is refused, the
+    # first one in terminal order
     monkeypatch.setattr(verify, "_CHUNK_CELLS", batch)
     _, net, f = fano_setup(p)
     code = build_code(net, f)
-    wiring = _check_compatible(net, code)
-    _, numbered = wiring
+    numbered = _check_compatible(net, code)
     for t in net.terminals():
         into = net._in_ids(t)
         tail, kind = numbered[t]
@@ -439,7 +442,7 @@ def test_every_decoder_is_numbered_over_the_design(p, batch, monkeypatch):
     m = code.params.m
     sources = {s: rng.integers(0, p, size=(m, 25)) for s in net.sources()}
     total = np.mod(sum(sources.values()), p)
-    for out in _simulate_batch(net, code, sources, wiring).values():
+    for out in _simulate_batch(net, code, sources, numbered).values():
         assert np.array_equal(out, total)
     decoders = dict(code.decoders)
     t0, t1, b0 = NodeId(TERMINAL_POINT, 0), NodeId(TERMINAL_POINT, 1), NodeId(TERMINAL_BLOCK, 0)

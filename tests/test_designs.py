@@ -180,6 +180,14 @@ def test_load_rejects_garbage(tmp_path):
         design_load(path)
 
 
+def test_load_rejects_a_key_spelled_twice(tmp_path):
+    path = tmp_path / "twice.json"
+    text = json.dumps(fano().to_dict())
+    path.write_text(text.replace('"k": 3', '"k": 4, "k": 3', 1))
+    with pytest.raises(ParseError, match="^duplicate key 'k'$"):
+        design_load(path)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("v", True), ("k", True), ("lambda", True), ("lambda", False), ("blocks", [[True, 2, 3]])],

@@ -18,10 +18,9 @@ from sumnet.field import (
     _matmul_mod,
     _rows_outside_row_space,
     row_space_contains,
-    vstack,
 )
 
-from conftest import rank, within_seconds
+from conftest import rank, vstack, within_seconds
 
 
 # ---------------------------------------------------------------------------

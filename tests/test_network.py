@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,33 @@ def test_network_document_with_unlisted_endpoint_is_rejected(label):
     doc["nodes"].remove(label)
     with pytest.raises(ParseError, match="not a listed node"):
         network_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "spelling", ["terminal-point:01", "terminal-point:+1", "terminal-point: 1", "terminal-point:1_0"]
+)
+def test_network_document_with_a_respelled_label_is_refused(spelling):
+    # int() reads each spelling, so a respelled node once loaded unnoticed
+    text = network_export_json(build_sum_network(fano()))
+    canonical = parse_node_label(spelling).label()
+    message = f"malformed network document: node label {spelling!r} is not spelled {canonical!r}"
+    listed = json.loads(text)
+    listed["nodes"] = [spelling if x == "terminal-point:1" else x for x in listed["nodes"]]
+    endpoint = json.loads(text)
+    edge = next(e for e in endpoint["edges"] if e[1] == "terminal-point:1")
+    edge[1] = spelling
+    for doc in (listed, endpoint):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            network_from_json(json.dumps(doc))
+
+
+def test_network_document_that_spells_a_key_twice_is_refused():
+    # json.loads would keep the last "schema"
+    text = network_export_json(build_sum_network(sts_bose(9)))
+    schema = '"schema": "sumnet.network/1"'
+    with pytest.raises(ParseError, match="^duplicate key 'schema'$"):
+        network_from_json(text.replace(schema, f'"schema": "sumnet.network/0",\n  {schema}', 1))
+    assert network_export_json(network_from_json(text)) == text
 
 
 def test_edge_endpoints_are_the_listed_node_objects():

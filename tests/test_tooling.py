@@ -129,14 +129,24 @@ def _reads_of_lifted_views(tree: ast.AST) -> list[int]:
 
 
 def test_checks_read_only_the_held_core():
-    # a code holds its core and w; its lifted views (.encoders, .decoders)
-    # are built on request, w^2 times the core's size.  The checks and the
-    # simulators read the core and map rows and columns back, so no line
-    # of verify.py reads a view; the w = 1 oracle of the tests builds the
-    # code as given in tests/conftest.py
+    # a code holds its kernels, core decoders and w; its lifted views
+    # (.encoders, .decoders) are built on request, w^2 times the core's
+    # size, and _core_encoder widens a kernel to the whole stacked source
+    # vector.  The checks and the simulators read the kernels and the core
+    # and map rows and columns back, so no line of verify.py reads a view
+    # or builds a full-width encoder; the w = 1 oracle of the tests builds
+    # the code as given in tests/conftest.py
     path = Path(__file__).resolve().parents[1] / "src" / "sumnet" / "verify.py"
-    lines = _reads_of_lifted_views(ast.parse(path.read_text(), filename=str(path)))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _reads_of_lifted_views(tree)
     assert not lines, f"verify.py reads a lifted view of a code on lines {lines}"
+    widened = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_core_encoder")
+        or (isinstance(node, ast.Name) and node.id == "_core_encoder")
+    ]
+    assert not widened, f"verify.py builds a full-width encoder on lines {widened}"
 
 
 def test_code_document_is_written_from_the_held_core():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -15,16 +16,16 @@ from sumnet.coding import (
     TerminalDecoder,
     UnsupportedLambdaError,
     _core,
+    _kernel_columns,
     _lift,
     _unlift,
     build_code,
     build_code_char_divides,
     code_from_json,
     code_to_json,
-    source_column,
 )
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
-from sumnet.field import FieldMatrix, PrimeField, vstack
+from sumnet.field import FieldMatrix, PrimeField
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -56,6 +57,7 @@ from sumnet.verify import (
 )
 
 from conftest import (
+    PLANES,
     as_given,
     assert_core_path_agrees,
     core_code,
@@ -63,7 +65,9 @@ from conftest import (
     oracle_simulate_batch,
     peak_allocation_below,
     rebase_bottlenecks,
+    source_column,
     terminal_in_edges,
+    vstack,
     within_seconds,
 )
 
@@ -159,19 +163,16 @@ def test_transfer_check_rejects_mismatched_code():
 
 
 def test_encoder_reading_an_unwired_source_is_rejected():
-    # block 5 misses point 1, so bottleneck 1 never receives its source:
-    # simulation would skip the coefficient that transfer_check multiplies by
+    # block 5 misses point 1, so bottleneck 1 never receives its source and
+    # its kernel has no columns for it: the code is refused where it is made
     d = sts_bose(9)
     net = build_sum_network(d)
     code = build_code(net, PrimeField(3))
     assert 0 not in d.blocks[4]
     col = source_column(d, NodeId(SOURCE_BLOCK, 4), code.params.m)
-    broken = replace_encoder(code, 0, shift_entries(code.encoders[0], [(0, col)], 1))
-    message = "bottleneck 1 reads source-block:5, which is not wired into it"
+    message = "^bottleneck 1 reads source-block:5, which is not wired into it$"
     with pytest.raises(ShapeMismatchError, match=message):
-        transfer_check(net, broken)
-    with pytest.raises(ShapeMismatchError, match=message):
-        simulate_trials(net, broken, 200, seed=0)
+        replace_encoder(code, 0, shift_entries(code.encoders[0], [(0, col)], 1))
 
 
 def decoder_blocks(code: NetworkCode, t: NodeId) -> list[np.ndarray]:
@@ -319,6 +320,75 @@ def assert_every_entry_point_refuses(net, code, message: str) -> None:
         simulate(net, code, {s: [0] * code.params.m for s in net.sources()})
     with pytest.raises(ShapeMismatchError, match=message):
         simulate_trials(net, code, 50, seed=0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_repeated_source_to_tail_edge_is_read_once_on_both_paths(p):
+    # source-point:1 feeds bottleneck-tail:1 twice.  Kernel 1 reads each of
+    # its sources once on both paths; simulation once read the repeated
+    # source twice and mismatched trials that transfer_check passed
+    d = fano()
+    net = build_sum_network(d)
+    again = Edge(NodeId(SOURCE_POINT, 0), NodeId(BOTTLENECK_TAIL, 0), EDGE_SOURCE_TO_TAIL)
+    twice = SumNetwork(d, net.nodes, (*net.edges, again))
+    code = build_code(net, PrimeField(p))
+    for check in (transfer_check, partial_sum_recoverable, block_sum_recoverable):
+        assert check(twice, code).ok, check.__name__
+    summary = simulate_trials(twice, code, 50, seed=0)
+    assert summary.ok and summary.mismatched_trials == 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_source_its_kernel_reads_must_feed_the_bottleneck(p):
+    # block 1 holds point 1, so kernel 1 reads source-block:1; a network
+    # that does not feed it to bottleneck-tail:1 cannot carry the code
+    d = fano()
+    net = build_sum_network(d)
+    fed = Edge(NodeId(SOURCE_BLOCK, 0), NodeId(BOTTLENECK_TAIL, 0), EDGE_SOURCE_TO_TAIL)
+    assert 0 in d.blocks[0] and fed in net.edges
+    cut = SumNetwork(d, net.nodes, tuple(e for e in net.edges if e != fed))
+    message = "^bottleneck 1 reads source-block:1, which is not wired into it$"
+    assert_every_entry_point_refuses(cut, build_code(net, PrimeField(p)), message)
+
+
+def test_the_constructor_refuses_a_code_that_does_not_fit_its_design():
+    _, code = fano_code(3)
+    d, f, params = code.design, code.field, code.params
+    encoders, decoders = list(code.encoders), dict(code.decoders)
+    t = NodeId(TERMINAL_POINT, 0)
+    short = TerminalDecoder(decoders[t].in_edges, FieldMatrix(f, decoders[t].matrix.array[:-1]))
+    assert 4 not in d.blocks_through(0)
+    col = source_column(d, NodeId(SOURCE_BLOCK, 4), params.m)
+    cases = (
+        (encoders[:-1], decoders, "6 encoders for 7 bottlenecks"),
+        (
+            [FieldMatrix(f, encoders[0].array[:, :-1]), *encoders[1:]],
+            decoders,
+            "encoder of bottleneck 1 has shape (12, 83), expected (12, 84)",
+        ),
+        (encoders, {**decoders, t: short}, "decoder at terminal-point:1 has shape (5, 72), expected (6, 72)"),
+        (
+            [shift_entries(encoders[0], [(0, col)], 1), *encoders[1:]],
+            decoders,
+            "bottleneck 1 reads source-block:5, which is not wired into it",
+        ),
+    )
+    for given, held, message in cases:
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            NetworkCode(d, f, params, given, held)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["fano", "sts9", "PG(2,3)", "AG(2,3)"])
+def test_a_code_made_from_its_maps_holds_their_kernels(name, p):
+    # k = 3 is scalar over GF(2) and fractional over GF(3); k = 4 (PG(2,3))
+    # the other way round
+    d = {"fano": fano, "sts9": lambda: sts_bose(9), **PLANES}[name]()
+    code = build_code(build_sum_network(d), PrimeField(p))
+    assert NetworkCode(d, code.field, code.params, code.encoders, code.decoders) == code
+    for i, (enc, kernel) in enumerate(zip(code.encoders, code.core_kernels)):
+        lifted = FieldMatrix(code.field, enc.array[:, _kernel_columns(d, i, code.params.m)])
+        assert lifted == _lift(kernel, code.w), i
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -776,18 +846,19 @@ def test_a_code_holds_its_core_and_lifts_its_maps_on_request():
     with pytest.raises(TypeError):
         code.decoders[NodeId(TERMINAL_BLOCK, 0)] = code.decoders[NodeId(TERMINAL_BLOCK, 1)]
     assert (code.w, code.core_params.rate) == (2, (3, 6))
-    assert code.core_encoders[0].shape == (6, 42) and code.encoders[0].shape == (12, 84)
+    # bottleneck 1's kernel reads its point and the three blocks through it
+    assert code.core_kernels[0].shape == (6, 12) and code.encoders[0].shape == (12, 84)
     # the constructor takes the (m, n) maps and finds the core build_code made
     again = NetworkCode(code.design, code.field, code.params, list(code.encoders), code.decoders)
     assert isinstance(again.encoders, tuple) and again == code
-    assert (again.w, again.core_encoders, again.core_decoders) == (2, code.core_encoders, code.core_decoders)
+    assert (again.w, again.core_kernels, again.core_decoders) == (2, code.core_kernels, code.core_decoders)
     # the lifted views of the same code held at w = 1 are the same maps
     flat = as_given(code)
     assert flat.w == 1 and (flat.encoders, flat.decoders) == (code.encoders, code.decoders)
-    # at w = 1 the lifted views are the held maps themselves
+    # at w = 1 the decoders are the held maps themselves; the encoders are
+    # built from the kernels on request
     scalar = build_code(net, PrimeField(2))
     assert scalar.w == 1 and scalar.decoders is scalar.core_decoders
-    assert all(a is b for a, b in zip(scalar.encoders, scalar.core_encoders))
 
 
 @settings(max_examples=60, deadline=None)
