@@ -22,8 +22,9 @@ A code is held as what it is, w interleaved copies of its core:
 ``NetworkCode`` stores each bottleneck's local kernel, the core decoders
 and w, and the decision that a code is w copies of a core is made here
 alone.  ``build_code`` stores the core it builds; ``NetworkCode(...)``
-and ``code_from_json`` take the paper's (m, n) maps, refuse those that do
-not fit the design, and keep their core when every one is a lift.
+and ``code_from_json`` take the paper's (m, n) maps one at a time, refuse
+those that do not fit the design, and keep their core when every one is a
+lift, so a code read from a document never holds its lifted maps at once.
 ``encoders[i]`` (the map from the stacked source vector to the n symbols
 on bottleneck i) and each decoder's ``matrix`` (from the concatenation of
 its in-edge values to the m decoded symbols) are the lifted maps, built
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sized
 
 import numpy as np
 
@@ -221,11 +222,16 @@ class NetworkCode:
     paper's (m, n) maps and is the one place a code's own invariants are
     checked: it refuses with ``ShapeMismatchError`` an encoder count other
     than v, a map whose shape does not fit m, n and its in-edge kinds, and
-    an encoder coefficient on a source not wired into its bottleneck.  When
-    every map is its core map lifted by I_w, as ``build_code`` makes them,
-    it holds the core; otherwise it holds the maps as given with w = 1.
-    The test is exact and costs O(size): an entry changed in one copy only,
-    or a coefficient between copies, makes the code its own core.
+    an encoder coefficient on a source not wired into its bottleneck.  It
+    reads the maps one at a time, encoders then decoders (a mapping or
+    (terminal, decoder) pairs), and keeps only each one's core while every
+    map so far is its core map lifted by I_w, as ``build_code`` makes
+    them.  At the first map that is no such lift it lifts the cores kept
+    back, which is exact, and holds the maps as given with w = 1.  The
+    test is exact and costs O(size): an entry changed in one copy only, or
+    a coefficient between copies, makes the code its own core.  Encoders
+    are counted before any is read; an ``encoders`` without a length is
+    gathered first.
     ``encoders`` and ``decoders`` give the (m, n) maps back, built on
     request.  The held form is decided by the (m, n) maps alone, so two
     codes are equal when their (m, n) maps are.  A code holds its maps
@@ -241,39 +247,59 @@ class NetworkCode:
         field: PrimeField,
         params: CodeParams,
         encoders: Iterable[FieldMatrix],
-        decoders: Mapping[NodeId, TerminalDecoder],
+        decoders: Mapping[NodeId, TerminalDecoder] | Iterable[tuple[NodeId, TerminalDecoder]],
     ):
-        encoders, decoders = tuple(encoders), dict(decoders)
         m, n, width = params.m, params.n, stacked_width(design, params.m)
+        if not isinstance(encoders, Sized):
+            encoders = tuple(encoders)
         if len(encoders) != design.v:
             raise ShapeMismatchError(f"{len(encoders)} encoders for {design.v} bottlenecks")
+        c, s, w = _core(design, params)
+        if (m, n) != (c * w, (c + s) * w):
+            w = 1
+        kernels: list[FieldMatrix] = []
+        held: dict[NodeId, TerminalDecoder] = {}
+
+        def core_of(mat: FieldMatrix) -> FieldMatrix:
+            """The core of a map that is a lift by I_w; at the first map
+            that is none, every core kept so far is lifted back and the code
+            is held as given, at w = 1."""
+            nonlocal w
+            if w == 1:
+                return mat
+            core = _unlift(mat, w)
+            if core is not None:
+                return core
+            kernels[:] = [_lift(k, w) for k in kernels]
+            for t, dec in held.items():
+                held[t] = TerminalDecoder._from_ids(dec._ids, _lift(dec.matrix, w))
+            w = 1
+            return mat
+
         for i, enc in enumerate(encoders):
             if enc.shape != (n, width):
                 raise ShapeMismatchError(
                     f"encoder of bottleneck {i + 1} has shape {enc.shape}, expected {(n, width)}"
                 )
+            columns = _kernel_columns(design, i, m)
             unwired = enc.array.any(axis=0)
-            unwired[_kernel_columns(design, i, m)] = False
+            unwired[columns] = False
             if unwired.any():
                 source, _ = column_source(design, int(np.argmax(unwired)), m)
                 raise ShapeMismatchError(
                     f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
                 )
-        for t, dec in decoders.items():
+            # a map nonzero only at its kernel columns is a lift exactly
+            # when its kernel is
+            kernels.append(core_of(FieldMatrix._trusted(field, enc.array[:, columns])))
+        for t, dec in decoders.items() if isinstance(decoders, Mapping) else decoders:
             shape = (m, int(_in_edge_columns(dec._ids.kind, m, n)[0].sum()))
             if dec.matrix.shape != shape:
                 raise ShapeMismatchError(
                     f"decoder at {t.label()} has shape {dec.matrix.shape}, expected {shape}"
                 )
-        c, s, w = _core(design, params)
-        core = None
-        if w > 1 and (m, n) == (c * w, (c + s) * w):
-            core = _unlift_all(encoders, decoders, w)
-        if core is None:
-            core, w = (encoders, decoders), 1
-        encoders, decoders = core
-        kernels = [enc.array[:, _kernel_columns(design, i, m // w)] for i, enc in enumerate(encoders)]
-        self._hold(design, field, params, [FieldMatrix._trusted(field, k) for k in kernels], decoders, w)
+            held[t] = TerminalDecoder._from_ids(dec._ids, core_of(dec.matrix))
+        self._hold(design, field, params, kernels, held, w)
 
     @classmethod
     def _from_core(cls, design, field, params, kernels, decoders, w: int) -> NetworkCode:
@@ -467,26 +493,6 @@ def _unlift(mat: FieldMatrix, w: int) -> FieldMatrix | None:
     return FieldMatrix._trusted(mat.field, core.copy())
 
 
-def _unlift_all(
-    encoders: tuple[FieldMatrix, ...], decoders: dict[NodeId, TerminalDecoder], w: int
-) -> tuple[list[FieldMatrix], dict[NodeId, TerminalDecoder]] | None:
-    """The core maps whose lifts by I_w are the given maps, or None unless
-    every one is such a lift."""
-    core_encoders = []
-    for enc in encoders:
-        core = _unlift(enc, w)
-        if core is None:
-            return None
-        core_encoders.append(core)
-    core_decoders = {}
-    for t, dec in decoders.items():
-        core = _unlift(dec.matrix, w)
-        if core is None:
-            return None
-        core_decoders[t] = TerminalDecoder._from_ids(dec._ids, core)
-    return core_encoders, core_decoders
-
-
 def block_source_extractor(code: NetworkCode, net: SumNetwork, j: int) -> FieldMatrix:
     """The map reassembling block j's source from terminal t_Bj's in-edges.
 
@@ -642,19 +648,65 @@ def _refuse_float(literal: str):
 
 
 def _coefficients(f: PrimeField, rows, booleans: bool) -> FieldMatrix:
-    """``rows`` as a matrix over f.  JSON floats are refused while parsing,
-    so numpy infers an integer dtype unless an entry is a string, an
-    integer that does not fit int64 or, with only booleans beside it, a
-    boolean.  A boolean among integers reads as 0 or 1, so when the
-    document spells one (``booleans``) the entries' types are read."""
-    a = np.asarray(rows)
-    spelled = booleans and bool in set(map(type, np.asarray(rows, object).flat))
-    if a.size and (a.dtype.kind != "i" or spelled):
-        raise ValueError("matrix entries must be integers of magnitude below 2**63")
-    return FieldMatrix(f, a)
+    """``rows`` as a matrix over f, or a ``ParseError``.  JSON floats are
+    refused while parsing, so numpy infers an integer dtype unless an entry
+    is a string, an integer that does not fit int64 or, with only booleans
+    beside it, a boolean.  A boolean among integers reads as 0 or 1, so
+    when the document spells one (``booleans``) the entries' types are
+    read."""
+    try:
+        a = np.asarray(rows)
+        spelled = booleans and bool in set(map(type, np.asarray(rows, object).flat))
+        if a.size and (a.dtype.kind != "i" or spelled):
+            raise ValueError("matrix entries must be integers of magnitude below 2**63")
+        return FieldMatrix(f, a)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed code document: {exc}") from exc
+
+
+class _Converted:
+    """The parsed matrices of a code document, ``matrices``, each converted
+    by ``_coefficients`` when it is read and dropped from ``matrices``
+    first, so the parsed lists shrink while the maps are made.  Its length
+    is known before any matrix is read."""
+
+    def __init__(self, f: PrimeField, matrices: list, booleans: bool):
+        self._f, self._matrices, self._booleans = f, matrices, booleans
+
+    def __len__(self) -> int:
+        return len(self._matrices)
+
+    def __iter__(self) -> Iterator[FieldMatrix]:
+        for x in range(len(self._matrices)):
+            rows, self._matrices[x] = self._matrices[x], None
+            yield _coefficients(self._f, rows, self._booleans)
+
+
+def _decoder_entry(label: str, entry, labels: _LabelKinds) -> tuple:
+    """A decoder entry of a code document: its terminal, its in-edge rows
+    with their tails' (kind rank, index), their heads and their edge kind
+    codes, and its matrix's parsed lists."""
+    t = _parse_document_label(label)
+    rows = entry["in_edges"]
+    tail, heads, kind = [], set(), []
+    for x, h, k in rows:
+        try:
+            tail.append(labels[x])
+            heads.add(labels[h])
+        except TypeError:  # an unhashable label
+            parse_node_label(x)
+            parse_node_label(h)
+            raise
+        # a kind the network does not know is numbered past the known ones,
+        # where no in-edge fits it (``_FITS``)
+        kind.append(_EDGE_CODES.get(k, len(_EDGE_KINDS)))
+    return t, (rows, tail, heads, kind), entry["matrix"]
 
 
 def code_from_json(text: str) -> NetworkCode:
+    """The code of a ``sumnet.code/1`` document.  Its maps are converted
+    one at a time as ``NetworkCode`` reads them, so no more than one lifted
+    map is held beside the core."""
     data = _load_json(text, parse_float=_refuse_float, parse_constant=_refuse_float)
     if not isinstance(data, dict) or data.get("schema") != "sumnet.code/1":
         raise ParseError("not a sumnet.code/1 document")
@@ -667,29 +719,17 @@ def code_from_json(text: str) -> NetworkCode:
             raise ValueError("params m and n must be integers")
         expected = code_params_for(d, f)
         booleans = "true" in text or "false" in text
-        encoders = tuple(_coefficients(f, rows, booleans) for rows in data["encoders"])
+        encoders = list(data.pop("encoders"))
         if not isinstance(data["decoders"], dict):
             raise ValueError("decoders must be an object keyed by terminal label")
         labels = _LabelKinds()
-        parsed = {}
-        for label, entry in data["decoders"].items():
-            t = _parse_document_label(label)
-            rows = entry["in_edges"]
-            tail, heads, kind = [], set(), []
-            for x, h, k in rows:
-                try:
-                    tail.append(labels[x])
-                    heads.add(labels[h])
-                except TypeError:  # an unhashable label
-                    parse_node_label(x)
-                    parse_node_label(h)
-                    raise
-                # a kind the network does not know is numbered past the
-                # known ones, where no in-edge fits it (``_FITS``)
-                kind.append(_EDGE_CODES.get(k, len(_EDGE_KINDS)))
-            parsed[t] = (rows, tail, heads, kind, _coefficients(f, entry["matrix"], booleans))
+        parsed = [_decoder_entry(label, entry, labels) for label, entry in data["decoders"].items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed code document: {exc}") from exc
+    del data  # the matrices' lists alone outlive the document's values
+    matrices = [matrix for _, _, matrix in parsed]
+    in_edges = [(t, edges) for t, edges, _ in parsed]
+    del parsed
     if params != expected:
         raise ParseError(
             f"code params m={params.m} n={params.n} regime={params.regime!r} differ from "
@@ -699,8 +739,8 @@ def code_from_json(text: str) -> NetworkCode:
     # into it from a node of the design that fits the edge's kind
     every = [NodeId(TERMINAL_POINT, i) for i in range(d.v)]
     every += [NodeId(TERMINAL_BLOCK, j) for j in range(d.b)]
-    terminals, decoders = set(every), {}
-    for t, (rows, tail, heads, kind, matrix) in parsed.items():
+    terminals, numbered = set(every), {}
+    for t, (rows, tail, heads, kind) in in_edges:
         if t not in terminals:
             raise ParseError(f"decoder at {t.label()}, which is not a terminal of the design")
         rank, index = np.array(tail, dtype=np.int64).reshape(-1, 2).T
@@ -710,12 +750,15 @@ def code_from_json(text: str) -> NetworkCode:
         if not (fits.all() and heads <= {own}):
             fits &= [labels[h] == own for _, h, _ in rows]
             raise ParseError(_bad_in_edge(t, rows[int(np.argmin(fits))]))
-        decoders[t] = TerminalDecoder._from_ids(ids, matrix)
-    if len(decoders) < d.v + d.b:
-        missing = next(t for t in every if t not in decoders)
+        numbered[t] = ids
+    if len(numbered) < d.v + d.b:
+        missing = next(t for t in every if t not in numbered)
         raise ParseError(f"no decoder for {missing.label()}")
-    del data, parsed  # the parsed lists need not outlive the maps read from them
+    decoders = (
+        (t, TerminalDecoder._from_ids(ids, matrix))
+        for (t, ids), matrix in zip(numbered.items(), _Converted(f, matrices, booleans))
+    )
     try:
-        return NetworkCode(design=d, field=f, params=params, encoders=encoders, decoders=decoders)
+        return NetworkCode(d, f, params, _Converted(f, encoders, booleans), decoders)
     except ShapeMismatchError as exc:
         raise ParseError(str(exc)) from exc

@@ -9,11 +9,16 @@ float64 represents every integer exactly.  Canonical residues give the
 bound inner * max(a) * max(b); when that is too large, balanced residues
 (an entry above p//2 taken as entry - p) often shrink one operand enough,
 and otherwise the kernel splits an operand into narrow limbs (or the inner
-dimension into chunks).  The technique is the one of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).
+dimension into chunks).  An operand that takes part in many products is
+prepared once (``_prepare``): its balanced residues as float64 and their
+largest magnitude, the form its products use, so no product converts or
+scans it again.  The technique is the one of FFLAS-FFPACK (Dumas, Giorgi
+and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,7 +159,40 @@ class FieldMatrix:
         return f"FieldMatrix({self.field}, {self._a.tolist()})"
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+class _Prepared(NamedTuple):
+    """A fixed operand of ``_matmul_mod``: its balanced residues as float64,
+    entries above p//2 taken as entry - p, and their largest magnitude."""
+
+    balanced: np.ndarray
+    magnitude: int
+
+    def residues(self, p: int) -> np.ndarray:
+        """The canonical int64 residues the operand was prepared from."""
+        return np.where(self.balanced < 0, self.balanced + p, self.balanced).astype(np.int64)
+
+
+def _prepare(a: np.ndarray, p: int, out: np.ndarray | None = None) -> _Prepared:
+    """The residues ``a``, integers or float64, in the form ``_matmul_mod``
+    multiplies them, made once for every product the operand takes part
+    in; written into the float64 array ``out`` (which may be ``a``) when
+    one is given."""
+    if out is None:
+        out = a.astype(np.float64)
+    else:
+        out[...] = a
+    out[a > p // 2] -= p
+    return _Prepared(out, int(max(out.max(initial=0), -out.min(initial=0))))
+
+
+def _magnitude(x: np.ndarray | _Prepared) -> int:
+    """A bound on the magnitude of an operand's entries in the form it is
+    multiplied in: balanced for a prepared one, canonical otherwise."""
+    if isinstance(x, _Prepared):
+        return x.magnitude
+    return int(x.max(initial=0))
+
+
+def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) -> np.ndarray:
     """The int64 residues of a @ b mod p, computed exactly.
 
     Entries of ``a`` and ``b`` must be nonnegative integers below 2**31, as
@@ -169,7 +207,18 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     inner * (2**s - 1) * max(other) below 2**53, with one product per limb
     recombined by Horner's rule in int64.  When even 1-bit limbs overflow,
     the inner dimension is cut into chunks.
+
+    Either operand may be ``_Prepared``.  Its product with an array is one
+    pass while inner * magnitude * max(array) is below 2**53, the bound of
+    the balanced pass; past it the prepared operand's canonical residues
+    take the path above.
     """
+    if isinstance(a, _Prepared) or isinstance(b, _Prepared):
+        x, y = (z.balanced if isinstance(z, _Prepared) else z for z in (a, b))
+        if x.shape[1] * _magnitude(a) * _magnitude(b) < _EXACT:
+            product = x.astype(np.float64, copy=False) @ y.astype(np.float64, copy=False)
+            return np.mod(product, p, out=product).astype(np.int64)
+        a, b = (z.residues(p) if isinstance(z, _Prepared) else z for z in (a, b))
     rows, inner = a.shape
     cols = b.shape[1]
     out = np.zeros((rows, cols), dtype=np.int64)

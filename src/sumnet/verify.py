@@ -12,8 +12,9 @@ bottleneck-head values into one array with rows by canonical node id,
 computes each head's rows with one product of its bottleneck's kernel and
 the rows of its kernel's sources, and decodes every terminal with one
 product of a matrix that holds all decoders, scattered by tail id.  The
-trial columns go through in chunks of about ``_CHUNK_CELLS`` cells, so
-the value array stays small however many trials run.
+trials go through in chunks of about ``_CHUNK_CELLS`` cells, and
+``simulate_trials`` compares each chunk with its sums as it is decoded,
+so no array holds every trial's decoded values.
 
 A code has checked its own shapes where it was made.  Both paths rest on
 the wiring that ``_check_compatible`` states and every entry point checks
@@ -44,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -63,10 +65,10 @@ from .coding import (
 )
 from .designs import Design, InvalidDesignError, ValidationReport
 from .field import (
-    _EXACT,
     FieldMatrix,
     PrimeField,
     _matmul_mod,
+    _prepare,
     _rows_outside_row_space,
     row_space_contains,
 )
@@ -161,7 +163,16 @@ def _same_in_edges(
     as a set, in any order; kind codes are below ``kinds``."""
     if np.array_equal(dec_tail, tail) and np.array_equal(dec_kind, kind):
         return True
-    return np.array_equal(np.unique(dec_tail * kinds + dec_kind), np.unique(tail * kinds + kind))
+    return np.array_equal(_distinct(dec_tail * kinds + dec_kind), _distinct(tail * kinds + kind))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys`` in increasing order, by ``np.sort``, which
+    unlike ``np.unique`` does not load ``numpy.ma``."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 def _first_id(d: Design, kind: str) -> int:
@@ -229,19 +240,23 @@ def _as_batch(value, m: int, p: int) -> np.ndarray:
     return np.mod(arr.reshape(m, 1), p)
 
 
-# simulation pushes its W columns through in chunks whose value array and
-# decoded block hold about this many cells together (1 MiB as int64)
-_CHUNK_CELLS = 1 << 17
+# simulation decodes chunks of whole trials whose value array and decoded
+# block hold about this many cells together (4 MiB as int64)
+_CHUNK_CELLS = 1 << 19
 
 
-def _simulate_batch(
+def _decoded_chunks(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], numbered: dict
-) -> dict[NodeId, np.ndarray]:
-    """Each terminal's decoded m x T block of the (m, n) code, given every
-    source's m x T block of values and the numbering ``_check_compatible``
-    returns for the network and the code.  Each block runs through the
-    (c, c+s) core as c x wT, copy u of trial t as column u*T + t, so lifted
-    row a*w + u of trial t is core row a of that column (m = c below).
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Every terminal's decoded values of the (m, n) code, given every
+    source's m x T block of values, of any integer dtype, and the
+    numbering ``_check_compatible`` returns for the network and the code,
+    a chunk of whole trials at a time: yields the chunk's first trial and
+    its (terminals, m, h) block, terminals in ``net.terminals()`` order.
+    Each chunk of h trials runs
+    through the (c, c+s) core as c x wh, copy u of trial t as column
+    u*h + t, so lifted row a*w + u of trial t is core row a of that column
+    (m = c below).
 
     Values live in one array with rows by canonical node id: m per source,
     so that they stack to the source vector, then n per bottleneck head.
@@ -250,14 +265,17 @@ def _simulate_batch(
     also their value rows, so head i's rows are one product of kernel i
     with those rows.  Each decoder is scattered once into one
     (terminals * m) x (value rows) matrix at its tails' rows, so one
-    product per chunk of the wT columns decodes every terminal.
+    product per chunk decodes every terminal.  That matrix and the kernels
+    are prepared for the kernel once (``_prepare``), not once per chunk.
     """
     d, p, w, (m, n) = net.design, code.field.p, code.w, code.core_params.rate
     head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
     height = head_rows + d.v * n
     columns = [_kernel_columns(d, i, m) for i in range(d.v)]
     terminals = net.terminals()
-    decode = np.zeros((len(terminals) * m, height), dtype=np.int64)
+    # built as float64, the form it is prepared in: its entries are sums of
+    # a few residues, far below 2**53
+    decode = np.zeros((len(terminals) * m, height))
     for x, t in enumerate(terminals):
         matrix = code.core_decoders[t].matrix
         tail, kind = numbered[t]
@@ -267,27 +285,35 @@ def _simulate_batch(
         at = np.repeat(row - start, width) + np.arange(matrix.cols)
         # np.add.at, unlike =, adds every block of a tail listed twice
         np.add.at(decode[x * m : (x + 1) * m], (slice(None), at), matrix.array)
+    decode = _prepare(np.fmod(decode, p, out=decode), p, out=decode)
+    kernels = [_prepare(kernel.array, p) for kernel in code.core_kernels]
     # a source's canonical id is its index in the stacked layout
-    given = [(net._canonical_ids[net._ids[s]] * m, x.reshape(m, -1)) for s, x in sources.items()]
-    cols = given[0][1].shape[1] if given else 0
-    decoded = np.empty((len(terminals) * m, cols), dtype=np.int64)
-    # chunks of about _CHUNK_CELLS cells, evenly wide
-    wide = max(_CHUNK_CELLS // (height + len(decoded)), 1)
-    if height * int(decode.max(initial=0)) * (p - 1) >= _EXACT:
-        # past the plain bound the kernel rewrites its smaller operand in
-        # balanced residues, which are small for decoder coefficients and
-        # not for random values: keep the values the larger operand
-        wide = max(wide, len(decoded))
-    step = -(-cols // max(cols // wide, 1)) or 1
-    for lo in range(0, cols, step):
-        values = np.zeros((height, min(step, cols - lo)), dtype=np.int64)
+    given = [(net._canonical_ids[net._ids[s]] * m, x) for s, x in sources.items()]
+    trials = given[0][1].shape[1] if given else 0
+    # chunks of whole trials, about _CHUNK_CELLS cells, evenly wide
+    per = max(_CHUNK_CELLS // (w * (height + len(terminals) * m)), 1)
+    step = -(-trials // max(trials // per, 1)) or 1
+    for lo in range(0, trials, step):
+        h = min(step, trials - lo)
+        values = np.zeros((height, w * h), dtype=np.int64)
         for at, x in given:
-            values[at : at + m] = x[:, lo : lo + step]
-        for i, kernel in enumerate(code.core_kernels):
-            rows = slice(head_rows + i * n, head_rows + (i + 1) * n)
-            values[rows] = _matmul_mod(kernel.array, values[columns[i]], p)
-        decoded[:, lo : lo + step] = _matmul_mod(decode, values, p)
-    return {t: decoded[x * m : (x + 1) * m].reshape(m * w, -1) for x, t in enumerate(terminals)}
+            values[at : at + m] = x[:, lo : lo + h].reshape(m, w * h)
+        for i, kernel in enumerate(kernels):
+            values[head_rows + i * n : head_rows + (i + 1) * n] = _matmul_mod(kernel, values[columns[i]], p)
+        yield lo, _matmul_mod(decode, values, p).reshape(len(terminals), m * w, h)
+
+
+def _simulate_batch(
+    net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], numbered: dict
+) -> dict[NodeId, np.ndarray]:
+    """Each terminal's decoded m x T block of the (m, n) code, gathered from
+    ``_decoded_chunks``."""
+    terminals = net.terminals()
+    trials = next(iter(sources.values())).shape[1] if sources else 0
+    decoded = np.empty((len(terminals), code.params.m, trials), dtype=np.int64)
+    for lo, chunk in _decoded_chunks(net, code, sources, numbered):
+        decoded[:, :, lo : lo + chunk.shape[2]] = chunk
+    return {t: decoded[x] for x, t in enumerate(terminals)}
 
 
 def simulate(
@@ -321,30 +347,37 @@ def simulate_trials(
     net: SumNetwork, code: NetworkCode, trials: int, seed: int
 ) -> SimulationSummary:
     """Run seeded random assignments and compare every terminal against the
-    plain sum of the drawn sources."""
+    plain sum of the drawn sources.
+
+    Each source's values are kept in the smallest dtype that holds p - 1,
+    and each decoded chunk is compared with its sums as it is made, so only
+    the mismatched trials and the first one of each terminal are kept."""
     numbered = _check_compatible(net, code)
     m, p = code.params.m, code.field.p
     rng = np.random.default_rng(seed)
-    sources = {s: rng.integers(0, p, size=(m, trials)) for s in net.sources()}
+    small = np.min_scalar_type(p - 1)
+    sources, expected = {}, np.zeros((m, trials), dtype=np.int64)
+    for s in net.sources():
+        x = rng.integers(0, p, size=(m, trials))
+        expected += x
+        sources[s] = x.astype(small)
     if trials == 0:
         return SimulationSummary(ok=True, trials=0, seed=seed)
-    expected = np.mod(sum(sources.values()), p)
-    outputs = _simulate_batch(net, code, sources, numbered)
-    failures = []
-    bad_trials = np.zeros(trials, dtype=bool)
-    for t in sorted(outputs, key=lambda x: x.sort_key):
-        mismatched = np.nonzero((outputs[t] != expected).any(axis=0))[0]
-        bad_trials[mismatched] = True
-        for trial in mismatched[:1]:  # one witness per terminal keeps reports short
-            failures.append(
-                Failure(
-                    at=t,
-                    detail=(
-                        f"trial {int(trial)}: decoded {outputs[t][:, trial].tolist()}, "
-                        f"sum of sources is {expected[:, trial].tolist()}"
-                    ),
-                )
+    expected %= p
+    terminals, bad_trials, first = net.terminals(), np.zeros(trials, dtype=bool), {}
+    for lo, decoded in _decoded_chunks(net, code, sources, numbered):
+        want = expected[:, lo : lo + decoded.shape[2]]
+        wrong = (decoded != want).any(axis=1)
+        bad_trials[lo : lo + decoded.shape[2]] |= wrong.any(axis=0)
+        for x in np.flatnonzero(wrong.any(axis=1)).tolist():
+            if terminals[x] in first:
+                continue
+            trial = int(np.argmax(wrong[x]))  # one witness per terminal keeps reports short
+            first[terminals[x]] = (
+                f"trial {lo + trial}: decoded {decoded[x, :, trial].tolist()}, "
+                f"sum of sources is {want[:, trial].tolist()}"
             )
+    failures = [Failure(at=t, detail=first[t]) for t in sorted(first, key=lambda x: x.sort_key)]
     return SimulationSummary(
         ok=not failures,
         trials=trials,

@@ -1,16 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
+import tempfile
 import time
+from functools import lru_cache, reduce
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumnet.cli import build_parser, main
 from sumnet.coding import code_from_json, code_to_json
 from sumnet.coding import build_code
-from sumnet.designs import ParseError, fano, sts_bose
+from sumnet.designs import Design, ParseError, _load_json, fano, sts_bose
 from sumnet.field import PrimeField
-from sumnet.network import build_sum_network, parse_node_label
+from sumnet.network import build_sum_network, network_export_json, network_from_json, parse_node_label
 from sumnet.verify import ShapeMismatchError, transfer_check
 
 from conftest import peak_allocation_below, within_seconds
@@ -439,6 +446,120 @@ def test_simulate_refuses_a_code_document_with_a_respelled_label(tmp_path, capsy
     message += repr(parse_node_label(spelling).label())
     for decoders in (as_key, as_head):
         assert_simulate_refuses(path, argv, json.dumps({**data, "decoders": decoders}), message, capsys)
+
+
+@lru_cache(maxsize=None)
+def valid_documents() -> dict[tuple[str, str], str]:
+    """(design, kind) -> a valid document: the design, its network, and its
+    code over GF(2) and GF(3), for Fano and STS(9)."""
+    docs = {}
+    for name, make in (("--fano", fano), ("--sts 9", lambda: sts_bose(9))):
+        d = make()
+        net = build_sum_network(d)
+        docs[name, "design"] = json.dumps(d.to_dict())
+        docs[name, "network"] = network_export_json(net)
+        for p in (2, 3):
+            docs[name, f"code {p}"] = code_to_json(build_code(net, PrimeField(p)))
+    return docs
+
+
+def document_sites(value, path=()):
+    """(path, key) of every object in a JSON value, key None, and of every
+    node label in it, key True where the label is an object's key."""
+    if isinstance(value, dict):
+        yield path, None
+        for key, item in value.items():
+            if isinstance(key, str) and is_node_label(key):
+                yield (*path, key), True
+            yield from document_sites(item, (*path, key))
+    elif isinstance(value, list) and not (value and isinstance(value[0], int)):  # skip matrix rows
+        for x, item in enumerate(value):
+            yield from document_sites(item, (*path, x))
+    elif isinstance(value, str) and is_node_label(value):
+        yield path, False
+
+
+def is_node_label(text: str) -> bool:
+    try:
+        return parse_node_label(text).label() == text
+    except ParseError:
+        return False
+
+
+def respellings(label: str) -> list[str]:
+    """Spellings of a label's number that int() reads as the same number."""
+    kind, number = label.rsplit(":", 1)
+    grouped = f"{number[0]}_{number[1:]}" if len(number) > 1 else f"0_{number}"
+    return [f"{kind}:{x}" for x in (f"0{number}", f"+{number}", f" {number}", f"{number} ", grouped)]
+
+
+def value_at(data, path):
+    return reduce(lambda holder, step: holder[step], path, data)
+
+
+def replace_at(data, path, value):
+    """``data`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    value_at(data, path[:-1])[path[-1]] = value
+    return data
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A valid Fano or STS(9) document (design, network or code) with one
+    object's key spelled twice, or one node label respelled, anywhere in
+    it; design documents hold no labels.  Returns the document kind, its
+    design arguments, its text and the message it must be refused with."""
+    (design, kind), text = draw(st.sampled_from(sorted(valid_documents().items())))
+    data = json.loads(text)
+    sites = list(document_sites(data))
+    duplicate = kind == "design" or draw(st.booleans())
+    path, key = draw(st.sampled_from([(path, key) for path, key in sites if (key is None) == duplicate]))
+    if duplicate:
+        holder = value_at(data, path)
+        twice = draw(st.sampled_from(sorted(holder)))
+        members = list(holder.items())
+        members.insert(draw(st.integers(0, len(members))), ("\0twice", holder[twice]))
+        text = json.dumps(replace_at(data, path, dict(members)))
+        text = text.replace(json.dumps("\0twice"), json.dumps(twice), 1)
+        return kind, design, text, f"duplicate key {twice!r}"
+    label = path[-1] if key else value_at(data, path)
+    spelled = draw(st.sampled_from(respellings(label)))
+    if key:
+        holder = value_at(data, path[:-1])
+        renamed = {spelled if k == label else k: item for k, item in holder.items()}
+        data = replace_at(data, path[:-1], renamed)
+    else:
+        data = replace_at(data, path, spelled)
+    return kind, design, json.dumps(data), f"node label {spelled!r} is not spelled {label!r}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted_documents())
+def test_a_key_spelled_twice_or_a_respelled_label_anywhere_is_refused(case):
+    # the one JSON reader refuses a key spelled twice in any object, and
+    # the network and code readers a node label not in its canonical
+    # spelling, wherever in the document it stands; a design or code
+    # document is then refused on the command line with one error line
+    kind, design, text, message = case
+    readers = {"design": lambda x: Design.from_dict(_load_json(x)), "network": network_from_json}
+    with pytest.raises(ParseError) as refused:
+        readers.get(kind, code_from_json)(text)
+    assert message in str(refused.value)
+    if kind == "network":
+        return
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "doc.json"
+        path.write_text(text)
+        if kind == "design":
+            argv = ["simulate", "--load", str(path), "--field", "3", "--trials", "5"]
+        else:
+            argv = ["simulate", *design.split(), "--field", kind.split()[1], "--code", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"sumnet: error: {refused.value}\n")
 
 
 def test_simulate_rejects_decoder_in_edges_outside_the_design(tmp_path, capsys):

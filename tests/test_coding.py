@@ -39,7 +39,15 @@ from sumnet.network import (
 )
 from sumnet.verify import ShapeMismatchError, _check_compatible, _simulate_batch
 
-from conftest import affine_plane, projective_plane, source_column, source_projection, vstack
+from conftest import (
+    affine_plane,
+    as_given,
+    peak_allocation_below,
+    projective_plane,
+    source_column,
+    source_projection,
+    vstack,
+)
 
 DESIGNS = {
     "fano": fano,
@@ -357,6 +365,45 @@ def test_code_json_round_trip():
             text = code_to_json(code)
             again = code_from_json(text)
             assert again == code and code_to_json(again) == text
+
+
+def test_reading_a_code_document_holds_less_than_its_text():
+    # the maps are converted one at a time as the code reads them, each
+    # parsed matrix's lists dropped as it is, and only its core kept: about
+    # 9.3 MiB of traced allocations for 11.7 MiB of text here, where the
+    # parsed lists and every lifted map held at once took 16.5 MiB
+    code = build_code(build_sum_network(sts_bose(15)), PrimeField(2**31 - 1))
+    text = code_to_json(code)
+    with peak_allocation_below(len(text), "code_from_json at STS(15)/GF(2^31 - 1)"):
+        again = code_from_json(text)
+    assert again == code and again.w == 5
+
+
+@pytest.mark.parametrize("order", ["terminal", "document"])
+def test_a_document_whose_last_decoder_is_no_lift_loads_as_given(order, monkeypatch):
+    # the last decoder in terminal order, or the last one the document
+    # lists (by label), changes one copy only.  Every map read before it is
+    # a lift, held as its core; at it the cores kept are lifted back and
+    # the code is held at w = 1
+    net = build_sum_network(sts_bose(9))
+    code = build_code(net, PrimeField(5))
+    if order == "terminal":
+        last = max(net.terminals(), key=lambda x: x.sort_key)
+    else:
+        last = max(net.terminals(), key=lambda x: x.label())
+    dec = code.decoders[last]
+    a = dec.matrix.array.copy()
+    a[0, 0] = (a[0, 0] + 1) % 5
+    decoders = {**code.decoders, last: TerminalDecoder(dec.in_edges, FieldMatrix(code.field, a))}
+    changed = NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
+    text = code_to_json(changed)
+    lifted, lift = [], coding._lift
+    monkeypatch.setattr(coding, "_lift", lambda core, w: lifted.append(w) or lift(core, w))
+    loaded = code_from_json(text)
+    listed = list(json.loads(text)["decoders"])
+    assert lifted == [code.w] * (code.design.v + listed.index(last.label()))
+    assert loaded.w == changed.w == 1 and loaded == changed == as_given(changed)
+    assert code_to_json(loaded) == text
 
 
 def test_code_json_numbers_each_in_edge_once(monkeypatch):

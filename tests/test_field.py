@@ -16,6 +16,7 @@ from sumnet.field import (
     PrimeField,
     _is_prime,
     _matmul_mod,
+    _prepare,
     _rows_outside_row_space,
     row_space_contains,
 )
@@ -373,6 +374,38 @@ def test_matmul_mod_chunks_the_inner_dimension(kernel_counts):
     # (p - 1)**2 = 1 mod p, so the product is inner mod p
     assert got.tolist() == [[inner % BIG]]
     assert kernel_counts["calls"] == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands(), st.sampled_from(("left", "right", "both")))
+def test_a_prepared_operand_gives_the_same_product(operands, prepared):
+    # past the balanced bound (large p, random fill) a prepared operand
+    # takes the limb and chunk path of its canonical residues
+    a, b, p = operands
+    x = _prepare(a, p) if prepared in ("left", "both") else a
+    y = _prepare(b, p) if prepared in ("right", "both") else b
+    got = _matmul_mod(x, y, p)
+    assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+    assert np.array_equal(got, object_matmul_mod(a, b, p))
+
+
+def test_a_prepared_operand_is_one_balanced_pass_or_its_residues_limbs(kernel_counts):
+    # a decoder-like operand (0, 1, -2 in balanced residues) is one product
+    # against values near p; one of magnitude 2**30 - 1 is past the bound
+    # and splits, as its canonical residues do, into two 16-bit limbs
+    rng = np.random.default_rng(11)
+    small = _prepare(rng.choice(np.array([0, 1, BIG - 2]), size=(6, 300)), BIG)
+    assert small.magnitude == 2 and small.balanced.dtype == np.float64
+    b = np.full((300, 40), BIG - 1, dtype=np.int64)
+    got = field_module._matmul_mod(small, b, BIG)
+    assert np.array_equal(got, object_matmul_mod(small.residues(BIG), b, BIG))
+    assert kernel_counts == {"products": 1, "calls": 1}
+    a = np.full((5, 50), 2**30, dtype=np.int64)
+    large = _prepare(a, BIG)
+    assert large.magnitude == 2**30 - 1 and np.array_equal(large.residues(BIG), a)
+    got = field_module._matmul_mod(large, b[:50, :7], BIG)
+    assert np.array_equal(got, object_matmul_mod(a, b[:50, :7], BIG))
+    assert kernel_counts == {"products": 3, "calls": 2}
 
 
 def test_matmul_mod_over_the_field_api():

@@ -6,7 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sumnet.coding import NetworkCode, TerminalDecoder, build_code, code_save
+from sumnet.designs import fano
+from sumnet.field import FieldMatrix, PrimeField
+from sumnet.network import EDGE_HEAD_TO_TERMINAL, TERMINAL_BLOCK, NodeId, build_sum_network
 
 SOURCE_FILES = sorted((Path(__file__).resolve().parents[1] / "src" / "sumnet").glob("*.py"))
 
@@ -98,6 +104,7 @@ runs = (
     ["build", "--fano", "--dot", work + "/net.dot", "--filter-terminals", "p1,B1"],
     ["code", "--fano", "--field", "3", "--save-code", work + "/code.json"],
     ["simulate", "--fano", "--field", "3", "--code", work + "/code.json", "--trials", "20"],
+    ["simulate", "--fano", "--field", "3", "--code", work + "/reordered.json", "--trials", "20"],
 )
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -107,9 +114,25 @@ print("numpy.ma" in sys.modules)
 """
 
 
+def save_reordered_fano_code(path) -> None:
+    """A Fano/GF(3) code whose terminal-block:3 decoder lists its in-edges,
+    and their column blocks, in reverse order, which the network does not."""
+    code = build_code(build_sum_network(fano()), PrimeField(3))
+    m, n = code.params.rate
+    t = NodeId(TERMINAL_BLOCK, 2)
+    dec = code.decoders[t]
+    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in dec.in_edges]
+    blocks = np.split(dec.matrix.array, np.cumsum(widths)[:-1], axis=1)
+    reordered = FieldMatrix(code.field, np.hstack(blocks[::-1]))
+    decoders = {**code.decoders, t: TerminalDecoder(dec.in_edges[::-1], reordered)}
+    code_save(NetworkCode(code.design, code.field, code.params, code.encoders, decoders), path)
+
+
 def test_commands_never_import_numpy_ma(tmp_path):
     # numpy.ma loads on first use of np.unique and some other helpers, and
-    # costs every command about 1.6 MB of peak RSS
+    # costs every command about 1.6 MB of peak RSS; a decoder listing its
+    # in-edges in another order than the network's is compared as a set
+    save_reordered_fano_code(tmp_path / "reordered.json")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(

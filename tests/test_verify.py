@@ -25,7 +25,7 @@ from sumnet.coding import (
     code_to_json,
 )
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
-from sumnet.field import FieldMatrix, PrimeField
+from sumnet.field import FieldMatrix, PrimeField, _Prepared
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -143,14 +143,14 @@ def test_fractional_code_at_sts27_is_built_checked_and_simulated_as_its_core():
 
 
 def test_a_thousand_simulated_trials_at_sts27_stay_below_their_memory_bound():
-    # the drawn sources and the decoded block are each held whole: 144
-    # sources and 144 terminals of 27 x 1000 int64 values, about 30 MiB
-    # apiece, and 68 MiB of traced allocations in all.  The bound is for
-    # work on the simulation's size to lower
+    # the drawn sources are held as uint8, 144 sources of 27 x 1000 values
+    # (3.7 MiB), and no array holds every trial's decoded values: each
+    # chunk of trials is compared with its sums as it is decoded.  The
+    # traced peak is about 16.2 MiB, most of it one chunk's arrays
     net = build_sum_network(sts_bose(27))
     code = build_code(net, PrimeField(3))
     what = "simulate_trials at STS(27)/GF(3), 1000 trials"
-    with peak_allocation_below(80 * 2**20, what), within_seconds(30.0, what):
+    with peak_allocation_below(20 * 2**20, what), within_seconds(30.0, what):
         assert simulate_trials(net, code, 1000, seed=0).ok
 
 
@@ -755,6 +755,9 @@ def repeat_a_direct_in_edge(code: NetworkCode, draw) -> NetworkCode:
 
 
 def assert_simulation_matches_the_oracle(net, code, w: int, trials: int, seed: int) -> None:
+    """``_simulate_batch`` decodes the oracle's values, value for value, and
+    ``simulate_trials``, which draws the same values and compares them with
+    their sums a chunk at a time, reports what those values give."""
     rng = np.random.default_rng(seed)
     c, p = code.params.m, code.field.p
     batch = {s: rng.integers(0, p, size=(c, w * trials)) for s in net.sources()}
@@ -763,6 +766,15 @@ def assert_simulation_matches_the_oracle(net, code, w: int, trials: int, seed: i
     assert list(got) == list(want)
     for t in want:
         assert got[t].dtype == np.int64 and np.array_equal(got[t], want[t]), t
+    sums = sum(batch.values()) % p
+    wrong = {t: np.flatnonzero((want[t] != sums).any(axis=0)) for t in sorted(want, key=lambda x: x.sort_key)}
+    witnesses = [
+        (t, f"trial {x}: decoded {want[t][:, x].tolist()}, sum of sources is {sums[:, x].tolist()}")
+        for t, x in ((t, int(x[0])) for t, x in wrong.items() if x.size)
+    ]
+    summary = simulate_trials(net, code, w * trials, seed)
+    assert summary.mismatched_trials == len(set(np.concatenate(list(wrong.values())).tolist()))
+    assert [(x.at, x.detail) for x in summary.failures] == witnesses
 
 
 @settings(max_examples=60, deadline=None)
@@ -787,39 +799,39 @@ def test_simulation_agrees_with_the_per_terminal_oracle(case, trials, cells, see
 
 def test_simulation_decodes_in_chunks_with_a_shorter_last_one(monkeypatch):
     net, code = fano_code(3)
-    core, w = core_code(code), code.w
-    d, c, n = net.design, core.params.m, core.params.n
+    d, w, (c, n) = net.design, code.w, code.core_params.rate
     assert w == 2
-    # value rows plus decoded rows per column; a budget of 16 columns cuts
-    # the 2 * 25 trial columns into three chunks, evenly wide but for one
+    # value rows plus decoded rows per core column; a budget of 16 columns
+    # is 8 whole trials of w copies, which cuts 25 trials into three chunks,
+    # evenly wide but for one
     rows = (d.v + d.b) * c + d.v * n + len(net.terminals()) * c
     monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 16 * rows)
     widths, kernel = [], verify_module._matmul_mod
 
     def spy(a, b, p):
-        if a.shape[0] == len(net.terminals()) * c:
+        if isinstance(a, _Prepared) and a.balanced.shape[0] == len(net.terminals()) * c:
             widths.append(b.shape[1])
         return kernel(a, b, p)
 
     monkeypatch.setattr(verify_module, "_matmul_mod", spy)
-    assert_simulation_matches_the_oracle(net, core, w, 25, seed=4)
-    assert widths == [17, 17, 16]
+    assert_simulation_matches_the_oracle(net, code, 1, 25, seed=4)
+    # once for the decoded block, once for the trials compared with their sums
+    assert widths == [w * 9, w * 9, w * 7] * 2
 
 
 def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch):
-    # random values are large in balanced residues too, so the chunks stay
-    # at least as wide as the decode matrix is tall, however small the
-    # budget: the kernel then rewrites the decoder, whose -(k-1) is small
+    # the decode matrix is prepared once in balanced residues, where its
+    # -(k-1) is small, so however small the budget each chunk of whole
+    # trials is decoded by one product with one reduction
     net = build_sum_network(sts_bose(9))
     code = build_code(net, PrimeField(BIG))
-    core, w = core_code(code), code.w
-    c = core.params.m
+    w, c = code.w, code.core_params.m
     tall = len(net.terminals()) * c
     monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 1)
     decodes, kernel, mod = [], verify_module._matmul_mod, np.mod
 
     def spy(a, b, p):
-        if a.shape[0] != tall:
+        if not (isinstance(a, _Prepared) and a.balanced.shape[0] == tall):
             return kernel(a, b, p)
         reductions = []
 
@@ -834,9 +846,10 @@ def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch
         return got
 
     monkeypatch.setattr(verify_module, "_matmul_mod", spy)
-    assert_simulation_matches_the_oracle(net, core, w, 50, seed=2)
-    # two chunks, each decoded by one product over balanced residues
-    assert decodes == [(75, 1), (75, 1)] and 75 >= tall
+    assert_simulation_matches_the_oracle(net, code, 1, 20, seed=2)
+    # one chunk per trial, w columns wide, for the decoded block and again
+    # for the compared trials
+    assert w == 3 and decodes == [(w, 1)] * 40
 
 
 def test_a_code_holds_its_core_and_lifts_its_maps_on_request():
