@@ -25,6 +25,7 @@ from .coding import (
     build_code_char_divides,
     build_code_char_not_divides,
     code_from_json,
+    code_load,
     code_save,
     code_to_json,
     partial_sum_row,

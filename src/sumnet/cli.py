@@ -24,7 +24,8 @@ from .coding import (
     DegenerateLengthError,
     UnsupportedLambdaError,
     build_code,
-    code_from_json,
+    code_from_json,  # noqa: F401  (unused here; perfbench's traced run wraps it in this module)
+    code_load,
     code_save,
     code_to_json,  # noqa: F401  (unused here; perfbench's traced set-up reads it from this module)
 )
@@ -33,7 +34,6 @@ from .designs import (
     InvalidDesignError,
     ParseError,
     UnsupportedOrderError,
-    _read_text,
     design_load,
     design_save,
     design_verify,
@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
     f = PrimeField(args.field)
     net = build_sum_network(d)
     if args.code:
-        code = code_from_json(_read_text(args.code))
+        code = code_load(args.code)
         if code.field != f:
             raise ShapeMismatchError(f"saved code is over GF({code.field.p}), not GF({f.p})")
     else:

@@ -21,10 +21,12 @@ characteristic divides k-1, only picks (c, s, w):
 A code is held as what it is, w interleaved copies of its core:
 ``NetworkCode`` stores each bottleneck's local kernel, the core decoders
 and w, and the decision that a code is w copies of a core is made here
-alone.  ``build_code`` stores the core it builds; ``NetworkCode(...)``
-and ``code_from_json`` take the paper's (m, n) maps one at a time, refuse
-those that do not fit the design, and keep their core when every one is a
-lift, so a code read from a document never holds its lifted maps at once.
+alone.  ``build_code`` stores the core it builds; ``NetworkCode(...)``,
+``code_load`` and ``code_from_json`` take the paper's (m, n) maps one at a
+time, refuse those that do not fit the design, and keep their core when
+every one is a lift, so a code read from a document never holds its
+lifted maps at once.  ``code_load`` reads the document from its file a
+window at a time (``designs._Window``) and never holds its text.
 ``encoders[i]`` (the map from the stacked source vector to the n symbols
 on bottleneck i) and each decoder's ``matrix`` (from the concatenation of
 its in-edge values to the m decoded symbols) are the lifted maps, built
@@ -47,7 +49,16 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sized
 import numpy as np
 
 from ._jsonwriter import LiftedMatrix, dump, dumps
-from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _is_integer, _load_json
+from .designs import (
+    Design,
+    InvalidDesignError,
+    ParseError,
+    ValidationReport,
+    _is_integer,
+    _load_json,
+    _read_text,
+    _Window,
+)
 from .field import FieldMatrix, PrimeField
 from .network import (
     _EDGE_CODES,
@@ -647,45 +658,63 @@ def _refuse_float(literal: str):
     raise ParseError(f"malformed code document: {literal} is not an integer")
 
 
-def _coefficients(f: PrimeField, rows, booleans: bool) -> FieldMatrix:
-    """``rows`` as a matrix over f, or a ``ParseError``.  JSON floats are
-    refused while parsing, so numpy infers an integer dtype unless an entry
-    is a string, an integer that does not fit int64 or, with only booleans
-    beside it, a boolean.  A boolean among integers reads as 0 or 1, so
-    when the document spells one (``booleans``) the entries' types are
-    read."""
+# the hooks of every parse of a code document
+_HOOKS = {"parse_float": _refuse_float, "parse_constant": _refuse_float}
+
+
+def _held(rows, booleans: bool) -> np.ndarray | ParseError:
+    """A matrix of a code document as held until p is known: ``rows`` as an
+    array of the smallest integer dtype of its entries, or the
+    ``ParseError`` that refuses them.  JSON floats are refused while
+    parsing, so numpy infers an integer dtype unless an entry is a string,
+    an integer that does not fit int64 or, with only booleans beside it, a
+    boolean.  A boolean among integers reads as 0 or 1, so when the
+    matrix's text spells one (``booleans``) the entries' types are read."""
     try:
         a = np.asarray(rows)
         spelled = booleans and bool in set(map(type, np.asarray(rows, object).flat))
         if a.size and (a.dtype.kind != "i" or spelled):
             raise ValueError("matrix entries must be integers of magnitude below 2**63")
-        return FieldMatrix(f, a)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed code document: {exc}") from exc
+        refused = ParseError(f"malformed code document: {exc}")
+        refused.__cause__ = exc
+        return refused
+    if a.size:
+        a = a.astype(np.result_type(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
+    return a
 
 
-class _Converted:
-    """The parsed matrices of a code document, ``matrices``, each converted
-    by ``_coefficients`` when it is read and dropped from ``matrices``
-    first, so the parsed lists shrink while the maps are made.  Its length
-    is known before any matrix is read."""
+class _Maps:
+    """The held matrices of a code document (``_held``), each made a matrix
+    over f, or its refusal raised, when it is read, and dropped first.  Its
+    length is known before any matrix is read."""
 
-    def __init__(self, f: PrimeField, matrices: list, booleans: bool):
-        self._f, self._matrices, self._booleans = f, matrices, booleans
+    def __init__(self, f: PrimeField, held: list):
+        self._f, self._held = f, held
 
     def __len__(self) -> int:
-        return len(self._matrices)
+        return len(self._held)
 
     def __iter__(self) -> Iterator[FieldMatrix]:
-        for x in range(len(self._matrices)):
-            rows, self._matrices[x] = self._matrices[x], None
-            yield _coefficients(self._f, rows, self._booleans)
+        for x in range(len(self._held)):
+            held, self._held[x] = self._held[x], None
+            yield _field_matrix(self._f, held)
+
+
+def _field_matrix(f: PrimeField, held: np.ndarray | ParseError) -> FieldMatrix:
+    """A held matrix over f, or the ``ParseError`` that refuses it."""
+    if isinstance(held, ParseError):
+        raise held
+    try:
+        return FieldMatrix(f, held)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed code document: {exc}") from exc
 
 
 def _decoder_entry(label: str, entry, labels: _LabelKinds) -> tuple:
     """A decoder entry of a code document: its terminal, its in-edge rows
     with their tails' (kind rank, index), their heads and their edge kind
-    codes, and its matrix's parsed lists."""
+    codes, and its held matrix."""
     t = _parse_document_label(label)
     rows = entry["in_edges"]
     tail, heads, kind = [], set(), []
@@ -703,11 +732,76 @@ def _decoder_entry(label: str, entry, labels: _LabelKinds) -> tuple:
     return t, (rows, tail, heads, kind), entry["matrix"]
 
 
+def _read_document(window: _Window):
+    """The value of a code document, read through ``window``: each matrix,
+    of an encoder or a decoder entry, is held (``_held``) as its last row
+    is read, each row decoded whole; every other value is decoded whole."""
+
+    def matrix():
+        if window.peek() != "[":
+            return _held(window.value(), True)
+        booleans = False
+
+        def row():
+            nonlocal booleans
+            found = window.value()
+            # true and false spell an e, which no JSON integer does
+            booleans = booleans or window.spells("e")
+            return found
+
+        return _held(window.items(row), booleans)
+
+    def entry_member(key: str):
+        return matrix() if key == "matrix" else window.value()
+
+    def decoder(label: str):
+        return window.members(entry_member) if window.peek() == "{" else window.value()
+
+    def member(key: str):
+        if key == "encoders":
+            if window.peek() == "[":
+                return window.items(matrix)
+            found = window.value()
+            # what list() reads of it, held as matrices
+            return [_held(x, True) for x in found] if isinstance(found, (str, dict)) else found
+        if key == "decoders" and window.peek() == "{":
+            return window.members(decoder)
+        return window.value()
+
+    return window.document(lambda: window.members(member) if window.peek() == "{" else window.value())
+
+
+def _read(window: _Window, text) -> NetworkCode:
+    """The code of the document ``window`` reads; ``text()`` gives its
+    whole text to word a refusal of its JSON or UTF-8 exactly as
+    ``_load_json`` does."""
+    try:
+        data = _read_document(window)
+    except ValueError:  # JSON syntax or UTF-8 at fault, a key twice or a float
+        _load_json(text(), **_HOOKS)
+        raise
+    return _code(data)
+
+
+def code_load(path) -> NetworkCode:
+    """The code of the ``sumnet.code/1`` document at ``path``, read
+    ``_READ_BYTES`` at a time: its text is never held whole, each matrix is
+    held as its smallest integer array until the maps are made, one at a
+    time, and only their core is kept.  A document refused for its JSON or
+    its UTF-8 is then read whole, once, to word the refusal."""
+    with open(path, "rb") as fp:
+        return _read(_Window(fp, **_HOOKS), lambda: _read_text(path))
+
+
 def code_from_json(text: str) -> NetworkCode:
-    """The code of a ``sumnet.code/1`` document.  Its maps are converted
-    one at a time as ``NetworkCode`` reads them, so no more than one lifted
-    map is held beside the core."""
-    data = _load_json(text, parse_float=_refuse_float, parse_constant=_refuse_float)
+    """The code of a ``sumnet.code/1`` document, read as ``code_load``
+    reads a file."""
+    return _read(_Window(text, **_HOOKS), lambda: text)
+
+
+def _code(data) -> NetworkCode:
+    """The code of a code document's value, whose matrices are held
+    (``_held``)."""
     if not isinstance(data, dict) or data.get("schema") != "sumnet.code/1":
         raise ParseError("not a sumnet.code/1 document")
     try:
@@ -718,7 +812,6 @@ def code_from_json(text: str) -> NetworkCode:
         if not (_is_integer(params.m) and _is_integer(params.n)):
             raise ValueError("params m and n must be integers")
         expected = code_params_for(d, f)
-        booleans = "true" in text or "false" in text
         encoders = list(data.pop("encoders"))
         if not isinstance(data["decoders"], dict):
             raise ValueError("decoders must be an object keyed by terminal label")
@@ -726,7 +819,7 @@ def code_from_json(text: str) -> NetworkCode:
         parsed = [_decoder_entry(label, entry, labels) for label, entry in data["decoders"].items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed code document: {exc}") from exc
-    del data  # the matrices' lists alone outlive the document's values
+    del data  # the held matrices alone outlive the document's values
     matrices = [matrix for _, _, matrix in parsed]
     in_edges = [(t, edges) for t, edges, _ in parsed]
     del parsed
@@ -756,9 +849,9 @@ def code_from_json(text: str) -> NetworkCode:
         raise ParseError(f"no decoder for {missing.label()}")
     decoders = (
         (t, TerminalDecoder._from_ids(ids, matrix))
-        for (t, ids), matrix in zip(numbered.items(), _Converted(f, matrices, booleans))
+        for (t, ids), matrix in zip(numbered.items(), _Maps(f, matrices))
     )
     try:
-        return NetworkCode(d, f, params, _Converted(f, encoders, booleans), decoders)
+        return NetworkCode(d, f, params, _Maps(f, encoders), decoders)
     except ShapeMismatchError as exc:
         raise ParseError(str(exc)) from exc

@@ -7,7 +7,9 @@ generators fix a deterministic ordering.
 
 from __future__ import annotations
 
+import codecs
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -259,6 +261,124 @@ def _load_json(text: str, **hooks):
         return json.loads(text, object_pairs_hook=_members, **hooks)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+
+
+# bytes of a document read at a time
+_READ_BYTES = 1 << 20
+# a value decoded this far from the end of the text read so far can be cut
+# off by it: the scanner looks at most 9 characters ahead (-Infinity)
+_LOOKAHEAD = 16
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _Window:
+    """A JSON document read forward through a sliding window of its text.
+
+    ``source`` is the whole text as a str, or a binary file read
+    ``_READ_BYTES`` at a time (more while one value outgrows the window)
+    through an incremental UTF-8 decoder; each read drops the text before
+    the read position.  A caller walks the document with ``members`` and
+    ``items`` and decodes every other value whole with ``value``, which
+    takes ``_load_json``'s hooks and retries a value the window cuts off
+    after the next read.  A fault of JSON syntax or of UTF-8, or a refusal
+    of a hook, raises a ``ValueError`` where the reading stands; only
+    ``_load_json`` on the whole text words it as a refusal.
+    """
+
+    def __init__(self, source, **hooks):
+        self._file = None if isinstance(source, str) else source
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+        self._decoder = json.JSONDecoder(object_pairs_hook=_members, **hooks)
+        self.text = source if self._file is None else ""
+        self.pos = self.start = 0
+
+    def _more(self) -> bool:
+        """Drop the text before the read position and append the next read;
+        False once the whole document is read."""
+        if self._file is None:
+            return False
+        data = self._file.read(max(_READ_BYTES, len(self.text) - self.pos))
+        self.text, self.pos = self.text[self.pos :] + self._utf8.decode(data, final=not data), 0
+        if not data:
+            self._file = None
+        return True
+
+    def peek(self) -> str:
+        """The next character past whitespace, or '' at the end."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos : self.pos + 1]
+
+    def take(self, char: str) -> bool:
+        """Whether the next character past whitespace is ``char``, read if so."""
+        if self.peek() != char:
+            return False
+        self.pos += 1
+        return True
+
+    def _expect(self, char: str) -> None:
+        if not self.take(char):
+            raise json.JSONDecodeError(f"Expecting {char!r}", self.text, self.pos)
+
+    def value(self):
+        """The next value, decoded whole; its text is ``text[start:pos]``."""
+        self.peek()
+        while True:
+            try:
+                value, end = self._decoder.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                # a string cut off is unterminated wherever it starts
+                cut = exc.pos + _LOOKAHEAD > len(self.text) or exc.msg.startswith("Unterminated string")
+                if cut and self._more():
+                    continue
+                raise
+            if end + _LOOKAHEAD > len(self.text) and self._more():
+                continue  # a number may go on past the window
+            self.start, self.pos = self.pos, end
+            return value
+
+    def spells(self, word: str) -> bool:
+        """Whether the text of the last value holds ``word``."""
+        return self.text.find(word, self.start, self.pos) >= 0
+
+    def members(self, read) -> dict:
+        """The members of the next value, an object, each value read by
+        ``read(key)``; a key spelled twice is refused when the object
+        closes, by ``_members`` as ``_load_json`` refuses it."""
+        self._expect("{")
+        pairs = []
+        if self.take("}"):
+            return _members(pairs)
+        while True:
+            if self.peek() != '"':
+                raise json.JSONDecodeError("Expecting property name", self.text, self.pos)
+            key = self.value()
+            self._expect(":")
+            pairs.append((key, read(key)))
+            if self.take("}"):
+                return _members(pairs)
+            self._expect(",")
+
+    def items(self, read) -> list:
+        """The items of the next value, an array, each read by ``read()``."""
+        self._expect("[")
+        found = []
+        if self.take("]"):
+            return found
+        while True:
+            found.append(read())
+            if self.take("]"):
+                return found
+            self._expect(",")
+
+    def document(self, read):
+        """The document's one value, read by ``read()``; text after it is a
+        fault."""
+        found = read()
+        if self.peek():
+            raise json.JSONDecodeError("Extra data", self.text, self.pos)
+        return found
 
 
 def design_load(path) -> Design:

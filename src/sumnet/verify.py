@@ -12,9 +12,10 @@ bottleneck-head values into one array with rows by canonical node id,
 computes each head's rows with one product of its bottleneck's kernel and
 the rows of its kernel's sources, and decodes every terminal with one
 product of a matrix that holds all decoders, scattered by tail id.  The
-trials go through in chunks of about ``_CHUNK_CELLS`` cells, and
-``simulate_trials`` compares each chunk with its sums as it is decoded,
-so no array holds every trial's decoded values.
+trials go through in chunks of about ``_CHUNK_COLUMNS`` columns, or
+fewer to hold about ``_CHUNK_CELLS`` cells, and ``simulate_trials``
+compares each chunk with its sums as it is decoded, so no array holds
+every trial's decoded values.
 
 A code has checked its own shapes where it was made.  Both paths rest on
 the wiring that ``_check_compatible`` states and every entry point checks
@@ -240,9 +241,12 @@ def _as_batch(value, m: int, p: int) -> np.ndarray:
     return np.mod(arr.reshape(m, 1), p)
 
 
-# simulation decodes chunks of whole trials whose value array and decoded
-# block hold about this many cells together (4 MiB as int64)
-_CHUNK_CELLS = 1 << 19
+# simulation decodes chunks of whole trials about _CHUNK_COLUMNS columns
+# wide, or narrower where their value array and decoded block would hold
+# more than about _CHUNK_CELLS cells together (8 MiB as int64): the column
+# cap bounds a small network's chunks, the cell budget a large one's
+_CHUNK_COLUMNS = 512
+_CHUNK_CELLS = 1 << 20
 
 
 def _decoded_chunks(
@@ -290,8 +294,8 @@ def _decoded_chunks(
     # a source's canonical id is its index in the stacked layout
     given = [(net._canonical_ids[net._ids[s]] * m, x) for s, x in sources.items()]
     trials = given[0][1].shape[1] if given else 0
-    # chunks of whole trials, about _CHUNK_CELLS cells, evenly wide
-    per = max(_CHUNK_CELLS // (w * (height + len(terminals) * m)), 1)
+    # chunks of whole trials, evenly wide
+    per = max(min(_CHUNK_COLUMNS, _CHUNK_CELLS // (height + len(terminals) * m)) // w, 1)
     step = -(-trials // max(trials // per, 1)) or 1
     for lo in range(0, trials, step):
         h = min(step, trials - lo)

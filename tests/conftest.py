@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from sumnet.coding import (
+    _HOOKS,
     NetworkCode,
     TerminalDecoder,
+    _code,
+    _held,
     _kernel_columns,
     block_source_extractor,
     build_code,
 )
-from sumnet.designs import Design, fano
+from sumnet.designs import Design, _load_json, fano
 from sumnet.field import DimensionMismatchError, FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
 from sumnet.network import (
     BOTTLENECK_HEAD,
@@ -37,6 +40,22 @@ from sumnet.verify import (
     simulate_trials,
     transfer_check,
 )
+
+
+def code_from_whole_text(text: str) -> NetworkCode:
+    """The reference reader of a ``sumnet.code/1`` document, as the library
+    read one before it streamed: one ``json.loads`` of the whole text,
+    every matrix then held where the streaming reader holds it, and the
+    same checks after."""
+    data = _load_json(text, **_HOOKS)
+    if isinstance(data, dict):
+        if isinstance(data.get("encoders"), (list, str, dict)):
+            data["encoders"] = [_held(x, True) for x in data["encoders"]]
+        if isinstance(data.get("decoders"), dict):
+            for entry in data["decoders"].values():
+                if isinstance(entry, dict) and "matrix" in entry:
+                    entry["matrix"] = _held(entry["matrix"], True)
+    return _code(data)
 
 
 @contextmanager

@@ -7,20 +7,22 @@ import tempfile
 import time
 from functools import lru_cache, reduce
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumnet import cli, coding, designs
 from sumnet.cli import build_parser, main
-from sumnet.coding import code_from_json, code_to_json
+from sumnet.coding import NetworkCode, code_from_json, code_load, code_to_json
 from sumnet.coding import build_code
-from sumnet.designs import Design, ParseError, _load_json, fano, sts_bose
+from sumnet.designs import Design, ParseError, _load_json, _read_text, fano, sts_bose
 from sumnet.field import PrimeField
 from sumnet.network import build_sum_network, network_export_json, network_from_json, parse_node_label
 from sumnet.verify import ShapeMismatchError, transfer_check
 
-from conftest import peak_allocation_below, within_seconds
+from conftest import code_from_whole_text, peak_allocation_below, within_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +607,27 @@ def test_simulate_rejects_decoder_in_edges_outside_the_design(tmp_path, capsys):
         assert message in captured.err
 
 
+def set_entry(*where, value):
+    """A corruption of a code document's value that sets the entry at
+    ``where`` to ``value``."""
+    return lambda data: replace_at(data, where, value)
+
+
+FIRST_DECODER_ENTRY = ("decoders", "terminal-point:1", "matrix", 0, 0)
+NOT_INTEGER = "malformed code document: matrix entries must be integers of magnitude below 2**63"
+# single faults of a Fano/GF(3) code document, each with its refusal
+NOT_JSON_INTEGERS = (
+    (set_entry(*FIRST_DECODER_ENTRY, value=1.5), "malformed code document: 1.5 is not an integer"),
+    (set_entry(*FIRST_DECODER_ENTRY, value="1"), NOT_INTEGER),
+    (set_entry(*FIRST_DECODER_ENTRY, value=True), NOT_INTEGER),
+    (set_entry(*FIRST_DECODER_ENTRY, value=2**70), NOT_INTEGER),
+    (set_entry("encoders", 0, 0, 0, value="1"), NOT_INTEGER),
+    (set_entry("encoders", 0, 0, 0, value=2**63), NOT_INTEGER),
+    (lambda data: data.update(decoders=list(data["decoders"].values())),
+     "malformed code document: decoders must be an object keyed by terminal label"),
+)
+
+
 def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, capsys):
     # a float was truncated (1.5 read as 1), a string parsed, a boolean
     # among integers read as 1, an integer past int64 and a list of
@@ -612,30 +635,8 @@ def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, caps
     path = tmp_path / "code.json"
     assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
     saved = path.read_text()
-
-    def set_entry(*where, value):
-        def corrupt(data):
-            *outer, last = where
-            holder = data
-            for step in outer:
-                holder = holder[step]
-            holder[last] = value
-        return corrupt
-
-    first_decoder = ("decoders", "terminal-point:1", "matrix", 0, 0)
-    not_integer = "malformed code document: matrix entries must be integers of magnitude below 2**63"
-    cases = (
-        (set_entry(*first_decoder, value=1.5), "malformed code document: 1.5 is not an integer"),
-        (set_entry(*first_decoder, value="1"), not_integer),
-        (set_entry(*first_decoder, value=True), not_integer),
-        (set_entry(*first_decoder, value=2**70), not_integer),
-        (set_entry("encoders", 0, 0, 0, value="1"), not_integer),
-        (set_entry("encoders", 0, 0, 0, value=2**63), not_integer),
-        (lambda data: data.update(decoders=list(data["decoders"].values())),
-         "malformed code document: decoders must be an object keyed by terminal label"),
-    )
     assert json.loads(saved)["decoders"]["terminal-point:1"]["matrix"][0][0] == 1
-    for corrupt, message in cases:
+    for corrupt, message in NOT_JSON_INTEGERS:
         data = json.loads(saved)
         corrupt(data)
         path.write_text(json.dumps(data))
@@ -644,6 +645,143 @@ def test_simulate_rejects_coefficients_that_are_not_json_integers(tmp_path, caps
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"sumnet: error: {message}\n"
+
+
+def outcome(read):
+    """What ``read()`` returns, or the type and text of what it raises."""
+    try:
+        return read()
+    except Exception as exc:  # compared, type and text, with the reference
+        return type(exc), str(exc)
+
+
+def respell(data, draw) -> str:
+    """A code document's value written anew: every object's keys in a drawn
+    order, a drawn indent and separators, and whitespace around it."""
+    def shuffled(value):
+        if isinstance(value, dict):
+            return {key: shuffled(value[key]) for key in draw(st.permutations(list(value)))}
+        if isinstance(value, list):
+            return [shuffled(x) for x in value]
+        return value
+
+    indent = draw(st.sampled_from([None, 0, 2, "\t"]))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")]))
+    text = json.dumps(shuffled(data), indent=indent, separators=separators, ensure_ascii=False)
+    return draw(st.sampled_from(["", " ", "\n\t"])) + text + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def respelled_code_documents(draw):
+    """A valid Fano or STS(9) code document over GF(2) or GF(3), respelled,
+    with a member added to the document or to a decoder entry, which the
+    reader ignores: non-ASCII text, or a JSON integer or literal that a
+    window ending inside it would cut short."""
+    codes = sorted(key for key in valid_documents() if key[1].startswith("code"))
+    data = json.loads(valid_documents()[draw(st.sampled_from(codes))])
+    holder = draw(st.sampled_from([data, *data["decoders"].values()]))
+    note = st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=4)
+    holder["note"] = draw(note | st.integers(10**6, 10**30) | st.integers() | st.booleans() | st.none())
+    return respell(data, draw).encode()
+
+
+@st.composite
+def faulty_code_documents(draw):
+    """The bytes of a respelled Fano/GF(3) code document with one fault: a
+    matrix entry that is no JSON integer (``NOT_JSON_INTEGERS``), the
+    document cut off at a drawn byte, or a stray byte that is not UTF-8."""
+    data = json.loads(valid_documents()["--fano", "code 3"])
+    data["note"] = "\u00e9t\u00e9"
+    fault = draw(st.sampled_from(["entry", "truncated", "stray byte"]))
+    if fault == "entry":
+        corrupt, _ = draw(st.sampled_from(NOT_JSON_INTEGERS))
+        corrupt(data)
+    raw = respell(data, draw).encode()
+    at = draw(st.integers(0, len(raw)))
+    if fault == "truncated":
+        return raw[:at]
+    if fault == "stray byte":
+        return raw[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[at:]
+    return raw
+
+
+def assert_both_readers_agree(raw: bytes, read_bytes: int):
+    """``code_load`` of ``raw``, read ``read_bytes`` at a time so that every
+    value straddles a window boundary, and ``code_from_json`` of its text
+    both return or refuse what the reference reader of the whole text
+    does; returns that outcome."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "code.json"
+        path.write_bytes(raw)
+        expected = outcome(lambda: code_from_whole_text(_read_text(path)))
+        with patch.object(designs, "_READ_BYTES", read_bytes):
+            assert outcome(lambda: code_load(path)) == expected
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError:
+        assert expected[0] is ParseError and expected[1].startswith("not UTF-8 text: ")
+    else:
+        assert outcome(lambda: code_from_json(text)) == expected
+    return expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(respelled_code_documents(), st.integers(1, 7))
+def test_a_respelled_code_document_loads_as_its_whole_text_does(raw, read_bytes):
+    # indent, separators, key order and non-ASCII text do not change the
+    # code a document holds, read whole or a few bytes at a time
+    loaded = assert_both_readers_agree(raw, read_bytes)
+    assert isinstance(loaded, NetworkCode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_code_documents(), st.integers(1, 7))
+def test_a_faulty_code_document_is_refused_as_its_whole_text_is(raw, read_bytes):
+    # a cut-off document is refused where the whole text's parse refuses
+    # it, a stray byte as text that is not UTF-8, and an entry that is no
+    # JSON integer with the text of its single fault
+    refused = assert_both_readers_agree(raw, read_bytes)
+    assert isinstance(refused, NetworkCode) or refused[0] is ParseError
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 5])
+def test_a_number_the_window_cuts_off_is_read_whole(read_bytes):
+    # a value that ends where the text read so far ends may go on past it
+    text = valid_documents()["--fano", "code 3"]
+    data = json.loads(text)
+    data["note"] = 1234567890123
+    data["decoders"]["terminal-point:1"]["note"] = -98765
+    assert assert_both_readers_agree(json.dumps(data).encode(), read_bytes) == code_from_json(text)
+
+
+@pytest.mark.parametrize("read_bytes", [1, 3])
+@pytest.mark.parametrize("fault", range(len(NOT_JSON_INTEGERS)))
+def test_an_entry_that_is_no_json_integer_is_refused_by_both_readers(fault, read_bytes):
+    data = json.loads(valid_documents()["--fano", "code 3"])
+    corrupt, message = NOT_JSON_INTEGERS[fault]
+    corrupt(data)
+    raw = json.dumps(data, indent=2).encode()
+    assert assert_both_readers_agree(raw, read_bytes) == (ParseError, message)
+
+
+def test_simulate_reads_a_valid_code_document_without_its_whole_text(tmp_path, capsys, monkeypatch):
+    # the text of a document is read whole only to word the refusal of its
+    # JSON or its UTF-8
+    path = tmp_path / "code.json"
+    argv = ["simulate", "--sts", "9", "--field", "3", "--trials", "20", "--code", str(path)]
+    assert main(["code", "--sts", "9", "--field", "3", "--save-code", str(path)]) == 0
+    read = []
+    for module in (cli, coding, designs):
+        if hasattr(module, "_read_text"):
+            whole = module._read_text
+            monkeypatch.setattr(module, "_read_text", lambda p, whole=whole: read.append(p) or whole(p))
+    assert main(argv) == 0
+    assert read == []
+    path.write_bytes(path.read_bytes()[:-100])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert read == [str(path)]
+    assert capsys.readouterr().err.startswith("sumnet: error: not valid JSON: ")
 
 
 @pytest.mark.parametrize("where", ["lambda", "block"])

@@ -17,7 +17,9 @@ from sumnet.coding import (
     build_code_char_divides,
     build_code_char_not_divides,
     code_from_json,
+    code_load,
     code_params_for,
+    code_save,
     code_to_json,
     column_source,
     partial_sum_row,
@@ -368,14 +370,28 @@ def test_code_json_round_trip():
 
 
 def test_reading_a_code_document_holds_less_than_its_text():
-    # the maps are converted one at a time as the code reads them, each
-    # parsed matrix's lists dropped as it is, and only its core kept: about
-    # 9.3 MiB of traced allocations for 11.7 MiB of text here, where the
-    # parsed lists and every lifted map held at once took 16.5 MiB
+    # each matrix is held as its smallest integer array from its last row
+    # on, the maps are made one at a time as the code reads them, and only
+    # their core is kept: about 3.3 MiB of traced allocations for 11.7 MiB
+    # of text here, where the parsed lists of every matrix took 9.3 MiB,
+    # and with every lifted map held at once 16.5 MiB
     code = build_code(build_sum_network(sts_bose(15)), PrimeField(2**31 - 1))
     text = code_to_json(code)
     with peak_allocation_below(len(text), "code_from_json at STS(15)/GF(2^31 - 1)"):
         again = code_from_json(text)
+    assert again == code and again.w == 5
+
+
+def test_loading_a_code_document_holds_less_than_three_quarters_of_it(tmp_path):
+    # code_load reads the file a MiB at a time and never holds its text:
+    # about 6.3 MiB of traced allocations for an 11.7 MiB document, where
+    # its text alone, bytes and str, took twice its length
+    code = build_code(build_sum_network(sts_bose(15)), PrimeField(2**31 - 1))
+    path = tmp_path / "code.json"
+    code_save(code, path)
+    limit = 3 * path.stat().st_size // 4
+    with peak_allocation_below(limit, "code_load at STS(15)/GF(2^31 - 1)"):
+        again = code_load(path)
     assert again == code and again.w == 5
 
 

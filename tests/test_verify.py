@@ -146,7 +146,8 @@ def test_a_thousand_simulated_trials_at_sts27_stay_below_their_memory_bound():
     # the drawn sources are held as uint8, 144 sources of 27 x 1000 values
     # (3.7 MiB), and no array holds every trial's decoded values: each
     # chunk of trials is compared with its sums as it is decoded.  The
-    # traced peak is about 16.2 MiB, most of it one chunk's arrays
+    # traced peak is about 18.5 MiB, most of it one chunk's arrays (504
+    # columns; 16.2 MiB at the 396 columns of a 2^19-cell budget)
     net = build_sum_network(sts_bose(27))
     code = build_code(net, PrimeField(3))
     what = "simulate_trials at STS(27)/GF(3), 1000 trials"
