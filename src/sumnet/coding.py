@@ -26,7 +26,8 @@ alone.  ``build_code`` stores the core it builds; ``NetworkCode(...)``,
 time, refuse those that do not fit the design, and keep their core when
 every one is a lift, so a code read from a document never holds its
 lifted maps at once.  ``code_load`` reads the document from its file a
-window at a time (``designs._Window``) and never holds its text.
+window at a time (``designs._Window``) and never holds its text; the
+canonical integer rows of a matrix are parsed in bulk.
 ``encoders[i]`` (the map from the stacked source vector to the n symbols
 on bottleneck i) and each decoder's ``matrix`` (from the concatenation of
 its in-edge values to the m decoded symbols) are the lifted maps, built
@@ -679,9 +680,25 @@ def _held(rows, booleans: bool) -> np.ndarray | ParseError:
         refused = ParseError(f"malformed code document: {exc}")
         refused.__cause__ = exc
         return refused
-    if a.size:
-        a = a.astype(np.result_type(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
-    return a
+    return _smallest(a) if a.size else a
+
+
+def _smallest(a: np.ndarray) -> np.ndarray:
+    """A non-empty integer array as the smallest integer dtype of its
+    entries."""
+    return a.astype(np.result_type(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())), copy=False)
+
+
+def _held_rows(found: list, booleans: bool) -> np.ndarray | ParseError:
+    """A matrix read as ``found``, runs of its rows read in bulk (arrays,
+    each ``_smallest``) and rows decoded whole, held as ``_held`` holds the
+    list of its rows.  Runs alone, all of one width, are joined as they
+    are: their entries are non-negative, so the join has the smallest
+    dtype of the whole."""
+    if found and all(isinstance(x, np.ndarray) for x in found) and len({x.shape[1] for x in found}) == 1:
+        return np.concatenate(found)
+    rows = [row for x in found for row in (x.tolist() if isinstance(x, np.ndarray) else [x])]
+    return _held(rows, booleans)
 
 
 class _Maps:
@@ -734,22 +751,29 @@ def _decoder_entry(label: str, entry, labels: _LabelKinds) -> tuple:
 
 def _read_document(window: _Window):
     """The value of a code document, read through ``window``: each matrix,
-    of an encoder or a decoder entry, is held (``_held``) as its last row
-    is read, each row decoded whole; every other value is decoded whole."""
+    of an encoder or a decoder entry, is held (``_held_rows``) as its last
+    row is read.  Its rows are read in bulk (``_Window.rows``), a window's
+    run at a time, while their text is canonical; from the first row that
+    is not, each row of the matrix is decoded whole.  Every other value is
+    decoded whole."""
 
     def matrix():
         if window.peek() != "[":
             return _held(window.value(), True)
-        booleans = False
+        booleans, bulk = False, True
 
-        def row():
-            nonlocal booleans
+        def rows():
+            nonlocal booleans, bulk
+            found = window.rows() if bulk else None
+            if found is not None:
+                return _smallest(found)
+            bulk = False
             found = window.value()
             # true and false spell an e, which no JSON integer does
             booleans = booleans or window.spells("e")
             return found
 
-        return _held(window.items(row), booleans)
+        return _held_rows(window.items(rows), booleans)
 
     def entry_member(key: str):
         return matrix() if key == "matrix" else window.value()
@@ -787,8 +811,12 @@ def code_load(path) -> NetworkCode:
     """The code of the ``sumnet.code/1`` document at ``path``, read
     ``_READ_BYTES`` at a time: its text is never held whole, each matrix is
     held as its smallest integer array until the maps are made, one at a
-    time, and only their core is kept.  A document refused for its JSON or
-    its UTF-8 is then read whole, once, to word the refusal."""
+    time, and only their core is kept.  Matrix rows spelled as ``code_save``
+    spells them, non-negative integers of at most 18 digits without a
+    leading zero, are parsed by numpy a window's run at a time; ``json``
+    decodes every other value, and every row of a matrix from its first
+    row spelled otherwise.  A document refused for its JSON or its UTF-8
+    is then read whole, once, to word the refusal."""
     with open(path, "rb") as fp:
         return _read(_Window(fp, **_HOOKS), lambda: _read_text(path))
 

@@ -10,11 +10,14 @@ from __future__ import annotations
 import codecs
 import json
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from ._jsonwriter import dumps
 
@@ -270,6 +273,64 @@ _READ_BYTES = 1 << 20
 _LOOKAHEAD = 16
 _SPACE = re.compile(r"[ \t\n\r]*")
 
+# rows of integers read in bulk (``_Window.rows``): the characters of them
+# parsed at a time (past those, up to the end of a row; 1 MiB at a time was
+# no faster, and raised the peak RSS of ``simulate --code`` at STS(27)/GF(3)
+# from 76 to 87 MiB), JSON whitespace, and a token of 19 digits or more,
+# spelled with every digit as 1
+_ROWS_CHARS = 1 << 18
+_WHITESPACE = b" \t\n\r"
+_DIGITS = b"0123456789"
+_TOO_LONG = b"1" * 19
+_DIGITS_AS_ONES = bytes.maketrans(_DIGITS, b"1" * 10)
+
+
+def _digits(text: bytes) -> np.ndarray:
+    """Per byte of ``text``, whether it is an ASCII digit."""
+    return np.frombuffer(text, np.uint8) - np.uint8(ord("0")) < 10
+
+
+def _runs(digit: np.ndarray) -> int:
+    """The number of runs of True in ``digit``, which starts with False."""
+    return int(np.count_nonzero(digit[1:] > digit[:-1]))
+
+
+def _integer_rows(raw: bytes) -> np.ndarray | None:
+    """The rows ``raw`` spells, ``[..],..,[..]`` with JSON whitespace between
+    tokens, as an int64 array, when every row holds the same number of
+    JSON integers and each is spelled as ``json.dumps`` spells a value
+    below 10**18: one to 18 digits, no sign and no leading zero; else
+    None.  The checks run on the text without its whitespace, which is
+    what numpy parses: its skeleton, the text without its digits, must be
+    the rows' brackets and commas, no digit may stand between rows, and
+    each token must be one run of digits, in the text and in ``raw``."""
+    text = raw.translate(None, _WHITESPACE)
+    skeleton = text.translate(None, _DIGITS)
+    rows = skeleton.count(b"[")  # one at least: raw starts with '['
+    width = (len(skeleton) + 1) // rows - 2
+    # the skeleton holds any character besides digits, commas and brackets
+    if width < 1 or skeleton != b",".join([b"[" + b"," * (width - 1) + b"]"] * rows):
+        return None
+    byte, digit, tokens = np.frombuffer(text, np.uint8), _digits(text), rows * width
+    if (
+        _runs(digit) != tokens  # an empty token
+        or _runs(_digits(raw)) != tokens  # whitespace inside a token
+        or np.any(digit[1:] & (byte[:-1] == ord("]")))  # a token between rows
+        or np.any(digit[:-1] & (byte[1:] == ord("[")))
+        or np.any(~digit[:-2] & (byte[1:-1] == ord("0")) & digit[2:])  # a leading zero
+        or _TOO_LONG in text.translate(_DIGITS_AS_ONES)  # more than 18 digits
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # where numpy stops short of the end, older versions warn and
+            # newer ones raise; the checks above leave it no such text
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text.translate(None, b"[]"), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    return values.reshape(rows, width) if values.size == tokens else None
+
 
 class _Window:
     """A JSON document read forward through a sliding window of its text.
@@ -280,9 +341,13 @@ class _Window:
     the read position.  A caller walks the document with ``members`` and
     ``items`` and decodes every other value whole with ``value``, which
     takes ``_load_json``'s hooks and retries a value the window cuts off
-    after the next read.  A fault of JSON syntax or of UTF-8, or a refusal
-    of a hook, raises a ``ValueError`` where the reading stands; only
-    ``_load_json`` on the whole text words it as a refusal.
+    after the next read.  The rows of an array of integer rows may instead
+    be read in bulk with ``rows``, which takes the complete rows the
+    window holds, and only when their text is canonical (``_integer_rows``);
+    it reads nothing otherwise, and ``value`` decodes the next row as
+    before.  A fault of JSON syntax or of UTF-8, or a refusal of a hook,
+    raises a ``ValueError`` where the reading stands; only ``_load_json``
+    on the whole text words it as a refusal.
     """
 
     def __init__(self, source, **hooks):
@@ -337,6 +402,40 @@ class _Window:
                 continue  # a number may go on past the window
             self.start, self.pos = self.pos, end
             return value
+
+    def rows(self) -> np.ndarray | None:
+        """The complete rows of integers from the read position on, read in
+        bulk, as an int64 array (``_rows_length`` says how many; more is
+        read while the window holds none).  None, with nothing read, unless
+        the next value is an array and the rows' text is canonical
+        (``_integer_rows``)."""
+        if self.peek() != "[":
+            return None
+        while not (length := self._rows_length()):
+            if not self._more():
+                return None
+        try:
+            raw = self.text[self.pos : self.pos + length].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        found = _integer_rows(raw)
+        if found is not None:
+            self.pos += length
+        return found
+
+    def _rows_length(self) -> int:
+        """The length of the rows from the read position on, each closed by
+        a ']' that a ',' follows: up to the row that no ',' follows, the
+        last of their array, or to the first row that ends ``_ROWS_CHARS``
+        characters on, or else to the last row the window holds; 0 when it
+        holds none."""
+        end = self.pos
+        while end - self.pos < _ROWS_CHARS and (close := self.text.find("]", end)) >= 0:
+            end = close + 1
+            after = _SPACE.match(self.text, end).end()
+            if self.text[after : after + 1] != ",":
+                break
+        return end - self.pos
 
     def spells(self, word: str) -> bool:
         """Whether the text of the last value holds ``word``."""

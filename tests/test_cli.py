@@ -671,18 +671,55 @@ def respell(data, draw) -> str:
     return draw(st.sampled_from(["", " ", "\n\t"])) + text + draw(st.sampled_from(["", "\n"]))
 
 
+# a matrix entry written in place of a spelling, which then replaces its text
+SPELLED = "\0spelled"
+
+
+def spell(text: str, spelling: str) -> str:
+    """``text`` with its ``SPELLED`` entry spelled ``spelling``."""
+    assert text.count(json.dumps(SPELLED)) == 1
+    return text.replace(json.dumps(SPELLED), spelling)
+
+
+def edge_spellings(entry: int, p: int) -> dict[str, str]:
+    """Spellings of a matrix entry over GF(p) at the edge of the rows read
+    in bulk, each read as ``entry``: those past it (a sign, 19 digits),
+    which json decodes, and those just inside it (18 digits, a tab or CR LF
+    between entries)."""
+    found = {
+        "negative": str(entry - p),
+        "18 digits": str(10**17 + (entry - 10**17) % p),
+        "19 digits": str(10**18 + (entry - 10**18) % p),
+        "tab": f"\t{entry}\t",
+        "CR LF": f"\r\n{entry}\r\n",
+    }
+    if entry == 0:
+        found["-0"] = "-0"
+    if entry == (2**63 - 1) % p:
+        found["2**63 - 1"] = str(2**63 - 1)
+    return found
+
+
 @st.composite
 def respelled_code_documents(draw):
     """A valid Fano or STS(9) code document over GF(2) or GF(3), respelled,
     with a member added to the document or to a decoder entry, which the
     reader ignores: non-ASCII text, or a JSON integer or literal that a
-    window ending inside it would cut short."""
+    window ending inside it would cut short.  One matrix entry may be
+    spelled at the edge of the rows read in bulk (``edge_spellings``)."""
     codes = sorted(key for key in valid_documents() if key[1].startswith("code"))
     data = json.loads(valid_documents()[draw(st.sampled_from(codes))])
     holder = draw(st.sampled_from([data, *data["decoders"].values()]))
     note = st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=4)
     holder["note"] = draw(note | st.integers(10**6, 10**30) | st.integers() | st.booleans() | st.none())
-    return respell(data, draw).encode()
+    if not draw(st.booleans()):
+        return respell(data, draw).encode()
+    matrices = [*data["encoders"], *(entry["matrix"] for entry in data["decoders"].values())]
+    row = draw(st.sampled_from(draw(st.sampled_from(matrices))))
+    x = draw(st.integers(0, len(row) - 1))
+    spelling = draw(st.sampled_from(sorted(edge_spellings(row[x], data["p"]).values())))
+    row[x] = SPELLED
+    return spell(respell(data, draw), spelling).encode()
 
 
 @st.composite
@@ -762,6 +799,97 @@ def test_an_entry_that_is_no_json_integer_is_refused_by_both_readers(fault, read
     corrupt(data)
     raw = json.dumps(data, indent=2).encode()
     assert assert_both_readers_agree(raw, read_bytes) == (ParseError, message)
+
+
+def fano_document() -> tuple[dict, list]:
+    """The value of the Fano/GF(3) code document and the matrix of its
+    decoder at terminal-point:1, six rows of 72 entries."""
+    data = json.loads(valid_documents()["--fano", "code 3"])
+    return data, data["decoders"]["terminal-point:1"]["matrix"]
+
+
+# spellings of entry 1 of that matrix's row 2, which is 0, and how each is
+# refused: where the whole text's parse stops, or with the text of its entry
+NOT_JSON = "not valid JSON: "
+FAULTY_SPELLINGS = {
+    "leading zero": ("01", NOT_JSON),
+    "plus sign": ("+1", NOT_JSON),
+    "space inside": ("1 2", NOT_JSON),
+    "exponent": ("1E3", "malformed code document: 1E3 is not an integer"),
+    "hexadecimal": ("0x1", NOT_JSON),
+    "2**63": (str(2**63), NOT_INTEGER),
+}
+READS = [*range(1, 8), designs._READ_BYTES]
+
+
+@pytest.mark.parametrize("read_bytes", READS)
+@pytest.mark.parametrize("name", sorted({*edge_spellings(0, 3), *edge_spellings(1, 3)}))
+def test_an_entry_spelled_at_the_edge_of_the_bulk_rows_loads_as_its_value(name, read_bytes):
+    # a row is read in bulk only when it is spelled as json.dumps spells
+    # integers below 10**18; json decodes every other row, so a sign, 19
+    # digits or a value past int64 read as they did
+    data, matrix = fano_document()
+    x = next(x for x, entry in enumerate(matrix[2]) if name in edge_spellings(entry, 3))
+    spelling, matrix[2][x] = edge_spellings(matrix[2][x], 3)[name], SPELLED
+    raw = spell(json.dumps(data, indent=2), spelling).encode()
+    assert assert_both_readers_agree(raw, read_bytes) == code_from_json(valid_documents()["--fano", "code 3"])
+
+
+@pytest.mark.parametrize("read_bytes", READS)
+@pytest.mark.parametrize("name", sorted(FAULTY_SPELLINGS))
+def test_an_entry_spelled_past_the_bulk_rows_is_refused_as_before(name, read_bytes):
+    spelling, message = FAULTY_SPELLINGS[name]
+    data, matrix = fano_document()
+    matrix[2][1] = SPELLED
+    refused = assert_both_readers_agree(spell(json.dumps(data, indent=2), spelling).encode(), read_bytes)
+    assert refused[0] is ParseError and refused[1].startswith(message)
+
+
+@pytest.mark.parametrize("read_bytes", READS)
+@pytest.mark.parametrize("fault", ["trailing comma", "token between rows", "ragged row", "empty matrix"])
+def test_a_matrix_the_bulk_rows_do_not_fit_is_refused_as_before(fault, read_bytes):
+    data, matrix = fano_document()
+    last = matrix[2][-1]
+    if fault == "trailing comma":
+        matrix[2][-1] = SPELLED
+        raw = spell(json.dumps(data, indent=2), f"{last},").encode()
+    elif fault == "token between rows":
+        # the next row's first entry moved out of it: as many runs of
+        # digits as entries, and the brackets and commas of a matrix
+        matrix[2][-1], matrix[3][0] = SPELLED, "gone"
+        moved = f'{json.dumps(SPELLED)}], ["gone", '
+        assert json.dumps(data).count(moved) == 1
+        raw = json.dumps(data).replace(moved, f"{last}], 7[, ").encode()
+    else:
+        if fault == "ragged row":
+            matrix[2].pop()
+        else:
+            matrix.clear()
+        raw = json.dumps(data, indent=2).encode()
+    refused = assert_both_readers_agree(raw, read_bytes)
+    assert refused[0] is ParseError
+    syntax = fault in ("trailing comma", "token between rows")
+    assert refused[1].startswith(NOT_JSON if syntax else "malformed code document: ")
+
+
+def test_a_valid_code_document_decodes_no_matrix_row_through_json(tmp_path, monkeypatch):
+    # json decodes the keys and the values beside the matrices, a fixed
+    # number per decoder entry, and none of the matrices' rows
+    decoded = []
+    value = designs._Window.value
+    monkeypatch.setattr(designs._Window, "value", lambda window: decoded.append(1) or value(window))
+    counts = {}
+    for design, p in ((["--sts", "9"], "3"), (["--sts", "15"], "2147483647")):
+        path = tmp_path / f"code-{p}.json"
+        assert main(["code", *design, "--field", p, "--save-code", str(path)]) == 0
+        decoded.clear()
+        code = code_load(path)
+        rows = sum(x.rows for x in code.encoders) + sum(x.matrix.rows for x in code.decoders.values())
+        assert len(decoded) < rows
+        # per decoder entry its label, two keys and its in-edges
+        counts[p] = len(decoded) - 4 * len(code.decoders)
+    # six top-level keys and four of their values
+    assert counts == {"3": 10, "2147483647": 10}
 
 
 def test_simulate_reads_a_valid_code_document_without_its_whole_text(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,17 @@
 
 import pytest
 
-from sumnet.coding import REGIME_DIVIDES, _core, build_code, code_params_for
-from sumnet.designs import design_verify
+from sumnet.cli import main
+from sumnet.coding import (
+    REGIME_DIVIDES,
+    REGIME_NOT_DIVIDES,
+    _core,
+    build_code,
+    code_load,
+    code_params_for,
+    code_save,
+)
+from sumnet.designs import design_save, design_verify
 from sumnet.field import PrimeField
 from sumnet.network import build_sum_network, network_export_json, network_from_json, network_validate
 from sumnet.verify import (
@@ -14,7 +23,7 @@ from sumnet.verify import (
     transfer_check,
 )
 
-from conftest import affine_plane, assert_core_path_agrees, drop_block_correction, projective_plane
+from conftest import PLANES, affine_plane, assert_core_path_agrees, drop_block_correction, projective_plane
 
 
 def test_plane_parameters():
@@ -70,3 +79,29 @@ def test_fractional_core_is_recognised_for_k_above_three(design, p):
     assert broken.w == w
     assert not transfer_check(net, broken).ok
     assert_core_path_agrees(net, broken, seed=p)
+
+
+@pytest.mark.parametrize(
+    "name,p,regime",
+    [("PG(2,3)", 2, REGIME_NOT_DIVIDES), ("PG(2,3)", 3, REGIME_DIVIDES), ("AG(2,5)", 3, REGIME_NOT_DIVIDES)],
+)
+def test_a_plane_code_goes_through_its_files_in_either_regime(tmp_path, capsys, name, p, regime):
+    # the design file goes in with --load and the code comes back from its
+    # document: it loads equal, saves to the same bytes, and simulates as
+    # the code built in process does
+    design_path, code_path, again = tmp_path / "design.json", tmp_path / "code.json", tmp_path / "again.json"
+    design_save(PLANES[name](), design_path)
+    argv = ["--load", str(design_path), "--field", str(p)]
+    assert main(["code", *argv, "--save-code", str(code_path)]) == 0
+    code = build_code(build_sum_network(PLANES[name]()), PrimeField(p))
+    assert code.params.regime == regime
+    loaded = code_load(code_path)
+    assert loaded == code and loaded.w == code.w
+    code_save(loaded, again)
+    assert again.read_bytes() == code_path.read_bytes()
+    simulate = ["simulate", *argv, "--trials", "200", "--seed", str(p)]
+    capsys.readouterr()
+    assert main(simulate) == 0
+    built = capsys.readouterr().out
+    assert main([*simulate, "--code", str(code_path)]) == 0
+    assert capsys.readouterr().out == built
