@@ -189,7 +189,8 @@ def cmd_build(args) -> int:
     report = network_validate(net)
     terminals = None
     if args.filter_terminals:
-        terminals = [_parse_terminal(s) for s in args.filter_terminals.split(",")]
+        known = set(net.terminals())
+        terminals = [_parse_terminal(s, known) for s in args.filter_terminals.split(",")]
     if args.dot:
         network_save_dot(net, args.dot, terminals)
     if args.json:
@@ -216,13 +217,18 @@ def cmd_build(args) -> int:
     return 0 if report.ok else CHECK_FAILED
 
 
-def _parse_terminal(token: str):
+def _parse_terminal(token: str, known: set):
+    """The terminal ``token`` names, p3 or B2, which must be among ``known``."""
     token = token.strip()
     if token.startswith("p"):
-        return parse_node_label(f"terminal-point:{token[1:]}")
-    if token.startswith("B"):
-        return parse_node_label(f"terminal-block:{token[1:]}")
-    raise ParseError(f"terminal {token!r} should look like p3 or B2")
+        t = parse_node_label(f"terminal-point:{token[1:]}")
+    elif token.startswith("B"):
+        t = parse_node_label(f"terminal-block:{token[1:]}")
+    else:
+        raise ParseError(f"terminal {token!r} should look like p3 or B2")
+    if t not in known:
+        raise ParseError(f"terminal {token!r} is not a terminal of the network")
+    return t
 
 
 def cmd_code(args) -> int:

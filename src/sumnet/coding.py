@@ -25,9 +25,10 @@ alone.  ``build_code`` stores the core it builds; ``NetworkCode(...)``,
 ``code_load`` and ``code_from_json`` take the paper's (m, n) maps one at a
 time, refuse those that do not fit the design, and keep their core when
 every one is a lift, so a code read from a document never holds its
-lifted maps at once.  ``code_load`` reads the document from its file a
-window at a time (``designs._Window``) and never holds its text; the
-canonical integer rows of a matrix are parsed in bulk.
+lifted maps at once.  ``code_load`` streams a document spelled as
+``code_save`` spells it from its file a window at a time
+(``designs._Window``), parsing every matrix's rows in bulk, and never
+holds its text; any other document is read whole, once.
 ``encoders[i]`` (the map from the stacked source vector to the n symbols
 on bottleneck i) and each decoder's ``matrix`` (from the concatenation of
 its in-edge values to the m decoded symbols) are the lifted maps, built
@@ -663,18 +664,17 @@ def _refuse_float(literal: str):
 _HOOKS = {"parse_float": _refuse_float, "parse_constant": _refuse_float}
 
 
-def _held(rows, booleans: bool) -> np.ndarray | ParseError:
+def _held(rows) -> np.ndarray | ParseError:
     """A matrix of a code document as held until p is known: ``rows`` as an
     array of the smallest integer dtype of its entries, or the
     ``ParseError`` that refuses them.  JSON floats are refused while
     parsing, so numpy infers an integer dtype unless an entry is a string,
     an integer that does not fit int64 or, with only booleans beside it, a
-    boolean.  A boolean among integers reads as 0 or 1, so when the
-    matrix's text spells one (``booleans``) the entries' types are read."""
+    boolean; a boolean among integers reads as 0 or 1, so the entries'
+    types are read."""
     try:
         a = np.asarray(rows)
-        spelled = booleans and bool in set(map(type, np.asarray(rows, object).flat))
-        if a.size and (a.dtype.kind != "i" or spelled):
+        if a.size and (a.dtype.kind != "i" or bool in set(map(type, np.asarray(rows, object).flat))):
             raise ValueError("matrix entries must be integers of magnitude below 2**63")
     except (TypeError, ValueError) as exc:
         refused = ParseError(f"malformed code document: {exc}")
@@ -687,18 +687,6 @@ def _smallest(a: np.ndarray) -> np.ndarray:
     """A non-empty integer array as the smallest integer dtype of its
     entries."""
     return a.astype(np.result_type(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())), copy=False)
-
-
-def _held_rows(found: list, booleans: bool) -> np.ndarray | ParseError:
-    """A matrix read as ``found``, runs of its rows read in bulk (arrays,
-    each ``_smallest``) and rows decoded whole, held as ``_held`` holds the
-    list of its rows.  Runs alone, all of one width, are joined as they
-    are: their entries are non-negative, so the join has the smallest
-    dtype of the whole."""
-    if found and all(isinstance(x, np.ndarray) for x in found) and len({x.shape[1] for x in found}) == 1:
-        return np.concatenate(found)
-    rows = [row for x in found for row in (x.tolist() if isinstance(x, np.ndarray) else [x])]
-    return _held(rows, booleans)
 
 
 class _Maps:
@@ -749,74 +737,78 @@ def _decoder_entry(label: str, entry, labels: _LabelKinds) -> tuple:
     return t, (rows, tail, heads, kind), entry["matrix"]
 
 
-def _read_document(window: _Window):
-    """The value of a code document, read through ``window``: each matrix,
-    of an encoder or a decoder entry, is held (``_held_rows``) as its last
-    row is read.  Its rows are read in bulk (``_Window.rows``), a window's
-    run at a time, while their text is canonical; from the first row that
-    is not, each row of the matrix is decoded whole.  Every other value is
-    decoded whole."""
+def _streamed(window: _Window):
+    """The value of a code document spelled as ``code_save`` spells it, read
+    through ``window``: each matrix, of an encoder or a decoder entry, is
+    read in bulk (``_Window.rows``), a window's run of rows at a time, and
+    held as its last row is read; every other value is decoded whole.  Any
+    other spelling (a matrix row spelled otherwise, an empty or ragged
+    matrix, a value of another type where ``code_save`` writes an array or
+    an object) or any fault raises a ``ValueError``."""
+
+    def rows():
+        found = window.rows()
+        if found is None:
+            raise ValueError("matrix rows not spelled as code_save spells them")
+        return _smallest(found)
 
     def matrix():
-        if window.peek() != "[":
-            return _held(window.value(), True)
-        booleans, bulk = False, True
-
-        def rows():
-            nonlocal booleans, bulk
-            found = window.rows() if bulk else None
-            if found is not None:
-                return _smallest(found)
-            bulk = False
-            found = window.value()
-            # true and false spell an e, which no JSON integer does
-            booleans = booleans or window.spells("e")
-            return found
-
-        return _held_rows(window.items(rows), booleans)
+        # the runs' entries are non-negative, so their join has the
+        # smallest dtype of the whole
+        found = window.items(rows)
+        if len({x.shape[1] for x in found}) != 1:
+            raise ValueError("an empty or ragged matrix")
+        return np.concatenate(found)
 
     def entry_member(key: str):
         return matrix() if key == "matrix" else window.value()
 
-    def decoder(label: str):
-        return window.members(entry_member) if window.peek() == "{" else window.value()
-
     def member(key: str):
         if key == "encoders":
-            if window.peek() == "[":
-                return window.items(matrix)
-            found = window.value()
-            # what list() reads of it, held as matrices
-            return [_held(x, True) for x in found] if isinstance(found, (str, dict)) else found
-        if key == "decoders" and window.peek() == "{":
-            return window.members(decoder)
+            return window.items(matrix)
+        if key == "decoders":
+            return window.members(lambda label: window.members(entry_member))
         return window.value()
 
-    return window.document(lambda: window.members(member) if window.peek() == "{" else window.value())
+    return window.document(lambda: window.members(member))
+
+
+def _whole(text: str):
+    """The value of a code document decoded whole from its text, its
+    matrices held (``_held``) as ``_streamed`` holds them: what ``_code``'s
+    ``list()`` reads of ``encoders``, and each decoder entry's ``matrix``."""
+    data = _load_json(text, **_HOOKS)
+    if isinstance(data, dict):
+        if isinstance(data.get("encoders"), (list, str, dict)):
+            data["encoders"] = [_held(x) for x in data["encoders"]]
+        if isinstance(data.get("decoders"), dict):
+            for entry in data["decoders"].values():
+                if isinstance(entry, dict) and "matrix" in entry:
+                    entry["matrix"] = _held(entry["matrix"])
+    return data
 
 
 def _read(window: _Window, text) -> NetworkCode:
-    """The code of the document ``window`` reads; ``text()`` gives its
-    whole text to word a refusal of its JSON or UTF-8 exactly as
-    ``_load_json`` does."""
+    """The code of a document: streamed through ``window`` when it is
+    spelled as ``code_save`` spells it (``_streamed``), else read whole from
+    ``text()``, once (``_whole``), which refuses a fault of its JSON or its
+    UTF-8 as ``_load_json`` does."""
     try:
-        data = _read_document(window)
-    except ValueError:  # JSON syntax or UTF-8 at fault, a key twice or a float
-        _load_json(text(), **_HOOKS)
-        raise
-    return _code(data)
+        data = _streamed(window)
+    except ValueError:  # spelled otherwise, or at fault
+        data = None  # the stream's held matrices go before the text is read
+    return _code(_whole(text()) if data is None else data)
 
 
 def code_load(path) -> NetworkCode:
-    """The code of the ``sumnet.code/1`` document at ``path``, read
-    ``_READ_BYTES`` at a time: its text is never held whole, each matrix is
-    held as its smallest integer array until the maps are made, one at a
-    time, and only their core is kept.  Matrix rows spelled as ``code_save``
-    spells them, non-negative integers of at most 18 digits without a
-    leading zero, are parsed by numpy a window's run at a time; ``json``
-    decodes every other value, and every row of a matrix from its first
-    row spelled otherwise.  A document refused for its JSON or its UTF-8
-    is then read whole, once, to word the refusal."""
+    """The code of the ``sumnet.code/1`` document at ``path``.  A document
+    spelled as ``code_save`` spells it is read ``_READ_BYTES`` at a time,
+    its text never held whole; its matrix rows, non-negative integers of at
+    most 18 digits without a leading zero, are parsed by numpy a window's
+    run at a time, and each matrix is held as its smallest integer array
+    until the maps are made, one at a time, and only their core is kept.
+    Any other document, respelled or at fault, is read whole, once
+    (``_whole``), at O(size) memory."""
     with open(path, "rb") as fp:
         return _read(_Window(fp, **_HOOKS), lambda: _read_text(path))
 

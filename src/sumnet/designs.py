@@ -341,11 +341,10 @@ class _Window:
     the read position.  A caller walks the document with ``members`` and
     ``items`` and decodes every other value whole with ``value``, which
     takes ``_load_json``'s hooks and retries a value the window cuts off
-    after the next read.  The rows of an array of integer rows may instead
-    be read in bulk with ``rows``, which takes the complete rows the
-    window holds, and only when their text is canonical (``_integer_rows``);
-    it reads nothing otherwise, and ``value`` decodes the next row as
-    before.  A fault of JSON syntax or of UTF-8, or a refusal of a hook,
+    after the next read.  The rows of an array of integer rows are read in
+    bulk with ``rows``, which takes the complete rows the window holds, and
+    only when their text is canonical (``_integer_rows``); it reads nothing
+    otherwise.  A fault of JSON syntax or of UTF-8, or a refusal of a hook,
     raises a ``ValueError`` where the reading stands; only ``_load_json``
     on the whole text words it as a refusal.
     """
@@ -355,7 +354,7 @@ class _Window:
         self._utf8 = codecs.getincrementaldecoder("utf-8")()
         self._decoder = json.JSONDecoder(object_pairs_hook=_members, **hooks)
         self.text = source if self._file is None else ""
-        self.pos = self.start = 0
+        self.pos = 0
 
     def _more(self) -> bool:
         """Drop the text before the read position and append the next read;
@@ -387,7 +386,7 @@ class _Window:
             raise json.JSONDecodeError(f"Expecting {char!r}", self.text, self.pos)
 
     def value(self):
-        """The next value, decoded whole; its text is ``text[start:pos]``."""
+        """The next value, decoded whole."""
         self.peek()
         while True:
             try:
@@ -400,7 +399,7 @@ class _Window:
                 raise
             if end + _LOOKAHEAD > len(self.text) and self._more():
                 continue  # a number may go on past the window
-            self.start, self.pos = self.pos, end
+            self.pos = end
             return value
 
     def rows(self) -> np.ndarray | None:
@@ -436,10 +435,6 @@ class _Window:
             if self.text[after : after + 1] != ",":
                 break
         return end - self.pos
-
-    def spells(self, word: str) -> bool:
-        """Whether the text of the last value holds ``word``."""
-        return self.text.find(word, self.start, self.pos) >= 0
 
     def members(self, read) -> dict:
         """The members of the next value, an object, each value read by

@@ -50,11 +50,11 @@ def code_from_whole_text(text: str) -> NetworkCode:
     data = _load_json(text, **_HOOKS)
     if isinstance(data, dict):
         if isinstance(data.get("encoders"), (list, str, dict)):
-            data["encoders"] = [_held(x, True) for x in data["encoders"]]
+            data["encoders"] = [_held(x) for x in data["encoders"]]
         if isinstance(data.get("decoders"), dict):
             for entry in data["decoders"].values():
                 if isinstance(entry, dict) and "matrix" in entry:
-                    entry["matrix"] = _held(entry["matrix"], True)
+                    entry["matrix"] = _held(entry["matrix"])
     return _code(data)
 
 

@@ -152,6 +152,42 @@ def test_build_filtered_dot(tmp_path, capsys):
     assert dot_path.read_text().count("[style=bold]") == 3
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("p99", "terminal 'p99' is not a terminal of the network"),
+        ("p1,B8", "terminal 'B8' is not a terminal of the network"),
+        ("p1,x1", "terminal 'x1' should look like p3 or B2"),
+        ("p0", "bad node label 'terminal-point:0'"),
+    ],
+)
+def test_build_refuses_a_filter_terminal_the_network_lacks(tmp_path, capsys, spec, message):
+    # a terminal outside the network is refused as a malformed token is,
+    # before any file is written
+    dot_path, json_path = tmp_path / "part.dot", tmp_path / "net.json"
+    argv = ["build", "--fano", "--dot", str(dot_path), "--json", str(json_path), "--filter-terminals", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sumnet: error: {message}\n"
+    assert not dot_path.exists() and not json_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args,spec,digest",
+    [
+        (["--fano"], "p1,B1", "8f5598a0854236e6c599979617aa9a52cce8823cbd0f2200f3d439c1db90a466"),
+        (["--sts", "9"], "p3,B2,B7", "11e8cfc37298c2142554ce52fa22e44308444003c9f2fdd6f6e8fefbdc96db59"),
+    ],
+)
+def test_build_filtered_dot_keeps_its_golden_digest(tmp_path, capsys, args, spec, digest):
+    # the digests of tests/test_network.py's NETWORK_DOT_SHA256, written
+    # through the command's terminal filter
+    dot_path = tmp_path / "part.dot"
+    assert main(["build", *args, "--dot", str(dot_path), "--filter-terminals", spec]) == 0
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == digest
+
+
 def test_build_sts9_network_file(tmp_path, capsys):
     net_path = tmp_path / "n.json"
     assert main(["build", "--sts", "9", "--json", str(net_path)]) == 0
@@ -893,8 +929,8 @@ def test_a_valid_code_document_decodes_no_matrix_row_through_json(tmp_path, monk
 
 
 def test_simulate_reads_a_valid_code_document_without_its_whole_text(tmp_path, capsys, monkeypatch):
-    # the text of a document is read whole only to word the refusal of its
-    # JSON or its UTF-8
+    # a document spelled as code_save spells it is streamed; the text of any
+    # other document, respelled or at fault, is read whole, once
     path = tmp_path / "code.json"
     argv = ["simulate", "--sts", "9", "--field", "3", "--trials", "20", "--code", str(path)]
     assert main(["code", "--sts", "9", "--field", "3", "--save-code", str(path)]) == 0
@@ -910,6 +946,21 @@ def test_simulate_reads_a_valid_code_document_without_its_whole_text(tmp_path, c
     assert main(argv) == 2
     assert read == [str(path)]
     assert capsys.readouterr().err.startswith("sumnet: error: not valid JSON: ")
+
+    # one matrix entry of a Fano/GF(3) document spelled -0
+    fano_argv = ["simulate", "--fano", "--field", "3", "--trials", "20", "--code", str(path)]
+    assert main(["code", "--fano", "--field", "3", "--save-code", str(path)]) == 0
+    capsys.readouterr()
+    read.clear()
+    assert main(fano_argv) == 0
+    canonical = capsys.readouterr()
+    assert read == []
+    text = path.read_text()
+    zero = re.compile(r'"matrix": \[\s*\[[^\]]*?\b(0),').search(text).start(1)
+    path.write_text(text[:zero] + "-" + text[zero:])
+    assert main(fano_argv) == 0
+    assert read == [str(path)]
+    assert capsys.readouterr() == canonical
 
 
 @pytest.mark.parametrize("where", ["lambda", "block"])

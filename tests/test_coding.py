@@ -370,13 +370,13 @@ def test_code_json_round_trip():
 
 
 def test_reading_a_code_document_holds_less_than_its_text():
-    # each matrix is held as its smallest integer array from its last row
-    # on, its rows parsed in bulk 256 KiB of text at a time, the maps are
-    # made one at a time as the code reads them, and only their core is
-    # kept: about 3.3 MiB of traced allocations for 11.7 MiB of text here
-    # (3.3 MiB too when json decoded each row), where the parsed lists of
-    # every matrix took 9.3 MiB, and with every lifted map held at once
-    # 16.5 MiB
+    # a document spelled as code_save spells it is streamed: each matrix is
+    # held as its smallest integer array from its last row on, its rows
+    # parsed in bulk 256 KiB of text at a time, the maps are made one at a
+    # time as the code reads them, and only their core is kept: about
+    # 3.3 MiB of traced allocations for 11.7 MiB of text here, where the
+    # parsed lists of every matrix took 9.3 MiB, and with every lifted map
+    # held at once 16.5 MiB
     code = build_code(build_sum_network(sts_bose(15)), PrimeField(2**31 - 1))
     text = code_to_json(code)
     with peak_allocation_below(len(text), "code_from_json at STS(15)/GF(2^31 - 1)"):
@@ -385,10 +385,11 @@ def test_reading_a_code_document_holds_less_than_its_text():
 
 
 def test_loading_a_code_document_holds_less_than_three_quarters_of_it(tmp_path):
-    # code_load reads the file a MiB at a time and never holds its text:
-    # about 6.2 MiB of traced allocations for an 11.7 MiB document with its
-    # rows parsed in bulk (6.3 MiB when json decoded each row), where its
-    # text alone, bytes and str, took twice its length
+    # code_load streams a document spelled as code_save spells it a MiB at
+    # a time and never holds its text: about 6.2 MiB of traced allocations
+    # for an 11.7 MiB document with its rows parsed in bulk, where its text
+    # alone, bytes and str, took twice its length, as it still does for a
+    # respelled document, which is read whole
     code = build_code(build_sum_network(sts_bose(15)), PrimeField(2**31 - 1))
     path = tmp_path / "code.json"
     code_save(code, path)

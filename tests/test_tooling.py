@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +51,19 @@ def _is_raw_product(node: ast.AST) -> bool:
     return not builds_field_matrix
 
 
+# numpy's product functions, called as np.matmul(...), a.dot(...) or bare
+_PRODUCT_FUNCTIONS = {"matmul", "dot", "einsum", "tensordot", "inner"}
+
+
+def _is_product_call(node: ast.AST) -> bool:
+    """A call of one of numpy's product functions, under any owner."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in _PRODUCT_FUNCTIONS
+
+
 @pytest.mark.parametrize("path", SOURCE_FILES, ids=lambda p: p.name)
 def test_modular_products_go_through_the_kernel(path):
     # every product of residues must run in field._matmul_mod, whose bound
@@ -57,7 +71,7 @@ def test_modular_products_go_through_the_kernel(path):
     # is slow.  Outside the kernel, @ is allowed only with a freshly built
     # FieldMatrix on the left, which dispatches to FieldMatrix.__matmul__
     # and hence to the kernel (with anything but a FieldMatrix on the
-    # right it raises).
+    # right it raises), and numpy's product functions not at all.
     tree = ast.parse(path.read_text(), filename=str(path))
     kernel = {
         id(node)
@@ -71,10 +85,12 @@ def test_modular_products_go_through_the_kernel(path):
         if isinstance(node, ast.Call) and _uses_object_dtype(node)
     ]
     raw_products = [
-        node.lineno for node in ast.walk(tree) if _is_raw_product(node) and id(node) not in kernel
+        node.lineno
+        for node in ast.walk(tree)
+        if (_is_raw_product(node) or _is_product_call(node)) and id(node) not in kernel
     ]
     assert not object_dtype, f"{path.name} uses object dtype on lines {object_dtype}"
-    assert not raw_products, f"{path.name} has @ outside _matmul_mod on lines {raw_products}"
+    assert not raw_products, f"{path.name} has a product outside _matmul_mod on lines {raw_products}"
 
 
 def _indented_dump(call: ast.Call) -> bool:
@@ -218,6 +234,38 @@ def test_cli_binds_every_name_perfbench_reads():
     names = _names_perfbench_reads_from_the_cli()
     assert {"fano", "sts_bose", "build_sum_network", "build_code", "PrimeField", "code_to_json"} <= names
     assert sorted(x for x in names if not hasattr(sumnet.cli, x)) == []
+
+
+_SPANS_TRACED_AND_READ = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run, traced
+import sumnet.cli as cli
+from sumnet import coding, verify
+
+wrapped = traced.install(traced.Tracer(), cli, (verify, coding))
+read = {name for spans, _, _ in run.LAYER_METRICS.values() for name in spans}
+print(json.dumps({"wrapped": sorted(wrapped), "read": sorted(read)}))
+"""
+
+
+def test_perfbench_wraps_every_span_its_layer_metrics_read():
+    # traced.py's install wraps names bound in sumnet.cli, sumnet.verify,
+    # sumnet.coding and FieldMatrix.__matmul__; a name the library stops
+    # binding there is silently left unwrapped, and every metric of its
+    # span reads nothing.  install rebinds module attributes, so it runs in
+    # a child process, which leaves no bytecode beside perfbench's sources
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _SPANS_TRACED_AND_READ, str(PERFBENCH)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(done.stdout)
+    assert "field.matmul" in spans["read"] and "coding.from_json" in spans["read"]
+    assert sorted(set(spans["read"]) - set(spans["wrapped"])) == []
 
 
 # public functions and methods that no module of the library references
