@@ -192,37 +192,13 @@ def exhaustive_failure_search(gamma: int) -> CounterexampleReport:
     blocks = list(product((0, 1), repeat=params.kprime))
     outcomes = []
     for two_maps_to in (0, 1):
-        witness = None
+        outcome = CompletionOutcome(two_maps_to, None, None, None, None, fails=False, exhausted=True)
         for x1, x2 in product(blocks, repeat=2):
-            decoded = decode_sum(x1, x2, params, two_maps_to)
-            expected = true_sum(x1, x2)
+            decoded, expected = decode_sum(x1, x2, params, two_maps_to), true_sum(x1, x2)
             if decoded != expected:
-                witness = (x1, x2, decoded, expected)
+                outcome = CompletionOutcome(two_maps_to, x1, x2, decoded, expected, fails=True)
                 break
-        if witness is None:
-            outcomes.append(
-                CompletionOutcome(
-                    two_maps_to=two_maps_to,
-                    x1=None,
-                    x2=None,
-                    decoded=None,
-                    expected=None,
-                    fails=False,
-                    exhausted=True,
-                )
-            )
-        else:
-            x1, x2, decoded, expected = witness
-            outcomes.append(
-                CompletionOutcome(
-                    two_maps_to=two_maps_to,
-                    x1=x1,
-                    x2=x2,
-                    decoded=decoded,
-                    expected=expected,
-                    fails=True,
-                )
-            )
+        outcomes.append(outcome)
     return CounterexampleReport(
         params=params, mode="exhaustive-search", outcomes=tuple(outcomes)
     )

@@ -218,14 +218,13 @@ def cmd_build(args) -> int:
 
 
 def _parse_terminal(token: str, known: set):
-    """The terminal ``token`` names, p3 or B2, which must be among ``known``."""
+    """The terminal ``token`` names, p3 or B2, which must be among ``known``;
+    its number is ASCII digits without a leading zero."""
     token = token.strip()
-    if token.startswith("p"):
-        t = parse_node_label(f"terminal-point:{token[1:]}")
-    elif token.startswith("B"):
-        t = parse_node_label(f"terminal-block:{token[1:]}")
-    else:
+    kind, number = {"p": "terminal-point", "B": "terminal-block"}.get(token[:1]), token[1:]
+    if not (kind and number.isascii() and number.isdigit() and (number == "0" or number[0] != "0")):
         raise ParseError(f"terminal {token!r} should look like p3 or B2")
+    t = parse_node_label(f"{kind}:{number}")
     if t not in known:
         raise ParseError(f"terminal {token!r} is not a terminal of the network")
     return t

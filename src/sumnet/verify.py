@@ -15,7 +15,10 @@ product of a matrix that holds all decoders, scattered by tail id.  The
 trials go through in chunks of about ``_CHUNK_COLUMNS`` columns, or
 fewer to hold about ``_CHUNK_CELLS`` cells, and ``simulate_trials``
 compares each chunk with its sums as it is decoded, so no array holds
-every trial's decoded values.
+every trial's decoded values.  One routine decides both recoverability
+checks: a group of bottlenecks must determine the sum of every source
+their kernels read, a single point's group its partial sum and a block's
+k points its neighborhood sum.
 
 A code has checked its own shapes where it was made.  Both paths rest on
 the wiring that ``_check_compatible`` states and every entry point checks
@@ -60,7 +63,6 @@ from .coding import (
     _kernel_columns,
     code_params_for,
     column_source,
-    partial_sum_row,
     stacked_width,
     sum_map,
 )
@@ -391,8 +393,29 @@ def simulate_trials(
     )
 
 
-def _first_row_outside(basis: FieldMatrix, target: FieldMatrix) -> int:
-    return int(_rows_outside_row_space(basis.array, target.array, basis.field.p)[0])
+def _first_rows_outside(net: SumNetwork, code: NetworkCode, groups) -> Iterator[tuple[int, int]]:
+    """For each group of points in ``groups`` whose bottlenecks do not
+    determine the sum of every source their kernels read, the group's
+    position and the first row of that sum outside their row space, times w.
+
+    The group's kernels are scattered into the union of the sources they
+    read, in stacked order, and tested against [I ... I] over that union.
+    A kernel reads its sources in stacked order, so a single point's system
+    is its kernel against its partial sum over the kernel's own columns."""
+    _check_compatible(net, code)
+    d, f, w, (m, n) = net.design, code.field, code.w, code.core_params.rate
+    offsets = np.arange(m)
+    for g, points in enumerate(groups):
+        ids = [_kernel_columns(d, point, 1) for point in points]
+        union = np.flatnonzero(np.bincount(np.concatenate(ids)))
+        rows = np.zeros((len(ids) * n, len(union) * m), dtype=np.int64)
+        for r, (point, x) in enumerate(zip(points, ids)):
+            columns = (np.searchsorted(union, x)[:, None] * m + offsets).ravel()
+            rows[r * n : (r + 1) * n, columns] = code.core_kernels[point].array
+        basis = FieldMatrix._trusted(f, rows)
+        target = FieldMatrix._trusted(f, np.tile(np.eye(m, dtype=np.int64), len(union)))
+        if not row_space_contains(basis, target):
+            yield g, int(_rows_outside_row_space(rows, target.array, f.p)[0]) * w
 
 
 def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
@@ -401,51 +424,26 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     This holds for any correct code, in either regime: the symbols on
     bottleneck i must determine the partial sum at point i.
     """
-    _check_compatible(net, code)
-    d, m, f, w = net.design, code.core_params.m, code.field, code.w
-    # the lifted row space is w copies of the core's: core row a is row a*w.
-    # The partial sum reads exactly the sources of the point's kernel
-    failures = []
-    for i, kernel in enumerate(code.core_kernels):
-        target = FieldMatrix._trusted(f, partial_sum_row(d, i, m, f).array[:, _kernel_columns(d, i, m)])
-        if not row_space_contains(kernel, target):
-            row = _first_row_outside(kernel, target) * w
-            failures.append(
-                Failure(
-                    at=NodeId(BOTTLENECK_TAIL, i),
-                    detail=f"partial-sum row {row} not recoverable from bottleneck {i + 1}",
-                )
-            )
+    failures = [
+        Failure(
+            at=NodeId(BOTTLENECK_TAIL, i),
+            detail=f"partial-sum row {row} not recoverable from bottleneck {i + 1}",
+        )
+        for i, row in _first_rows_outside(net, code, [(i,) for i in range(net.design.v)])
+    ]
     return VerifyResult(ok=not failures, failures=failures)
 
 
 def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """For each block, the sum of its points' sources plus all block sources
     in its neighborhood must be recoverable from its points' bottlenecks."""
-    _check_compatible(net, code)
-    d, m, f, w = net.design, code.core_params.m, code.field, code.w
-    # the sources a block's k kernels read are its points and the blocks in
-    # its neighborhood, the target's sources: the k kernels are scattered
-    # into the union of their columns, in stacked order, against [I ... I]
-    n, offsets = code.core_params.n, np.arange(m)
-    failures = []
-    for j in range(d.b):
-        ids = [_kernel_columns(d, point, 1) for point in d.blocks[j]]
-        union = np.flatnonzero(np.bincount(np.concatenate(ids)))
-        rows = np.zeros((len(ids) * n, len(union) * m), dtype=np.int64)
-        for r, (point, x) in enumerate(zip(d.blocks[j], ids)):
-            columns = (np.searchsorted(union, x)[:, None] * m + offsets).ravel()
-            rows[r * n : (r + 1) * n, columns] = code.core_kernels[point].array
-        basis = FieldMatrix._trusted(f, rows)
-        target = FieldMatrix._trusted(f, np.tile(np.eye(m, dtype=np.int64), len(union)))
-        if not row_space_contains(basis, target):
-            row = _first_row_outside(basis, target) * w
-            failures.append(
-                Failure(
-                    at=NodeId(TERMINAL_BLOCK, j),
-                    detail=f"block {j + 1} neighborhood sum row {row} not recoverable",
-                )
-            )
+    failures = [
+        Failure(
+            at=NodeId(TERMINAL_BLOCK, j),
+            detail=f"block {j + 1} neighborhood sum row {row} not recoverable",
+        )
+        for j, row in _first_rows_outside(net, code, net.design.blocks)
+    ]
     return VerifyResult(ok=not failures, failures=failures)
 
 

@@ -150,6 +150,10 @@ def test_build_filtered_dot(tmp_path, capsys):
     rc = main(["build", "--fano", "--dot", str(dot_path), "--filter-terminals", "p1,B1"])
     assert rc == 0
     assert dot_path.read_text().count("[style=bold]") == 3
+    # whitespace around a token is no part of it
+    spaced = tmp_path / "spaced.dot"
+    assert main(["build", "--fano", "--dot", str(spaced), "--filter-terminals", " p1, B1 "]) == 0
+    assert spaced.read_bytes() == dot_path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -159,13 +163,20 @@ def test_build_filtered_dot(tmp_path, capsys):
         ("p1,B8", "terminal 'B8' is not a terminal of the network"),
         ("p1,x1", "terminal 'x1' should look like p3 or B2"),
         ("p0", "bad node label 'terminal-point:0'"),
+        # a number is ASCII digits without a leading zero, as int() does not ask
+        ("p+1", "terminal 'p+1' should look like p3 or B2"),
+        ("p 1", "terminal 'p 1' should look like p3 or B2"),
+        ("p1,p01", "terminal 'p01' should look like p3 or B2"),
+        ("B\u0663", "terminal 'B\u0663' should look like p3 or B2"),
+        ("p1_0", "terminal 'p1_0' should look like p3 or B2"),
     ],
 )
 def test_build_refuses_a_filter_terminal_the_network_lacks(tmp_path, capsys, spec, message):
     # a terminal outside the network is refused as a malformed token is,
-    # before any file is written
+    # before any file is written; p1_0 would name p10, which STS(15) has
+    design = ["--sts", "15"] if spec == "p1_0" else ["--fano"]
     dot_path, json_path = tmp_path / "part.dot", tmp_path / "net.json"
-    argv = ["build", "--fano", "--dot", str(dot_path), "--json", str(json_path), "--filter-terminals", spec]
+    argv = ["build", *design, "--dot", str(dot_path), "--json", str(json_path), "--filter-terminals", spec]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

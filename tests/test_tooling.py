@@ -249,23 +249,62 @@ print(json.dumps({"wrapped": sorted(wrapped), "read": sorted(read)}))
 """
 
 
-def test_perfbench_wraps_every_span_its_layer_metrics_read():
-    # traced.py's install wraps names bound in sumnet.cli, sumnet.verify,
-    # sumnet.coding and FieldMatrix.__matmul__; a name the library stops
-    # binding there is silently left unwrapped, and every metric of its
-    # span reads nothing.  install rebinds module attributes, so it runs in
-    # a child process, which leaves no bytecode beside perfbench's sources
+def _perfbench_child(script: str) -> dict:
+    """The JSON that ``script`` prints, run with perfbench's directory as
+    its first argument.  traced.py's install rebinds module attributes, so
+    it runs in a child process, which leaves no bytecode beside
+    perfbench's sources."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     done = subprocess.run(
-        [sys.executable, "-c", _SPANS_TRACED_AND_READ, str(PERFBENCH)],
+        [sys.executable, "-c", script, str(PERFBENCH)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    spans = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_perfbench_wraps_every_span_its_layer_metrics_read():
+    # traced.py's install wraps names bound in sumnet.cli, sumnet.verify,
+    # sumnet.coding and FieldMatrix.__matmul__; a name the library stops
+    # binding there is silently left unwrapped, and every metric of its
+    # span reads nothing
+    spans = _perfbench_child(_SPANS_TRACED_AND_READ)
     assert "field.matmul" in spans["read"] and "coding.from_json" in spans["read"]
     assert sorted(set(spans["read"]) - set(spans["wrapped"])) == []
+
+
+_TRACED_CODE_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import traced
+import sumnet.cli as cli
+from sumnet import coding, verify
+
+tracer = traced.Tracer()
+traced.install(tracer, cli, (verify, coding))
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = cli.main(["code", "--fano", "--field", "3", "--format", "json"])
+names = [span["name"] for span in tracer.spans]
+print(json.dumps({"exit_code": exit_code, "names": names}))
+"""
+
+
+def test_perfbench_traced_code_run_opens_every_span_it_wraps():
+    # a name the library still binds but no longer calls is wrapped and
+    # never opened, so its metrics read nothing; this runs the fractional
+    # code on Fano through the wrapped names and counts the spans it opens
+    run = _perfbench_child(_TRACED_CODE_RUN)
+    assert run["exit_code"] == 0  # every check passed
+    opened = set(run["names"])
+    for name in (
+        "designs.generate", "network.build", "coding.build", "verify.transfer",
+        "verify.partial_sum", "verify.block_sum", "field.matmul", "field.row_space",
+    ):
+        assert name in opened, name
+    # one row-space test per group: the v points, then the b blocks
+    assert run["names"].count("field.row_space") == fano().v + fano().b == 14
 
 
 # public functions and methods that no module of the library references
@@ -275,6 +314,7 @@ _UNREFERENCED_BY_DESIGN = {
     "build_code_char_not_divides": "paper-facing API: the fractional code, refusing the other regime",
     "simulate": "paper-facing API: one assignment of source vectors through the network",
     "unicast_control_holds": "paper-facing API: the control of the alphabet-change demonstration",
+    "partial_sum_row": "paper-facing API: the full-width map of a point's partial sum",
     "network_from_json": "boundary reader of sumnet.network/1 documents",
     "network_export_dot": "paper-facing API: the network as DOT text",
     "_Parser.error": "argparse calls it on a usage error",

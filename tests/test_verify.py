@@ -23,9 +23,10 @@ from sumnet.coding import (
     build_code_char_divides,
     code_from_json,
     code_to_json,
+    partial_sum_row,
 )
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
-from sumnet.field import FieldMatrix, PrimeField, _Prepared
+from sumnet.field import FieldMatrix, PrimeField, _Prepared, _rows_outside_row_space
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -605,6 +606,60 @@ def test_single_bottleneck_cannot_recover_a_block_sum():
     full = vstack([code.encoders[point] for point in d.blocks[0]])
     assert not row_space_contains(single, FieldMatrix(f, target[:1]))
     assert row_space_contains(full, FieldMatrix(f, target[:1]))
+
+
+def first_row_outside(encoders: list[FieldMatrix], target: np.ndarray) -> int | None:
+    """The first row of the full-width ``target`` that the stacked rows of
+    ``encoders`` do not span, or None."""
+    outside = _rows_outside_row_space(vstack(encoders).array, target, encoders[0].field.p)
+    return int(outside[0]) if outside.size else None
+
+
+def neighborhood_sum(d: Design, j: int, m: int) -> np.ndarray:
+    """The m x (v+b)m map summing block j's points and the blocks in its
+    neighborhood, block j among them."""
+    target = np.zeros((m, (d.v + d.b) * m), dtype=np.int64)
+    for source in (*d.blocks[j], *(d.v + x for x in d.block_neighborhood(j))):
+        target[:, source * m : (source + 1) * m] = np.eye(m, dtype=np.int64)
+    return target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recoverability_failures_are_the_lifted_codes_first_rows(data):
+    # one or two core rows a of drawn encoders are zeroed, either in every
+    # copy (lifted rows a*w .. a*w+w-1, so the code stays w copies of its
+    # core) or in copy u alone (so it is held at w = 1).  Each check's
+    # failures are those of the full-width system of the lifted encoders,
+    # which maps no core row or column back
+    d = data.draw(st.sampled_from((fano(), sts_bose(9))))
+    f = PrimeField(data.draw(st.sampled_from((2, 3, 5))))
+    net = build_sum_network(d)
+    code = build_code(net, f)
+    m, n, w = code.params.m, code.params.n, code.w
+    alike, u = data.draw(st.booleans()), data.draw(st.integers(0, w - 1))
+    encoders = [e.array.copy() for e in code.encoders]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, a = data.draw(st.integers(0, d.v - 1)), data.draw(st.integers(0, n // w - 1))
+        encoders[i][slice(a * w, (a + 1) * w) if alike else a * w + u] = 0
+    broken = NetworkCode(d, f, code.params, tuple(FieldMatrix(f, e) for e in encoders), code.decoders)
+    assert broken.w == (w if alike else 1)
+    lifted = broken.encoders
+    partial = [(i, first_row_outside([lifted[i]], partial_sum_row(d, i, m, f).array)) for i in range(d.v)]
+    block = [
+        (j, first_row_outside([lifted[x] for x in points], neighborhood_sum(d, j, m)))
+        for j, points in enumerate(d.blocks)
+    ]
+    assert [(x.at, x.detail) for x in partial_sum_recoverable(net, broken).failures] == [
+        (NodeId(BOTTLENECK_TAIL, i), f"partial-sum row {row} not recoverable from bottleneck {i + 1}")
+        for i, row in partial
+        if row is not None
+    ]
+    assert [(x.at, x.detail) for x in block_sum_recoverable(net, broken).failures] == [
+        (NodeId(TERMINAL_BLOCK, j), f"block {j + 1} neighborhood sum row {row} not recoverable")
+        for j, row in block
+        if row is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
