@@ -5,14 +5,16 @@ for the values sumnet emits: dicts with string keys, lists and tuples,
 strings, ints, bools and ``None``.  The standard library runs its
 pure-Python encoder whenever ``indent`` is set, one generator step per
 value.  This writer instead quotes each distinct string once per document,
-renders a list whose items are all strings or all ints with one
-``str.join``, and appends every piece of the document to one list that is
-joined once, so no nested value is copied into its parent's text.  Two
-value types stand for lists whose items are never built:
+renders a list whose items are all ints with one ``str.join``, and appends
+every piece of the document to one list that is joined once, so no nested
+value is copied into its parent's text.  Two value types stand for lists
+whose items are never built:
 
 * a ``StringTable`` is a list of rows of strings given as integer-array
   columns of indices into one list of strings; its cells are pre-rendered
-  once per string, and its rows are rendered ``_TABLE_ROWS`` at a time;
+  once per string.  One routine, ``_rows``, chunks every table sumnet
+  writes, ``_TABLE_ROWS`` rows at a time: the rows of a ``StringTable``
+  here, and the edge lines of a network's DOT drawing;
 * a ``LiftedMatrix`` is the rows of core (x) I_w, w interleaved copies of
   an integer core.  Lifted row a*w + u holds core row a's nonzeros at
   columns b*w + u and zeros elsewhere, so each row is rendered from the
@@ -29,7 +31,7 @@ whole.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -107,29 +109,33 @@ def dump(obj, fp: TextIO) -> None:
     out.spill()
 
 
-def _flat_row(obj, newline: str, quoted: _Quoted) -> str | None:
-    """A non-empty list of only strings or only ints, rendered with one
-    join; ``None`` for any other list."""
-    inner = newline + "  "
-    sep = "," + inner
-    first = type(obj[0])
-    if first is str:
-        try:
-            return f"[{inner}{sep.join(map(quoted.__getitem__, obj))}{newline}]"
-        except TypeError:  # some item is not a str
-            return None
-    if first is int and set(map(type, obj)) == {int}:
-        return f"[{inner}{sep.join(map(int.__repr__, obj))}{newline}]"
+def _flat_row(obj, newline: str) -> str | None:
+    """A non-empty list of only ints, rendered with one join; ``None`` for
+    any other list."""
+    if type(obj[0]) is int and set(map(type, obj)) == {int}:
+        inner = newline + "  "
+        return f"[{inner}{f',{inner}'.join(map(int.__repr__, obj))}{newline}]"
     return None
 
 
+def _rows(rendered: Sequence[Sequence[str]], columns: Sequence[np.ndarray]) -> Iterator[list[str]]:
+    """The cells of a table's rows in order, ``_TABLE_ROWS`` rows at a
+    time: the cell of row i in column c is ``rendered[c][columns[c][i]]``.
+    Every table sumnet writes is chunked here."""
+    width, rows = len(columns), len(columns[0])
+    for lo in range(0, rows, _TABLE_ROWS):
+        chunk = [""] * (width * (min(rows, lo + _TABLE_ROWS) - lo))
+        for c, column in enumerate(columns):
+            chunk[c::width] = map(rendered[c].__getitem__, column[lo : lo + _TABLE_ROWS].tolist())
+        yield chunk
+
+
 def _table(table: StringTable, newline: str, quoted: _Quoted, out: _Pieces) -> None:
-    """A ``StringTable``, spilled after every ``_TABLE_ROWS`` rows, one
+    """A ``StringTable``, spilled after every chunk of ``_rows``, one
     piece per cell: each cell is rendered with the text before it, and the
     last cell of a row also closes the row."""
     columns = table.columns
-    rows = len(columns[0])
-    if not rows:
+    if not len(columns[0]):
         out.append("[]")
         return
     inner = newline + "  "
@@ -142,11 +148,8 @@ def _table(table: StringTable, newline: str, quoted: _Quoted, out: _Pieces) -> N
         after = f"{inner}]" if c == width - 1 else ""
         rendered.append([f"{before}{q}{after}" for q in literals])
     out.append("[")
-    for lo in range(0, rows, _TABLE_ROWS):
-        chunk = [""] * (width * (min(rows, lo + _TABLE_ROWS) - lo))
-        for c, column in enumerate(columns):
-            chunk[c::width] = map(rendered[c].__getitem__, column[lo : lo + _TABLE_ROWS].tolist())
-        if not lo:
+    for i, chunk in enumerate(_rows(rendered, columns)):
+        if not i:
             chunk[0] = chunk[0][1:]  # no separator before the first row
         out += chunk
         out.spill()
@@ -217,7 +220,7 @@ def _encode(obj, newline: str, quoted: _Quoted, out: _Pieces) -> None:
         if not obj:
             out.append("[]")
             return
-        row = _flat_row(obj, newline, quoted)
+        row = _flat_row(obj, newline)
         if row is not None:
             out.append(row)
             return
@@ -228,12 +231,7 @@ def _encode(obj, newline: str, quoted: _Quoted, out: _Pieces) -> None:
         for item in obj:
             out.append(lead)
             lead = sep
-            # rows of a table are tried here, saving a call per row
-            row = _flat_row(item, inner, quoted) if type(item) is list and item else None
-            if row is None:
-                _encode(item, inner, quoted, out)
-            else:
-                out.append(row)
+            _encode(item, inner, quoted, out)
         out.append(newline + "]")
     elif isinstance(obj, str):
         out.append(quoted[obj])

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes are a stable contract: 0 success, 1 usage error, 2 validation
-or verification failure.  JSON output is versioned and byte-deterministic
-for identical invocations.
+Exit codes are a stable contract: 0 success, 1 usage error or a closed
+standard output (reported with no message), 2 validation or verification
+failure.  JSON output is versioned and byte-deterministic for identical
+invocations.
 """
 
 from __future__ import annotations
@@ -368,10 +369,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
     except (UnsupportedOrderError, InvalidGammaError, TooLargeError, NotPrimeError) as exc:
         print(f"sumnet: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader went away, which is no failed check; what is still
+        # buffered, flushed again at exit, goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         ParseError,
         InvalidDesignError,

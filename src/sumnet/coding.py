@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sized
 
 import numpy as np
 
-from ._jsonwriter import LiftedMatrix, dump, dumps
+from ._jsonwriter import LiftedMatrix, StringTable, dump, dumps
 from .designs import (
     Design,
     InvalidDesignError,
@@ -596,13 +596,13 @@ def _code_document(code: NetworkCode) -> dict:
     """The ``sumnet.code/1`` document of a code: its (m, n) maps in the
     paper's layout, each written from the held core as its lift by I_w."""
 
-    def in_edge_rows(dec: TerminalDecoder) -> list[list[str]]:
+    def in_edge_table(dec: TerminalDecoder) -> StringTable:
+        # rows index the tails' labels, the terminal's (if any), the kinds
         terminal, rank, index, kind = dec._ids
-        head = terminal.label() if terminal else None
-        return [
-            [f"{_NODE_KINDS[r]}:{x + 1}", head, _EDGE_KINDS[k]]
-            for r, x, k in zip(rank.tolist(), index.tolist(), kind.tolist())
-        ]
+        strings = [f"{_NODE_KINDS[r]}:{x + 1}" for r, x in zip(rank.tolist(), index.tolist())]
+        edges = len(strings)
+        strings += [terminal.label() if terminal else "", *_EDGE_KINDS]
+        return StringTable(strings, (np.arange(edges), np.full(edges, edges), kind + (edges + 1)))
 
     w = code.w
     return {
@@ -612,7 +612,7 @@ def _code_document(code: NetworkCode) -> dict:
         "design": code.design.to_dict(),
         "encoders": [LiftedMatrix(code._core_encoder(i).array, w) for i in range(code.design.v)],
         "decoders": {
-            t.label(): {"in_edges": in_edge_rows(dec), "matrix": LiftedMatrix(dec.matrix.array, w)}
+            t.label(): {"in_edges": in_edge_table(dec), "matrix": LiftedMatrix(dec.matrix.array, w)}
             for t, dec in sorted(code.core_decoders.items(), key=lambda kv: kv[0].sort_key)
         },
     }

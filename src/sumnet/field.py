@@ -195,40 +195,32 @@ def _magnitude(x: np.ndarray | _Prepared) -> int:
 def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) -> np.ndarray:
     """The int64 residues of a @ b mod p, computed exactly.
 
-    Entries of ``a`` and ``b`` must be nonnegative integers below 2**31, as
-    canonical residues are.  Every partial sum of the product is then at
-    most inner * max(a) * max(b); below 2**53 one float64 BLAS product is
-    exact.  Above it, the smaller operand is rewritten in balanced
-    residues, entries above p//2 becoming entry - p: a partial sum is then
-    at most inner * max|balanced| * max(other) in magnitude, and when that
-    is below 2**53 one product reduced by ``np.mod`` is exact.  A decoder's
+    Each operand is an array of canonical residues, nonnegative integers
+    below 2**31, or ``_Prepared``, balanced residues with their magnitude.
+    Every partial sum of the product is at most inner * |a| * |b| in
+    magnitude, with each operand's bound taken in the form it is given in
+    (``_magnitude``); below 2**53 one float64 BLAS product is exact.  It is
+    reduced by ``np.fmod`` when both operands are canonical, since the
+    product is then nonnegative, and by the costlier ``np.mod`` only when
+    a balanced one took part.  Past that bound both operands are taken as
+    canonical residues and the smaller is rewritten in balanced residues,
+    entries above p//2 becoming entry - p: a partial sum is then at most
+    inner * max|balanced| * max(other) in magnitude, and when that is
+    below 2**53 one product reduced by ``np.mod`` is exact.  A decoder's
     -(k-1), held as p - (k-1), is small in this form.  Otherwise the
     smaller operand is split into s-bit limbs, the widest that keep
     inner * (2**s - 1) * max(other) below 2**53, with one product per limb
     recombined by Horner's rule in int64.  When even 1-bit limbs overflow,
     the inner dimension is cut into chunks.
-
-    Either operand may be ``_Prepared``.  Its product with an array is one
-    pass while inner * magnitude * max(array) is below 2**53, the bound of
-    the balanced pass; past it the prepared operand's canonical residues
-    take the path above.
     """
-    if isinstance(a, _Prepared) or isinstance(b, _Prepared):
-        x, y = (z.balanced if isinstance(z, _Prepared) else z for z in (a, b))
-        if x.shape[1] * _magnitude(a) * _magnitude(b) < _EXACT:
-            product = x.astype(np.float64, copy=False) @ y.astype(np.float64, copy=False)
-            return np.mod(product, p, out=product).astype(np.int64)
-        a, b = (z.residues(p) if isinstance(z, _Prepared) else z for z in (a, b))
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=np.int64)
-    amax = int(a.max()) if a.size else 0
-    bmax = int(b.max()) if b.size else 0
-    if amax == 0 or bmax == 0:
-        return out
-    if inner * amax * bmax < _EXACT:
-        product = a.astype(np.float64) @ b.astype(np.float64)
-        return np.fmod(product, p, out=product).astype(np.int64)
+    x, y = (z.balanced if isinstance(z, _Prepared) else z for z in (a, b))
+    if x.shape[1] * _magnitude(a) * _magnitude(b) < _EXACT:
+        product = x.astype(np.float64, copy=False) @ y.astype(np.float64, copy=False)
+        reduce = np.fmod if x is a and y is b else np.mod
+        return reduce(product, p, out=product).astype(np.int64)
+    a, b = (z.residues(p) if isinstance(z, _Prepared) else z for z in (a, b))
+    inner = a.shape[1]
+    amax, bmax = _magnitude(a), _magnitude(b)
     split_a = a.size <= b.size
     small, small_max, other_max = (a, amax, bmax) if split_a else (b, bmax, amax)
     # min(x, p - x) is the magnitude of x's balanced residue
@@ -238,6 +230,7 @@ def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) ->
         product = balanced @ other if split_a else other @ balanced
         return np.mod(product, p, out=product).astype(np.int64)
     s = ((_EXACT - 1) // (inner * other_max) + 1).bit_length() - 1
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if s == 0:
         step = (_EXACT - 1) // other_max  # every chunk fits 1-bit limbs
         for lo in range(0, inner, step):

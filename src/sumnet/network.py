@@ -29,8 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import _jsonwriter
-from ._jsonwriter import StringTable, dump, dumps
+from ._jsonwriter import StringTable, _rows, dump, dumps
 from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _load_json
 
 SOURCE_POINT = "source-point"
@@ -536,7 +535,7 @@ def _dot_name(node: NodeId) -> str:
 
 def _dot_chunks(n: SumNetwork, terminals: Iterable[NodeId] | None) -> Iterator[str]:
     """The DOT text of ``network_export_dot`` in pieces: the header and
-    node lines, then the edge lines ``_jsonwriter._TABLE_ROWS`` at a time,
+    node lines, then the edge lines in the chunks of ``_jsonwriter._rows``,
     then the closing brace.  Each edge line is three strings made once per
     node or kind: its tail, its head, and a line ending by kind."""
     table = n._node_table
@@ -565,14 +564,7 @@ def _dot_chunks(n: SumNetwork, terminals: Iterable[NodeId] | None) -> Iterator[s
     tails = [f"  {name} -> " for name in names]
     ends = [" [style=bold];\n" if k == EDGE_BOTTLENECK else ";\n" for k in n._kinds]
     yield "".join(["digraph sum_network {\n  rankdir=TB;\n", *(f'  "{_dot_name(x)}";\n' for x in kept_nodes)])
-    rows = _jsonwriter._TABLE_ROWS
-    for lo in range(0, len(tail), rows):
-        hi = lo + rows
-        lines = [""] * (3 * len(tail[lo:hi]))
-        lines[0::3] = map(tails.__getitem__, tail[lo:hi].tolist())
-        lines[1::3] = map(names.__getitem__, head[lo:hi].tolist())
-        lines[2::3] = map(ends.__getitem__, kind[lo:hi].tolist())
-        yield "".join(lines)
+    yield from map("".join, _rows((tails, names, ends), (tail, head, kind)))
     yield "}\n"
 
 

@@ -208,6 +208,20 @@ def drop_block_correction(net, code: NetworkCode, blocks=None) -> NetworkCode:
     )
 
 
+def reordered_fano_code() -> NetworkCode:
+    """A Fano/GF(3) code whose terminal-block:3 decoder lists its in-edges,
+    and their column blocks, in reverse order, which the network does not."""
+    code = build_code(build_sum_network(fano()), PrimeField(3))
+    m, n = code.params.rate
+    t = NodeId(TERMINAL_BLOCK, 2)
+    dec = code.decoders[t]
+    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in dec.in_edges]
+    blocks = np.split(dec.matrix.array, np.cumsum(widths)[:-1], axis=1)
+    reordered = FieldMatrix(code.field, np.hstack(blocks[::-1]))
+    decoders = {**code.decoders, t: TerminalDecoder(dec.in_edges[::-1], reordered)}
+    return NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
+
+
 def assert_accessors_match_oracle(net) -> None:
     """Every accessor of ``net`` equals a naive scan of ``net.edges``: the
     edges into or out of a node in list order, a terminal's head edges by

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from functools import lru_cache, reduce
@@ -51,6 +54,18 @@ def test_usage_errors_exit_one():
     assert main(["design", "--fano", "--sts", "9"]) == 1  # mutually exclusive
     assert main(["code", "--fano"]) == 1  # missing --field
     assert main(["frobnicate"]) == 1
+
+
+def test_a_closed_stdout_exits_one_without_a_message():
+    # the reader of the pipe goes away before the command writes: that is
+    # no failed check (exit 2), and nothing is printed about it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "sumnet.cli", "code", "--fano", "--field", "3"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert (child.wait(timeout=120), stderr) == (1, b"")
 
 
 # ---------------------------------------------------------------------------

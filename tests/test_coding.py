@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sumnet import coding, verify
+from sumnet import _jsonwriter, coding, verify
 from sumnet.coding import (
     CharMismatchError,
     NetworkCode,
@@ -586,3 +586,15 @@ def test_code_document_golden_digest(name, p):
     net = build_sum_network(DESIGNS[name]())
     text = code_to_json(build_code(net, PrimeField(p)))
     assert hashlib.sha256(text.encode()).hexdigest() == CODE_DOCUMENT_SHA256[name, p]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("name,p", [("fano", 3), ("sts9", 2), ("sts15", 2**31 - 1)])
+def test_code_document_digest_holds_in_any_chunk_of_in_edge_rows(name, p, rows, tmp_path, monkeypatch):
+    # decoder in-edges are string tables, chunked by the JSON writer as the
+    # network's edge rows are
+    code = build_code(build_sum_network(DESIGNS[name]()), PrimeField(p))
+    monkeypatch.setattr(_jsonwriter, "_TABLE_ROWS", rows)
+    assert hashlib.sha256(code_to_json(code).encode()).hexdigest() == CODE_DOCUMENT_SHA256[name, p]
+    code_save(code, tmp_path / "code.json")
+    assert hashlib.sha256((tmp_path / "code.json").read_bytes()).hexdigest() == CODE_DOCUMENT_SHA256[name, p]

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 
 from sumnet import _jsonwriter
 from sumnet._jsonwriter import LiftedMatrix, StringTable, dump, dumps
-from sumnet.coding import _lift
+from sumnet.coding import NetworkCode, TerminalDecoder, _code_document, _lift, build_code
+from sumnet.designs import fano
 from sumnet.field import FieldMatrix, PrimeField
+from sumnet.network import TERMINAL_BLOCK, NodeId, build_sum_network
+
+from conftest import reordered_fano_code
 
 TRICKY = ["", '"', "\\", "\n", "\t", "\x00", "\x7f", "é", " ", "😀", "terminal-block:7"]
 text = st.text() | st.sampled_from(TRICKY)
@@ -135,6 +139,26 @@ def _lifted_rows(value):
     if isinstance(value, list):
         return [_lifted_rows(item) for item in value]
     return value
+
+
+def _code_without_in_edges() -> NetworkCode:
+    """A Fano/GF(3) code whose terminal-block:3 decoder lists no in-edges."""
+    code = build_code(build_sum_network(fano()), PrimeField(3))
+    empty = TerminalDecoder([], FieldMatrix(code.field, np.zeros((code.params.m, 0), np.int64)))
+    decoders = {**code.decoders, NodeId(TERMINAL_BLOCK, 2): empty}
+    return NetworkCode(code.design, code.field, code.params, code.encoders, decoders)
+
+
+@pytest.mark.parametrize("make", [_code_without_in_edges, reordered_fano_code], ids=["no-in-edges", "reordered"])
+def test_decoder_in_edges_render_as_their_rows(make):
+    # each decoder's in-edges are a string table of node labels: none is
+    # an empty table, and a reordered decoder keeps its own order
+    document = _code_document(make())
+    expected = json.dumps(_lifted_rows(_with_rows(document)), indent=2, sort_keys=True)
+    assert dumps(document) == expected
+    written = io.StringIO()
+    dump(document, written)
+    assert written.getvalue() == expected
 
 
 @st.composite

@@ -7,13 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from sumnet.coding import NetworkCode, TerminalDecoder, build_code, code_save
+from sumnet.coding import code_save
 from sumnet.designs import fano
-from sumnet.field import FieldMatrix, PrimeField
-from sumnet.network import EDGE_HEAD_TO_TERMINAL, TERMINAL_BLOCK, NodeId, build_sum_network
+
+from conftest import reordered_fano_code
 
 SOURCE_FILES = sorted((Path(__file__).resolve().parents[1] / "src" / "sumnet").glob("*.py"))
 
@@ -130,25 +129,11 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def save_reordered_fano_code(path) -> None:
-    """A Fano/GF(3) code whose terminal-block:3 decoder lists its in-edges,
-    and their column blocks, in reverse order, which the network does not."""
-    code = build_code(build_sum_network(fano()), PrimeField(3))
-    m, n = code.params.rate
-    t = NodeId(TERMINAL_BLOCK, 2)
-    dec = code.decoders[t]
-    widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in dec.in_edges]
-    blocks = np.split(dec.matrix.array, np.cumsum(widths)[:-1], axis=1)
-    reordered = FieldMatrix(code.field, np.hstack(blocks[::-1]))
-    decoders = {**code.decoders, t: TerminalDecoder(dec.in_edges[::-1], reordered)}
-    code_save(NetworkCode(code.design, code.field, code.params, code.encoders, decoders), path)
-
-
 def test_commands_never_import_numpy_ma(tmp_path):
     # numpy.ma loads on first use of np.unique and some other helpers, and
     # costs every command about 1.6 MB of peak RSS; a decoder listing its
     # in-edges in another order than the network's is compared as a set
-    save_reordered_fano_code(tmp_path / "reordered.json")
+    code_save(reordered_fano_code(), tmp_path / "reordered.json")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(
@@ -186,6 +171,32 @@ def test_checks_read_only_the_held_core():
         or (isinstance(node, ast.Name) and node.id == "_core_encoder")
     ]
     assert not widened, f"verify.py builds a full-width encoder on lines {widened}"
+
+
+def _is_table_rows(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "_TABLE_ROWS" and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.Attribute) and node.attr == "_TABLE_ROWS"
+
+
+def test_only_one_routine_chunks_the_tables():
+    # _jsonwriter._rows chunks every table the library writes: the network
+    # document's edge rows, the code document's decoder in-edges and the
+    # DOT edge lines.  A second loop over _TABLE_ROWS would chunk one of
+    # them its own way, so nothing else reads it
+    reads = []
+    for path in SOURCE_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "_jsonwriter.py":
+            (rows,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_rows"]
+            allowed = set(map(id, ast.walk(rows)))
+        reads += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_table_rows(node) and id(node) not in allowed
+        ]
+    assert not reads, f"_TABLE_ROWS is read outside _jsonwriter._rows at {reads}"
 
 
 def test_code_document_is_written_from_the_held_core():
