@@ -11,8 +11,9 @@ value is copied into its parent's text.  Two value types stand for lists
 whose items are never built:
 
 * a ``StringTable`` is a list of rows of strings given as integer-array
-  columns of indices into one list of strings; its cells are pre-rendered
-  once per string.  One routine, ``_rows``, chunks every table sumnet
+  columns of indices into one list of strings; a column's cells are
+  rendered once per string it indexes, and once per document for tables
+  that share their strings.  One routine, ``_rows``, chunks every table sumnet
   writes, ``_TABLE_ROWS`` rows at a time: the rows of a ``StringTable``
   here, and the edge lines of a network's DOT drawing;
 * a ``LiftedMatrix`` is the rows of core (x) I_w, w interleaved copies of
@@ -84,11 +85,33 @@ class _Pieces(list):
 
 
 class _Quoted(dict):
-    """str -> its JSON literal, computed on first use."""
+    """str -> its JSON literal, computed on first use; and the cells of the
+    document's string tables (``cells``)."""
+
+    def __init__(self):
+        super().__init__()
+        self._cells: dict[tuple[int, str, str], tuple[Sequence[str], list, np.ndarray]] = {}
 
     def __missing__(self, s: str) -> str:
         quoted = self[s] = encode_basestring_ascii(s)
         return quoted
+
+    def cells(self, strings: Sequence[str], column: np.ndarray, before: str, after: str) -> list:
+        """Per string of ``strings``, its literal between ``before`` and
+        ``after``, made when a column of the document's tables first indexes
+        it, here ``column``; tables that share their strings share these
+        cells, and no string is rendered twice."""
+        # the strings are kept with their cells, so their id names them alone
+        key = (id(strings), before, after)
+        if key not in self._cells:
+            self._cells[key] = (strings, [None] * len(strings), np.zeros(len(strings), dtype=bool))
+        _, cells, made = self._cells[key]
+        wanted = np.zeros(len(strings), dtype=bool)
+        wanted[column] = True
+        for i in np.flatnonzero(wanted & ~made).tolist():
+            cells[i] = f"{before}{self[strings[i]]}{after}"
+        made |= wanted
+        return cells
 
 
 def dumps(obj) -> str:
@@ -133,20 +156,20 @@ def _rows(rendered: Sequence[Sequence[str]], columns: Sequence[np.ndarray]) -> I
 def _table(table: StringTable, newline: str, quoted: _Quoted, out: _Pieces) -> None:
     """A ``StringTable``, spilled after every chunk of ``_rows``, one
     piece per cell: each cell is rendered with the text before it, and the
-    last cell of a row also closes the row."""
+    last cell of a row also closes the row.  A column renders only the
+    strings it indexes (``_Quoted.cells``)."""
     columns = table.columns
     if not len(columns[0]):
         out.append("[]")
         return
     inner = newline + "  "
     cell = inner + "  "
-    literals = list(map(quoted.__getitem__, table.strings))
     width = len(columns)
     rendered = []
-    for c in range(width):
+    for c, column in enumerate(columns):
         before = f",{inner}[{cell}" if c == 0 else f",{cell}"
         after = f"{inner}]" if c == width - 1 else ""
-        rendered.append([f"{before}{q}{after}" for q in literals])
+        rendered.append(quoted.cells(table.strings, column, before, after))
     out.append("[")
     for i, chunk in enumerate(_rows(rendered, columns)):
         if not i:

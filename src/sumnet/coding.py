@@ -63,6 +63,7 @@ from .designs import (
 )
 from .field import FieldMatrix, PrimeField
 from .network import (
+    _DIRECT,
     _EDGE_CODES,
     _EDGE_KINDS,
     _HEAD_TO_TERMINAL,
@@ -78,9 +79,11 @@ from .network import (
     Edge,
     NodeId,
     SumNetwork,
+    _canonical_nodes,
     _frozen,
     _kind_offsets,
     _parse_document_label,
+    _starts,
     parse_node_label,
 )
 
@@ -134,10 +137,14 @@ def _in_edge_ids(terminal: NodeId | None, rank, index, kind) -> _InEdgeIds:
     and codes are held as intp, which indexes without a conversion."""
     rank, kind = np.asarray(rank, np.intp), np.asarray(kind, np.intp)
     if (rank < 0).any() or (kind < 0).any():
-        raise ValueError(
-            f"decoder in-edges into {terminal.label()} hold a kind the network does not know"
-        )
+        raise _unknown_kind(terminal)
     return _InEdgeIds(terminal, _frozen(rank), _frozen(np.asarray(index, np.int64)), _frozen(kind))
+
+
+def _unknown_kind(terminal: NodeId) -> ValueError:
+    return ValueError(
+        f"decoder in-edges into {terminal.label()} hold a kind the network does not know"
+    )
 
 
 # the tails an in-edge of each kind may start at
@@ -534,8 +541,9 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     its block source, reassembled from the selector slices, k-1 times.
     Every map is built for the (c, c+s) core of ``_core``, each encoder as
     its bottleneck's kernel, and the code is held as that core and w;
-    nothing is lifted.  Each decoder takes its in-edge arrays from the
-    network's in-index.
+    nothing is lifted.  The decoders take their in-edge arrays from one
+    pass over the network's in-index, each a slice of them, and decoders
+    of one shape that need no correction hold one matrix.
     """
     d = net.design
     params = code_params_for(d, f)
@@ -552,25 +560,43 @@ def build_code(net: SumNetwork, f: PrimeField) -> NetworkCode:
     for sl in layout:
         kernels[sl.point][c + sl.rank - 1, sl.rank * c + sl.color - 1] = 1
 
-    # [I_c | 0] per head edge, I_c per direct edge: built once per shape
-    head_read, direct_read = np.eye(c, n, dtype=np.int64), np.eye(c, dtype=np.int64)
-    reads: dict[tuple[int, int], np.ndarray] = {}
-    decoders: dict[NodeId, TerminalDecoder] = {}
+    # every terminal's head and direct in-edges, numbered at once
+    terminals = net.terminals()
+    into, at = net._ids_of(terminals, net._in_index)
+    kind = net._kind[into]
+    kept = (kind == _HEAD_TO_TERMINAL) | (kind == _DIRECT)
+    if not kept.all():
+        into, kind, at = into[kept], kind[kept], _starts(kept)[at]
     rank, index = net._node_kinds
-    for t in net.terminals():
-        ids = net._terminal_in_ids(t)
-        kind = net._kind[ids]
-        heads = int(np.count_nonzero(kind == _HEAD_TO_TERMINAL))  # they lead the order
-        shape = (heads, len(ids) - heads)
+    tail = net._tail[into]
+    rank, index, kind = rank[tail].astype(np.intp), index[tail], kind.astype(np.intp)
+    del tail
+    for x in (rank, index, kind):
+        _frozen(x)
+    # per terminal: its head edges, which lead the order, and its in-edges
+    # from a node of a kind the network does not know
+    heads = np.diff(_starts(kind == _HEAD_TO_TERMINAL)[at]).tolist()
+    unknown = np.diff(_starts(rank < 0)[at]).tolist()
+    # [I_c | 0] per head edge, I_c per direct edge: built once per shape,
+    # and held by every decoder of that shape that needs no correction
+    head_read, direct_read = np.eye(c, n, dtype=np.int64), np.eye(c, dtype=np.int64)
+    reads: dict[tuple[int, int], FieldMatrix] = {}
+    decoders: dict[NodeId, TerminalDecoder] = {}
+    for x, t in enumerate(terminals):
+        lo, hi = int(at[x]), int(at[x + 1])
+        shape = (heads[x], hi - lo - heads[x])
         if shape not in reads:
-            reads[shape] = np.hstack((np.tile(head_read, heads), np.tile(direct_read, shape[1])))
+            read = np.hstack((np.tile(head_read, shape[0]), np.tile(direct_read, shape[1])))
+            reads[shape] = FieldMatrix(f, read)
         core = reads[shape]
         if t.kind == TERMINAL_BLOCK and s:
-            points = _head_points(net, ids)
-            core = core - (d.k - 1) * _block_reader(by_block[t.index], points, core.shape[1], c, n)
-        tail = net._tail[ids]
-        in_edges = _in_edge_ids(t, rank[tail], index[tail], kind)
-        decoders[t] = TerminalDecoder._from_ids(in_edges, FieldMatrix(f, core))
+            points = _head_points(net, into[lo:hi])
+            reader = _block_reader(by_block[t.index], points, core.cols, c, n)
+            core = FieldMatrix(f, core.array - (d.k - 1) * reader)
+        if unknown[x]:
+            raise _unknown_kind(t)
+        in_edges = _InEdgeIds(t, rank[lo:hi], index[lo:hi], kind[lo:hi])
+        decoders[t] = TerminalDecoder._from_ids(in_edges, core)
 
     kernels = tuple(FieldMatrix._trusted(f, kernel) for kernel in kernels)
     return NetworkCode._from_core(d, f, params, kernels, decoders, w)
@@ -596,13 +622,26 @@ def _code_document(code: NetworkCode) -> dict:
     """The ``sumnet.code/1`` document of a code: its (m, n) maps in the
     paper's layout, each written from the held core as its lift by I_w."""
 
+    # the rows of every decoder's in-edges index one list of strings, the
+    # labels of the design's nodes, each made once, then the edge kinds; a
+    # decoder with a node outside the design lists its own labels
+    d = code.design
+    nodes = _canonical_nodes(d.v, d.b)
+    labels = [*(x.label() for x in nodes), *_EDGE_KINDS]
+    first, size = _kind_offsets(d.v, d.b)
+
     def in_edge_table(dec: TerminalDecoder) -> StringTable:
-        # rows index the tails' labels, the terminal's (if any), the kinds
         terminal, rank, index, kind = dec._ids
-        strings = [f"{_NODE_KINDS[r]}:{x + 1}" for r, x in zip(rank.tolist(), index.tolist())]
-        edges = len(strings)
-        strings += [terminal.label() if terminal else "", *_EDGE_KINDS]
-        return StringTable(strings, (np.arange(edges), np.full(edges, edges), kind + (edges + 1)))
+        edges = len(kind)
+        own = (_KIND_ORDER.get(terminal.kind, -1), terminal.index) if terminal else (-1, 0)
+        if ((0 <= index) & (index < size[rank])).all() and 0 <= own[1] < size[own[0]]:
+            tails, head, strings = first[rank] + index, first[own[0]] + own[1], labels
+        else:  # the tails' labels, the terminal's (if any), the kinds
+            strings = [f"{_NODE_KINDS[r]}:{x + 1}" for r, x in zip(rank.tolist(), index.tolist())]
+            strings += [terminal.label() if terminal else "", *_EDGE_KINDS]
+            tails, head = np.arange(edges), edges
+        kinds = kind + (len(strings) - len(_EDGE_KINDS))
+        return StringTable(strings, (tails, np.full(edges, head), kinds))
 
     w = code.w
     return {

@@ -199,14 +199,13 @@ def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) ->
     below 2**31, or ``_Prepared``, balanced residues with their magnitude.
     Every partial sum of the product is at most inner * |a| * |b| in
     magnitude, with each operand's bound taken in the form it is given in
-    (``_magnitude``); below 2**53 one float64 BLAS product is exact.  It is
-    reduced by ``np.fmod`` when both operands are canonical, since the
-    product is then nonnegative, and by the costlier ``np.mod`` only when
-    a balanced one took part.  Past that bound both operands are taken as
+    (``_magnitude``); below 2**53 one float64 BLAS product is exact, and
+    each product is reduced by the cheaper reduction for its bound
+    (``_reduced``).  Past that bound both operands are taken as
     canonical residues and the smaller is rewritten in balanced residues,
     entries above p//2 becoming entry - p: a partial sum is then at most
     inner * max|balanced| * max(other) in magnitude, and when that is
-    below 2**53 one product reduced by ``np.mod`` is exact.  A decoder's
+    below 2**53 one product is exact.  A decoder's
     -(k-1), held as p - (k-1), is small in this form.  Otherwise the
     smaller operand is split into s-bit limbs, the widest that keep
     inner * (2**s - 1) * max(other) below 2**53, with one product per limb
@@ -214,21 +213,22 @@ def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) ->
     the inner dimension is cut into chunks.
     """
     x, y = (z.balanced if isinstance(z, _Prepared) else z for z in (a, b))
-    if x.shape[1] * _magnitude(a) * _magnitude(b) < _EXACT:
+    bound = x.shape[1] * _magnitude(a) * _magnitude(b)
+    if bound < _EXACT:
         product = x.astype(np.float64, copy=False) @ y.astype(np.float64, copy=False)
-        reduce = np.fmod if x is a and y is b else np.mod
-        return reduce(product, p, out=product).astype(np.int64)
+        return _reduced(product, p, bound, signed=not (x is a and y is b))
     a, b = (z.residues(p) if isinstance(z, _Prepared) else z for z in (a, b))
     inner = a.shape[1]
     amax, bmax = _magnitude(a), _magnitude(b)
     split_a = a.size <= b.size
     small, small_max, other_max = (a, amax, bmax) if split_a else (b, bmax, amax)
     # min(x, p - x) is the magnitude of x's balanced residue
-    if inner * int(np.minimum(small, p - small).max()) * other_max < _EXACT:
+    bound = inner * int(np.minimum(small, p - small).max()) * other_max
+    if bound < _EXACT:
         balanced = np.where(small > p // 2, small - p, small).astype(np.float64)
         other = (b if split_a else a).astype(np.float64)
         product = balanced @ other if split_a else other @ balanced
-        return np.mod(product, p, out=product).astype(np.int64)
+        return _reduced(product, p, bound, signed=True)
     s = ((_EXACT - 1) // (inner * other_max) + 1).bit_length() - 1
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if s == 0:
@@ -244,8 +244,21 @@ def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) ->
     for shift in reversed(range(0, small_max.bit_length(), s)):
         limb = ((small >> shift) & mask).astype(np.float64)
         part = limb @ other if split_a else other @ limb
-        out = (out * (1 << s) + np.fmod(part, p).astype(np.int64)) % p
+        out = (out * (1 << s) + _reduced(part, p, inner * mask * other_max, signed=False)) % p
     return out
+
+
+def _reduced(product: np.ndarray, p: int, bound: int, signed: bool) -> np.ndarray:
+    """The float64 ``product`` of ``_matmul_mod``, exact integers of
+    magnitude at most ``bound``, negative ones among them when ``signed``,
+    reduced mod p in place, as int64.  ``np.fmod`` slows with the quotient
+    it takes off, while ``np.mod`` costs about the same at any size,
+    several times what ``np.fmod`` costs on entries already below p.  So a
+    nonnegative product below 2p, one multiple of p at most, is reduced by
+    ``np.fmod``, and any other by ``np.mod``, which also makes a negative
+    entry's residue nonnegative."""
+    reduce = np.fmod if not signed and bound < 2 * p else np.mod
+    return reduce(product, p, out=product).astype(np.int64)
 
 
 def _reduced_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, int]:

@@ -16,15 +16,19 @@ the canonical order: head edges by bottleneck, then direct edges by
 source.  A CSR out-index lists each node's out-edges by head id.  Every
 accessor is a slice of one of them.  ``Edge`` objects are made afresh
 each time a caller asks for them; the network keeps none.
+
+``network_validate`` checks in passes over these arrays, not node by
+node: every bottleneck's and every terminal's edges are counted at once,
+Kahn's algorithm runs a level at a time (``_kahn_levels``) in the order
+of a FIFO queue, and which sources reach a node is one OR per level over
+64-bit words of source bits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -127,6 +131,36 @@ def _csr(keys: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, n
     ptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(groups, minlength=size), out=ptr[1:])
     return _frozen(ptr), _frozen(np.argsort(keys, kind="stable"))
+
+
+def _starts(counts) -> np.ndarray:
+    """Per position of ``counts`` and one past the last, the sum of the
+    counts before it: where each of groups of ``counts`` items starts, one
+    after another, and where the last ends."""
+    at = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=at[1:])
+    return at
+
+
+def _spans(ptr: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
+    """The positions ``ptr[x]:ptr[x + 1]`` of every group x in ``groups``,
+    one after another, and where each group's start among them: group
+    ``groups[g]``'s at ``positions[at[g]:at[g + 1]]``.  Groups with
+    consecutive ids are one slice."""
+    lo, hi = ptr[groups], ptr[groups + 1]
+    at = _starts(hi - lo)
+    if len(groups) and groups[-1] - groups[0] == len(groups) - 1 and (np.diff(groups) == 1).all():
+        return slice(int(lo[0]), int(hi[-1])), at
+    return np.repeat(lo - at[:-1], hi - lo) + np.arange(at[-1]), at
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys`` in increasing order, by ``np.sort``, which
+    unlike ``np.unique`` does not load ``numpy.ma``."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 class EdgeList(Sequence):
@@ -256,15 +290,21 @@ class SumNetwork:
         size = len(self._node_table)
         return _csr(self._tail.astype(np.int64) * size + self._head, self._tail, size)
 
-    def _in_ids(self, node: NodeId) -> np.ndarray:
-        x = self._ids.get(node)
-        ptr, order = self._in_index
-        return order[ptr[x] : ptr[x + 1]] if x is not None else order[:0]
+    def _ids_of(
+        self, nodes: Sequence[NodeId], index: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The edge ids of every node of ``nodes`` in ``index`` (the in-index
+        or the out-index), one node after another, and where each node's
+        start: ``nodes[g]``'s at ``ids[at[g]:at[g + 1]]``.  A node that is
+        not in the network has none."""
+        ptr, order = index
+        size = len(self._node_table)
+        x = np.fromiter((self._ids.get(node, size) for node in nodes), np.int64, len(nodes))
+        spans, at = _spans(np.append(ptr, ptr[-1]), x)
+        return order[spans], at
 
-    def _out_ids(self, node: NodeId) -> np.ndarray:
-        x = self._ids.get(node)
-        ptr, order = self._out_index
-        return order[ptr[x] : ptr[x + 1]] if x is not None else order[:0]
+    def _in_ids(self, node: NodeId) -> np.ndarray:
+        return self._ids_of((node,), self._in_index)[0]
 
     def sources(self) -> tuple[NodeId, ...]:
         return tuple(n for n in self.nodes if n.kind in (SOURCE_POINT, SOURCE_BLOCK))
@@ -361,45 +401,66 @@ def build_sum_network(d: Design) -> SumNetwork:
     return net
 
 
-def _kahn(n: SumNetwork) -> list[int]:
-    """Kahn's algorithm over node ids with a FIFO queue, a node's heads
-    released in id order; shorter than the node table on a cycle."""
-    indegree = np.bincount(n._head, minlength=len(n._node_table))
-    ptr, order = n._out_index
-    heads = n._head[order]
-    ready = deque(np.flatnonzero(indegree == 0).tolist())
-    found = []
-    while ready:
-        x = ready.popleft()
-        found.append(x)
-        out = heads[ptr[x] : ptr[x + 1]]
-        if out.size:
-            np.subtract.at(indegree, out, 1)
-            out = out[indegree[out] == 0]
-            # a head reached by parallel edges appears once per edge
-            ready.extend(out[np.flatnonzero(np.diff(out, prepend=-1))].tolist())
-    return found
+def _kahn_levels(n: SumNetwork) -> list[np.ndarray]:
+    """Kahn's algorithm over node ids a level at a time: level 0 is the
+    nodes without in-edges, by id; level L+1 the nodes released by level L,
+    each when its last in-edge is, by the position of that edge's tail,
+    then by id.  One after another the levels are the order of Kahn's
+    algorithm with a FIFO queue, a node's heads released in id order;
+    shorter than the node table on a cycle."""
+    size = len(n._node_table)
+    indegree = np.bincount(n._head, minlength=size)
+    (out_ptr, out_order), (in_ptr, in_order) = n._out_index, n._in_index
+    heads, tails = n._head[out_order], n._tail[in_order]
+    position = np.zeros(size, dtype=np.int64)
+    level, placed, levels = np.flatnonzero(indegree == 0), 0, []
+    while level.size:
+        levels.append(level)
+        position[level] = np.arange(placed, placed + level.size)
+        placed += level.size
+        out = heads[_spans(out_ptr, level)[0]]
+        # a head reached by parallel edges loses one in-edge per edge
+        np.subtract.at(indegree, out, 1)
+        released = _distinct(out[indegree[out] == 0])
+        if not released.size:
+            break
+        # every tail of a released node is placed; its last is in this level
+        spans, at = _spans(in_ptr, released)
+        last = np.maximum.reduceat(position[tails[spans]], at[:-1])
+        level = released[np.lexsort((released, last))]
+    return levels
 
 
-def _reaching(n: SumNetwork, sources: list[int], order: Iterable[int], acyclic: bool) -> list[int]:
-    """Per node id, a bitmask of the ``sources`` (node ids) with a path to
-    it.  One pass in topological ``order`` settles a DAG; otherwise the
-    passes repeat until nothing changes."""
+def _reaching(n: SumNetwork, sources: np.ndarray, levels: list[np.ndarray] | None) -> np.ndarray:
+    """Per node id, the set of ``sources`` (node ids) with a path to it, as
+    a column of 64-bit words: source s at bit s % 64 of word s // 64.  Given
+    the levels of a DAG (``_kahn_levels``), one OR over the in-edges of each
+    level settles it; otherwise (None) OR passes over every node with an
+    in-edge repeat until nothing changes."""
     ptr, in_order = n._in_index
-    ptr, tails = ptr.tolist(), n._tail[in_order].tolist()
-    reach = [0] * len(n._node_table)
-    for bit, s in enumerate(sources):
-        reach[s] = 1 << bit
-    order = list(order)
-    changed = True
-    while changed:
-        changed = False
-        for x in order:
-            if ptr[x] < ptr[x + 1]:
-                got = reduce(or_, map(reach.__getitem__, tails[ptr[x] : ptr[x + 1]]), reach[x])
-                changed |= got != reach[x]
-                reach[x] = got
-        changed &= not acyclic
+    tails = n._tail[in_order]
+    bit = np.arange(len(sources))
+    reach = np.zeros((len(sources) // 64 + 1, len(n._node_table)), dtype=np.uint64)
+    reach[bit // 64, sources] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+
+    def settle(nodes: np.ndarray) -> bool:
+        """OR the sets of its tails into each of ``nodes``, which all have
+        an in-edge, a word at a time; whether any set grew."""
+        spans, at = _spans(ptr, nodes)
+        fed, grew = tails[spans], False
+        for word in reach:
+            got = np.bitwise_or.reduceat(word[fed], at[:-1]) | word[nodes]
+            grew |= not np.array_equal(got, word[nodes])
+            word[nodes] = got
+        return grew
+
+    if levels is not None:
+        for level in levels[1:]:
+            settle(level)
+    else:
+        fed = np.flatnonzero(ptr[1:] > ptr[:-1])
+        while settle(fed):
+            pass
     return reach
 
 
@@ -444,78 +505,102 @@ def network_validate(n: SumNetwork) -> ValidationReport:
         elif e.tail.index != e.head.index:
             report.add(f"bottleneck tail/head index mismatch {e}")
 
-    for i in range(v):
-        expect = {NodeId(SOURCE_POINT, i)} | {
-            NodeId(SOURCE_BLOCK, j) for j in d.blocks_through(i)
-        }
-        into = n._in_ids(NodeId(BOTTLENECK_TAIL, i))
-        tails = {table[x] for x in n._tail[into].tolist()}
-        if tails != expect:
+    # bottleneck i's tail is fed by, and its head feeds, point i and the
+    # blocks through it: the v + b neighbors of a source or a terminal by
+    # canonical id, counted from the first; a slot past them for any other
+    meets = [(i, *(v + j for j in d.blocks_through(i))) for i in range(v)]
+    near = np.zeros((v, v + b + 1), dtype=bool)
+    near[np.repeat(np.arange(v), [len(x) for x in meets]), [x for meet in meets for x in meet]] = True
+
+    def reached(at: np.ndarray, ends: np.ndarray, kept: np.ndarray, first: int) -> np.ndarray:
+        """Per bottleneck, the slots of the nodes ``ends`` at which its
+        ``kept`` edges end, counted from canonical id ``first``; bottleneck
+        i's edges are those at ``at[i]:at[i + 1]``."""
+        slot = n._canonical_ids[ends[kept]] - first
+        slot[(slot < 0) | (slot >= v + b)] = v + b
+        got = np.zeros((v, v + b + 1), dtype=bool)
+        got[np.repeat(np.arange(v), np.diff(at))[kept], slot] = True
+        return got
+
+    into, into_at = n._ids_of([NodeId(BOTTLENECK_TAIL, i) for i in range(v)], n._in_index)
+    fed = (reached(into_at, n._tail[into], slice(None), 0) != near).any(axis=1)
+    out, out_at = n._ids_of([NodeId(BOTTLENECK_HEAD, i) for i in range(v)], n._out_index)
+    first = int(_kind_offsets(v, b)[0][_KIND_ORDER[TERMINAL_POINT]])
+    to = n._kind[out] == _HEAD_TO_TERMINAL
+    feeds = (reached(out_at, n._head[out], to, first) != near).any(axis=1)
+    head_fed = np.append(in_degree, 0)[[ids.get(NodeId(BOTTLENECK_HEAD, i), size) for i in range(v)]]
+    into_count, out_count = np.diff(into_at), np.diff(out_at)
+    wrong = fed | feeds | (into_count != r + 1) | (out_count != r + 1) | (head_fed != 1)
+    for i in np.flatnonzero(wrong).tolist():
+        if fed[i]:
+            tails = {table[x] for x in n._tail[into[into_at[i] : into_at[i + 1]]].tolist()}
             report.add(f"bottleneck tail {i + 1} fed by {sorted(x.label() for x in tails)}")
-        if len(into) != r + 1:
+        if into_count[i] != r + 1:
             report.add(f"bottleneck tail {i + 1} in-degree != r+1")
-        out = n._out_ids(NodeId(BOTTLENECK_HEAD, i))
-        heads = {table[x] for x in n._head[out[n._kind[out] == _HEAD_TO_TERMINAL]].tolist()}
-        expect_out = {NodeId(TERMINAL_POINT, i)} | {
-            NodeId(TERMINAL_BLOCK, j) for j in d.blocks_through(i)
-        }
-        if heads != expect_out:
+        if feeds[i]:
+            edges = out[out_at[i] : out_at[i + 1]]
+            heads = {table[x] for x in n._head[edges[n._kind[edges] == _HEAD_TO_TERMINAL]].tolist()}
             report.add(f"bottleneck head {i + 1} feeds {sorted(x.label() for x in heads)}")
-        if len(out) != r + 1:
+        if out_count[i] != r + 1:
             report.add(f"bottleneck head {i + 1} out-degree != r+1")
-        head = ids.get(NodeId(BOTTLENECK_HEAD, i))
-        if head is None or in_degree[head] != 1:
+        if head_fed[i] != 1:
             report.add(f"bottleneck head {i + 1} in-degree != 1")
 
     m_edges = int(np.count_nonzero(n._kind != _DIRECT))
     if m_edges != v + 2 * v * (r + 1):
         report.add(f"|M| = {m_edges}, expected {v + 2 * v * (r + 1)}")
 
-    for s in n.sources():
-        if in_degree[ids[s]]:
-            report.add(f"source {s.label()} has incoming edges")
-    for t in n.terminals():
-        if out_degree[ids[t]]:
-            report.add(f"terminal {t.label()} has outgoing edges")
+    sources, terminals = n.sources(), n.terminals()
+    source_ids = np.fromiter(map(ids.__getitem__, sources), np.int64, len(sources))
+    terminal_ids = np.fromiter(map(ids.__getitem__, terminals), np.int64, len(terminals))
+    for x in np.flatnonzero(in_degree[source_ids]).tolist():
+        report.add(f"source {sources[x].label()} has incoming edges")
+    for x in np.flatnonzero(out_degree[terminal_ids]).tolist():
+        report.add(f"terminal {terminals[x].label()} has outgoing edges")
 
-    def head_and_direct(t: NodeId) -> tuple[list[NodeId], int]:
-        """The tails of t's head edges and the number of its direct edges."""
-        into = n._in_ids(t)
-        kind = n._kind[into]
-        heads = [table[x] for x in n._tail[into[kind == _HEAD_TO_TERMINAL]].tolist()]
-        return heads, int(np.count_nonzero(kind == _DIRECT))
+    # per node id, and one past the last for a node not in the network:
+    # its head and direct in-edges, and the tail of its last head in-edge
+    def id_of(kind: str, count: int) -> np.ndarray:
+        return np.fromiter((ids.get(NodeId(kind, i), size) for i in range(count)), np.int64, count)
 
-    for i in range(v):
+    to_terminal = n._kind == _HEAD_TO_TERMINAL
+    head_in = np.bincount(n._head[to_terminal], minlength=size + 1)
+    direct_in = np.bincount(n._head[n._kind == _DIRECT], minlength=size + 1)
+    head_tail = np.full(size + 1, -1, dtype=np.int64)
+    head_tail[n._head[to_terminal]] = n._tail[to_terminal]
+    at = id_of(TERMINAL_POINT, v)
+    wrong = (head_in[at] != 1) | (head_tail[at] != id_of(BOTTLENECK_HEAD, v))
+    direct, expect_direct = direct_in[at], (v - 1) + (b - r)
+    for i in np.flatnonzero(wrong | (direct != expect_direct)).tolist():
         t = NodeId(TERMINAL_POINT, i)
-        head, direct = head_and_direct(t)
-        if len(head) != 1 or (head and head[0] != NodeId(BOTTLENECK_HEAD, i)):
+        if wrong[i]:
             report.add(f"{t.label()} head edges wrong")
-        if direct != (v - 1) + (b - r):
-            report.add(f"{t.label()} has {direct} direct edges, expected {(v - 1) + (b - r)}")
-    for j in range(b):
+        if direct[i] != expect_direct:
+            report.add(f"{t.label()} has {direct[i]} direct edges, expected {expect_direct}")
+    at = id_of(TERMINAL_BLOCK, b)
+    head, direct = head_in[at], direct_in[at]
+    expect_direct = [(v - d.k) + (b - len(d.block_neighborhood(j))) for j in range(b)]
+    for j in np.flatnonzero((head != d.k) | (direct != np.array(expect_direct, dtype=np.int64))).tolist():
         t = NodeId(TERMINAL_BLOCK, j)
-        head, direct = head_and_direct(t)
-        expect_direct = (v - d.k) + (b - len(d.block_neighborhood(j)))
-        if len(head) != d.k:
-            report.add(f"{t.label()} has {len(head)} head edges, expected {d.k}")
-        if direct != expect_direct:
-            report.add(f"{t.label()} has {direct} direct edges, expected {expect_direct}")
+        if head[j] != d.k:
+            report.add(f"{t.label()} has {head[j]} head edges, expected {d.k}")
+        if direct[j] != expect_direct[j]:
+            report.add(f"{t.label()} has {direct[j]} direct edges, expected {expect_direct[j]}")
 
-    order = _kahn(n)
-    acyclic = len(order) == size
+    levels = _kahn_levels(n)
+    acyclic = sum(map(len, levels)) == size
     if not acyclic:
         report.add("graph is not acyclic")
 
     # every terminal must see every source through at least one path
-    sources = sorted({ids[s] for s in n.sources()})
-    reach = _reaching(n, sources, order if acyclic else range(size), acyclic)
-    every = (1 << len(sources)) - 1
-    for t in n.terminals():
-        got = reach[ids[t]]
-        if got != every:
-            missing = (table[s] for bit, s in enumerate(sources) if not got >> bit & 1)
-            names = ", ".join(sorted(x.label() for x in missing))
-            report.add(f"terminal {t.label()} cannot reach sources: {names}")
+    sources = _distinct(source_ids)
+    reach = _reaching(n, sources, levels if acyclic else None)
+    every = np.bitwise_or.reduce(reach[:, sources], axis=1)
+    bit = np.arange(len(sources))
+    for x in np.flatnonzero((reach[:, terminal_ids] != every[:, None]).any(axis=0)).tolist():
+        seen = reach[bit // 64, terminal_ids[x]] >> (bit % 64).astype(np.uint64) & np.uint64(1)
+        names = ", ".join(sorted(table[s].label() for s in sources[seen == 0].tolist()))
+        report.add(f"terminal {terminals[x].label()} cannot reach sources: {names}")
     return report
 
 

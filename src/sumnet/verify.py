@@ -5,7 +5,11 @@ with the global maps of its in-edges and demands the all-identity sum map.
 By linearity that settles correctness for every input.  The composition
 goes block by block: a direct edge carries its source unchanged, so only
 head edges need a product, with their bottleneck's local kernel, whose
-columns are the sources wired into the bottleneck in the design.
+columns are the sources wired into the bottleneck in the design.  It runs
+as passes over the whole network, not terminal by terminal: one product
+per bottleneck, of its kernel with the stacked head-edge blocks of every
+decoder that reads it, then the maps composed and compared a chunk of
+terminals at a time, about ``_CHECK_CELLS`` cells of maps and decoders.
 ``simulate`` re-derives the same answers from concrete values, giving an
 independent evaluation path for cross-checks.  It writes source and
 bottleneck-head values into one array with rows by canonical node id,
@@ -30,7 +34,8 @@ each.  A network wired otherwise is refused with ``ShapeMismatchError``,
 so neither path walks the graph.  The check reads the network's in-index,
 and decoders hold their in-edges only as integer arrays
 (``TerminalDecoder``), which the check numbers canonically over the
-design, so no check and no simulation makes an ``Edge``.
+design, every bottleneck at once and the terminals in the same chunks, so
+no check and no simulation makes an ``Edge``.
 
 A code is held as its (c, c+s) core, one kernel per bottleneck, and the
 number w of interleaved copies (``NetworkCode``), and each copy acts on
@@ -60,6 +65,7 @@ from .coding import (
     UnsupportedLambdaError,
     _fitting,
     _in_edge_columns,
+    _in_edge_ids,
     _kernel_columns,
     code_params_for,
     column_source,
@@ -85,7 +91,9 @@ from .network import (
     TERMINAL_BLOCK,
     SumNetwork,
     _canonical_nodes,
+    _distinct,
     _kind_offsets,
+    _starts,
 )
 
 
@@ -101,6 +109,40 @@ class VerifyResult:
     failures: list[Failure] = field(default_factory=list)
 
 
+def _any_in(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per group of ``flags`` (group g's at ``flags[at[g]:at[g + 1]]``),
+    whether any is set."""
+    count = _starts(flags)
+    return count[at[1:]] > count[at[:-1]]
+
+
+def _joined(arrays) -> np.ndarray:
+    """The 1-D integer ``arrays`` one after another; empty for none."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
+
+
+def _runs(cells: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs ``lo:hi`` of items with ``cells`` each, in order:
+    each run as long as its cells stay within ``budget``, and at least one
+    item long."""
+    ends, lo = np.cumsum(cells), 0
+    while lo < len(cells):
+        hi = int(np.searchsorted(ends, budget + (ends[lo - 1] if lo else 0), side="right"))
+        yield lo, max(hi, lo + 1)
+        lo = max(hi, lo + 1)
+
+
+# the compatibility and transfer checks take the terminals a chunk at a
+# time, about _CHECK_CELLS in-edges, or cells of composed maps and of
+# decoders: a chunk's arrays then hold about 1 MiB, little beside what a
+# run already holds, where whole-network arrays of 8-byte ids would add
+# tens of MiB at STS(63)
+_CHECK_CELLS = 1 << 14
+
+# the in-edges of a missing decoder, joined with the others' in the check
+_NO_IN_EDGES = _in_edge_ids(None, (), (), ())
+
+
 def _check_compatible(net: SumNetwork, code: NetworkCode) -> dict[NodeId, tuple[np.ndarray, np.ndarray]]:
     """Refuse a code that does not fit the network, and return per terminal
     its decoder's in-edges as (canonical tail id, kind code).
@@ -109,45 +151,84 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> dict[NodeId, tuple[
     tail i is fed by sources of the design alone, among them every source
     whose kernel columns are nonzero, head i by tail i alone along the
     bottleneck edge, every decoder lists exactly its terminal's in-edges,
-    and the network lists the design's sources and terminals once each."""
+    and the network lists the design's sources and terminals once each.
+    Each is checked for every bottleneck at once, then for chunks of about
+    ``_CHECK_CELLS`` in-edges of terminals at once, and the first that
+    fails is refused: bottlenecks before terminals, both in order, and the
+    node list last.  A chunk's decoders are numbered together; a decoder
+    whose in-edges are not the network's in its order is compared with
+    them as a set."""
     if code.design != net.design:
         raise ShapeMismatchError("code was built for a different design")
     d, m, canonical = net.design, code.core_params.m, net._canonical_ids
-    for i, kernel in enumerate(code.core_kernels):
-        # a source's canonical id is its index in the stacked layout
-        sources = canonical[net._tail[net._in_ids(NodeId(BOTTLENECK_TAIL, i))]]
-        if not ((0 <= sources) & (sources < d.v + d.b)).all():
+    v, ends = d.v, d.v + d.b
+    into, at = net._ids_of([NodeId(BOTTLENECK_TAIL, i) for i in range(v)], net._in_index)
+    # a source's canonical id is its index in the stacked layout
+    fed = canonical[net._tail[into]]
+    source = (0 <= fed) & (fed < ends)
+    foreign = _any_in(~source, at)
+    wired = np.zeros((v, ends), dtype=bool)
+    wired[np.repeat(np.arange(v), np.diff(at))[source], fed[source]] = True
+    # both paths read a kernel's sources directly, so a source its tail is
+    # not fed would pass a code that the network cannot carry
+    reads = [_kernel_columns(d, i, 1) for i in range(v)]
+    read_at = _starts([len(x) for x in reads])
+    reads = _joined(reads)
+    read = np.concatenate([k.array.reshape(k.rows, -1, m).any(axis=(0, 2)) for k in code.core_kernels])
+    unwired = read & ~wired[np.repeat(np.arange(v), np.diff(read_at)), reads]
+    strays = _any_in(unwired, read_at)
+    into, at = net._ids_of([NodeId(BOTTLENECK_HEAD, i) for i in range(v)], net._in_index)
+    one = np.flatnonzero(np.diff(at) == 1)
+    alone = np.zeros(v, dtype=bool)
+    alone[one] = (net._kind[into[at[one]]] == _BOTTLENECK) & (
+        canonical[net._tail[into[at[one]]]] == _first_id(d, BOTTLENECK_TAIL) + one
+    )
+    for i in np.flatnonzero(foreign | strays | ~alone)[:1].tolist():
+        if foreign[i]:
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} is fed by a node that is no source of the design"
             )
-        # both paths read a kernel's sources directly, so a source its tail is
-        # not fed would pass a code that the network cannot carry
-        reads = _kernel_columns(d, i, 1)[kernel.array.reshape(kernel.rows, -1, m).any(axis=(0, 2))]
-        unwired = set(reads.tolist()) - set(sources.tolist())
-        if unwired:
-            source, _ = column_source(d, min(unwired), 1)
+        if strays[i]:
+            own = slice(read_at[i], read_at[i + 1])
+            source, _ = column_source(d, int(reads[own][unwired[own]].min()), 1)
             raise ShapeMismatchError(
                 f"bottleneck {i + 1} reads {source.label()}, which is not wired into it"
             )
         head, tail = NodeId(BOTTLENECK_HEAD, i), NodeId(BOTTLENECK_TAIL, i)
-        into = net._in_ids(head)
-        fed = len(into) == 1 and net._kind[into[0]] == _BOTTLENECK
-        if not (fed and canonical[net._tail[into[0]]] == _first_id(d, BOTTLENECK_TAIL) + i):
-            raise ShapeMismatchError(f"{head.label()} is not fed by {tail.label()} alone")
-    kinds, numbered = len(net._kinds), {}
-    for t in net.terminals():
-        if t not in code.core_decoders:
-            raise ShapeMismatchError(f"no decoder for {t.label()}")
-        ids = code.core_decoders[t]._ids
-        tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
-        into = net._in_ids(t)
-        if not (
-            fits.all()
-            and ids.terminal in (t, None)
-            and _same_in_edges(tail, ids.kind, canonical[net._tail[into]], net._kind[into], kinds)
-        ):
+        raise ShapeMismatchError(f"{head.label()} is not fed by {tail.label()} alone")
+    terminals = net.terminals()
+    held = [code.core_decoders.get(t) for t in terminals]
+    ids = [_NO_IN_EDGES if dec is None else dec._ids for dec in held]
+    ok = np.fromiter((x.terminal in (t, None) for x, t in zip(ids, terminals)), bool, len(ids))
+    ok &= np.fromiter((dec is not None for dec in held), bool, len(held))
+    sizes = np.fromiter((len(x.kind) for x in ids), np.int64, len(ids))
+    at, kinds = _starts(sizes), len(net._kinds)
+    # canonical tail ids fit in int32, half the size the numbering makes
+    tails = np.empty(at[-1], dtype=np.int32)
+    for lo, hi in _runs(sizes, _CHECK_CELLS):
+        kind = _joined(x.kind for x in ids[lo:hi])
+        rank, index = _joined(x.rank for x in ids[lo:hi]), _joined(x.index for x in ids[lo:hi])
+        tail, fits = _fitting(rank, index, kind, d)
+        tails[at[lo] : at[hi]] = tail
+        into, net_at = net._ids_of(terminals[lo:hi], net._in_index)
+        keys, net_keys = tail * kinds + kind, canonical[net._tail[into]] * kinds + net._kind[into]
+        # a decoder lists the network's in-edges in its order when the two
+        # are as long and alike entry by entry; the others are compared as sets
+        mine, theirs = at[lo : hi + 1] - at[lo], net_at
+        count, net_count = np.diff(mine), np.diff(theirs)
+        even = count == net_count
+        differ = ~even
+        unlike = keys[np.repeat(even, count)] != net_keys[np.repeat(even, net_count)]
+        differ[even] = _any_in(unlike, _starts(count[even]))
+        ok[lo:hi] &= ~_any_in(~fits, mine)
+        for x in np.flatnonzero(ok[lo:hi] & differ).tolist():
+            ok[lo + x] = _same_in_edges(keys[mine[x] : mine[x + 1]], net_keys[theirs[x] : theirs[x + 1]])
+        for x in np.flatnonzero(~ok[lo:hi])[:1].tolist():
+            t = terminals[lo + x]
+            if held[lo + x] is None:
+                raise ShapeMismatchError(f"no decoder for {t.label()}")
             raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
-        numbered[t] = (tail, ids.kind)
+    numbered = {t: (tails[at[x] : at[x + 1]], ids[x].kind) for x, t in enumerate(terminals)}
     # the network lists each source and terminal of the design once, no other
     nodes, ends = _canonical_nodes(d.v, d.b), d.v + d.b
     design, listed = dict.fromkeys(nodes[:ends] + nodes[-ends:]), Counter(net.sources() + net.terminals())
@@ -158,24 +239,10 @@ def _check_compatible(net: SumNetwork, code: NetworkCode) -> dict[NodeId, tuple[
     return numbered
 
 
-def _same_in_edges(
-    dec_tail: np.ndarray, dec_kind: np.ndarray, tail: np.ndarray, kind: np.ndarray, kinds: int
-) -> bool:
-    """Whether a decoder's in-edges (``dec_tail`` id, ``dec_kind`` code) are
-    a terminal's in-edges (``tail``, ``kind``) in the network's order or,
-    as a set, in any order; kind codes are below ``kinds``."""
-    if np.array_equal(dec_tail, tail) and np.array_equal(dec_kind, kind):
-        return True
-    return np.array_equal(_distinct(dec_tail * kinds + dec_kind), _distinct(tail * kinds + kind))
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct ``keys`` in increasing order, by ``np.sort``, which
-    unlike ``np.unique`` does not load ``numpy.ma``."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+def _same_in_edges(dec_keys: np.ndarray, keys: np.ndarray) -> bool:
+    """Whether a decoder's in-edges are a terminal's in-edges as a set, each
+    in-edge keyed by its canonical tail id and its kind code."""
+    return np.array_equal(_distinct(dec_keys), _distinct(keys))
 
 
 def _first_id(d: Design, kind: str) -> int:
@@ -183,64 +250,95 @@ def _first_id(d: Design, kind: str) -> int:
     return int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[kind]])
 
 
-def _terminal_map(code: NetworkCode, t: NodeId, numbered: dict, columns: list[np.ndarray]) -> np.ndarray:
-    """The residues of terminal t's end-to-end map from the stacked sources,
-    for one copy of the core, given the numbering ``_check_compatible``
-    returns and each kernel's stacked ``columns``.
-
-    A direct edge's decoder block lands at its source's columns, which
-    start at the source's canonical id times m; a head edge from bottleneck
-    i contributes its decoder block times kernel i at the kernel's columns.
-    """
-    d, f, (m, n) = code.design, code.field, code.core_params.rate
-    tail, kind = numbered[t]
-    blocks = code.core_decoders[t].matrix.array
-    head = kind == _HEAD_TO_TERMINAL
-    _, start = _in_edge_columns(kind, m, n)
-    got = np.zeros((m, stacked_width(d, m)), dtype=np.int64)
-    for i, col in zip((tail[head] - _first_id(d, BOTTLENECK_HEAD)).tolist(), start[head].tolist()):
-        got[:, columns[i]] += (FieldMatrix(f, blocks[:, col : col + n]) @ code.core_kernels[i]).array
-    # np.add.at, unlike +=, adds every block of a source listed twice
-    offsets = np.arange(m)
-    at = (start[~head, None] + offsets).ravel()
-    src = (tail[~head, None] * m + offsets).ravel()
-    np.add.at(got, (slice(None), src), blocks[:, at])
-    return got % f.p
-
-
 def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """Verify that every terminal's end-to-end map is the sum of sources.
 
     The map is composed for the core; its lift is the lifted code's map,
-    so its first wrong entry is the core's first one at row*w, col*w."""
+    so its first wrong entry is the core's first one at row*w, col*w.
+
+    A direct edge's decoder block lands at its source's columns, which
+    start at the source's canonical id times m; a head edge from bottleneck
+    i contributes its decoder block times kernel i at the kernel's columns.
+    The head-edge blocks of every decoder that reads bottleneck i are
+    stacked and multiplied by kernel i once.  Then the maps are composed
+    and compared a chunk of terminals at a time, each chunk's decoders side
+    by side (``_CHECK_CELLS``)."""
     numbered = _check_compatible(net, code)
-    d, m, w = net.design, code.core_params.m, code.w
-    want = sum_map(d, m, code.field).array
-    columns = [_kernel_columns(d, i, m) for i in range(d.v)]
+    d, f, w, (m, n) = net.design, code.field, code.w, code.core_params.rate
+    terminals = net.terminals()
+    matrices = [code.core_decoders[t].matrix.array for t in terminals]
+    width = stacked_width(d, m)
+    cells = m * (width + np.fromiter((a.shape[1] for a in matrices), np.int64, len(matrices)))
+    chunks = list(_runs(cells, _CHECK_CELLS))
+    # residues below p, held in the smallest dtype that holds them
+    small = np.min_scalar_type(f.p - 1)
+
+    def in_edges(lo: int, hi: int):
+        """Terminals lo to hi's decoders side by side, and per in-edge its
+        terminal's position among them, its canonical tail id, its kind
+        code and its first column."""
+        kinds = [numbered[t][1] for t in terminals[lo:hi]]
+        kind = _joined(kinds)
+        owner = np.repeat(np.arange(hi - lo), [len(x) for x in kinds])
+        tail = _joined(numbered[t][0] for t in terminals[lo:hi])
+        matrix = np.concatenate([np.zeros((m, 0), dtype=np.int64), *matrices[lo:hi]], axis=1)
+        return matrix, owner, tail, kind, _in_edge_columns(kind, m, n)[1]
+
+    # every head edge's terminal, bottleneck and m x n decoder block, in
+    # terminal order
+    reader, point, blocks = [], [], []
+    for lo, hi in chunks:
+        matrix, owner, tail, kind, start = in_edges(lo, hi)
+        head = kind == _HEAD_TO_TERMINAL
+        reader.append(owner[head] + lo)
+        point.append(tail[head] - _first_id(d, BOTTLENECK_HEAD))
+        blocks.append(matrix[:, start[head, None] + np.arange(n)].transpose(1, 0, 2).astype(small))
+    reader, point = _joined(reader), _joined(point)
+    blocks = np.concatenate([np.zeros((0, m, n), dtype=small), *blocks])
+    # their products with their kernels, m rows per head edge, over the
+    # kernel's columns (``columns``), zeros past a narrower kernel's
+    kernel_columns = [_kernel_columns(d, i, m) for i in range(d.v)]
+    columns = np.zeros((d.v, max(map(len, kernel_columns), default=0)), dtype=np.int64)
+    products = np.zeros((len(point), m, columns.shape[1]), dtype=small)
+    by_point, point_at = np.argsort(point, kind="stable"), _starts(np.bincount(point, minlength=d.v))
+    for i, kernel in enumerate(code.core_kernels):
+        reading, cols = by_point[point_at[i] : point_at[i + 1]], len(kernel_columns[i])
+        columns[i, :cols] = kernel_columns[i]
+        if reading.size:
+            product = FieldMatrix(f, blocks[reading].reshape(-1, n)) @ kernel
+            products[reading, :, :cols] = product.array.reshape(len(reading), m, cols)
+    del blocks
+
+    want = sum_map(d, m, f).array
     failures = []
-    for t in net.terminals():
-        got = _terminal_map(code, t, numbered, columns)
-        if not np.array_equal(got, want):
-            row, col = map(int, np.argwhere(got != want)[0])
+    heads = np.searchsorted(reader, [lo for lo, _ in chunks] + [len(terminals)])
+    for (lo, hi), a, b in zip(chunks, heads, heads[1:]):
+        got = np.zeros((hi - lo, m, width), dtype=np.int64)
+        # np.add.at, unlike +=, adds every block of a terminal listing an
+        # in-edge twice; a zero past a narrower kernel's columns adds nothing
+        at = (reader[a:b, None, None] - lo, np.arange(m)[:, None], columns[point[a:b], None])
+        np.add.at(got, at, products[a:b])
+        matrix, owner, tail, kind, start = in_edges(lo, hi)
+        direct = kind != _HEAD_TO_TERMINAL
+        blocks = matrix[:, start[direct, None] + np.arange(m)].transpose(1, 0, 2)
+        got = got.reshape(hi - lo, m, -1, m)
+        np.add.at(got, (owner[direct], slice(None), tail[direct], slice(None)), blocks)
+        got = got.reshape(hi - lo, m, width) % f.p
+        wrong = (got != want).reshape(hi - lo, m * width)
+        for x in np.flatnonzero(wrong.any(axis=1)).tolist():
+            row, col = divmod(int(np.argmax(wrong[x])), width)
             source, offset = column_source(d, col * w, m * w)
             failures.append(
                 Failure(
-                    at=t,
+                    at=terminals[lo + x],
                     detail=(
                         f"unit input at {source.label()}[{offset}] decodes to "
-                        f"{int(got[row, col])}, expected {int(want[row, col])} "
+                        f"{int(got[x, row, col])}, expected {int(want[row, col])} "
                         f"(output row {row * w})"
                     ),
                 )
             )
     return VerifyResult(ok=not failures, failures=failures)
-
-
-def _as_batch(value, m: int, p: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] != m:
-        raise ShapeMismatchError(f"source vector must hold exactly {m} symbols, got {arr.shape}")
-    return np.mod(arr.reshape(m, 1), p)
 
 
 # simulation decodes chunks of whole trials about _CHUNK_COLUMNS columns
@@ -249,6 +347,13 @@ def _as_batch(value, m: int, p: int) -> np.ndarray:
 # cap bounds a small network's chunks, the cell budget a large one's
 _CHUNK_COLUMNS = 512
 _CHUNK_CELLS = 1 << 20
+
+
+def _as_batch(value, m: int, p: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.int64)
+    if arr.ndim != 1 or arr.shape[0] != m:
+        raise ShapeMismatchError(f"source vector must hold exactly {m} symbols, got {arr.shape}")
+    return np.mod(arr.reshape(m, 1), p)
 
 
 def _decoded_chunks(
@@ -401,21 +506,28 @@ def _first_rows_outside(net: SumNetwork, code: NetworkCode, groups) -> Iterator[
     The group's kernels are scattered into the union of the sources they
     read, in stacked order, and tested against [I ... I] over that union.
     A kernel reads its sources in stacked order, so a single point's system
-    is its kernel against its partial sum over the kernel's own columns."""
+    is its kernel against its partial sum over the kernel's own columns.
+    Each point's sources are listed once, and each width's target made
+    once."""
     _check_compatible(net, code)
     d, f, w, (m, n) = net.design, code.field, code.w, code.core_params.rate
-    offsets = np.arange(m)
+    reads = [_kernel_columns(d, i, 1) for i in range(d.v)]
+    offsets, targets = np.arange(m), {}
     for g, points in enumerate(groups):
-        ids = [_kernel_columns(d, point, 1) for point in points]
-        union = np.flatnonzero(np.bincount(np.concatenate(ids)))
-        rows = np.zeros((len(ids) * n, len(union) * m), dtype=np.int64)
-        for r, (point, x) in enumerate(zip(points, ids)):
-            columns = (np.searchsorted(union, x)[:, None] * m + offsets).ravel()
+        union = np.zeros(d.v + d.b, dtype=bool)
+        for point in points:
+            union[reads[point]] = True
+        # each source's position in the union
+        position = np.cumsum(union) - 1
+        size = int(position[-1]) + 1
+        rows = np.zeros((len(points) * n, size * m), dtype=np.int64)
+        for r, point in enumerate(points):
+            columns = (position[reads[point], None] * m + offsets).ravel()
             rows[r * n : (r + 1) * n, columns] = code.core_kernels[point].array
-        basis = FieldMatrix._trusted(f, rows)
-        target = FieldMatrix._trusted(f, np.tile(np.eye(m, dtype=np.int64), len(union)))
-        if not row_space_contains(basis, target):
-            yield g, int(_rows_outside_row_space(rows, target.array, f.p)[0]) * w
+        if size not in targets:
+            targets[size] = FieldMatrix._trusted(f, np.tile(np.eye(m, dtype=np.int64), size))
+        if not row_space_contains(FieldMatrix._trusted(f, rows), targets[size]):
+            yield g, int(_rows_outside_row_space(rows, targets[size].array, f.p)[0]) * w
 
 
 def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:

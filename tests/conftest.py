@@ -2,8 +2,11 @@
 
 import signal
 import tracemalloc
+from collections import Counter, deque
 from contextlib import contextmanager
-from itertools import product
+from functools import reduce
+from itertools import chain, product
+from operator import or_
 
 import numpy as np
 import pytest
@@ -11,16 +14,24 @@ import pytest
 from sumnet.coding import (
     _HOOKS,
     NetworkCode,
+    ShapeMismatchError,
     TerminalDecoder,
     _code,
+    _fitting,
     _held,
+    _in_edge_columns,
     _kernel_columns,
     block_source_extractor,
     build_code,
+    column_source,
 )
 from sumnet.designs import Design, _load_json, fano
 from sumnet.field import DimensionMismatchError, FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
 from sumnet.network import (
+    _BOTTLENECK,
+    _DIRECT,
+    _HEAD_TO_TERMINAL,
+    _KIND_ORDER,
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
     EDGE_BOTTLENECK,
@@ -31,7 +42,9 @@ from sumnet.network import (
     TERMINAL_BLOCK,
     TERMINAL_POINT,
     NodeId,
-    _kahn,
+    _canonical_nodes,
+    _kahn_levels,
+    _kind_offsets,
     build_sum_network,
 )
 from sumnet.verify import (
@@ -126,10 +139,10 @@ def rank(m: FieldMatrix) -> int:
 
 
 def topological_order(net) -> list[NodeId]:
-    """``_kahn`` as nodes: the distinct nodes of the graph (the listed nodes
-    and every edge endpoint), ties broken by ``NodeId.sort_key``; raises on
-    a cycle."""
-    found = _kahn(net)
+    """``_kahn_levels`` as nodes: the distinct nodes of the graph (the listed
+    nodes and every edge endpoint), ties broken by ``NodeId.sort_key``;
+    raises on a cycle."""
+    found = np.concatenate(_kahn_levels(net)).tolist()
     if len(found) != len(net._node_table):
         raise ValueError("network contains a cycle")
     return [net._node_table[x] for x in found]
@@ -232,7 +245,8 @@ def assert_accessors_match_oracle(net) -> None:
     for node in net.nodes:
         into = [e for e in edges if e.head == node]
         assert net.in_edges(node) == tuple(into), node
-        assert net._edges_at(net._out_ids(node)) == tuple(e for e in edges if e.tail == node), node
+        out, _ = net._ids_of([node], net._out_index)
+        assert net._edges_at(out) == tuple(e for e in edges if e.tail == node), node
         if node.kind in (TERMINAL_POINT, TERMINAL_BLOCK):
             heads = sorted((e for e in into if e.kind == EDGE_HEAD_TO_TERMINAL), key=lambda e: e.tail.index)
             direct = sorted(
@@ -333,3 +347,234 @@ def plane(request) -> Design:
     """PG(2,3) (k = 4, scalar over GF(3)), AG(2,3) and AG(2,5) (k = 5):
     regimes the Steiner triple systems never reach."""
     return PLANES[request.param]()
+
+
+# ---------------------------------------------------------------------------
+# per-terminal and per-node oracles: the checks as they ran one terminal,
+# one node or one edge at a time, before they ran as array passes
+# ---------------------------------------------------------------------------
+
+
+def oracle_check_compatible(net, code) -> dict:
+    """``verify._check_compatible`` one bottleneck and one terminal at a
+    time: each decoder numbered by its own ``_fitting`` call and compared
+    with its terminal's in-edges, in the network's order or as a set."""
+    if code.design != net.design:
+        raise ShapeMismatchError("code was built for a different design")
+    d, m, canonical = net.design, code.core_params.m, net._canonical_ids
+    first_tail = int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[BOTTLENECK_TAIL]])
+    for i, kernel in enumerate(code.core_kernels):
+        sources = canonical[net._tail[net._in_ids(NodeId(BOTTLENECK_TAIL, i))]]
+        if not ((0 <= sources) & (sources < d.v + d.b)).all():
+            raise ShapeMismatchError(f"bottleneck {i + 1} is fed by a node that is no source of the design")
+        reads = _kernel_columns(d, i, 1)[kernel.array.reshape(kernel.rows, -1, m).any(axis=(0, 2))]
+        unwired = set(reads.tolist()) - set(sources.tolist())
+        if unwired:
+            source, _ = column_source(d, min(unwired), 1)
+            raise ShapeMismatchError(f"bottleneck {i + 1} reads {source.label()}, which is not wired into it")
+        head, tail = NodeId(BOTTLENECK_HEAD, i), NodeId(BOTTLENECK_TAIL, i)
+        into = net._in_ids(head)
+        fed = len(into) == 1 and net._kind[into[0]] == _BOTTLENECK
+        if not (fed and canonical[net._tail[into[0]]] == first_tail + i):
+            raise ShapeMismatchError(f"{head.label()} is not fed by {tail.label()} alone")
+    kinds, numbered = len(net._kinds), {}
+    for t in net.terminals():
+        if t not in code.core_decoders:
+            raise ShapeMismatchError(f"no decoder for {t.label()}")
+        ids = code.core_decoders[t]._ids
+        tail, fits = _fitting(ids.rank, ids.index, ids.kind, d)
+        into = net._in_ids(t)
+        net_tail, net_kind = canonical[net._tail[into]], net._kind[into]
+        same = np.array_equal(tail, net_tail) and np.array_equal(ids.kind, net_kind)
+        if not same:  # the same in-edges in another order, as a set
+            same = set((tail * kinds + ids.kind).tolist()) == set((net_tail * kinds + net_kind).tolist())
+        if not (fits.all() and ids.terminal in (t, None) and same):
+            raise ShapeMismatchError(f"decoder in-edges disagree with network at {t.label()}")
+        numbered[t] = (tail, ids.kind)
+    nodes, ends = _canonical_nodes(d.v, d.b), d.v + d.b
+    design, listed = dict.fromkeys(nodes[:ends] + nodes[-ends:]), Counter(net.sources() + net.terminals())
+    for x in chain(design, listed):
+        if listed[x] != (x in design):
+            fault = f" {listed[x]} times, not once" if x in design else ", which is no node of the design"
+            raise ShapeMismatchError(f"the network lists {x.label()}{fault}")
+    return numbered
+
+
+def oracle_terminal_map(code, t, numbered: dict) -> np.ndarray:
+    """Terminal t's end-to-end map from the stacked sources, for one copy
+    of the core: each head edge's decoder block times its kernel, one
+    product per head edge, at the kernel's columns, and each direct edge's
+    block at its source's columns, a block listed twice added twice."""
+    d, f, (m, n) = code.design, code.field, code.core_params.rate
+    tail, kind = numbered[t]
+    blocks = code.core_decoders[t].matrix.array
+    head = kind == _HEAD_TO_TERMINAL
+    _, start = _in_edge_columns(kind, m, n)
+    first_head = int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[BOTTLENECK_HEAD]])
+    got = np.zeros((m, (d.v + d.b) * m), dtype=np.int64)
+    for i, col in zip((tail[head] - first_head).tolist(), start[head].tolist()):
+        got[:, _kernel_columns(d, i, m)] += (FieldMatrix(f, blocks[:, col : col + n]) @ code.core_kernels[i]).array
+    offsets = np.arange(m)
+    at = (start[~head, None] + offsets).ravel()
+    src = (tail[~head, None] * m + offsets).ravel()
+    np.add.at(got, (slice(None), src), blocks[:, at])
+    return got % f.p
+
+
+def oracle_transfer_failures(net, code) -> list[tuple[NodeId, str]]:
+    """``transfer_check``'s failures, each terminal's map composed on its
+    own (``oracle_terminal_map``) and its first wrong entry reported."""
+    numbered = oracle_check_compatible(net, code)
+    d, m, w = net.design, code.core_params.m, code.w
+    want = np.tile(np.eye(m, dtype=np.int64), d.v + d.b)
+    failures = []
+    for t in net.terminals():
+        got = oracle_terminal_map(code, t, numbered)
+        if not np.array_equal(got, want):
+            row, col = map(int, np.argwhere(got != want)[0])
+            source, offset = column_source(d, col * w, m * w)
+            failures.append((t, (
+                f"unit input at {source.label()}[{offset}] decodes to "
+                f"{int(got[row, col])}, expected {int(want[row, col])} (output row {row * w})"
+            )))
+    return failures
+
+
+def oracle_kahn(n) -> list[int]:
+    """Kahn's algorithm over node ids with a FIFO queue, a node's heads
+    released in id order; shorter than the node table on a cycle."""
+    indegree = np.bincount(n._head, minlength=len(n._node_table))
+    ptr, order = n._out_index
+    heads = n._head[order]
+    ready = deque(np.flatnonzero(indegree == 0).tolist())
+    found = []
+    while ready:
+        x = ready.popleft()
+        found.append(x)
+        out = heads[ptr[x] : ptr[x + 1]]
+        if out.size:
+            np.subtract.at(indegree, out, 1)
+            out = out[indegree[out] == 0]
+            # a head reached by parallel edges appears once per edge
+            ready.extend(out[np.flatnonzero(np.diff(out, prepend=-1))].tolist())
+    return found
+
+
+def oracle_reaching(n, sources: list[int], order, acyclic: bool) -> list[int]:
+    """Per node id, a bitmask of the ``sources`` (node ids) with a path to
+    it: one pass in topological ``order`` on a DAG, else passes until
+    nothing changes."""
+    ptr, in_order = n._in_index
+    ptr, tails = ptr.tolist(), n._tail[in_order].tolist()
+    reach = [0] * len(n._node_table)
+    for bit, s in enumerate(sources):
+        reach[s] = 1 << bit
+    order = list(order)
+    changed = True
+    while changed:
+        changed = False
+        for x in order:
+            if ptr[x] < ptr[x + 1]:
+                got = reduce(or_, map(reach.__getitem__, tails[ptr[x] : ptr[x + 1]]), reach[x])
+                changed |= got != reach[x]
+                reach[x] = got
+        changed &= not acyclic
+    return reach
+
+
+def oracle_network_validate(n) -> list[str]:
+    """``network_validate``'s problems, each bottleneck and terminal
+    checked on its own, the order by ``oracle_kahn`` and reachability by
+    ``oracle_reaching``."""
+    problems = []
+    d = n.design
+    v, b = d.v, d.b
+    try:
+        r = d.r
+    except ValueError:
+        return ["design has no integral replication number"]
+    if len(n.nodes) != 2 * (v + b) + 2 * v:
+        problems.append(f"node count {len(n.nodes)}, expected {2 * (v + b) + 2 * v}")
+    listed = set(n.nodes)
+    if len(listed) != len(n.nodes):
+        problems.append("duplicate nodes")
+    table, ids = n._node_table, n._ids
+    unknown = [x for x in table if x.kind not in _KIND_ORDER]
+    problems += [f"node {x.label()} has unknown kind {x.kind!r}" for x in sorted(unknown)]
+    if unknown:
+        return problems
+    size = len(table)
+    in_degree = np.bincount(n._head, minlength=size)
+    out_degree = np.bincount(n._tail, minlength=size)
+    for x in np.flatnonzero(in_degree + out_degree).tolist():
+        if table[x] not in listed:
+            problems.append(f"edge endpoint {table[x].label()} is not a listed node")
+    if n._has_parallel_edges:
+        problems.append("parallel edges present")
+    bottlenecks = n.bottlenecks()
+    if len(bottlenecks) != v:
+        problems.append(f"{len(bottlenecks)} bottleneck edges, expected {v}")
+    for e in bottlenecks:
+        if e.tail.kind != BOTTLENECK_TAIL or e.head.kind != BOTTLENECK_HEAD:
+            problems.append(f"bad bottleneck endpoints {e}")
+        elif e.tail.index != e.head.index:
+            problems.append(f"bottleneck tail/head index mismatch {e}")
+    for i in range(v):
+        expect = {NodeId(SOURCE_POINT, i)} | {NodeId(SOURCE_BLOCK, j) for j in d.blocks_through(i)}
+        into = n._in_ids(NodeId(BOTTLENECK_TAIL, i))
+        tails = {table[x] for x in n._tail[into].tolist()}
+        if tails != expect:
+            problems.append(f"bottleneck tail {i + 1} fed by {sorted(x.label() for x in tails)}")
+        if len(into) != r + 1:
+            problems.append(f"bottleneck tail {i + 1} in-degree != r+1")
+        out, _ = n._ids_of([NodeId(BOTTLENECK_HEAD, i)], n._out_index)
+        heads = {table[x] for x in n._head[out[n._kind[out] == _HEAD_TO_TERMINAL]].tolist()}
+        expect_out = {NodeId(TERMINAL_POINT, i)} | {NodeId(TERMINAL_BLOCK, j) for j in d.blocks_through(i)}
+        if heads != expect_out:
+            problems.append(f"bottleneck head {i + 1} feeds {sorted(x.label() for x in heads)}")
+        if len(out) != r + 1:
+            problems.append(f"bottleneck head {i + 1} out-degree != r+1")
+        head = ids.get(NodeId(BOTTLENECK_HEAD, i))
+        if head is None or in_degree[head] != 1:
+            problems.append(f"bottleneck head {i + 1} in-degree != 1")
+    m_edges = int(np.count_nonzero(n._kind != _DIRECT))
+    if m_edges != v + 2 * v * (r + 1):
+        problems.append(f"|M| = {m_edges}, expected {v + 2 * v * (r + 1)}")
+    problems += [f"source {s.label()} has incoming edges" for s in n.sources() if in_degree[ids[s]]]
+    problems += [f"terminal {t.label()} has outgoing edges" for t in n.terminals() if out_degree[ids[t]]]
+
+    def head_and_direct(t):
+        into = n._in_ids(t)
+        kind = n._kind[into]
+        heads = [table[x] for x in n._tail[into[kind == _HEAD_TO_TERMINAL]].tolist()]
+        return heads, int(np.count_nonzero(kind == _DIRECT))
+
+    for i in range(v):
+        t = NodeId(TERMINAL_POINT, i)
+        head, direct = head_and_direct(t)
+        if len(head) != 1 or (head and head[0] != NodeId(BOTTLENECK_HEAD, i)):
+            problems.append(f"{t.label()} head edges wrong")
+        if direct != (v - 1) + (b - r):
+            problems.append(f"{t.label()} has {direct} direct edges, expected {(v - 1) + (b - r)}")
+    for j in range(b):
+        t = NodeId(TERMINAL_BLOCK, j)
+        head, direct = head_and_direct(t)
+        expect_direct = (v - d.k) + (b - len(d.block_neighborhood(j)))
+        if len(head) != d.k:
+            problems.append(f"{t.label()} has {len(head)} head edges, expected {d.k}")
+        if direct != expect_direct:
+            problems.append(f"{t.label()} has {direct} direct edges, expected {expect_direct}")
+    order = oracle_kahn(n)
+    acyclic = len(order) == size
+    if not acyclic:
+        problems.append("graph is not acyclic")
+    sources = sorted({ids[s] for s in n.sources()})
+    reach = oracle_reaching(n, sources, order if acyclic else range(size), acyclic)
+    every = (1 << len(sources)) - 1
+    for t in n.terminals():
+        got = reach[ids[t]]
+        if got != every:
+            missing = (table[s] for bit, s in enumerate(sources) if not got >> bit & 1)
+            names = ", ".join(sorted(x.label() for x in missing))
+            problems.append(f"terminal {t.label()} cannot reach sources: {names}")
+    return problems

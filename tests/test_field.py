@@ -376,6 +376,68 @@ def test_matmul_mod_chunks_the_inner_dimension(kernel_counts):
     assert kernel_counts["calls"] == 3
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The names of the reductions the kernel runs, in order."""
+    ran, fmod, mod = [], np.fmod, np.mod
+
+    def recording(name, reduce):
+        def recorded(*args, **kwargs):
+            ran.append(name)
+            return reduce(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(np, "fmod", recording("fmod", fmod))
+    monkeypatch.setattr(np, "mod", recording("mod", mod))
+    return ran
+
+
+# (p, inner, max(a), max(b)): a product bound inner * max(a) * max(b)
+# under, at and over 2p, where the single pass switches from np.fmod to
+# np.mod; 2p itself is no such product for p = 2**31 - 1
+REDUCTION_SWITCH = {
+    (3, 5, 1, 1): "fmod",
+    (3, 6, 1, 1): "mod",
+    (3, 7, 1, 1): "mod",
+    (3, 2, 2, 1): "fmod",
+    (3, 2, 2, 2): "mod",
+    (65521, 2, 65520, 1): "fmod",
+    (65521, 2 * 65521, 1, 1): "mod",
+    (65521, 3, 65520, 1): "mod",
+    (BIG, 2, BIG - 1, 1): "fmod",
+    (BIG, 3, BIG - 1, 1): "mod",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCTION_SWITCH))
+def test_a_single_pass_is_reduced_by_fmod_only_below_twice_p(case, reductions):
+    # np.fmod slows with the quotient it takes off, np.mod does not: a
+    # nonnegative product below 2p takes np.fmod, any other np.mod, and
+    # both give the exact residues
+    p, inner, amax, bmax = case
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, amax + 1, size=(3, inner))
+    a[:, 0] = amax
+    b = np.full((inner, 2), bmax, dtype=np.int64)
+    got = _matmul_mod(a, b, p)
+    assert np.array_equal(got, object_matmul_mod(a, b, p))
+    assert reductions == [REDUCTION_SWITCH[case]]
+
+
+def test_limbs_and_balanced_residues_are_reduced_by_mod(reductions):
+    # a limb product's bound is near 2**53, far past 2p, and a product over
+    # balanced residues may be negative, however small its bound
+    a = np.full((5, 50), 2**30, dtype=np.int64)
+    b = np.full((50, 7), BIG - 1, dtype=np.int64)
+    assert np.array_equal(_matmul_mod(a, b, BIG), object_matmul_mod(a, b, BIG))
+    assert reductions == ["mod", "mod"]
+    reductions.clear()
+    a = np.array([[2, 0, 1]])
+    got = _matmul_mod(_prepare(a, 3), np.array([[1], [2], [0]]), 3)
+    assert got.tolist() == [[2]] and reductions == ["mod"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_operands(), st.sampled_from(("left", "right", "both")))
 def test_a_prepared_operand_gives_the_same_product(operands, prepared):

@@ -25,6 +25,7 @@ from sumnet.network import (
     NodeId,
     SumNetwork,
     _dot_name,
+    _kahn_levels,
     build_sum_network,
     network_export_dot,
     network_export_json,
@@ -38,6 +39,8 @@ from sumnet.network import (
 from conftest import (
     affine_plane,
     assert_accessors_match_oracle,
+    oracle_kahn,
+    oracle_network_validate,
     projective_plane,
     terminal_in_edges,
     topological_order,
@@ -603,3 +606,30 @@ def test_topological_order_counts_parallel_edges():
     net = broken_fano("repeated-edge")
     order = topological_order(net)
     assert order == topological_order(build_sum_network(fano()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_validation_and_order_agree_with_the_per_node_oracles(data):
+    # Fano or STS(9) with an edge dropped, an edge turned or doubled back
+    # (the latter always closing a cycle), or an edge repeated: the
+    # problems and the order of Kahn's algorithm, a level at a time, are
+    # those of the FIFO queue and the per-node checks, cycles included
+    d = data.draw(st.sampled_from((fano(), sts_bose(9))))
+    net = build_sum_network(d)
+    edges = list(net.edges)
+    x = data.draw(st.integers(0, len(edges) - 1))
+    e = edges[x]
+    way = data.draw(st.sampled_from(("drop", "turn", "double back", "repeat")))
+    if way == "drop":
+        del edges[x]
+    elif way == "turn":
+        edges[x] = Edge(e.head, e.tail, e.kind)
+    elif way == "double back":
+        edges.append(Edge(e.head, e.tail, e.kind))
+    else:
+        edges.insert(data.draw(st.integers(0, len(edges))), e)
+    changed = SumNetwork(d, net.nodes, edges)
+    assert network_validate(changed).problems == oracle_network_validate(changed)
+    levels = _kahn_levels(changed)
+    assert [x for level in levels for x in level.tolist()] == oracle_kahn(changed)

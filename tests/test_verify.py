@@ -63,7 +63,9 @@ from conftest import (
     assert_core_path_agrees,
     core_code,
     drop_block_correction,
+    oracle_check_compatible,
     oracle_simulate_batch,
+    oracle_transfer_failures,
     peak_allocation_below,
     rebase_bottlenecks,
     source_column,
@@ -484,6 +486,94 @@ def test_checks_make_no_edge_objects_for_terminal_in_edges(p, monkeypatch):
     assert made == []
     for t in net.terminals():
         assert code.decoders[t].in_edges == terminal_in_edges(net, t)
+
+
+@pytest.mark.parametrize("design", [fano, lambda: sts_bose(15)], ids=["fano", "sts15"])
+def test_the_checks_take_one_product_per_bottleneck_and_one_numbering(design, monkeypatch):
+    # the transfer check stacks the head-edge blocks of every decoder that
+    # reads a bottleneck and multiplies them by its kernel once, and the
+    # compatibility check numbers every decoder's in-edges in one call, a
+    # network this small being one chunk
+    net = build_sum_network(design())
+    code = build_code(net, PrimeField(3))
+    products, numberings = [], []
+    matmul, fitting = FieldMatrix.__matmul__, verify_module._fitting
+    monkeypatch.setattr(FieldMatrix, "__matmul__", lambda a, b: products.append(a.shape) or matmul(a, b))
+    monkeypatch.setattr(verify_module, "_fitting", lambda *args: numberings.append(args) or fitting(*args))
+    verify_module._check_compatible(net, code)
+    assert len(numberings) == 1
+    assert transfer_check(net, code).ok
+    assert len(products) == net.design.v and len(numberings) == 2
+
+
+def test_the_transfer_check_at_sts63_composes_in_chunks_within_its_memory_bound():
+    # one composed block of every terminal would be 2,142 x 2,142 cells
+    # (35 MiB as int64); a chunk holds about _CHECK_CELLS cells of maps and
+    # of decoders.  The traced peak is about 3.1 MiB, 1.8 MiB of it the
+    # numbering that the compatibility check returns
+    net = build_sum_network(sts_bose(63))
+    code = build_code(net, PrimeField(3))
+    what = "transfer_check at STS(63)/GF(3)"
+    with peak_allocation_below(8 * 2**20, what), within_seconds(30.0, what):
+        assert transfer_check(net, code).ok
+
+
+@st.composite
+def miswired_codes(draw):
+    """A Fano, STS(9) or STS(15) code over GF(2, 3, 5, 2**31 - 1), held as
+    its core, changed one of four ways: a decoder entry bumped, a decoder's
+    in-edges permuted with their column blocks (a code the checks accept),
+    one in-edge's tail swapped to another source, or a kernel entry zeroed."""
+    d = draw(st.sampled_from((fano(), sts_bose(9), sts_bose(15))))
+    f = PrimeField(draw(st.sampled_from((2, 3, 5, BIG))))
+    net = build_sum_network(d)
+    code = build_code(net, f)
+    m, n = code.core_params.rate
+    kernels, decoders = list(code.core_kernels), dict(code.core_decoders)
+    way = draw(st.sampled_from(("bump", "permute", "swap", "zero")))
+    if way == "zero":
+        i = draw(st.integers(0, d.v - 1))
+        a = kernels[i].array.copy()
+        a[draw(st.integers(0, a.shape[0] - 1)), draw(st.integers(0, a.shape[1] - 1))] = 0
+        kernels[i] = FieldMatrix(f, a)
+    else:
+        t = draw(st.sampled_from(sorted(decoders, key=lambda x: x.sort_key)))
+        edges, a = list(decoders[t].in_edges), decoders[t].matrix.array.copy()
+        if way == "bump":
+            a[draw(st.integers(0, m - 1)), draw(st.integers(0, a.shape[1] - 1))] += draw(st.integers(1, f.p - 1))
+        elif way == "permute":
+            widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in edges]
+            blocks = np.split(a, np.cumsum(widths)[:-1], axis=1)
+            order = draw(st.permutations(range(len(edges))))
+            edges, a = [edges[x] for x in order], np.hstack([blocks[x] for x in order])
+        else:
+            j = draw(st.sampled_from([j for j, e in enumerate(edges) if e.kind == EDGE_DIRECT]))
+            edges[j] = edges[j]._replace(tail=draw(st.sampled_from(net.sources())))
+        decoders[t] = TerminalDecoder(edges, FieldMatrix(f, a))
+    return net, NetworkCode._from_core(d, f, code.params, kernels, decoders, code.w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(miswired_codes(), st.sampled_from((1, 7, 1 << 14)))
+def test_the_checks_agree_with_the_per_terminal_oracles(case, cells):
+    # in chunks of any size the compatibility check numbers, or refuses,
+    # as the per-terminal loop did, and the transfer check reports the
+    # failures of the per-terminal composition, in the same order
+    net, code = case
+    with patch.object(verify_module, "_CHECK_CELLS", cells):
+        try:
+            want = oracle_check_compatible(net, code)
+        except ShapeMismatchError as exc:
+            for check in (verify_module._check_compatible, transfer_check):
+                with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(exc))}$"):
+                    check(net, code)
+            return
+        got = verify_module._check_compatible(net, code)
+        assert list(got) == list(want)
+        for t, (tail, kind) in want.items():
+            assert (got[t][0].tolist(), got[t][1].tolist()) == (tail.tolist(), kind.tolist())
+        result = transfer_check(net, code)
+        assert [(x.at, x.detail) for x in result.failures] == oracle_transfer_failures(net, code)
 
 
 # ---------------------------------------------------------------------------
