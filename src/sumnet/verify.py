@@ -22,7 +22,14 @@ compares each chunk with its sums as it is decoded, so no array holds
 every trial's decoded values.  One routine decides both recoverability
 checks: a group of bottlenecks must determine the sum of every source
 their kernels read, a single point's group its partial sum and a block's
-k points its neighborhood sum.
+k points its neighborhood sum.  The terminal that decodes from the group
+is its certificate, in the sense of certifying algorithms: the transfer
+check's head-edge stage (``_head_maps``) gives its decoder's head blocks
+X times their kernels, and when every head it reads is the group's and
+that product is [I ... I] on the group's sources, X solves exactly the
+system that elimination would, so the group passes with one comparison.
+Only a group whose certificate fails is eliminated, so its failure text
+is the elimination's, as before.
 
 A code has checked its own shapes where it was made.  Both paths rest on
 the wiring that ``_check_compatible`` states and every entry point checks
@@ -89,6 +96,7 @@ from .network import (
     BOTTLENECK_TAIL,
     NodeId,
     TERMINAL_BLOCK,
+    TERMINAL_POINT,
     SumNetwork,
     _canonical_nodes,
     _distinct,
@@ -132,11 +140,11 @@ def _runs(cells: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         lo = max(hi, lo + 1)
 
 
-# the compatibility and transfer checks take the terminals a chunk at a
-# time, about _CHECK_CELLS in-edges, or cells of composed maps and of
-# decoders: a chunk's arrays then hold about 1 MiB, little beside what a
-# run already holds, where whole-network arrays of 8-byte ids would add
-# tens of MiB at STS(63)
+# the compatibility, transfer and recoverability checks take the
+# terminals a chunk at a time, about _CHECK_CELLS in-edges, or cells of
+# composed maps and of decoders: a chunk's arrays then hold about 1 MiB,
+# little beside what a run already holds, where whole-network arrays of
+# 8-byte ids would add tens of MiB at STS(63)
 _CHECK_CELLS = 1 << 14
 
 # the in-edges of a missing decoder, joined with the others' in the check
@@ -250,22 +258,20 @@ def _first_id(d: Design, kind: str) -> int:
     return int(_kind_offsets(d.v, d.b)[0][_KIND_ORDER[kind]])
 
 
-def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
-    """Verify that every terminal's end-to-end map is the sum of sources.
+def _head_maps(
+    net: SumNetwork, code: NetworkCode, numbered: dict, terminals: list[NodeId]
+) -> Iterator[tuple[int, int, np.ndarray, tuple]]:
+    """The head-only maps of ``terminals``' decoders for the core, a chunk
+    of terminals lo:hi at a time (``_CHECK_CELLS``): yields lo, hi, the
+    (hi - lo, m, width) sums, not reduced mod p, of each head edge's decoder
+    block times its kernel at the kernel's columns, and the chunk's
+    decoders side by side with per in-edge its terminal's position among
+    them, its canonical tail id, its kind code and its first column.
 
-    The map is composed for the core; its lift is the lifted code's map,
-    so its first wrong entry is the core's first one at row*w, col*w.
-
-    A direct edge's decoder block lands at its source's columns, which
-    start at the source's canonical id times m; a head edge from bottleneck
-    i contributes its decoder block times kernel i at the kernel's columns.
-    The head-edge blocks of every decoder that reads bottleneck i are
-    stacked and multiplied by kernel i once.  Then the maps are composed
-    and compared a chunk of terminals at a time, each chunk's decoders side
-    by side (``_CHECK_CELLS``)."""
-    numbered = _check_compatible(net, code)
-    d, f, w, (m, n) = net.design, code.field, code.w, code.core_params.rate
-    terminals = net.terminals()
+    The head-edge blocks of every terminal that reads bottleneck i are
+    stacked and multiplied by kernel i once; np.add.at, unlike +=, adds
+    every block of a terminal listing an in-edge twice."""
+    d, f, (m, n) = net.design, code.field, code.core_params.rate
     matrices = [code.core_decoders[t].matrix.array for t in terminals]
     width = stacked_width(d, m)
     cells = m * (width + np.fromiter((a.shape[1] for a in matrices), np.int64, len(matrices)))
@@ -274,9 +280,6 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     small = np.min_scalar_type(f.p - 1)
 
     def in_edges(lo: int, hi: int):
-        """Terminals lo to hi's decoders side by side, and per in-edge its
-        terminal's position among them, its canonical tail id, its kind
-        code and its first column."""
         kinds = [numbered[t][1] for t in terminals[lo:hi]]
         kind = _joined(kinds)
         owner = np.repeat(np.arange(hi - lo), [len(x) for x in kinds])
@@ -309,24 +312,40 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
             products[reading, :, :cols] = product.array.reshape(len(reading), m, cols)
     del blocks
 
-    want = sum_map(d, m, f).array
-    failures = []
     heads = np.searchsorted(reader, [lo for lo, _ in chunks] + [len(terminals)])
     for (lo, hi), a, b in zip(chunks, heads, heads[1:]):
         got = np.zeros((hi - lo, m, width), dtype=np.int64)
-        # np.add.at, unlike +=, adds every block of a terminal listing an
-        # in-edge twice; a zero past a narrower kernel's columns adds nothing
+        # a zero past a narrower kernel's columns adds nothing
         at = (reader[a:b, None, None] - lo, np.arange(m)[:, None], columns[point[a:b], None])
         np.add.at(got, at, products[a:b])
-        matrix, owner, tail, kind, start = in_edges(lo, hi)
+        yield lo, hi, got, in_edges(lo, hi)
+
+
+def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
+    """Verify that every terminal's end-to-end map is the sum of sources.
+
+    The map is composed for the core; its lift is the lifted code's map,
+    so its first wrong entry is the core's first one at row*w, col*w.
+
+    A direct edge's decoder block lands at its source's columns, which
+    start at the source's canonical id times m; a head edge from bottleneck
+    i contributes its decoder block times kernel i at the kernel's columns
+    (``_head_maps``).  The maps are composed and compared a chunk of
+    terminals at a time."""
+    numbered = _check_compatible(net, code)
+    d, f, w, m = net.design, code.field, code.w, code.core_params.m
+    terminals = net.terminals()
+    want = sum_map(d, m, f).array
+    failures = []
+    for lo, hi, got, (matrix, owner, tail, kind, start) in _head_maps(net, code, numbered, terminals):
         direct = kind != _HEAD_TO_TERMINAL
         blocks = matrix[:, start[direct, None] + np.arange(m)].transpose(1, 0, 2)
         got = got.reshape(hi - lo, m, -1, m)
         np.add.at(got, (owner[direct], slice(None), tail[direct], slice(None)), blocks)
-        got = got.reshape(hi - lo, m, width) % f.p
-        wrong = (got != want).reshape(hi - lo, m * width)
+        got = got.reshape(hi - lo, m, -1) % f.p
+        wrong = (got != want).reshape(hi - lo, -1)
         for x in np.flatnonzero(wrong.any(axis=1)).tolist():
-            row, col = divmod(int(np.argmax(wrong[x])), width)
+            row, col = divmod(int(np.argmax(wrong[x])), want.shape[1])
             source, offset = column_source(d, col * w, m * w)
             failures.append(
                 Failure(
@@ -498,30 +517,51 @@ def simulate_trials(
     )
 
 
-def _first_rows_outside(net: SumNetwork, code: NetworkCode, groups) -> Iterator[tuple[int, int]]:
-    """For each group of points in ``groups`` whose bottlenecks do not
-    determine the sum of every source their kernels read, the group's
-    position and the first row of that sum outside their row space, times w.
+def _first_rows_outside(
+    net: SumNetwork, code: NetworkCode, groups: dict[NodeId, tuple[int, ...]]
+) -> Iterator[tuple[int, int]]:
+    """For each group of points in ``groups``, keyed by the terminal that
+    decodes from their bottlenecks, whose bottlenecks do not determine the
+    sum of every source their kernels read: the group's position and the
+    first row of that sum outside their row space, times w.
 
-    The group's kernels are scattered into the union of the sources they
-    read, in stacked order, and tested against [I ... I] over that union.
-    A kernel reads its sources in stacked order, so a single point's system
-    is its kernel against its partial sum over the kernel's own columns.
-    Each point's sources are listed once, and each width's target made
-    once."""
-    _check_compatible(net, code)
+    The system is the group's kernels R scattered into the union of the
+    sources they read, in stacked order, against T = [I ... I] over that
+    union.  The terminal's decoder certifies it: when every head the
+    decoder reads is the group's, its head-only map (``_head_maps``) is
+    X R for its head blocks X and zero off the union, and when that map is
+    I on each of the union's m x m blocks mod p, X R = T exactly, so every
+    row of T lies in the row space.  A head from outside the group proves
+    nothing of the group's kernels.  Only a group left uncertified is
+    eliminated: a kernel reads its sources in stacked order, so a single
+    point's system is its kernel against its partial sum over the kernel's
+    own columns.  Each width's target is made once."""
+    numbered = _check_compatible(net, code)
     d, f, w, (m, n) = net.design, code.field, code.w, code.core_params.rate
     reads = [_kernel_columns(d, i, 1) for i in range(d.v)]
+    terminals, points = list(groups), [list(x) for x in groups.values()]
+    members = np.zeros((len(points), d.v), dtype=bool)
+    members[np.repeat(np.arange(len(points)), [len(x) for x in points]), _joined(points)] = True
+    certified, eye = np.zeros(len(points), dtype=bool), np.eye(m, dtype=bool)
+    for lo, hi, got, (_, owner, tail, kind, _) in _head_maps(net, code, numbered, terminals):
+        head = kind == _HEAD_TO_TERMINAL
+        foreign = ~members[owner[head] + lo, tail[head] - _first_id(d, BOTTLENECK_HEAD)]
+        # each group's sources, a source once per kernel that reads it
+        listed = [[reads[i] for i in y] for y in points[lo:hi]]
+        x = np.repeat(np.arange(hi - lo), [sum(map(len, y)) for y in listed])
+        block = got.reshape(hi - lo, m, -1, m)[x, :, _joined(chain.from_iterable(listed))]
+        wrong = (block % f.p != eye).any(axis=(1, 2))
+        certified[lo:hi] = np.bincount(_joined([owner[head][foreign], x[wrong]]), minlength=hi - lo) == 0
     offsets, targets = np.arange(m), {}
-    for g, points in enumerate(groups):
+    for g in np.flatnonzero(~certified).tolist():
         union = np.zeros(d.v + d.b, dtype=bool)
-        for point in points:
+        for point in points[g]:
             union[reads[point]] = True
         # each source's position in the union
         position = np.cumsum(union) - 1
         size = int(position[-1]) + 1
-        rows = np.zeros((len(points) * n, size * m), dtype=np.int64)
-        for r, point in enumerate(points):
+        rows = np.zeros((len(points[g]) * n, size * m), dtype=np.int64)
+        for r, point in enumerate(points[g]):
             columns = (position[reads[point], None] * m + offsets).ravel()
             rows[r * n : (r + 1) * n, columns] = code.core_kernels[point].array
         if size not in targets:
@@ -536,12 +576,13 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     This holds for any correct code, in either regime: the symbols on
     bottleneck i must determine the partial sum at point i.
     """
+    groups = {NodeId(TERMINAL_POINT, i): (i,) for i in range(net.design.v)}
     failures = [
         Failure(
             at=NodeId(BOTTLENECK_TAIL, i),
             detail=f"partial-sum row {row} not recoverable from bottleneck {i + 1}",
         )
-        for i, row in _first_rows_outside(net, code, [(i,) for i in range(net.design.v)])
+        for i, row in _first_rows_outside(net, code, groups)
     ]
     return VerifyResult(ok=not failures, failures=failures)
 
@@ -549,12 +590,13 @@ def partial_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
 def block_sum_recoverable(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     """For each block, the sum of its points' sources plus all block sources
     in its neighborhood must be recoverable from its points' bottlenecks."""
+    groups = {NodeId(TERMINAL_BLOCK, j): points for j, points in enumerate(net.design.blocks)}
     failures = [
         Failure(
             at=NodeId(TERMINAL_BLOCK, j),
             detail=f"block {j + 1} neighborhood sum row {row} not recoverable",
         )
-        for j, row in _first_rows_outside(net, code, net.design.blocks)
+        for j, row in _first_rows_outside(net, code, groups)
     ]
     return VerifyResult(ok=not failures, failures=failures)
 

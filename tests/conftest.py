@@ -26,7 +26,14 @@ from sumnet.coding import (
     column_source,
 )
 from sumnet.designs import Design, _load_json, fano
-from sumnet.field import DimensionMismatchError, FieldMatrix, PrimeField, _matmul_mod, _reduced_echelon
+from sumnet.field import (
+    DimensionMismatchError,
+    FieldMatrix,
+    PrimeField,
+    _matmul_mod,
+    _reduced_echelon,
+    _rows_outside_row_space,
+)
 from sumnet.network import (
     _BOTTLENECK,
     _DIRECT,
@@ -438,6 +445,49 @@ def oracle_transfer_failures(net, code) -> list[tuple[NodeId, str]]:
                 f"{int(got[row, col])}, expected {int(want[row, col])} (output row {row * w})"
             )))
     return failures
+
+
+def oracle_first_rows_outside(net, code, groups) -> list[tuple[int, int]]:
+    """The recoverability checks by elimination alone, as they ran before
+    decoders certified groups: for each group of points whose bottlenecks
+    do not determine the sum of every source their kernels read, its
+    position and the first row of that sum outside their row space, times
+    w.  Each group's core kernels are scattered into the union of the
+    sources they read, in stacked order, and eliminated against [I ... I]
+    over that union."""
+    oracle_check_compatible(net, code)
+    d, f, w, (m, n) = net.design, code.field, code.w, code.core_params.rate
+    reads = [_kernel_columns(d, i, 1) for i in range(d.v)]
+    outside = []
+    for g, points in enumerate(groups):
+        union = np.zeros(d.v + d.b, dtype=bool)
+        for point in points:
+            union[reads[point]] = True
+        position = np.cumsum(union) - 1
+        size = int(position[-1]) + 1
+        rows = np.zeros((len(points) * n, size * m), dtype=np.int64)
+        for r, point in enumerate(points):
+            columns = (position[reads[point], None] * m + np.arange(m)).ravel()
+            rows[r * n : (r + 1) * n, columns] = code.core_kernels[point].array
+        rows_out = _rows_outside_row_space(rows, np.tile(np.eye(m, dtype=np.int64), size), f.p)
+        if rows_out.size:
+            outside.append((g, int(rows_out[0]) * w))
+    return outside
+
+
+def oracle_recoverability_failures(net, code) -> tuple[list, list]:
+    """The partial-sum and block-sum checks' failures, as (at, detail), by
+    elimination of every group (``oracle_first_rows_outside``)."""
+    d = net.design
+    partial = [
+        (NodeId(BOTTLENECK_TAIL, i), f"partial-sum row {row} not recoverable from bottleneck {i + 1}")
+        for i, row in oracle_first_rows_outside(net, code, [(i,) for i in range(d.v)])
+    ]
+    block = [
+        (NodeId(TERMINAL_BLOCK, j), f"block {j + 1} neighborhood sum row {row} not recoverable")
+        for j, row in oracle_first_rows_outside(net, code, d.blocks)
+    ]
+    return partial, block
 
 
 def oracle_kahn(n) -> list[int]:

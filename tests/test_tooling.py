@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from sumnet.coding import code_save
-from sumnet.designs import fano
 
 from conftest import reordered_fano_code
 
@@ -295,27 +294,49 @@ from sumnet import coding, verify
 
 tracer = traced.Tracer()
 traced.install(tracer, cli, (verify, coding))
+if {zeroed}:
+    build = cli.build_code
+
+    def zeroed(net, f):
+        # the code with core row 0 of kernel 1 zeroed in every copy
+        code = build(net, f)
+        kernels = list(code.core_kernels)
+        a = kernels[0].array.copy()
+        a[0] = 0
+        kernels[0] = coding.FieldMatrix(f, a)
+        return coding.NetworkCode._from_core(code.design, f, code.params, kernels, code.core_decoders, code.w)
+
+    cli.build_code = zeroed
 with contextlib.redirect_stdout(io.StringIO()):
     exit_code = cli.main(["code", "--fano", "--field", "3", "--format", "json"])
 names = [span["name"] for span in tracer.spans]
-print(json.dumps({"exit_code": exit_code, "names": names}))
+failures = sum(
+    span["attrs"]["failures"] for span in tracer.spans
+    if span["name"] in ("verify.partial_sum", "verify.block_sum")
+)
+print(json.dumps({{"exit_code": exit_code, "names": names, "recoverability_failures": failures}}))
 """
 
 
 def test_perfbench_traced_code_run_opens_every_span_it_wraps():
     # a name the library still binds but no longer calls is wrapped and
     # never opened, so its metrics read nothing; this runs the fractional
-    # code on Fano through the wrapped names and counts the spans it opens
-    run = _perfbench_child(_TRACED_CODE_RUN)
-    assert run["exit_code"] == 0  # every check passed
-    opened = set(run["names"])
-    for name in (
-        "designs.generate", "network.build", "coding.build", "verify.transfer",
-        "verify.partial_sum", "verify.block_sum", "field.matmul", "field.row_space",
-    ):
-        assert name in opened, name
-    # one row-space test per group: the v points, then the b blocks
-    assert run["names"].count("field.row_space") == fano().v + fano().b == 14
+    # code on Fano through the wrapped names and counts the spans it opens,
+    # once as built and once with a kernel row zeroed
+    for zeroed, exit_code, failing in ((False, 0, 0), (True, 2, 4)):
+        run = _perfbench_child(_TRACED_CODE_RUN.format(zeroed=zeroed))
+        assert run["exit_code"] == exit_code  # every check passed, or CHECK_FAILED
+        opened = set(run["names"])
+        for name in (
+            "designs.generate", "network.build", "coding.build", "verify.transfer",
+            "verify.partial_sum", "verify.block_sum", "field.matmul",
+        ):
+            assert name in opened, name
+        # every decoder certifies its group on the built code, so no group
+        # is eliminated; on the broken one each failing group, and no other,
+        # is: the group of point 1 and those of the three blocks through it
+        assert run["recoverability_failures"] == failing
+        assert run["names"].count("field.row_space") == failing
 
 
 # public functions and methods that no module of the library references

@@ -64,9 +64,11 @@ from conftest import (
     core_code,
     drop_block_correction,
     oracle_check_compatible,
+    oracle_recoverability_failures,
     oracle_simulate_batch,
     oracle_transfer_failures,
     peak_allocation_below,
+    projective_plane,
     rebase_bottlenecks,
     source_column,
     terminal_in_edges,
@@ -750,6 +752,143 @@ def test_recoverability_failures_are_the_lifted_codes_first_rows(data):
         for j, row in block
         if row is not None
     ]
+
+
+def eliminations():
+    """A patch of ``verify.row_space_contains`` that counts its calls: one
+    per recoverability group that its decoder's certificate leaves open."""
+    return patch.object(verify_module, "row_space_contains", wraps=verify_module.row_space_contains)
+
+
+CERTIFIED_CHECKS = (partial_sum_recoverable, block_sum_recoverable)
+
+
+@st.composite
+def recoverability_corruptions(draw):
+    """A Fano, STS(9), STS(15) or PG(2,3) code over GF(2, 3, 5, 2**31 - 1),
+    held as its core, changed one of four ways: a head-block entry of a
+    decoder bumped (its certificate fails, its kernels still pass), a kernel
+    row zeroed (both may fail), a decoder's in-edges permuted with their
+    column blocks, or a direct-block entry bumped (the certificate passes,
+    the transfer check fails)."""
+    d = draw(st.sampled_from((fano(), sts_bose(9), sts_bose(15), projective_plane(3))))
+    f = PrimeField(draw(st.sampled_from((2, 3, 5, BIG))))
+    net = build_sum_network(d)
+    code = build_code(net, f)
+    m, n = code.core_params.rate
+    kernels, decoders = list(code.core_kernels), dict(code.core_decoders)
+    way = draw(st.sampled_from(("head", "zero", "permute", "direct")))
+    if way == "zero":
+        i = draw(st.integers(0, d.v - 1))
+        a = kernels[i].array.copy()
+        a[draw(st.integers(0, a.shape[0] - 1))] = 0
+        kernels[i] = FieldMatrix(f, a)
+    else:
+        t = draw(st.sampled_from(sorted(decoders, key=lambda x: x.sort_key)))
+        edges = list(decoders[t].in_edges)
+        widths = [n if e.kind == EDGE_HEAD_TO_TERMINAL else m for e in edges]
+        blocks = np.split(decoders[t].matrix.array.copy(), np.cumsum(widths)[:-1], axis=1)
+        if way == "permute":
+            order = draw(st.permutations(range(len(edges))))
+            edges, blocks = [edges[x] for x in order], [blocks[x] for x in order]
+        else:
+            kind = EDGE_HEAD_TO_TERMINAL if way == "head" else EDGE_DIRECT
+            x = draw(st.sampled_from([x for x, e in enumerate(edges) if e.kind == kind]))
+            at = draw(st.integers(0, m - 1)), draw(st.integers(0, widths[x] - 1))
+            blocks[x][at] += draw(st.integers(1, f.p - 1))
+        decoders[t] = TerminalDecoder(edges, FieldMatrix(f, np.hstack(blocks)))
+    return way, net, NetworkCode._from_core(d, f, code.params, kernels, decoders, code.w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(recoverability_corruptions())
+def test_certified_recoverability_agrees_with_elimination_alone(case):
+    # a group passes by its decoder's certificate or is eliminated, and
+    # either way both checks report the failures, in the order, that
+    # eliminating every group reports
+    way, net, code = case
+    with eliminations() as spy:
+        got = [[(x.at, x.detail) for x in check(net, code).failures] for check in CERTIFIED_CHECKS]
+    partial, block = oracle_recoverability_failures(net, code)
+    assert got == [partial, block]
+    assert spy.call_count >= len(partial) + len(block)
+    if way == "head":  # one certificate fails, and its group's elimination passes
+        assert spy.call_count == 1 and partial == block == []
+    elif way in ("permute", "direct"):
+        assert spy.call_count == 0 and partial == block == []
+    if way == "direct":
+        assert not transfer_check(net, code).ok
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("design", [fano, lambda: sts_bose(15)], ids=["fano", "sts15"])
+def test_a_correct_code_passes_recoverability_with_no_elimination(design, p):
+    # every terminal's decoder certifies its group, so no group is eliminated
+    net = build_sum_network(design())
+    code = build_code(net, PrimeField(p))
+    with eliminations() as spy:
+        assert all(check(net, code).ok for check in CERTIFIED_CHECKS)
+    assert spy.call_count == 0
+
+
+def test_one_failing_block_group_is_eliminated_once():
+    # on Fano/GF(3), zeroing core row 3 of kernel 1 leaves every partial sum
+    # recoverable and every block but one certified by its decoder
+    net, code = fano_code(3)
+    kernels = list(code.core_kernels)
+    a = kernels[0].array.copy()
+    a[3] = 0
+    kernels[0] = FieldMatrix(code.field, a)
+    broken = NetworkCode._from_core(code.design, code.field, code.params, kernels, code.core_decoders, code.w)
+    partial, block = oracle_recoverability_failures(net, broken)
+    assert partial == [] and len(block) == 1
+    with eliminations() as spy:
+        assert partial_sum_recoverable(net, broken).ok
+    assert spy.call_count == 0
+    with eliminations() as spy:
+        assert [(x.at, x.detail) for x in block_sum_recoverable(net, broken).failures] == block
+    assert spy.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "kind,p,fake",
+    [(TERMINAL_POINT, 2, False), (TERMINAL_POINT, 3, False), (TERMINAL_BLOCK, 2, False),
+     (TERMINAL_BLOCK, 3, False), (TERMINAL_POINT, 2, True)],
+)
+def test_a_terminal_reading_a_head_outside_its_group_is_eliminated(kind, p, fake):
+    # the network also wires bottleneck-head:h, of a point outside t's
+    # group, into t, and t's decoder lists that in-edge.  The compatibility
+    # check accepts this, and a head outside the group proves nothing of
+    # the group's own kernels, so the group is eliminated.  With a zero
+    # block t's map is still the certificate's.  With ``fake``, the scalar
+    # kernel of point 1 no longer reads the block through points 1 and 2,
+    # and head 2's block supplies that block on the group's union: a check
+    # of the union alone would certify a group that elimination fails
+    d = fano()
+    net = build_sum_network(d)
+    t = NodeId(kind, 0)
+    group = (0,) if kind == TERMINAL_POINT else d.blocks[0]
+    h = next(i for i in range(d.v) if i not in group)
+    extra = Edge(NodeId(BOTTLENECK_HEAD, h), t, EDGE_HEAD_TO_TERMINAL)
+    wider = SumNetwork(d, net.nodes, (*net.edges, extra))
+    code = build_code(net, PrimeField(p))
+    m, n = code.core_params.rate
+    kernels, decoders = list(code.core_kernels), dict(code.core_decoders)
+    block = np.zeros((m, n), dtype=np.int64)
+    if fake:
+        shared = next(j for j, x in enumerate(d.blocks) if 0 in x and h in x)
+        a = kernels[0].array.copy()
+        a[:, 1 + list(d.blocks_through(0)).index(shared)] = 0
+        kernels[0], block[:] = FieldMatrix(code.field, a), 1
+    dec = decoders[t]
+    decoders[t] = TerminalDecoder((*dec.in_edges, extra), FieldMatrix(code.field, np.hstack([dec.matrix.array, block])))
+    wired = NetworkCode._from_core(d, code.field, code.params, kernels, decoders, code.w)
+    partial, blocks = oracle_recoverability_failures(wider, wired)
+    assert (partial + blocks != []) == fake
+    with eliminations() as spy:
+        got = [[(x.at, x.detail) for x in check(wider, wired).failures] for check in CERTIFIED_CHECKS]
+    assert got == [partial, blocks]
+    assert spy.call_count >= 1
 
 
 # ---------------------------------------------------------------------------
