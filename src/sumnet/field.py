@@ -3,17 +3,16 @@
 Matrices hold canonical residues in [0, p) as int64, and elimination is
 integer arithmetic with no pivot tolerance.  Products go through one
 kernel, ``_matmul_mod``, which uses float64 BLAS only as an integer
-accumulator: every partial sum of a product is at most inner * max|a| *
-max|b| in magnitude, and the kernel keeps that bound below 2**53, where
-float64 represents every integer exactly.  Canonical residues give the
-bound inner * max(a) * max(b); when that is too large, balanced residues
-(an entry above p//2 taken as entry - p) often shrink one operand enough,
-and otherwise the kernel splits an operand into narrow limbs (or the inner
-dimension into chunks).  An operand that takes part in many products is
-prepared once (``_prepare``): its balanced residues as float64 and their
-largest magnitude, the form its products use, so no product converts or
-scans it again.  The technique is the one of FFLAS-FFPACK (Dumas, Giorgi
-and Pernet, ACM TOMS 35(3), 2008).
+accumulator and is exact by one argument: a partial sum over L inner
+indexes is at most L * max|a| * max|b| in magnitude, float64 holds every
+integer below 2**53, and past that bound the kernel takes the smaller
+operand in balanced residues (an entry above p//2 taken as entry - p),
+walks the inner dimension in steps and splits each step's slice into as
+few signed limbs as keep every product below it.  An operand that takes
+part in many products is prepared once (``_prepare``): its balanced
+residues as float64 and their largest magnitude, so no product converts
+or scans it again.  The technique is the one of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -160,27 +159,23 @@ class FieldMatrix:
 
 
 class _Prepared(NamedTuple):
-    """A fixed operand of ``_matmul_mod``: its balanced residues as float64,
-    entries above p//2 taken as entry - p, and their largest magnitude."""
+    """A fixed operand of ``_matmul_mod``: its balanced residues, entries
+    above p//2 taken as entry - p, and their largest magnitude."""
 
     balanced: np.ndarray
     magnitude: int
-
-    def residues(self, p: int) -> np.ndarray:
-        """The canonical int64 residues the operand was prepared from."""
-        return np.where(self.balanced < 0, self.balanced + p, self.balanced).astype(np.int64)
 
 
 def _prepare(a: np.ndarray, p: int, out: np.ndarray | None = None) -> _Prepared:
     """The residues ``a``, integers or float64, in the form ``_matmul_mod``
     multiplies them, made once for every product the operand takes part
-    in; written into the float64 array ``out`` (which may be ``a``) when
-    one is given."""
+    in: as float64, or written into the float64 or int64 array ``out``
+    (which may be ``a``) when one is given."""
     if out is None:
         out = a.astype(np.float64)
     else:
         out[...] = a
-    out[a > p // 2] -= p
+    np.subtract(out, p, out=out, where=a > p // 2)
     return _Prepared(out, int(max(out.max(initial=0), -out.min(initial=0))))
 
 
@@ -196,55 +191,54 @@ def _matmul_mod(a: np.ndarray | _Prepared, b: np.ndarray | _Prepared, p: int) ->
     """The int64 residues of a @ b mod p, computed exactly.
 
     Each operand is an array of canonical residues, nonnegative integers
-    below 2**31, or ``_Prepared``, balanced residues with their magnitude.
-    Every partial sum of the product is at most inner * |a| * |b| in
-    magnitude, with each operand's bound taken in the form it is given in
-    (``_magnitude``); below 2**53 one float64 BLAS product is exact, and
-    each product is reduced by the cheaper reduction for its bound
-    (``_reduced``).  Past that bound both operands are taken as
-    canonical residues and the smaller is rewritten in balanced residues,
-    entries above p//2 becoming entry - p: a partial sum is then at most
-    inner * max|balanced| * max(other) in magnitude, and when that is
-    below 2**53 one product is exact.  A decoder's
-    -(k-1), held as p - (k-1), is small in this form.  Otherwise the
-    smaller operand is split into s-bit limbs, the widest that keep
-    inner * (2**s - 1) * max(other) below 2**53, with one product per limb
-    recombined by Horner's rule in int64.  When even 1-bit limbs overflow,
-    the inner dimension is cut into chunks.
+    below 2**31 of any integer dtype, or ``_Prepared``, balanced residues
+    with their magnitude.  Every partial sum of a product over L inner
+    indexes is at most L * |a| * |b| in magnitude, each operand's bound
+    taken in the form it is given in (``_magnitude``), and below 2**53 one
+    float64 BLAS product is exact; it is reduced by the cheaper reduction
+    for its bound (``_reduced``).  Past that bound the smaller operand is
+    taken as int64 balanced residues, of magnitude at most p//2 < 2**30
+    (a decoder's -(k-1), held as p - (k-1), is small in this form), and
+    the inner dimension is walked in steps of L with L * 2 * |other| below
+    2**53.  A step is one product when L * |small| * |other| < 2**53.
+    Otherwise its slice of the small operand splits into s-bit limbs, the
+    widest with L * 2**s * |other| < 2**53, so s <= 30: the lower limbs
+    masked, the top one an arithmetic shift that keeps the sign, each at
+    most 2**s in magnitude, so every limb's product is exact.  The limbs'
+    residues recombine by Horner's rule in int64, below 2**31 * 2**30 +
+    2**31 < 2**62, and the steps' residues add up mod p.
     """
     x, y = (z.balanced if isinstance(z, _Prepared) else z for z in (a, b))
-    bound = x.shape[1] * _magnitude(a) * _magnitude(b)
+    amax, bmax = _magnitude(a), _magnitude(b)
+    bound = x.shape[1] * amax * bmax
     if bound < _EXACT:
         product = x.astype(np.float64, copy=False) @ y.astype(np.float64, copy=False)
         return _reduced(product, p, bound, signed=not (x is a and y is b))
-    a, b = (z.residues(p) if isinstance(z, _Prepared) else z for z in (a, b))
-    inner = a.shape[1]
-    amax, bmax = _magnitude(a), _magnitude(b)
-    split_a = a.size <= b.size
-    small, small_max, other_max = (a, amax, bmax) if split_a else (b, bmax, amax)
-    # min(x, p - x) is the magnitude of x's balanced residue
-    bound = inner * int(np.minimum(small, p - small).max()) * other_max
-    if bound < _EXACT:
-        balanced = np.where(small > p // 2, small - p, small).astype(np.float64)
-        other = (b if split_a else a).astype(np.float64)
-        product = balanced @ other if split_a else other @ balanced
-        return _reduced(product, p, bound, signed=True)
-    s = ((_EXACT - 1) // (inner * other_max) + 1).bit_length() - 1
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if s == 0:
-        step = (_EXACT - 1) // other_max  # every chunk fits 1-bit limbs
-        for lo in range(0, inner, step):
-            out += _matmul_mod(a[:, lo : lo + step], b[lo : lo + step], p)
-            out %= p
-        return out
-    # the single pass failed with every entry below 2**31, so s <= 31 and
-    # Horner's out * 2**s stays below 2**62
-    other = (b if split_a else a).astype(np.float64)
-    mask = (1 << s) - 1
-    for shift in reversed(range(0, small_max.bit_length(), s)):
-        limb = ((small >> shift) & mask).astype(np.float64)
-        part = limb @ other if split_a else other @ limb
-        out = (out * (1 << s) + _reduced(part, p, inner * mask * other_max, signed=False)) % p
+    split_a = x.size <= y.size
+    small, other_max = (a, bmax) if split_a else (b, amax)
+    other = (y if split_a else x).astype(np.float64, copy=False)
+    if not isinstance(small, _Prepared):
+        small = _prepare(small, p, out=np.empty(small.shape, dtype=np.int64))
+    small_max, small = small.magnitude, small.balanced.astype(np.int64, copy=False)
+    x, y = (small, other) if split_a else (other, small)
+    bits = small_max.bit_length()
+    step = (_EXACT - 1) // (2 * other_max)
+    for lo in range(0, x.shape[1], step):
+        xs, ys = x[:, lo : lo + step], y[lo : lo + step]
+        length = xs.shape[1]
+        if length * small_max * other_max < _EXACT:
+            s = bits  # one limb, the whole slice
+        else:
+            s = ((_EXACT - 1) // (length * other_max)).bit_length() - 1
+        bound, top = length * min(small_max, 1 << s) * other_max, (bits - 1) // s * s
+        for shift in range(top, -1, -s):
+            limb = (xs if split_a else ys) >> shift
+            if shift < top:
+                limb &= (1 << s) - 1
+            limb = limb.astype(np.float64)
+            part = _reduced(limb @ ys if split_a else xs @ limb, p, bound, signed=True)
+            residue = part if shift == top else ((residue << s) + part) % p
+        out = residue if lo == 0 else (out + residue) % p
     return out
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ._jsonwriter import StringTable, _rows, dump, dumps
-from .designs import Design, InvalidDesignError, ParseError, ValidationReport, _load_json
+from .designs import Design, ParseError, ValidationReport, _load_json
 
 SOURCE_POINT = "source-point"
 SOURCE_BLOCK = "source-block"
@@ -387,7 +387,7 @@ def build_sum_network(d: Design) -> SumNetwork:
         head += [*[tail_at + i] * len(near), head_at + i, *(terminal_at + x for x in near)]
         kind += [_SOURCE_TO_TAIL] * len(near) + [_BOTTLENECK] + [_HEAD_TO_TERMINAL] * len(near)
     terminal, source = np.nonzero(_unwired(d))
-    net = SumNetwork._from_ids(
+    return SumNetwork._from_ids(
         d,
         nodes,
         nodes,
@@ -395,10 +395,6 @@ def build_sum_network(d: Design) -> SumNetwork:
         np.concatenate((np.array(head, dtype=np.int32), terminal + terminal_at)),
         np.concatenate((np.array(kind, dtype=np.int8), np.full(len(source), _DIRECT, np.int8))),
     )
-    # unit-capacity simple edges: the construction must never repeat one
-    if net._has_parallel_edges:
-        raise InvalidDesignError(ValidationReport(["network construction repeats an edge"]))
-    return net
 
 
 def _kahn_levels(n: SumNetwork) -> list[np.ndarray]:

@@ -264,13 +264,13 @@ def _head_maps(
     """The head-only maps of ``terminals``' decoders for the core, a chunk
     of terminals lo:hi at a time (``_CHECK_CELLS``): yields lo, hi, the
     (hi - lo, m, width) sums, not reduced mod p, of each head edge's decoder
-    block times its kernel at the kernel's columns, and the chunk's
-    decoders side by side with per in-edge its terminal's position among
-    them, its canonical tail id, its kind code and its first column.
+    block times its kernel at the kernel's columns, and per in-edge of the
+    chunk's decoders its terminal's position among them, its canonical tail
+    id, its kind code and its first column in their matrices side by side.
 
-    The head-edge blocks of every terminal that reads bottleneck i are
-    stacked and multiplied by kernel i once; np.add.at, unlike +=, adds
-    every block of a terminal listing an in-edge twice."""
+    Each head-edge block is taken from its decoder's own matrix, and those
+    of bottleneck i are stacked and multiplied by kernel i once; np.add.at,
+    unlike +=, adds every block of a terminal listing an in-edge twice."""
     d, f, (m, n) = net.design, code.field, code.core_params.rate
     matrices = [code.core_decoders[t].matrix.array for t in terminals]
     width = stacked_width(d, m)
@@ -284,20 +284,24 @@ def _head_maps(
         kind = _joined(kinds)
         owner = np.repeat(np.arange(hi - lo), [len(x) for x in kinds])
         tail = _joined(numbered[t][0] for t in terminals[lo:hi])
-        matrix = np.concatenate([np.zeros((m, 0), dtype=np.int64), *matrices[lo:hi]], axis=1)
-        return matrix, owner, tail, kind, _in_edge_columns(kind, m, n)[1]
+        return owner, tail, kind, _in_edge_columns(kind, m, n)[1]
 
     # every head edge's terminal, bottleneck and m x n decoder block, in
     # terminal order
     reader, point, blocks = [], [], []
     for lo, hi in chunks:
-        matrix, owner, tail, kind, start = in_edges(lo, hi)
+        owner, tail, kind, start = in_edges(lo, hi)
         head = kind == _HEAD_TO_TERMINAL
-        reader.append(owner[head] + lo)
+        owner, start = owner[head], start[head]
+        reader.append(owner + lo)
         point.append(tail[head] - _first_id(d, BOTTLENECK_HEAD))
-        blocks.append(matrix[:, start[head, None] + np.arange(n)].transpose(1, 0, 2).astype(small))
+        # each head block's columns in its own decoder's matrix, by decoder
+        columns = (start - _starts([a.shape[1] for a in matrices[lo:hi]])[owner])[:, None] + np.arange(n)
+        at = _starts(np.bincount(owner, minlength=hi - lo))
+        gathered = [a[:, columns[at[x] : at[x + 1]]] for x, a in enumerate(matrices[lo:hi])]
+        blocks.append(np.concatenate(gathered, axis=1).astype(small))
     reader, point = _joined(reader), _joined(point)
-    blocks = np.concatenate([np.zeros((0, m, n), dtype=small), *blocks])
+    blocks = np.concatenate([np.zeros((m, 0, n), dtype=small), *blocks], axis=1).transpose(1, 0, 2)
     # their products with their kernels, m rows per head edge, over the
     # kernel's columns (``columns``), zeros past a narrower kernel's
     kernel_columns = [_kernel_columns(d, i, m) for i in range(d.v)]
@@ -337,7 +341,9 @@ def transfer_check(net: SumNetwork, code: NetworkCode) -> VerifyResult:
     terminals = net.terminals()
     want = sum_map(d, m, f).array
     failures = []
-    for lo, hi, got, (matrix, owner, tail, kind, start) in _head_maps(net, code, numbered, terminals):
+    for lo, hi, got, (owner, tail, kind, start) in _head_maps(net, code, numbered, terminals):
+        matrices = [code.core_decoders[t].matrix.array for t in terminals[lo:hi]]
+        matrix = np.concatenate([np.zeros((m, 0), dtype=np.int64), *matrices], axis=1)
         direct = kind != _HEAD_TO_TERMINAL
         blocks = matrix[:, start[direct, None] + np.arange(m)].transpose(1, 0, 2)
         got = got.reshape(hi - lo, m, -1, m)
@@ -543,7 +549,7 @@ def _first_rows_outside(
     members = np.zeros((len(points), d.v), dtype=bool)
     members[np.repeat(np.arange(len(points)), [len(x) for x in points]), _joined(points)] = True
     certified, eye = np.zeros(len(points), dtype=bool), np.eye(m, dtype=bool)
-    for lo, hi, got, (_, owner, tail, kind, _) in _head_maps(net, code, numbered, terminals):
+    for lo, hi, got, (owner, tail, kind, _) in _head_maps(net, code, numbered, terminals):
         head = kind == _HEAD_TO_TERMINAL
         foreign = ~members[owner[head] + lo, tail[head] - _first_id(d, BOTTLENECK_HEAD)]
         # each group's sources, a source once per kernel that reads it

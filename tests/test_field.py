@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 
 import numpy as np
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sumnet import cli
 from sumnet import field as field_module
+from sumnet import verify as verify_module
 from sumnet.designs import fano
 from sumnet.field import (
     DimensionMismatchError,
@@ -15,8 +19,10 @@ from sumnet.field import (
     NotPrimeError,
     PrimeField,
     _is_prime,
+    _magnitude,
     _matmul_mod,
     _prepare,
+    _Prepared,
     _rows_outside_row_space,
     row_space_contains,
 )
@@ -365,15 +371,17 @@ def test_matmul_mod_limb_split_of_right_operand(kernel_counts):
 
 
 def test_matmul_mod_chunks_the_inner_dimension(kernel_counts):
-    # (2**22 + 1) * (2**31 - 2) >= 2**53: even 1-bit limbs overflow, so the
-    # inner dimension is cut into two chunks, each a recursive call
+    # (2**22 + 1) * (2**31 - 2) >= 2**53: even 1-bit limbs would overflow,
+    # so the inner dimension is walked in steps of 2**21, where
+    # 2**21 * 2 * (2**31 - 2) < 2**53; a, -1 in balanced residues, is one
+    # product per step: 2**21, 2**21 and 1
     inner = 2**22 + 1
     a = np.full((1, inner), BIG - 1, dtype=np.int64)
     b = np.full((inner, 1), BIG - 1, dtype=np.int64)
     got = field_module._matmul_mod(a, b, BIG)
     # (p - 1)**2 = 1 mod p, so the product is inner mod p
     assert got.tolist() == [[inner % BIG]]
-    assert kernel_counts["calls"] == 3
+    assert kernel_counts == {"products": 3, "calls": 1}
 
 
 @pytest.fixture
@@ -454,20 +462,107 @@ def test_a_prepared_operand_gives_the_same_product(operands, prepared):
 def test_a_prepared_operand_is_one_balanced_pass_or_its_residues_limbs(kernel_counts):
     # a decoder-like operand (0, 1, -2 in balanced residues) is one product
     # against values near p; one of magnitude 2**30 - 1 is past the bound
-    # and splits, as its canonical residues do, into two 16-bit limbs
+    # and its balanced residues split into two 16-bit limbs
     rng = np.random.default_rng(11)
-    small = _prepare(rng.choice(np.array([0, 1, BIG - 2]), size=(6, 300)), BIG)
+    decoder_like = rng.choice(np.array([0, 1, BIG - 2]), size=(6, 300))
+    small = _prepare(decoder_like, BIG)
     assert small.magnitude == 2 and small.balanced.dtype == np.float64
     b = np.full((300, 40), BIG - 1, dtype=np.int64)
     got = field_module._matmul_mod(small, b, BIG)
-    assert np.array_equal(got, object_matmul_mod(small.residues(BIG), b, BIG))
+    assert np.array_equal(got, object_matmul_mod(decoder_like, b, BIG))
     assert kernel_counts == {"products": 1, "calls": 1}
     a = np.full((5, 50), 2**30, dtype=np.int64)
     large = _prepare(a, BIG)
-    assert large.magnitude == 2**30 - 1 and np.array_equal(large.residues(BIG), a)
+    assert large.magnitude == 2**30 - 1
     got = field_module._matmul_mod(large, b[:50, :7], BIG)
     assert np.array_equal(got, object_matmul_mod(a, b[:50, :7], BIG))
     assert kernel_counts == {"products": 3, "calls": 2}
+
+
+@st.composite
+def any_dtype_operands(draw):
+    """Operands of every integer dtype the kernel takes, each side drawn
+    random, all p - 1 or decoder-like (0, 1 and p - 2, small in balanced
+    residues), inner dimensions long enough to be stepped under a lowered
+    bound."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, inner, cols = draw(st.integers(0, 8)), draw(st.integers(0, 40)), draw(st.integers(0, 8))
+    fills = {
+        "random": st.integers(0, p - 1),
+        "max": st.just(p - 1),
+        "decoder": st.sampled_from((0, 1, max(p - 2, 0))),
+    }
+    return p, [
+        draw(
+            hnp.arrays(
+                draw(st.sampled_from((np.int64, np.int32, np.uint32, np.uint64))),
+                shape,
+                elements=fills[draw(st.sampled_from(sorted(fills)))],
+            )
+        )
+        for shape in ((rows, inner), (inner, cols))
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from((2**34, 2**40, 2**45, 2**53)),
+    any_dtype_operands(),
+    st.sampled_from(("neither", "left", "right", "both")),
+)
+def test_matmul_mod_is_exact_under_any_lower_float_bound(exact, operands, prepared):
+    # a lower bound only makes the kernel split sooner, and float64 stays
+    # exact below the real 2**53, so under it every path the kernel has past
+    # its single pass runs on small operands: one product per step, limbs,
+    # and inner steps; kept above 8p, where a 1-bit limb step is 4 long
+    p, (a, b) = operands
+    x = _prepare(a, p) if prepared in ("left", "both") else a
+    y = _prepare(b, p) if prepared in ("right", "both") else b
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field_module, "_EXACT", exact)
+        got = _matmul_mod(x, y, p)
+    assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+    assert np.array_equal(got, object_matmul_mod(a, b, p))
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_an_unsigned_operand_past_the_bound_is_exact(dtype):
+    # 300 * (2**31 - 2)**2 >= 2**53; the decoder-like operand is small in
+    # balanced residues, whose entry - p an unsigned dtype cannot hold
+    rng = np.random.default_rng(11)
+    a = rng.choice(np.array([0, 1, BIG - 2]), size=(6, 300)).astype(dtype)
+    b = np.full((300, 40), BIG - 1, dtype=dtype)
+    assert np.array_equal(_matmul_mod(a, b, BIG), object_matmul_mod(a, b, BIG))
+
+
+def test_the_pipeline_stays_within_the_single_pass_bound(monkeypatch, tmp_path):
+    # every product that `code`, `simulate` and `simulate --code` make on
+    # these designs and fields is one exact float64 pass, so the kernel's
+    # split path changes none of their arithmetic; saved fractional codes
+    # of STS(45) run to gigabytes, so only its scalar one is reloaded
+    products, kernel = [], field_module._matmul_mod
+
+    def bounded(a, b, p):
+        x = a.balanced if isinstance(a, _Prepared) else a
+        products.append(x.shape[1] * _magnitude(a) * _magnitude(b))
+        return kernel(a, b, p)
+
+    monkeypatch.setattr(field_module, "_matmul_mod", bounded)
+    monkeypatch.setattr(verify_module, "_matmul_mod", bounded)
+    saved = str(tmp_path / "code.json")
+    for design in (["--fano"], ["--sts", "15"], ["--sts", "45"]):
+        for p in (2, 3, BIG):
+            field = [*design, "--field", str(p)]
+            reload = design != ["--sts", "45"] or p == 2
+            runs = [
+                ["code", *field, *(["--save-code", saved] if reload else [])],
+                ["simulate", *field, "--trials", "20"],
+                *([["simulate", *field, "--trials", "20", "--code", saved]] if reload else []),
+            ]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+    assert products and max(products) < field_module._EXACT
 
 
 def test_matmul_mod_over_the_field_api():

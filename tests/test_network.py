@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sumnet import _jsonwriter
 from sumnet import network as network_module
-from sumnet.designs import Design, ParseError, fano, sts_bose
+from sumnet.designs import Design, ParseError, design_verify, fano, sts_bose
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -130,6 +130,48 @@ def test_generated_networks_validate():
     for d in (fano(), sts_bose(9), sts_bose(15), Design(3, 3, 1, ((0, 1, 2),))):
         report = network_validate(build_sum_network(d))
         assert report.ok, report.problems
+
+
+@pytest.mark.parametrize(
+    "make",
+    [fano, lambda: sts_bose(9), lambda: sts_bose(15), lambda: projective_plane(3), lambda: affine_plane(3)],
+    ids=["fano", "sts9", "sts15", "pg23", "ag23"],
+)
+def test_the_construction_makes_no_parallel_edges(make):
+    # each edge kind joins its own kinds of node, and within a kind the
+    # construction lists each pair once; see the next test for designs
+    # that break the design's own invariants
+    assert build_sum_network(make())._has_parallel_edges is False
+
+
+@st.composite
+def defective_designs(draw):
+    """Fano or STS(9) with one to three defects that the construction
+    accepts and ``design_verify`` refuses: a block repeated, a point
+    repeated within a block, a point outside 1..v."""
+    base = draw(st.sampled_from((fano(), sts_bose(9))))
+    blocks = [list(blk) for blk in base.blocks]
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, len(blocks) - 1))
+        defect = draw(st.sampled_from(("block", "point", "outside")))
+        if defect == "block":
+            blocks.insert(draw(st.integers(0, len(blocks))), list(blocks[j]))
+        elif defect == "point":
+            x, y = draw(st.lists(st.integers(0, len(blocks[j]) - 1), min_size=2, max_size=2, unique=True))
+            blocks[j][x] = blocks[j][y]
+        else:
+            blocks[j][draw(st.integers(0, len(blocks[j]) - 1))] = draw(st.sampled_from((-1, base.v, base.v + 1)))
+    return Design(base.v, base.k, base.lambda_, tuple(map(tuple, blocks)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(defective_designs())
+def test_a_defective_design_builds_a_network_without_parallel_edges(d):
+    # bottleneck i is fed by point i and by the blocks through it, each
+    # once, and its head feeds the same list; the direct edges are the
+    # distinct pairs of a boolean matrix, so no defect repeats an edge
+    assert not design_verify(d).ok
+    assert build_sum_network(d)._has_parallel_edges is False
 
 
 def test_lambda2_network_builds_and_validates():

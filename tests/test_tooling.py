@@ -352,6 +352,7 @@ _UNREFERENCED_BY_DESIGN = {
     "_Parser.error": "argparse calls it on a usage error",
     "NetworkCode.encoders": "the lifted encoders: perfbench's traced run reads them for its sizes",
     "NetworkCode.decoders": "the lifted decoders: README's library sketch and the test oracles read them",
+    "SumNetwork.in_edges": "README names it among the network's accessors, and the test oracles read it",
 }
 
 
@@ -367,28 +368,67 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _narrowed(fn: ast.FunctionDef) -> dict[str, set[str]]:
+    """Per name that ``fn`` tests with ``isinstance(name, C)`` (or a tuple
+    of classes), the names of those classes."""
+    narrowed = {}
+    for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and isinstance(node.args[0], ast.Name)
+        ):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            narrowed.setdefault(node.args[0].id, set()).update(k.id for k in kinds if isinstance(k, ast.Name))
+    return narrowed
+
+
+def _attribute_reads(node: ast.AST, cls: str | None = None, narrowed: dict | None = None):
+    """(attribute name, the classes it is read on) of each attribute read
+    under ``node``: class C for a read on ``self`` in a method of C, or on
+    a name its function narrows with ``isinstance(name, C)``; None for any
+    other receiver, which may be of any class."""
+    narrowed = narrowed or {}
+    if isinstance(node, ast.FunctionDef):
+        narrowed = {**narrowed, **({"self": {cls}} if cls else {}), **_narrowed(node)}
+    elif isinstance(node, ast.Attribute):
+        receiver = node.value.id if isinstance(node.value, ast.Name) else None
+        yield node.attr, narrowed.get(receiver)
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, node.name if isinstance(node, ast.ClassDef) else None, narrowed)
+
+
 def test_every_public_function_is_used_by_the_library():
     # a public name that only tests call is surface every later change has
     # to keep working; test oracles live in tests/conftest.py instead.  A
     # function counts as used when any module names it, bare, as an
     # attribute or in a from-import, and a method only when a module reads
-    # it as an attribute (a local of the same name is no use of it); the
-    # package's re-exports do not count
+    # it as an attribute (a local of the same name is no use of it) on a
+    # receiver that may be of its class: ``self`` in its class's methods, a
+    # name narrowed to its class by ``isinstance``, or any receiver of
+    # unknown class; the package's re-exports do not count
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCE_FILES}
-    named, read = set(), set()
+    named, read, read_on = set(), set(), set()
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
                 named.update(alias.name for alias in node.names)
+        for attr, classes in _attribute_reads(tree):
+            if classes is None:
+                read.add(attr)
+            else:
+                read_on.update(f"{c}.{attr}" for c in classes)
+    read_anywhere = read | {qualified.split(".")[1] for qualified in read_on}
     unused = {
         qualified
         for tree in trees.values()
         for qualified, name in _public_definitions(tree)
-        if not name.startswith("_") and name not in (read if "." in qualified else named | read)
+        if not name.startswith("_")
+        and not (name in read or qualified in read_on if "." in qualified else name in named | read_anywhere)
     }
     assert sorted(unused - set(_UNREFERENCED_BY_DESIGN)) == [], "move test-only helpers to tests/conftest.py"
     assert sorted(set(_UNREFERENCED_BY_DESIGN) - unused) == [], "the library now uses these; drop them here"
