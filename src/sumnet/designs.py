@@ -10,7 +10,6 @@ from __future__ import annotations
 import codecs
 import json
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -276,13 +275,12 @@ _SPACE = re.compile(r"[ \t\n\r]*")
 # rows of integers read in bulk (``_Window.rows``): the characters of them
 # parsed at a time (past those, up to the end of a row; 1 MiB at a time was
 # no faster, and raised the peak RSS of ``simulate --code`` at STS(27)/GF(3)
-# from 76 to 87 MiB), JSON whitespace, and a token of 19 digits or more,
-# spelled with every digit as 1
+# from 76 to 87 MiB), JSON whitespace, the digits, and the powers of ten
+# of a token's digits
 _ROWS_CHARS = 1 << 18
 _WHITESPACE = b" \t\n\r"
 _DIGITS = b"0123456789"
-_TOO_LONG = b"1" * 19
-_DIGITS_AS_ONES = bytes.maketrans(_DIGITS, b"1" * 10)
+_POWERS = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _digits(text: bytes) -> np.ndarray:
@@ -300,36 +298,53 @@ def _integer_rows(raw: bytes) -> np.ndarray | None:
     tokens, as an int64 array, when every row holds the same number of
     JSON integers and each is spelled as ``json.dumps`` spells a value
     below 10**18: one to 18 digits, no sign and no leading zero; else
-    None.  The checks run on the text without its whitespace, which is
-    what numpy parses: its skeleton, the text without its digits, must be
-    the rows' brackets and commas, no digit may stand between rows, and
-    each token must be one run of digits, in the text and in ``raw``."""
+    None.
+
+    The checks run on the text without its whitespace.  Its skeleton, the
+    text without its digits, must be the rows' brackets and commas, which
+    refuses any other character.  Then each run of digits is cut to its
+    first digit, and the cut text must be the rows with one digit in each
+    cell and nowhere else: row r at r * (2 * width + 2), its digits at the
+    odd offsets.  That one layout refuses an empty token, a digit between
+    or around the rows, and two runs in one cell, and it gives every
+    single-digit value with one gather.  A run of several digits must have
+    at most 18 and no leading zero, must be one run in ``raw`` too (no
+    whitespace inside the token), and is read as its digits times their
+    powers of ten, summed per run, all runs at once."""
     text = raw.translate(None, _WHITESPACE)
     skeleton = text.translate(None, _DIGITS)
     rows = skeleton.count(b"[")  # one at least: raw starts with '['
     width = (len(skeleton) + 1) // rows - 2
-    # the skeleton holds any character besides digits, commas and brackets
     if width < 1 or skeleton != b",".join([b"[" + b"," * (width - 1) + b"]"] * rows):
         return None
-    byte, digit, tokens = np.frombuffer(text, np.uint8), _digits(text), rows * width
-    if (
-        _runs(digit) != tokens  # an empty token
-        or _runs(_digits(raw)) != tokens  # whitespace inside a token
-        or np.any(digit[1:] & (byte[:-1] == ord("]")))  # a token between rows
-        or np.any(digit[:-1] & (byte[1:] == ord("[")))
-        or np.any(~digit[:-2] & (byte[1:-1] == ord("0")) & digit[2:])  # a leading zero
-        or _TOO_LONG in text.translate(_DIGITS_AS_ONES)  # more than 18 digits
-    ):
+    tokens, byte = rows * width, np.frombuffer(text, np.uint8)
+    if len(text) - len(skeleton) > tokens:
+        # each run's digits past its first, and each run's first and end
+        digit = _digits(text)
+        more = np.flatnonzero(digit[:-1] & digit[1:]) + 1
+        first = np.flatnonzero(np.diff(more, prepend=-1) > 1)
+        start, end = more[first] - 1, more[np.append(first, len(more))[1:] - 1] + 1
+        if (end - start > 18).any() or (byte[start] == ord("0")).any() or _runs(_digits(raw)) != tokens:
+            return None
+        # each run's digits times their powers of ten, summed per run
+        length = end - start
+        offsets, at = np.cumsum(length) - length, np.arange(length.sum())
+        power = np.repeat(offsets + length - 1, length) - at
+        at += np.repeat(start - offsets, length)
+        long_values = np.add.reduceat((byte[at] - np.uint8(ord("0"))).astype(np.int64) * _POWERS[power], offsets)
+        byte = np.delete(byte, more)
+    if len(byte) + 1 != rows * (2 * width + 2):
         return None
-    try:
-        with warnings.catch_warnings():
-            # where numpy stops short of the end, older versions warn and
-            # newer ones raise; the checks above leave it no such text
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text.translate(None, b"[]"), dtype=np.int64, sep=",")
-    except (ValueError, DeprecationWarning):
+    # row r's cells at r * (2 * width + 2) + 1, 3, .., 2 * width - 1
+    cells = np.ndarray((rows, width), np.uint8, byte, 1, (2 * width + 2, 2)) - np.uint8(ord("0"))
+    if not (cells < 10).all():
         return None
-    return values.reshape(rows, width) if values.size == tokens else None
+    values = cells.astype(np.int64)
+    if len(byte) < len(text):
+        # a run's first digit moved left by the digits cut before it
+        row, offset = np.divmod(start - first, 2 * width + 2)
+        values[row, offset // 2] = long_values
+    return values
 
 
 class _Window:

@@ -85,6 +85,7 @@ from .field import (
     PrimeField,
     _matmul_mod,
     _prepare,
+    _Prepared,
     _rows_outside_row_space,
     row_space_contains,
 )
@@ -385,7 +386,7 @@ def _decoded_chunks(
     net: SumNetwork, code: NetworkCode, sources: dict[NodeId, np.ndarray], numbered: dict
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Every terminal's decoded values of the (m, n) code, given every
-    source's m x T block of values, of any integer dtype, and the
+    source's m x T block of residues, of any integer dtype, and the
     numbering ``_check_compatible`` returns for the network and the code,
     a chunk of whole trials at a time: yields the chunk's first trial and
     its (terminals, m, h) block, terminals in ``net.terminals()`` order.
@@ -403,6 +404,12 @@ def _decoded_chunks(
     (terminals * m) x (value rows) matrix at its tails' rows, so one
     product per chunk decodes every terminal.  That matrix and the kernels
     are prepared for the kernel once (``_prepare``), not once per chunk.
+
+    Values are held as float64.  A head's product is left unreduced
+    (delayed reduction) whenever it is one exact pass, and the decode
+    product takes the values with the largest magnitude of their rows, so
+    the kernel reduces each chunk once after its decode product, or first
+    reduces the values if that product would pass its bound.
     """
     d, p, w, (m, n) = net.design, code.field.p, code.w, code.core_params.rate
     head_rows, first_head = (d.v + d.b) * m, _first_id(d, BOTTLENECK_HEAD)
@@ -431,12 +438,18 @@ def _decoded_chunks(
     step = -(-trials // max(trials // per, 1)) or 1
     for lo in range(0, trials, step):
         h = min(step, trials - lo)
-        values = np.zeros((height, w * h), dtype=np.int64)
+        values = np.zeros((height, w * h))
         for at, x in given:
             values[at : at + m] = x[:, lo : lo + h].reshape(m, w * h)
+        # the largest magnitude of the heads left unreduced, if any was
+        unreduced = 0
         for i, kernel in enumerate(kernels):
-            values[head_rows + i * n : head_rows + (i + 1) * n] = _matmul_mod(kernel, values[columns[i]], p)
-        yield lo, _matmul_mod(decode, values, p).reshape(len(terminals), m * w, h)
+            head = _matmul_mod(kernel, values[columns[i]], p, reduce=False)
+            if isinstance(head, _Prepared):
+                head, unreduced = head.balanced, max(unreduced, head.magnitude, p - 1)
+            values[head_rows + i * n : head_rows + (i + 1) * n] = head
+        decoded = _matmul_mod(decode, _Prepared(values, unreduced) if unreduced else values, p)
+        yield lo, decoded.reshape(len(terminals), m * w, h)
 
 
 def _simulate_batch(

@@ -2,6 +2,7 @@
 
 import signal
 import tracemalloc
+import warnings
 from collections import Counter, deque
 from contextlib import contextmanager
 from functools import reduce
@@ -270,6 +271,42 @@ def assert_accessors_match_oracle(net) -> None:
     assert net.sources() == tuple(x for x in net.nodes if x.kind in kinds)
     kinds = {TERMINAL_POINT, TERMINAL_BLOCK}
     assert net.terminals() == tuple(x for x in net.nodes if x.kind in kinds)
+
+
+def oracle_integer_rows(raw: bytes) -> np.ndarray | None:
+    """``designs._integer_rows`` as numpy's text parser reads the rows: the
+    text without its whitespace, checked for its skeleton, its runs of
+    digits and its leading zeros, then parsed by ``np.fromstring``."""
+    text = raw.translate(None, b" \t\n\r")
+    skeleton = text.translate(None, b"0123456789")
+    rows = skeleton.count(b"[")
+    width = (len(skeleton) + 1) // rows - 2
+    if width < 1 or skeleton != b",".join([b"[" + b"," * (width - 1) + b"]"] * rows):
+        return None
+
+    def digits(x: bytes) -> np.ndarray:
+        return np.frombuffer(x, np.uint8) - np.uint8(ord("0")) < 10
+
+    def runs(digit: np.ndarray) -> int:
+        return int(np.count_nonzero(digit[1:] > digit[:-1]))
+
+    byte, digit, tokens = np.frombuffer(text, np.uint8), digits(text), rows * width
+    if (
+        runs(digit) != tokens  # an empty token
+        or runs(digits(raw)) != tokens  # whitespace inside a token
+        or np.any(digit[1:] & (byte[:-1] == ord("]")))  # a token between rows
+        or np.any(digit[:-1] & (byte[1:] == ord("[")))
+        or np.any(~digit[:-2] & (byte[1:-1] == ord("0")) & digit[2:])  # a leading zero
+        or b"1" * 19 in text.translate(bytes.maketrans(b"0123456789", b"1" * 10))  # 19 digits
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text.translate(None, b"[]"), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    return values.reshape(rows, width) if values.size == tokens else None
 
 
 def oracle_simulate_batch(net, code, sources: dict) -> dict:

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_integer_rows
 from sumnet.coding import slice_layout
 from sumnet.designs import (
     Design,
@@ -13,6 +16,7 @@ from sumnet.designs import (
     design_load,
     design_save,
     design_verify,
+    _integer_rows,
     fano,
     sts_bose,
 )
@@ -303,3 +307,97 @@ def test_verify_agrees_with_oracle_on_randomized_designs():
             assert design_verify(bad).ok == oracle_is_valid(bad) == False  # noqa: E712
             checked += 2
     assert checked >= 50
+
+
+# ---------------------------------------------------------------------------
+# the bulk row parser against numpy's text parser
+# ---------------------------------------------------------------------------
+
+ROW_FAULTS = (
+    "space in a token",
+    "leading zero",
+    "empty token",
+    "digit between rows",
+    "ragged rows",
+    "sign",
+    "dot",
+    "exponent",
+)
+
+
+@st.composite
+def row_texts(draw):
+    """The text of rows of integers as a window hands it to the parser:
+    widths 1-40, tokens of 1-19 digits (mostly one, as in a code document),
+    JSON whitespace between any two tokens, and in most texts one fault."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    tokens = st.one_of(
+        st.sampled_from("0123456789"),
+        st.sampled_from("0123456789"),
+        st.integers(10, 10**18 - 1).map(str),
+        st.integers(10**18, 10**19 - 1).map(str),  # 19 digits, one too many
+    )
+    cells = [draw(st.lists(tokens, min_size=width, max_size=width)) for _ in range(rows)]
+    fault = draw(st.sampled_from((None, *ROW_FAULTS)))
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, width - 1))
+    digit, space = draw(st.sampled_from("0123456789")), draw(st.text(" \t\n\r", min_size=1, max_size=3))
+    token = cells[r][c]
+    if fault == "space in a token":
+        cut = draw(st.integers(1, len(token))) if len(token) > 1 else 1
+        cells[r][c] = token[:cut] + space + (token[cut:] or digit)
+    elif fault == "leading zero":
+        cells[r][c] = "0" + token
+    elif fault == "empty token":
+        cells[r][c] = ""
+    elif fault == "ragged rows":
+        cells[r] = cells[r][:-1] if draw(st.booleans()) else [*cells[r], digit]
+    elif fault in ("sign", "dot", "exponent"):
+        mark = {"sign": draw(st.sampled_from("-+")), "dot": ".", "exponent": draw(st.sampled_from("eE"))}[fault]
+        cells[r][c] = mark + token if fault == "sign" else token + mark + digit
+    pieces = []
+    for x, row in enumerate(cells):
+        pieces += ["[", *[y for cell in row for y in (cell, ",")][:-1], "]", ","]
+    pieces.pop()
+    if fault == "digit between rows":
+        pieces.insert(draw(st.sampled_from([x + 1 for x, y in enumerate(pieces) if y == "]"])), digit)
+    gaps = draw(st.lists(st.text(" \t\n\r", max_size=3), min_size=len(pieces), max_size=len(pieces)))
+    return "".join(g + y for g, y in zip(["", *gaps[1:]], pieces)).encode("ascii")
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_texts())
+def test_the_row_parser_reads_what_numpys_text_parser_reads(raw):
+    got, want = _integer_rows(raw), oracle_integer_rows(raw)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"[1, 2]", b"[7]", b"[0,10]\n, [3 ,\t4]", b"[123456789012345678,0]", b"[1,0],[2,3],[4,5]"],
+)
+def test_the_row_parser_reads_canonical_rows(raw):
+    assert np.array_equal(_integer_rows(raw), oracle_integer_rows(raw))
+    assert _integer_rows(raw).dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"[1 2]",  # whitespace inside a token
+        b"[01,2]",  # a leading zero
+        b"[1234567890123456789]",  # 19 digits
+        b"[1,,2]",  # an empty token
+        b"[]",
+        b"[1],5,[2]",  # a digit between rows
+        b"[1]5",
+        b"[1,2],[3]",  # ragged rows
+        b"[-1,2]",  # a sign
+        b"[1.0,2]",
+        b"[1e3,2]",
+    ],
+)
+def test_the_row_parser_refuses_what_numpys_text_parser_refuses(raw):
+    assert _integer_rows(raw) is None and oracle_integer_rows(raw) is None

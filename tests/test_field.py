@@ -13,6 +13,7 @@ from sumnet import field as field_module
 from sumnet import verify as verify_module
 from sumnet.designs import fano
 from sumnet.field import (
+    _EXACT,
     DimensionMismatchError,
     FieldMatrix,
     FieldMismatchError,
@@ -307,24 +308,20 @@ def test_matmul_mod_empty_shapes(shape):
 
 @pytest.fixture
 def kernel_counts(monkeypatch):
-    """Counts the float products (one fmod or, over balanced residues, one
-    mod each) and the kernel calls, recursive ones included."""
+    """Counts the float products, one ``_reduced`` call each, and the
+    kernel calls."""
     counts = {"products": 0, "calls": 0}
-    fmod, mod, kernel = np.fmod, np.mod, field_module._matmul_mod
+    reduced, kernel = field_module._reduced, field_module._matmul_mod
 
-    def counting(reduce):
-        def counted(*args, **kwargs):
-            counts["products"] += 1
-            return reduce(*args, **kwargs)
+    def counting(*args, **kwargs):
+        counts["products"] += 1
+        return reduced(*args, **kwargs)
 
-        return counted
-
-    def counting_kernel(*args):
+    def counting_kernel(*args, **kwargs):
         counts["calls"] += 1
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(np, "fmod", counting(fmod))
-    monkeypatch.setattr(np, "mod", counting(mod))
+    monkeypatch.setattr(field_module, "_reduced", counting)
     monkeypatch.setattr(field_module, "_matmul_mod", counting_kernel)
     return counts
 
@@ -371,58 +368,88 @@ def test_matmul_mod_limb_split_of_right_operand(kernel_counts):
 
 
 def test_matmul_mod_chunks_the_inner_dimension(kernel_counts):
-    # (2**22 + 1) * (2**31 - 2) >= 2**53: even 1-bit limbs would overflow,
-    # so the inner dimension is walked in steps of 2**21, where
-    # 2**21 * 2 * (2**31 - 2) < 2**53; a, -1 in balanced residues, is one
-    # product per step: 2**21, 2**21 and 1
+    # all p - 1: a is -1 in balanced residues, and so is b once balanced,
+    # which makes (2**22 + 1) * 1 * 1 < 2**53 one product where b as it is
+    # would make two; (p - 1)**2 = 1 mod p makes the product inner mod p
     inner = 2**22 + 1
     a = np.full((1, inner), BIG - 1, dtype=np.int64)
     b = np.full((inner, 1), BIG - 1, dtype=np.int64)
     got = field_module._matmul_mod(a, b, BIG)
-    # (p - 1)**2 = 1 mod p, so the product is inner mod p
     assert got.tolist() == [[inner % BIG]]
-    assert kernel_counts == {"products": 3, "calls": 1}
+    assert kernel_counts == {"products": 1, "calls": 1}
+    # 2 against (p - 1)/2: inner * 2 * (2**30 - 1) >= 2**53, so even 1-bit
+    # limbs would overflow, and the inner dimension is walked in steps of
+    # 2**22, where 2**22 * 2 * (2**30 - 1) < 2**53; a, 2, is one product
+    # per step: 2**22 and 1.  2 * (p - 1)/2 = -1 mod p makes the product
+    # -inner mod p
+    a = np.full((1, inner), 2, dtype=np.int64)
+    b = np.full((inner, 1), (BIG - 1) // 2, dtype=np.int64)
+    got = field_module._matmul_mod(a, b, BIG)
+    assert got.tolist() == [[-inner % BIG]]
+    assert kernel_counts == {"products": 3, "calls": 2}
+
+
+def test_matmul_mod_chooses_steps_and_limbs_for_the_fewest_products(kernel_counts):
+    # random residues, about 2**30 in magnitude in balanced residues: a step
+    # of 2**22 in 30 one-bit limbs and one of 8 in two 20-bit limbs, or two
+    # of 2**21 in 15 two-bit limbs and the same last one (the shorter steps
+    # are taken), 32 products where steps of 2**21 against canonical
+    # residues took 62
+    inner = 2**22 + 8
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, BIG, size=(2, inner), dtype=np.uint32)
+    b = rng.integers(0, BIG, size=(inner, 2), dtype=np.uint32)
+    got = field_module._matmul_mod(a, b, BIG)
+    # each entry's products fit int64 and their residues sum below 2**53
+    want = [[int((a[i].astype(np.int64) * b[:, j] % BIG).sum() % BIG) for j in range(2)] for i in range(2)]
+    assert got.tolist() == want
+    assert kernel_counts == {"products": 32, "calls": 1}
+
+
+def reduction_of(p: int, bound: int, signed: bool) -> str:
+    """The reduction ``_reduced`` runs on a product of this bound: np.fmod
+    on a nonnegative one below 2p, np.mod past 2**53 - p, and else the
+    floor-multiply step."""
+    if not signed and bound < 2 * p:
+        return "fmod"
+    return "mod" if bound + p > field_module._EXACT else "floor"
 
 
 @pytest.fixture
 def reductions(monkeypatch):
     """The names of the reductions the kernel runs, in order."""
-    ran, fmod, mod = [], np.fmod, np.mod
+    ran, reduced = [], field_module._reduced
 
-    def recording(name, reduce):
-        def recorded(*args, **kwargs):
-            ran.append(name)
-            return reduce(*args, **kwargs)
+    def recorded(product, p, bound, signed, **kwargs):
+        ran.append(reduction_of(p, bound, signed))
+        return reduced(product, p, bound, signed, **kwargs)
 
-        return recorded
-
-    monkeypatch.setattr(np, "fmod", recording("fmod", fmod))
-    monkeypatch.setattr(np, "mod", recording("mod", mod))
+    monkeypatch.setattr(field_module, "_reduced", recorded)
     return ran
 
 
 # (p, inner, max(a), max(b)): a product bound inner * max(a) * max(b)
 # under, at and over 2p, where the single pass switches from np.fmod to
-# np.mod; 2p itself is no such product for p = 2**31 - 1
+# the floor-multiply step; 2p itself is no such product for p = 2**31 - 1
 REDUCTION_SWITCH = {
     (3, 5, 1, 1): "fmod",
-    (3, 6, 1, 1): "mod",
-    (3, 7, 1, 1): "mod",
+    (3, 6, 1, 1): "floor",
+    (3, 7, 1, 1): "floor",
     (3, 2, 2, 1): "fmod",
-    (3, 2, 2, 2): "mod",
+    (3, 2, 2, 2): "floor",
     (65521, 2, 65520, 1): "fmod",
-    (65521, 2 * 65521, 1, 1): "mod",
-    (65521, 3, 65520, 1): "mod",
+    (65521, 2 * 65521, 1, 1): "floor",
+    (65521, 3, 65520, 1): "floor",
     (BIG, 2, BIG - 1, 1): "fmod",
-    (BIG, 3, BIG - 1, 1): "mod",
+    (BIG, 3, BIG - 1, 1): "floor",
 }
 
 
 @pytest.mark.parametrize("case", sorted(REDUCTION_SWITCH))
 def test_a_single_pass_is_reduced_by_fmod_only_below_twice_p(case, reductions):
-    # np.fmod slows with the quotient it takes off, np.mod does not: a
-    # nonnegative product below 2p takes np.fmod, any other np.mod, and
-    # both give the exact residues
+    # np.fmod slows with the quotient it takes off: a nonnegative product
+    # below 2p takes np.fmod, any other the floor-multiply step, and both
+    # give the exact residues
     p, inner, amax, bmax = case
     rng = np.random.default_rng(inner)
     a = rng.integers(0, amax + 1, size=(3, inner))
@@ -433,24 +460,25 @@ def test_a_single_pass_is_reduced_by_fmod_only_below_twice_p(case, reductions):
     assert reductions == [REDUCTION_SWITCH[case]]
 
 
-def test_limbs_and_balanced_residues_are_reduced_by_mod(reductions):
-    # a limb product's bound is near 2**53, far past 2p, and a product over
-    # balanced residues may be negative, however small its bound
+def test_limbs_and_balanced_residues_are_reduced_by_the_floor_step(reductions):
+    # a limb product's bound is near 2**53, far past 2p but more than p
+    # below 2**53, and a product over balanced residues may be negative,
+    # however small its bound
     a = np.full((5, 50), 2**30, dtype=np.int64)
     b = np.full((50, 7), BIG - 1, dtype=np.int64)
     assert np.array_equal(_matmul_mod(a, b, BIG), object_matmul_mod(a, b, BIG))
-    assert reductions == ["mod", "mod"]
+    assert reductions == ["floor", "floor"]
     reductions.clear()
     a = np.array([[2, 0, 1]])
     got = _matmul_mod(_prepare(a, 3), np.array([[1], [2], [0]]), 3)
-    assert got.tolist() == [[2]] and reductions == ["mod"]
+    assert got.tolist() == [[2]] and reductions == ["floor"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_operands(), st.sampled_from(("left", "right", "both")))
 def test_a_prepared_operand_gives_the_same_product(operands, prepared):
     # past the balanced bound (large p, random fill) a prepared operand
-    # takes the limb and chunk path of its canonical residues
+    # takes the stepped path in its own balanced residues
     a, b, p = operands
     x = _prepare(a, p) if prepared in ("left", "both") else a
     y = _prepare(b, p) if prepared in ("right", "both") else b
@@ -535,17 +563,178 @@ def test_an_unsigned_operand_past_the_bound_is_exact(dtype):
     assert np.array_equal(_matmul_mod(a, b, BIG), object_matmul_mod(a, b, BIG))
 
 
+FLOOR_PRIMES = (2, 3, 5, 7, 65521, BIG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FLOOR_PRIMES),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_reduced_is_exact_either_side_of_the_floor_step_bound(p, offset, signed, rows, cols, data):
+    # a product bound B with B + p within 3 of 2**53 on either side, B
+    # itself below 2**53 as every single-pass product's is: the
+    # floor-multiply step at B + p <= 2**53, np.mod past it; the entries
+    # are exact integers of magnitude at most B, its extremes among them
+    bound = min(_EXACT - p + offset, _EXACT - 1)
+    low = -bound if signed else 0
+    entries = st.one_of(
+        st.sampled_from([x for x in (low, low + 1, bound - 1, bound, 0, p - 1, p, -p) if low <= x <= bound]),
+        st.integers(low, bound),
+        st.integers(low // p, bound // p).map(lambda q: q * p),
+    )
+    x = data.draw(hnp.arrays(np.int64, (rows, cols), elements=entries))
+    got = field_module._reduced(x.astype(np.float64), p, bound, signed=signed)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[v % p for v in row] for row in x.tolist()]
+
+
+@st.composite
+def past_p_operands(draw):
+    """A product whose bound B has B + p within inner * |other| of 2**53,
+    below it or past it: one operand prepared with exact integers up to a
+    magnitude M far past p, as a product left unreduced holds them, the
+    other canonical or prepared residues, either side.  The big operand's
+    first row (or column) is all M against the other's first column (or
+    row) of its largest magnitude, so that product entry is B itself."""
+    p = draw(st.sampled_from(FLOOR_PRIMES))
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    big_left, other_prepared, past = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    other = draw(hnp.arrays(np.int64, (inner, cols) if big_left else (rows, inner), elements=st.integers(0, p - 1)))
+    # the other operand's largest magnitude, p//2 balanced or p - 1
+    (other[:, 0] if big_left else other[0])[...] = p // 2 if other_prepared else p - 1
+    y = _prepare(other, p) if other_prepared else other
+    d = inner * _magnitude(y)
+    magnitude = (_EXACT - p) // d + past
+    shape = (rows, inner) if big_left else (inner, cols)
+    big = draw(hnp.arrays(np.int64, shape, elements=st.integers(-magnitude, magnitude)))
+    if big_left:
+        big[0] = magnitude
+    else:
+        big[:, 0] = magnitude
+    x = _Prepared(big.astype(np.float64), magnitude)
+    return (x, y, big, other, p) if big_left else (y, x, other, big, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(past_p_operands())
+def test_a_product_is_exact_either_side_of_the_floor_step_bound(operands):
+    a, b, exact_a, exact_b, p = operands
+    with pytest.MonkeyPatch.context() as patch:
+        ran, reduced = [], field_module._reduced
+        patch.setattr(field_module, "_reduced", lambda *args, **kw: ran.append(args[2]) or reduced(*args, **kw))
+        got = _matmul_mod(a, b, p)
+    assert np.array_equal(got, object_matmul_mod(exact_a, exact_b, p))
+    x = a.balanced if isinstance(a, _Prepared) else a
+    bound = x.shape[1] * _magnitude(a) * _magnitude(b)
+    if bound < _EXACT:  # one pass, reduced by the step its bound allows
+        assert ran == [bound]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands(), st.sampled_from(("neither", "left", "right", "both")), st.sampled_from((2**40, 2**53)))
+def test_an_unreduced_product_is_congruent_and_within_its_magnitude(operands, prepared, exact):
+    # reduce=False gives a single pass's exact integers, congruent to the
+    # reduced product, each at most the magnitude it reports, which is
+    # below the bound; past the bound it gives the reduced product itself
+    a, b, p = operands
+    x = _prepare(a, p) if prepared in ("left", "both") else a
+    y = _prepare(b, p) if prepared in ("right", "both") else b
+    single = a.shape[1] * _magnitude(x) * _magnitude(y) < exact
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field_module, "_EXACT", exact)
+        got = _matmul_mod(x, y, p, reduce=False)
+        reduced = _matmul_mod(x, y, p)
+    assert np.array_equal(reduced, object_matmul_mod(a, b, p))
+    if not single:
+        assert not isinstance(got, _Prepared) and np.array_equal(got, reduced)
+        return
+    assert isinstance(got, _Prepared) and got.magnitude < exact
+    entries = got.balanced.astype(object)
+    assert all(abs(v) <= got.magnitude and v == int(v) for v in entries.ravel().tolist())
+    assert np.array_equal((entries % p).astype(np.int64), reduced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands(), st.data(), st.booleans(), st.sampled_from((2**40, 2**53)))
+def test_an_unreduced_product_multiplies_again_as_its_residues(operands, data, on_left, exact):
+    # a @ b left unreduced, then multiplied by a third operand on either
+    # side, equals the two reduced products; under a lowered bound the
+    # second product takes the stepped path with the unreduced operand
+    a, b, p = operands
+    inner = data.draw(st.integers(0, 12))
+    shape = (inner, a.shape[0]) if not on_left else (b.shape[1], inner)
+    c = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field_module, "_EXACT", exact)
+        unreduced = _matmul_mod(a, b, p, reduce=False)
+        got = _matmul_mod(unreduced, c, p) if on_left else _matmul_mod(c, unreduced, p)
+        first = _matmul_mod(a, b, p)
+        want = _matmul_mod(first, c, p) if on_left else _matmul_mod(c, first, p)
+    assert np.array_equal(got, want)
+    ab = object_matmul_mod(a, b, p)
+    assert np.array_equal(want, object_matmul_mod(ab, c, p) if on_left else object_matmul_mod(c, ab, p))
+
+
+def test_an_unreduced_operand_past_p_takes_the_stepped_path(kernel_counts):
+    # 12 * 65520**2 < 2**53 stays unreduced, and 12 * that * 32760 >= 2**53:
+    # the second product reduces it once, and in balanced residues it is
+    # 12 * 32760 * 32760 < 2**53, one product
+    p = 65521
+    a = np.full((3, 12), p - 1, dtype=np.int64)
+    b = np.full((12, 12), p - 1, dtype=np.int64)
+    unreduced = field_module._matmul_mod(a, b, p, reduce=False)
+    assert unreduced.magnitude == 12 * (p - 1) ** 2 and kernel_counts == {"products": 0, "calls": 1}
+    c = np.full((12, 2), p // 2, dtype=np.int64)
+    got = field_module._matmul_mod(unreduced, c, p)
+    assert np.array_equal(got, object_matmul_mod(object_matmul_mod(a, b, p), c, p))
+    assert kernel_counts == {"products": 2, "calls": 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, 7, 65521, BIG)), st.booleans(), st.data())
+def test_a_signed_operand_below_p_is_exact_past_the_bound(p, on_left, data):
+    # exact integers in (-p, p), as a product can leave them, past the bound
+    # (lowered to 4p) with no full reduction: as the smaller operand they
+    # are taken to balanced residues, as the other they are used as they are
+    rows, inner, cols = (data.draw(st.integers(1, 8)) for _ in range(3))
+    shape = (rows, inner) if on_left else (inner, cols)
+    signed = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(1 - p, p - 1)))
+    other = data.draw(hnp.arrays(np.int64, (inner, cols) if on_left else (rows, inner), elements=st.integers(0, p - 1)))
+    x = _Prepared(signed.astype(np.float64), p - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field_module, "_EXACT", 4 * p)
+        got = _matmul_mod(x, other, p) if on_left else _matmul_mod(other, x, p)
+    want = object_matmul_mod(signed, other, p) if on_left else object_matmul_mod(other, signed, p)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("on_left", [True, False])
+def test_an_unreduced_operand_of_multiples_of_p_is_zero_past_the_bound(on_left):
+    # 3 * p * (p - 1) >= 2**53: the stepped path reduces the operand to
+    # zeros, whose balanced magnitude 0 makes one step of one product
+    zeros = _Prepared(np.full((3, 3), float(BIG)), BIG)
+    other = np.full((3, 3), BIG - 1, dtype=np.int64)
+    got = _matmul_mod(zeros, other, BIG) if on_left else _matmul_mod(other, zeros, BIG)
+    assert got.tolist() == [[0] * 3] * 3
+
+
 def test_the_pipeline_stays_within_the_single_pass_bound(monkeypatch, tmp_path):
     # every product that `code`, `simulate` and `simulate --code` make on
     # these designs and fields is one exact float64 pass, so the kernel's
     # split path changes none of their arithmetic; saved fractional codes
     # of STS(45) run to gigabytes, so only its scalar one is reloaded
+    # an unreduced operand counts by its bound
     products, kernel = [], field_module._matmul_mod
 
-    def bounded(a, b, p):
+    def bounded(a, b, p, **kwargs):
         x = a.balanced if isinstance(a, _Prepared) else a
         products.append(x.shape[1] * _magnitude(a) * _magnitude(b))
-        return kernel(a, b, p)
+        return kernel(a, b, p, **kwargs)
 
     monkeypatch.setattr(field_module, "_matmul_mod", bounded)
     monkeypatch.setattr(verify_module, "_matmul_mod", bounded)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumnet import field as field_module
 from sumnet import verify as verify_module
 from sumnet.coding import (
     REGIME_DIVIDES,
@@ -26,7 +27,7 @@ from sumnet.coding import (
     partial_sum_row,
 )
 from sumnet.designs import Design, InvalidDesignError, ParseError, fano, sts_bose
-from sumnet.field import FieldMatrix, PrimeField, _Prepared, _rows_outside_row_space
+from sumnet.field import FieldMatrix, PrimeField, _magnitude, _Prepared, _rows_outside_row_space
 from sumnet.network import (
     BOTTLENECK_HEAD,
     BOTTLENECK_TAIL,
@@ -1093,10 +1094,10 @@ def test_simulation_decodes_in_chunks_with_a_shorter_last_one(monkeypatch):
     monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 16 * rows)
     widths, kernel = [], verify_module._matmul_mod
 
-    def spy(a, b, p):
+    def spy(a, b, p, **kwargs):
         if isinstance(a, _Prepared) and a.balanced.shape[0] == len(net.terminals()) * c:
-            widths.append(b.shape[1])
-        return kernel(a, b, p)
+            widths.append((b.balanced if isinstance(b, _Prepared) else b).shape[1])
+        return kernel(a, b, p, **kwargs)
 
     monkeypatch.setattr(verify_module, "_matmul_mod", spy)
     assert_simulation_matches_the_oracle(net, code, 1, 25, seed=4)
@@ -1113,21 +1114,21 @@ def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch
     w, c = code.w, code.core_params.m
     tall = len(net.terminals()) * c
     monkeypatch.setattr(verify_module, "_CHUNK_CELLS", 1)
-    decodes, kernel, mod = [], verify_module._matmul_mod, np.mod
+    decodes, kernel, reduced = [], verify_module._matmul_mod, field_module._reduced
 
-    def spy(a, b, p):
+    def spy(a, b, p, **kwargs):
         if not (isinstance(a, _Prepared) and a.balanced.shape[0] == tall):
-            return kernel(a, b, p)
+            return kernel(a, b, p, **kwargs)
         reductions = []
 
-        def counting_mod(*args, **kwargs):
+        def counting_reduced(*args, **kwargs):
             reductions.append(1)
-            return mod(*args, **kwargs)
+            return reduced(*args, **kwargs)
 
-        with monkeypatch.context() as patch_mod:
-            patch_mod.setattr(np, "mod", counting_mod)
-            got = kernel(a, b, p)
-        decodes.append((b.shape[1], len(reductions)))
+        with monkeypatch.context() as patch_reduced:
+            patch_reduced.setattr(field_module, "_reduced", counting_reduced)
+            got = kernel(a, b, p, **kwargs)
+        decodes.append(((b.balanced if isinstance(b, _Prepared) else b).shape[1], len(reductions)))
         return got
 
     monkeypatch.setattr(verify_module, "_matmul_mod", spy)
@@ -1135,6 +1136,117 @@ def test_simulation_over_a_large_prime_decodes_in_one_pass_per_chunk(monkeypatch
     # one chunk per trial, w columns wide, for the decoded block and again
     # for the compared trials
     assert w == 3 and decodes == [(w, 1)] * 40
+
+
+SIMULATED_DESIGNS = {
+    "fano": fano,
+    "sts9": lambda: sts_bose(9),
+    "sts15": lambda: sts_bose(15),
+    "pg23": lambda: projective_plane(3),
+}
+
+
+def lower_the_float_bound(patch, p: int) -> None:
+    """Float64 exactness taken as 16p by the kernel: the decode product
+    steps past its bound, over values it reduces first where the heads
+    were left unreduced."""
+    patch.setattr(field_module, "_EXACT", 16 * p)
+
+
+def assert_both_forms_simulate_as_the_oracle(net, code, trials: int, seed: int) -> None:
+    """The code as given and its core, w copies a trial, decode the
+    oracle's values and report its failures."""
+    for held, w in ((as_given(code), 1), (core_code(code), code.w)):
+        assert_simulation_matches_the_oracle(net, held, w, trials, seed)
+
+
+def spy_on_the_simulators_products(patch) -> list[tuple[bool, bool]]:
+    """For each product the simulator makes, whether an operand is held
+    unreduced (``_Prepared`` past p - 1) and whether the product passes the
+    single-pass bound; every operand and product held as ``_Prepared`` is
+    checked to lie within the magnitude it states."""
+    products, kernel = [], verify_module._matmul_mod
+
+    def within(x) -> None:
+        if isinstance(x, _Prepared) and x.balanced.size:
+            assert np.abs(x.balanced).max() <= x.magnitude
+
+    def spy(a, b, p, **kwargs):
+        within(a), within(b)
+        x = a.balanced if isinstance(a, _Prepared) else a
+        unreduced = any(isinstance(z, _Prepared) and z.magnitude >= p for z in (a, b))
+        products.append((unreduced, x.shape[1] * _magnitude(a) * _magnitude(b) >= field_module._EXACT))
+        got = kernel(a, b, p, **kwargs)
+        within(got)
+        return got
+
+    patch.setattr(verify_module, "_matmul_mod", spy)
+    return products
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["float64", "lowered"])
+@pytest.mark.parametrize("p", [2, 3, 5, BIG])
+@pytest.mark.parametrize("name", sorted(SIMULATED_DESIGNS))
+def test_delayed_reduction_decodes_what_the_oracle_decodes(name, p, lowered, monkeypatch):
+    # the heads are left unreduced and each decoded chunk reduced once;
+    # under a lowered bound the decode product steps past it instead
+    net = build_sum_network(SIMULATED_DESIGNS[name]())
+    code = build_code(net, PrimeField(p))
+    if lowered:
+        lower_the_float_bound(monkeypatch, p)
+    products = spy_on_the_simulators_products(monkeypatch)
+    assert_both_forms_simulate_as_the_oracle(net, code, 6, seed=p)
+    unreduced, stepped = (any(column) for column in zip(*products))
+    assert stepped == lowered and (unreduced or lowered)
+
+
+def test_unreduced_heads_past_the_decode_bound_are_reduced_by_the_kernel(monkeypatch):
+    # the float bound lowered just past the largest head product: every
+    # head is left unreduced, and the decode product over them, past the
+    # bound, reduces them and steps
+    net = build_sum_network(sts_bose(9))
+    code = build_code(net, PrimeField(BIG))
+    heads, kernel = [], verify_module._matmul_mod
+
+    def recording(a, b, p, reduce=True):
+        got = kernel(a, b, p, reduce=reduce)
+        if not reduce:
+            heads.append(got.magnitude)
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "_matmul_mod", recording)
+        assert_both_forms_simulate_as_the_oracle(net, code, 6, seed=2)
+    monkeypatch.setattr(field_module, "_EXACT", max(heads) + 1)
+    products = spy_on_the_simulators_products(monkeypatch)
+    assert_both_forms_simulate_as_the_oracle(net, code, 6, seed=2)
+    assert (True, True) in products and all(not stepped for unreduced, stepped in products if not unreduced)
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["float64", "lowered"])
+def test_dense_large_coefficients_simulate_as_the_oracle(rebased_fano_bigprime, lowered, monkeypatch):
+    net, code = rebased_fano_bigprime
+    if lowered:
+        lower_the_float_bound(monkeypatch, BIG)
+    spy_on_the_simulators_products(monkeypatch)
+    assert_both_forms_simulate_as_the_oracle(net, code, 20, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(miswired_codes(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_delayed_reduction_agrees_with_the_oracle_on_miswired_codes(case, lowered, seed):
+    # a bumped decoder entry, permuted in-edges or a zeroed kernel entry;
+    # a code the compatibility check refuses is not simulated
+    net, code = case
+    try:
+        _check_compatible(net, code)
+    except ShapeMismatchError:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        if lowered:
+            lower_the_float_bound(patch, code.field.p)
+        spy_on_the_simulators_products(patch)
+        assert_both_forms_simulate_as_the_oracle(net, code, 8, seed)
 
 
 def test_a_code_holds_its_core_and_lifts_its_maps_on_request():
